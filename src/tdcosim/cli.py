@@ -6,7 +6,6 @@ Exit codes are a stable contract: 0 success, 1 numerical non-convergence,
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -79,21 +78,11 @@ def _load_shapes(bindings: list[tuple[str, str]]) -> dict[str, io.LoadshapeSerie
     return {shape_id: io.load_loadshape(path, shape_id) for shape_id, path in bindings}
 
 
-def _dispatch_for(case, feeders) -> ed.DispatchResult:
-    demand = 0.0
-    for ld in case.loads:
-        if ld.is_feeder:
-            demand += dsolve.aggregate_load(feeders[ld.bus]).total().real
-        else:
-            demand += ld.p
-    return ed.dispatch(case.generators, demand)
-
-
-def _jobs(args) -> int | None:
-    env = os.environ.get("TDCOSIM_JOBS")
-    if env:
-        return max(1, int(env))
-    return args.jobs
+def _dispatch(args, case, feeders) -> ed.DispatchResult | None:
+    """The snapshot/sweep dispatch on the unscaled forecast, unless disabled."""
+    if args.no_dispatch:
+        return None
+    return ed.dispatch(case.generators, cosim.forecast_demand_mw(case, feeders))
 
 
 def _print_snapshot_table(trace: cosim.CouplingTrace, eps: float) -> None:
@@ -122,31 +111,30 @@ def cmd_snapshot(args) -> int:
         return EXIT_INPUT
     if args.alpha:
         feeders = {b: dsolve.apply_unbalance(f, args.alpha) for b, f in feeders.items()}
-    dispatch = None if args.no_dispatch else _dispatch_for(case, feeders)
+    dispatch = _dispatch(args, case, feeders)
+
+    def write(state, trace):
+        step = cosim.StepResult(
+            t_min=0, converged=state is not None, trace=trace, state=state,
+            dispatch=dispatch, dispatched=dispatch is not None,
+            gen_buses=tuple(g.bus for g in case.generators), wall_s=0.0,
+        )
+        io.write_results(cosim.CosimResult([step], args.eps), args.out)
+
     try:
         state, trace = cosim.couple_step(
             case, feeders, dispatch=dispatch, eps=args.eps,
-            max_rounds=args.max_rounds, jobs=_jobs(args),
+            max_rounds=args.max_rounds, jobs=args.jobs,
         )
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         trace = getattr(exc, "trace", None)
         if trace is not None and args.out:
-            step = cosim.StepResult(
-                t_min=0, converged=False, trace=trace, state=None,
-                dispatch=dispatch, dispatched=dispatch is not None,
-                gen_buses=tuple(g.bus for g in case.generators), wall_s=0.0,
-            )
-            io.write_results(cosim.CosimResult([step], args.eps), args.out)
+            write(None, trace)
         return EXIT_NUMERIC
     _print_snapshot_table(trace, args.eps)
     if args.out:
-        step = cosim.StepResult(
-            t_min=0, converged=True, trace=trace, state=state,
-            dispatch=dispatch, dispatched=dispatch is not None,
-            gen_buses=tuple(g.bus for g in case.generators), wall_s=0.0,
-        )
-        io.write_results(cosim.CosimResult([step], args.eps), args.out)
+        write(state, trace)
         print(f"artifacts written to {args.out}")
     return EXIT_OK
 
@@ -163,7 +151,7 @@ def cmd_timeseries(args) -> int:
         start_min=args.start, horizon_min=args.minutes,
         ed_interval_min=args.ed_interval, pf_interval_min=args.pf_interval,
         eps=args.eps, max_rounds=args.max_rounds,
-        jobs=_jobs(args), on_fail=args.on_fail,
+        jobs=args.jobs, on_fail=args.on_fail,
     )
     outdir = Path(args.out)
     io.write_results(result, outdir)
@@ -181,6 +169,10 @@ def cmd_timeseries(args) -> int:
         io.write_results(baseline, outdir / "decoupled")
         _write_comparison(result, baseline, outdir)
         print(f"decoupled baseline in {outdir / 'decoupled'}")
+        if baseline.aborted_at is not None:
+            print(f"decoupled baseline aborted at minute {baseline.aborted_at}",
+                  file=sys.stderr)
+            return EXIT_NUMERIC
     if result.aborted_at is not None:
         print(f"aborted at minute {result.aborted_at} (coupling failure)", file=sys.stderr)
         return EXIT_NUMERIC
@@ -213,10 +205,9 @@ def cmd_sweep_unbalance(args) -> int:
     if not feeders:
         print("sweep-unbalance needs at least one --feeder PATH@BUS", file=sys.stderr)
         return EXIT_INPUT
-    dispatch = None if args.no_dispatch else _dispatch_for(case, feeders)
     sweep = cosim.sweep_unbalance(
-        case, feeders, args.alphas, dispatch=dispatch,
-        eps=args.eps, max_rounds=args.max_rounds, jobs=_jobs(args),
+        case, feeders, args.alphas, dispatch=_dispatch(args, case, feeders),
+        eps=args.eps, max_rounds=args.max_rounds, jobs=args.jobs,
     )
     buses = sweep.pcc_buses
     print("alpha    " + "".join(f"N(bus {b})  " for b in buses) + "overall N")
@@ -302,7 +293,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="PCC voltage convergence bound, pu")
         p.add_argument("--max-rounds", type=int, default=cosim.MAX_ROUNDS)
         p.add_argument("--jobs", type=int, default=None,
-                       help="concurrent feeder solves (env TDCOSIM_JOBS overrides)")
+                       help="concurrent feeder solves; default min(feeders, CPUs), "
+                            "results do not depend on it")
         p.add_argument("--no-dispatch", action="store_true",
                        help="keep the case file generator setpoints")
 

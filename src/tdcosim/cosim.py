@@ -1,24 +1,29 @@
-"""Master algorithm: iterative PCC coupling, time coordination and sweeps.
+"""Master algorithm: one time-stepping loop with two PCC boundaries.
 
-Within one time step the transmission case and the attached feeders exchange
-boundary variables until fixed point: the three-sequence solve produces PCC
-phase voltages, every feeder is swept at its commanded head voltage (feeders
-run concurrently, merging at a barrier), and the per-phase head powers feed
-the next transmission solve.  Convergence is declared when, for every PCC
-and phase, successive transmission-side voltage magnitudes differ by less
-than ``eps``; the first round bootstraps from each feeder's aggregate load,
-mirroring the decoupled model's starting point.
+The loop steps the clock every power-flow interval, runs a fresh economic
+dispatch on the forecast demand every dispatch interval, applies the
+loadshape multipliers and hands the step to a *boundary*, which returns the
+step's :class:`CoupledState` and :class:`CouplingTrace`.  The clock only
+advances past a step once its boundary has converged.
 
-Time coordination runs the coupled load flow every power-flow interval and a
-fresh economic dispatch every dispatch interval; the clock only advances
-past a step once that step's coupling has converged.
+* The coupled boundary (:func:`couple_step`) iterates the exchange to fixed
+  point: the three-sequence solve produces PCC phase voltages, every feeder
+  is swept at its commanded head voltage (feeders run concurrently, merging
+  at a barrier), and the per-phase head powers feed the next transmission
+  solve.  Convergence is declared when, for every PCC and phase, successive
+  transmission-side voltage magnitudes differ by less than ``eps``; the first
+  round bootstraps from each feeder's aggregate load.
+* The aggregate-PQ boundary is the decoupled model: each feeder enters as
+  its aggregate load times its multiplier, and one transmission solve ends
+  the step with no feeder sweep.  :func:`run_decoupled_baseline` runs it on
+  the dispatch cadence.
 """
 from __future__ import annotations
 
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -29,16 +34,6 @@ from .seqxform import PhasePowers, PhaseVoltages, sequence_to_phase
 
 COUPLING_EPS = 1e-4
 MAX_ROUNDS = 50
-
-
-@dataclass(frozen=True)
-class BoundaryState:
-    """One PCC's exchange record for one coupling iteration."""
-
-    pcc_bus: int
-    iteration: int
-    v_abc_sent: PhaseVoltages
-    s_abc_returned: PhasePowers
 
 
 @dataclass(frozen=True)
@@ -66,7 +61,6 @@ class CoupledState:
 
     seq: tsolve.SequenceSolution
     feeder_solutions: dict[int, dsolve.FeederSolution]
-    boundary: list[BoundaryState]
     pcc_voltages: dict[int, PhaseVoltages]
     pcc_powers: dict[int, PhasePowers]
 
@@ -89,14 +83,8 @@ class CosimResult:
     eps: float
     aborted_at: int | None = None
 
-    def converged_steps(self) -> list[StepResult]:
-        return [s for s in self.steps if s.converged]
-
 
 def _default_jobs(n_feeders: int) -> int:
-    env = os.environ.get("TDCOSIM_JOBS")
-    if env:
-        return max(1, int(env))
     return max(1, min(n_feeders, os.cpu_count() or 1))
 
 
@@ -168,7 +156,6 @@ def couple_step(
     }
 
     trace = CouplingTrace()
-    boundary: list[BoundaryState] = []
     prev_mag: dict[int, np.ndarray] = {}
     converged_at: dict[int, int] = {}
     seq = warm
@@ -217,7 +204,7 @@ def couple_step(
         if not feeders:
             # Degenerate but legal: nothing to couple, one solve suffices.
             trace.overall_iterations = k
-            return CoupledState(seq, {}, [], {}, {}), trace
+            return CoupledState(seq, {}, {}, {}), trace
 
         if all_ok:
             trace.overall_iterations = k
@@ -225,7 +212,6 @@ def couple_step(
             state = CoupledState(
                 seq=seq,
                 feeder_solutions=fsols,
-                boundary=boundary,
                 pcc_voltages=v_sent,
                 pcc_powers=dict(s_pcc),
             )
@@ -234,15 +220,6 @@ def couple_step(
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         fsols = _solve_feeders(feeders, v_sent, sweep_tol, sweep_max_iter, jobs)
         s_pcc = {bus: dsolve.head_power(sol) for bus, sol in fsols.items()}
-        for bus in sorted(feeders):
-            boundary.append(
-                BoundaryState(
-                    pcc_bus=bus,
-                    iteration=k,
-                    v_abc_sent=v_sent[bus],
-                    s_abc_returned=s_pcc[bus],
-                )
-            )
 
     trace.overall_iterations = max_rounds
     err = ConvergenceError(
@@ -253,35 +230,33 @@ def couple_step(
     raise err
 
 
-def _scale_case_loads(case: TransmissionCase, shapes, t_min: int) -> TransmissionCase:
-    from dataclasses import replace
+def _multiplier(load, shapes, t_min: int) -> float:
+    """A load's loadshape multiplier at ``t_min``; 1.0 without a shape."""
+    if shapes and load.loadshape_id:
+        return shapes[load.loadshape_id].multiplier(t_min)
+    return 1.0
 
+
+def _scale_case_loads(case: TransmissionCase, shapes, t_min: int) -> TransmissionCase:
     loads = []
     for ld in case.loads:
         if ld.loadshape_id and not ld.is_feeder:
-            m = shapes[ld.loadshape_id].multiplier(t_min)
+            m = _multiplier(ld, shapes, t_min)
             loads.append(replace(ld, p=ld.p * m, q=ld.q * m))
         else:
             loads.append(ld)
     return replace(case, loads=tuple(loads))
 
 
-def _scaled_feeders(case, feeders, shapes, t_min):
-    by_bus = {ld.bus: ld for ld in case.loads if ld.is_feeder}
-    out = {}
-    for bus, f in feeders.items():
-        shape_id = by_bus[bus].loadshape_id if bus in by_bus else None
-        if shape_id:
-            out[bus] = dsolve.scale_loads(f, shapes[shape_id].multiplier(t_min))
-        else:
-            out[bus] = f
-    return out
+def forecast_demand_mw(case, feeders, shapes=None, t_min: int = 0) -> float:
+    """Active demand the dispatch serves: lumped loads plus feeder aggregates.
 
-
-def _forecast_demand_mw(case, feeders, shapes, t_min) -> float:
+    Each load is scaled by its loadshape multiplier at ``t_min``; a load
+    without a loadshape, or a call without ``shapes``, counts at 1.0.
+    """
     demand = 0.0
     for ld in case.loads:
-        m = shapes[ld.loadshape_id].multiplier(t_min) if ld.loadshape_id else 1.0
+        m = _multiplier(ld, shapes, t_min)
         if ld.is_feeder:
             demand += dsolve.aggregate_load(feeders[ld.bus]).total().real * m
         else:
@@ -301,26 +276,38 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
             )
 
 
-def run_timeseries(
-    case: TransmissionCase,
-    feeders: dict[int, dsolve.Feeder],
-    loadshapes: dict[str, object] | None = None,
-    start_min: int = 0,
-    horizon_min: int = 60,
-    ed_interval_min: int = 5,
-    pf_interval_min: int = 1,
-    eps: float = COUPLING_EPS,
-    max_rounds: int = MAX_ROUNDS,
-    sweep_tol: float = dsolve.SWEEP_TOL,
-    jobs: int | None = None,
-    on_fail: str = "abort",
-) -> CosimResult:
-    """Coupled time-series simulation per the dispatch/load-flow cadence.
+def _aggregate_pq_boundary(case, feeders, multipliers, dispatch, warm):
+    """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
-    Dispatch runs at every ``ed_interval_min`` boundary on the forecast
-    demand; the coupled load flow runs every ``pf_interval_min``.  On a
-    coupling failure the run either stops with partial results (``abort``)
-    or records the failed step and continues (``continue``).
+    The trace carries one round so the result shares the coupled run's shape.
+    """
+    pu_case = to_per_unit(with_dispatch(case, dispatch.p_set))
+    pcc_loads = [
+        (bus, dsolve.aggregate_load(feeders[bus]).scaled(multipliers.get(bus, 1.0)))
+        for bus in sorted(feeders)
+    ]
+    seq = tsolve.solve_three_sequence(pu_case, pcc_loads=pcc_loads, warm=warm)
+    trace = CouplingTrace(overall_iterations=1)
+    v_sent = {}
+    for bus, _ in pcc_loads:
+        v_sent[bus] = sequence_to_phase(seq.at(bus))
+        mags = tuple(float(m) for m in v_sent[bus].magnitudes())
+        trace.rows.append(TraceRow(bus, 1, mags, mags, 0.0))
+        trace.iterations_to_converge[bus] = 1
+    return CoupledState(seq, {}, v_sent, dict(pcc_loads)), trace
+
+
+def _time_loop(
+    case, feeders, loadshapes, start_min, horizon_min, ed_interval_min,
+    pf_interval_min, eps, on_fail, boundary,
+) -> CosimResult:
+    """The one time-stepping loop behind both runs.
+
+    Each step's ``boundary(step_case, feeders, multipliers, dispatch, warm)``
+    gets the loadshape-scaled case, the unscaled feeders with their
+    multipliers by PCC bus, the dispatch in force and the previous step's
+    transmission solution; it returns ``(CoupledState, CouplingTrace)`` or
+    raises :class:`ConvergenceError`.
     """
     if horizon_min <= 0:
         raise ValueError("horizon must be positive")
@@ -345,55 +332,74 @@ def run_timeseries(
 
     for t in range(start_min, start_min + horizon_min, pf_interval_min):
         began = time.perf_counter()
-        dispatched = False
-        if (t - start_min) % ed_interval_min == 0:
-            demand = _forecast_demand_mw(case, feeders, loadshapes, t)
+        dispatched = (t - start_min) % ed_interval_min == 0
+        if dispatched:
+            demand = forecast_demand_mw(case, feeders, loadshapes, t)
             dispatch = ed.dispatch(case.generators, demand)
-            dispatched = True
         step_case = _scale_case_loads(case, loadshapes, t)
-        step_feeders = _scaled_feeders(case, feeders, loadshapes, t)
+        multipliers = {
+            ld.bus: _multiplier(ld, loadshapes, t) for ld in case.loads if ld.is_feeder
+        }
         try:
-            state, trace = couple_step(
-                step_case,
-                step_feeders,
-                dispatch=dispatch,
-                eps=eps,
-                max_rounds=max_rounds,
-                sweep_tol=sweep_tol,
-                jobs=jobs,
-                warm=warm,
-            )
-            warm = state.seq
-            steps.append(
-                StepResult(
-                    t_min=t,
-                    converged=True,
-                    trace=trace,
-                    state=state,
-                    dispatch=dispatch,
-                    dispatched=dispatched,
-                    gen_buses=gen_buses,
-                    wall_s=time.perf_counter() - began,
-                )
-            )
+            state, trace = boundary(step_case, feeders, multipliers, dispatch, warm)
         except ConvergenceError as exc:
-            trace = getattr(exc, "trace", CouplingTrace())
-            steps.append(
-                StepResult(
-                    t_min=t,
-                    converged=False,
-                    trace=trace,
-                    state=None,
-                    dispatch=dispatch,
-                    dispatched=dispatched,
-                    gen_buses=gen_buses,
-                    wall_s=time.perf_counter() - began,
-                )
+            state, trace = None, getattr(exc, "trace", CouplingTrace())
+        else:
+            warm = state.seq
+        steps.append(
+            StepResult(
+                t_min=t,
+                converged=state is not None,
+                trace=trace,
+                state=state,
+                dispatch=dispatch,
+                dispatched=dispatched,
+                gen_buses=gen_buses,
+                wall_s=time.perf_counter() - began,
             )
-            if on_fail == "abort":
-                aborted_at = t
-                break
+        )
+        if state is None and on_fail == "abort":
+            aborted_at = t
+            break
     return CosimResult(steps=steps, eps=eps, aborted_at=aborted_at)
+
+
+def run_timeseries(
+    case: TransmissionCase,
+    feeders: dict[int, dsolve.Feeder],
+    loadshapes: dict[str, object] | None = None,
+    start_min: int = 0,
+    horizon_min: int = 60,
+    ed_interval_min: int = 5,
+    pf_interval_min: int = 1,
+    eps: float = COUPLING_EPS,
+    max_rounds: int = MAX_ROUNDS,
+    sweep_tol: float = dsolve.SWEEP_TOL,
+    jobs: int | None = None,
+    on_fail: str = "abort",
+) -> CosimResult:
+    """Coupled time-series simulation per the dispatch/load-flow cadence.
+
+    Dispatch runs at every ``ed_interval_min`` boundary on the forecast
+    demand; the coupled load flow runs every ``pf_interval_min``.  On a
+    coupling failure the run either stops with partial results (``abort``)
+    or records the failed step and continues (``continue``).
+    """
+
+    def coupled(step_case, unscaled, multipliers, dispatch, warm):
+        scaled = {
+            bus: dsolve.scale_loads(f, multipliers.get(bus, 1.0))
+            for bus, f in unscaled.items()
+        }
+        return couple_step(
+            step_case, scaled, dispatch=dispatch, eps=eps, max_rounds=max_rounds,
+            sweep_tol=sweep_tol, jobs=jobs, warm=warm,
+        )
+
+    return _time_loop(
+        case, feeders, loadshapes, start_min, horizon_min, ed_interval_min,
+        pf_interval_min, eps, on_fail, coupled,
+    )
 
 
 def run_decoupled_baseline(
@@ -405,70 +411,16 @@ def run_decoupled_baseline(
     ed_interval_min: int = 5,
     eps: float = COUPLING_EPS,
 ) -> CosimResult:
-    """Decoupled reference: feeders as static aggregate PQ, 5-min cadence.
+    """Decoupled reference: feeders as aggregate PQ on the dispatch cadence.
 
-    No iteration happens; each step is a single transmission solve whose
-    trace carries one round so the result shares the coupled run's shape.
+    The time loop of :func:`run_timeseries` with the aggregate-PQ boundary
+    and ``pf_interval_min = ed_interval_min``; a step that fails stops the
+    run with ``aborted_at`` set.
     """
-    if horizon_min <= 0:
-        raise ValueError("horizon must be positive")
-    loadshapes = loadshapes or {}
-    _check_shape_coverage(case, loadshapes, start_min, horizon_min)
-    gen_buses = tuple(g.bus for g in case.generators)
-    shape_by_bus = {ld.bus: ld.loadshape_id for ld in case.loads if ld.is_feeder}
-
-    steps: list[StepResult] = []
-    warm: tsolve.SequenceSolution | None = None
-    dispatch: ed.DispatchResult | None = None
-    for t in range(start_min, start_min + horizon_min, ed_interval_min):
-        began = time.perf_counter()
-        demand = _forecast_demand_mw(case, feeders, loadshapes, t)
-        dispatch = ed.dispatch(case.generators, demand)
-        step_case = _scale_case_loads(case, loadshapes, t)
-        pu_case = to_per_unit(with_dispatch(step_case, dispatch.p_set))
-
-        pcc_loads = []
-        for bus in sorted(feeders):
-            agg = dsolve.aggregate_load(feeders[bus])
-            shape_id = shape_by_bus.get(bus)
-            m = loadshapes[shape_id].multiplier(t) if shape_id else 1.0
-            pcc_loads.append((bus, agg.scaled(m)))
-
-        seq = tsolve.solve_three_sequence(pu_case, pcc_loads=pcc_loads, warm=warm)
-        warm = seq
-        trace = CouplingTrace(overall_iterations=1)
-        v_sent = {}
-        for bus, s_abc in pcc_loads:
-            v = sequence_to_phase(seq.at(bus))
-            v_sent[bus] = v
-            mags = tuple(float(m) for m in v.magnitudes())
-            trace.rows.append(
-                TraceRow(
-                    pcc_bus=bus, iteration=1, v_trans_mag=mags,
-                    v_dist_mag=mags, mismatch=0.0,
-                )
-            )
-            trace.iterations_to_converge[bus] = 1
-        state = CoupledState(
-            seq=seq,
-            feeder_solutions={},
-            boundary=[],
-            pcc_voltages=v_sent,
-            pcc_powers=dict(pcc_loads),
-        )
-        steps.append(
-            StepResult(
-                t_min=t,
-                converged=True,
-                trace=trace,
-                state=state,
-                dispatch=dispatch,
-                dispatched=True,
-                gen_buses=gen_buses,
-                wall_s=time.perf_counter() - began,
-            )
-        )
-    return CosimResult(steps=steps, eps=eps)
+    return _time_loop(
+        case, feeders, loadshapes, start_min, horizon_min, ed_interval_min,
+        ed_interval_min, eps, "abort", _aggregate_pq_boundary,
+    )
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,7 @@ class _Topology:
     z_pu_factor: np.ndarray  # (L, 3, 3) complex, padded per-unit impedances
     levels: list[slice]  # line slices grouped by child depth, shallow first
     line_names: tuple[tuple[str, str], ...]
+    line_index: np.ndarray  # (L,) int, source index into Feeder.lines
 
 
 def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
@@ -132,6 +133,7 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
     L = len(oriented)
     parent = np.zeros(L, dtype=int)
     child = np.zeros(L, dtype=int)
+    line_index = np.zeros(L, dtype=int)
     z_pad = np.zeros((L, 3, 3), dtype=complex)
     levels: list[slice] = []
     level_start = 0
@@ -144,6 +146,7 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         ln = lines[k]
         parent[j] = p
         child[j] = c
+        line_index[j] = k
         idx = [PHASE_INDEX[ph] for ph in ln.phases]
         z = np.asarray(ln.z_abc, dtype=complex)
         z_pad[j][np.ix_(idx, idx)] = z
@@ -160,6 +163,7 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         z_pu_factor=z_pad,
         levels=levels,
         line_names=tuple((order[p], order[c]) for p, c in zip(parent, child)),
+        line_index=line_index,
     )
 
 
@@ -176,7 +180,8 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         violations.append(str(exc))
         return violations
 
-    for ln, (p, c) in zip(_oriented_lines(feeder), zip(topo.parent, topo.child)):
+    for k, p in zip(topo.line_index, topo.parent):
+        ln = feeder.lines[k]
         tag = f"line {ln.from_node}-{ln.to_node}"
         idx = [PHASE_INDEX[ph] for ph in ln.phases]
         if not ln.phases or any(ph not in PHASE_INDEX for ph in ln.phases):
@@ -209,15 +214,6 @@ def validate_feeder(feeder: Feeder) -> list[str]:
     return violations
 
 
-def _oriented_lines(feeder: Feeder):
-    """Lines in topology order (parent -> child)."""
-    topo = feeder.topology()
-    by_pair = {}
-    for ln in feeder.lines:
-        by_pair[frozenset((ln.from_node, ln.to_node))] = ln
-    return [by_pair[frozenset(pair)] for pair in topo.line_names]
-
-
 @dataclass
 class FeederSolution:
     node_order: tuple[str, ...]
@@ -226,7 +222,6 @@ class FeederSolution:
     line_names: tuple[tuple[str, str], ...]
     head_power: PhasePowers  # MVA
     iterations: int
-    converged: bool
     mask: np.ndarray
     _feeder: Feeder = field(repr=False)
 
@@ -295,7 +290,6 @@ def sweep_solve(
 
     v = np.where(mask, head_arr[None, :], 0.0).astype(complex)
     iterations = 0
-    converged = False
     history: list[float] = []
     for _ in range(max_iter):
         iterations += 1
@@ -318,9 +312,8 @@ def sweep_solve(
                 f"during sweep {iterations}"
             )
         if delta < tol:
-            converged = True
             break
-    if not converged:
+    else:
         raise ConvergenceError(
             f"feeder {feeder.name!r} sweep did not converge in {max_iter} "
             f"iterations (last change {history[-1]:.3e} pu)",
@@ -342,7 +335,6 @@ def sweep_solve(
         line_names=topo.line_names,
         head_power=head_power,
         iterations=iterations,
-        converged=True,
         mask=mask,
         _feeder=feeder,
     )
@@ -350,8 +342,6 @@ def sweep_solve(
 
 def head_power(solution: FeederSolution) -> PhasePowers:
     """Per-phase complex power (MVA) drawn at the substation head."""
-    if not solution.converged:
-        raise ValueError("head power of an unconverged solution is undefined")
     return solution.head_power
 
 

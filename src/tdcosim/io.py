@@ -580,12 +580,11 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             w.writerow(row)
 
 
-def write_results(result, outdir, sweep=None) -> list[Path]:
+def write_results(result, outdir) -> list[Path]:
     """Write the deterministic CSV artifacts for a co-simulation result.
 
-    ``result`` is a :class:`tdcosim.cosim.CosimResult`; ``sweep`` optionally
-    adds the Table-2-shaped convergence table from an unbalance sweep.
-    Returns the written paths.
+    ``result`` is a :class:`tdcosim.cosim.CosimResult`.  Returns the written
+    paths.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -618,9 +617,6 @@ def write_results(result, outdir, sweep=None) -> list[Path]:
     path = outdir / "dispatch.csv"
     _write_csv(path, ["time_min", "gen_bus", "p_set_mw", "lambda_usd_per_mwh"], rows)
     written.append(path)
-
-    if sweep is not None:
-        written.append(write_convergence_table(sweep, outdir))
     return written
 
 

@@ -23,12 +23,7 @@ from oracles import coupled_sequence_direct_2bus, feeder_nodal_newton_oracle, nr
 
 
 def _dispatch(case, feeders):
-    demand = 0.0
-    for ld in case.loads:
-        demand += (
-            dsolve.aggregate_load(feeders[ld.bus]).total().real if ld.is_feeder else ld.p
-        )
-    return ed.dispatch(case.generators, demand)
+    return ed.dispatch(case.generators, cosim.forecast_demand_mw(case, feeders))
 
 
 def test_criterion_1_balanced_coupling_convergence(system1, ckt_feeder):

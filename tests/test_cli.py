@@ -2,7 +2,9 @@ from pathlib import Path
 
 import pytest
 
+from tdcosim import cosim
 from tdcosim.cli import main
+from tdcosim.errors import ConvergenceError
 
 
 @pytest.fixture()
@@ -110,6 +112,19 @@ def test_timeseries_run_and_artifacts(paths):
     assert (root / "decoupled" / "pcc_voltages.csv").exists()
 
 
+def test_timeseries_decoupled_failure_exit_1(paths, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ConvergenceError("forced transmission failure", [])
+
+    monkeypatch.setattr(cosim, "_aggregate_pq_boundary", fail)
+    rc = main(
+        ["timeseries", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+         "--loadshape", f"day={paths['day']}", "--start", "1245", "--minutes", "5",
+         "--decoupled", "--out", paths["out"]]
+    )
+    assert rc == 1
+
+
 def test_timeseries_zero_window_usage_error(paths):
     rc = main(
         ["timeseries", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
@@ -135,9 +150,19 @@ def test_make_feeder_seed_determinism(tmp_path, capsys):
     assert c.read_bytes() != a.read_bytes()
 
 
-def test_jobs_env_override(paths, monkeypatch):
-    monkeypatch.setenv("TDCOSIM_JOBS", "2")
-    rc = main(
-        ["snapshot", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6"]
-    )
-    assert rc == 0
+def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):
+    bindings = []
+    for bus in (5, 6, 8):
+        bindings += ["--feeder", f"{paths['feeder']}@{bus}"]
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        rc = main(["snapshot", "--case", paths["case"], *bindings,
+                   "--jobs", jobs, "--out", str(out)])
+        assert rc == 0
+        outs.append(out)
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir())
+    assert "pcc_voltages.csv" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()

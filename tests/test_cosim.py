@@ -7,12 +7,7 @@ from tdcosim.netmodel import to_per_unit
 
 
 def dispatch_for(case, feeders):
-    demand = 0.0
-    for ld in case.loads:
-        demand += (
-            dsolve.aggregate_load(feeders[ld.bus]).total().real if ld.is_feeder else ld.p
-        )
-    return ed.dispatch(case.generators, demand)
+    return ed.dispatch(case.generators, cosim.forecast_demand_mw(case, feeders))
 
 
 @pytest.fixture(scope="module")
@@ -236,6 +231,48 @@ def test_baseline_cadence_counting(system1, ckt_feeder, flat_shape):
     assert len(coupled.steps) == 60
     assert sum(1 for s in coupled.steps if s.dispatched) == 12
     assert len(baseline.steps) == 12
+
+
+@pytest.mark.parametrize("interval", [-5, 0])
+def test_baseline_rejects_non_positive_interval(system1, ckt_feeder, flat_shape, interval):
+    with pytest.raises(ValueError, match="intervals must be positive"):
+        cosim.run_decoupled_baseline(
+            system1, {6: ckt_feeder}, {"day": flat_shape},
+            start_min=0, horizon_min=10, ed_interval_min=interval,
+        )
+
+
+def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
+    res = cosim.run_decoupled_baseline(
+        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1245, horizon_min=30
+    )
+    assert [s.t_min for s in res.steps] == list(range(1245, 1275, 5))
+    assert res.aborted_at is None
+    agg = dsolve.aggregate_load(ckt_feeder)
+    for step in res.steps:
+        assert step.converged and step.dispatched
+        trace = step.trace
+        assert trace.overall_iterations == 1
+        assert trace.iterations_to_converge == {6: 1}
+        (row,) = trace.rows
+        assert (row.pcc_bus, row.iteration, row.mismatch) == (6, 1, 0.0)
+        assert row.v_dist_mag == row.v_trans_mag
+        assert row.v_trans_mag == tuple(step.state.pcc_voltages[6].magnitudes())
+        assert step.state.feeder_solutions == {}
+        assert step.state.pcc_powers[6] == agg.scaled(day_shape.multiplier(step.t_min))
+
+
+def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
+    # seven times the feeder's load: the transmission solve fails once the
+    # evening ramp is high enough, and the clock does not advance past it
+    heavy = {6: dsolve.scale_loads(ckt_feeder, 7.0)}
+    res = cosim.run_decoupled_baseline(
+        system1, heavy, {"day": day_shape}, start_min=900, horizon_min=300
+    )
+    assert res.aborted_at == res.steps[-1].t_min > 900
+    assert not res.steps[-1].converged
+    assert res.steps[-1].state is None
+    assert all(s.converged for s in res.steps[:-1])
 
 
 # -- unbalance sweep ----------------------------------------------------------

@@ -203,14 +203,6 @@ def test_lossy_head_power_is_load_plus_i2r(small_feeders):
     assert head_pu == pytest.approx(loads_pu + loss, abs=1e-8)
 
 
-def test_head_power_requires_convergence():
-    f = simple_feeder()
-    sol = sweep_solve(f, PhaseVoltages.balanced(1.0))
-    sol.converged = False
-    with pytest.raises(ValueError):
-        head_power(sol)
-
-
 # -- unbalance ----------------------------------------------------------------
 
 
