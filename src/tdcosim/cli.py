@@ -124,7 +124,7 @@ def cmd_snapshot(args) -> int:
     try:
         state, trace = cosim.couple_step(
             case, feeders, dispatch=dispatch, eps=args.eps,
-            max_rounds=args.max_rounds, jobs=args.jobs,
+            max_rounds=args.max_rounds,
         )
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -150,8 +150,7 @@ def cmd_timeseries(args) -> int:
         case, feeders, shapes,
         start_min=args.start, horizon_min=args.minutes,
         ed_interval_min=args.ed_interval, pf_interval_min=args.pf_interval,
-        eps=args.eps, max_rounds=args.max_rounds,
-        jobs=args.jobs, on_fail=args.on_fail,
+        eps=args.eps, max_rounds=args.max_rounds, on_fail=args.on_fail,
     )
     outdir = Path(args.out)
     io.write_results(result, outdir)
@@ -207,7 +206,7 @@ def cmd_sweep_unbalance(args) -> int:
         return EXIT_INPUT
     sweep = cosim.sweep_unbalance(
         case, feeders, args.alphas, dispatch=_dispatch(args, case, feeders),
-        eps=args.eps, max_rounds=args.max_rounds, jobs=args.jobs,
+        eps=args.eps, max_rounds=args.max_rounds,
     )
     buses = sweep.pcc_buses
     print("alpha    " + "".join(f"N(bus {b})  " for b in buses) + "overall N")
@@ -292,9 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--eps", type=float, default=cosim.COUPLING_EPS,
                        help="PCC voltage convergence bound, pu")
         p.add_argument("--max-rounds", type=int, default=cosim.MAX_ROUNDS)
-        p.add_argument("--jobs", type=int, default=None,
-                       help="concurrent feeder solves; default min(feeders, CPUs), "
-                            "results do not depend on it")
         p.add_argument("--no-dispatch", action="store_true",
                        help="keep the case file generator setpoints")
 

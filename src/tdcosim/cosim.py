@@ -8,9 +8,9 @@ advances past a step once its boundary has converged.
 
 * The coupled boundary (:func:`couple_step`) iterates the exchange to fixed
   point: the three-sequence solve produces PCC phase voltages, every feeder
-  is swept at its commanded head voltage (feeders run concurrently, merging
-  at a barrier), and the per-phase head powers feed the next transmission
-  solve.  Convergence is declared when, for every PCC and phase, successive
+  is swept at its commanded head voltage, one after another in PCC order,
+  and the per-phase head powers feed the next transmission solve.
+  Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``; the first
   round bootstraps from each feeder's aggregate load.
 * The aggregate-PQ boundary is the decoupled model: each feeder enters as
@@ -20,9 +20,7 @@ advances past a step once its boundary has converged.
 """
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -84,10 +82,6 @@ class CosimResult:
     aborted_at: int | None = None
 
 
-def _default_jobs(n_feeders: int) -> int:
-    return max(1, min(n_feeders, os.cpu_count() or 1))
-
-
 def _sweep_one(bus, feeder, head_v, sweep_tol, sweep_max_iter):
     try:
         return dsolve.sweep_solve(feeder, head_v, sweep_tol, sweep_max_iter)
@@ -95,24 +89,6 @@ def _sweep_one(bus, feeder, head_v, sweep_tol, sweep_max_iter):
         exc.args = (f"PCC bus {bus}: {exc.args[0]}",) + exc.args[1:]
         exc.pcc_bus = bus
         raise
-
-
-def _solve_feeders(feeders, head_voltages, sweep_tol, sweep_max_iter, jobs):
-    """Sweep every feeder at its commanded head voltage; barrier-merge."""
-    buses = sorted(feeders)
-    if jobs <= 1 or len(buses) == 1:
-        return {
-            b: _sweep_one(b, feeders[b], head_voltages[b], sweep_tol, sweep_max_iter)
-            for b in buses
-        }
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {
-            b: pool.submit(
-                _sweep_one, b, feeders[b], head_voltages[b], sweep_tol, sweep_max_iter
-            )
-            for b in buses
-        }
-        return {b: futures[b].result() for b in buses}
 
 
 def couple_step(
@@ -123,13 +99,12 @@ def couple_step(
     max_rounds: int = MAX_ROUNDS,
     sweep_tol: float = dsolve.SWEEP_TOL,
     sweep_max_iter: int = dsolve.SWEEP_MAX_ITER,
-    jobs: int | None = None,
     warm: tsolve.SequenceSolution | None = None,
 ) -> tuple[CoupledState, CouplingTrace]:
     """Iterate one transmission/distribution exchange to convergence.
 
-    Raises :class:`ConvergenceError` (with the trace attached as
-    ``exc.trace``) if ``max_rounds`` is exhausted.
+    Raises :class:`ConvergenceError` (with the trace so far attached as
+    ``exc.trace``) if ``max_rounds`` is exhausted or a feeder sweep fails.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
@@ -147,7 +122,6 @@ def couple_step(
         case = with_dispatch(case, dispatch.p_set)
     pu_case = to_per_unit(case)
     ybus = tsolve.build_sequence_ybus(pu_case)
-    jobs = jobs if jobs is not None else _default_jobs(len(feeders))
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.
@@ -218,7 +192,15 @@ def couple_step(
             return state, trace
 
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
-        fsols = _solve_feeders(feeders, v_sent, sweep_tol, sweep_max_iter, jobs)
+        try:
+            fsols = {
+                bus: _sweep_one(bus, feeders[bus], v_sent[bus], sweep_tol, sweep_max_iter)
+                for bus in sorted(feeders)
+            }
+        except ConvergenceError as exc:
+            trace.overall_iterations = k
+            exc.trace = trace
+            raise
         s_pcc = {bus: dsolve.head_power(sol) for bus, sol in fsols.items()}
 
     trace.overall_iterations = max_rounds
@@ -375,7 +357,6 @@ def run_timeseries(
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
     sweep_tol: float = dsolve.SWEEP_TOL,
-    jobs: int | None = None,
     on_fail: str = "abort",
 ) -> CosimResult:
     """Coupled time-series simulation per the dispatch/load-flow cadence.
@@ -393,7 +374,7 @@ def run_timeseries(
         }
         return couple_step(
             step_case, scaled, dispatch=dispatch, eps=eps, max_rounds=max_rounds,
-            sweep_tol=sweep_tol, jobs=jobs, warm=warm,
+            sweep_tol=sweep_tol, warm=warm,
         )
 
     return _time_loop(
@@ -446,7 +427,6 @@ def sweep_unbalance(
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
     sweep_tol: float = dsolve.SWEEP_TOL,
-    jobs: int | None = None,
 ) -> UnbalanceSweep:
     """Coupling iteration counts across load-unbalance levels (Table-2 shape)."""
     buses = tuple(sorted(feeders))
@@ -456,7 +436,7 @@ def sweep_unbalance(
         try:
             _, trace = couple_step(
                 case, shifted, dispatch=dispatch, eps=eps,
-                max_rounds=max_rounds, sweep_tol=sweep_tol, jobs=jobs,
+                max_rounds=max_rounds, sweep_tol=sweep_tol,
             )
             rows.append(
                 SweepEntry(

@@ -11,9 +11,18 @@ every node to machine precision regardless of the sweep tolerance.
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases masked to zero; per-unit uses a line-to-neutral voltage base and a
 per-phase power base of ``base_mva / 3``.
+
+A feeder holds its loads as arrays with one row per ``load`` line, in file
+order: ``load_s`` is the (m, 3) complex MVA, zero on phases a load does not
+name, ``load_phases`` the (m, 3) mask of the phases it names and
+``load_nodes`` its node.  Load scaling, unbalance and aggregation are vector
+operations on ``load_s``; each sweep folds it onto the nodes in that same
+order, so every sum rounds as a loop over the loads would.  The value copies
+they return share the topology and the per-load node index.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +46,8 @@ class FeederLine:
 
 @dataclass(frozen=True)
 class PhaseLoad:
+    """One load line: the record that builds a feeder and that is written back."""
+
     node: str
     s: dict[str, complex]  # MVA per present phase
 
@@ -45,30 +56,74 @@ class PhaseLoad:
 
 
 @dataclass(eq=False)
-class Feeder:
-    """Radial feeder; treat as immutable, derived copies share topology."""
+class _Shared:
+    """Lazily compiled structure shared by a feeder and its value copies."""
 
-    base_kv: float
-    base_mva: float
-    head: str
-    lines: tuple[FeederLine, ...]
-    loads: tuple[PhaseLoad, ...]
-    name: str = "feeder"
-    _topo: "_Topology | None" = field(default=None, repr=False, compare=False)
+    topo: "_Topology | None" = None
+    load_at: np.ndarray | None = None  # (m,) topology index of each load's node
+
+
+class Feeder:
+    """Radial feeder; treat as immutable, value copies share topology."""
+
+    def __init__(self, base_kv, base_mva, head, lines, loads, name="feeder"):
+        self.base_kv = base_kv
+        self.base_mva = base_mva
+        self.head = head
+        self.lines = lines
+        self.name = name
+        loads = tuple(loads)
+        for ld in loads:
+            for ph in ld.s:
+                if ph not in PHASE_INDEX:
+                    raise ValueError(f"load at {ld.node}: unknown phase {ph!r}")
+        m = len(loads)
+        self.load_nodes = tuple(ld.node for ld in loads)
+        self.load_phases = np.fromiter(
+            (ph in ld.s for ld in loads for ph in "abc"), dtype=bool, count=3 * m
+        ).reshape(m, 3)
+        self.load_s = np.fromiter(
+            (ld.s.get(ph, 0j) for ld in loads for ph in "abc"), dtype=complex, count=3 * m
+        ).reshape(m, 3)
+        self._shared = _Shared()
+
+    @property
+    def loads(self) -> tuple[PhaseLoad, ...]:
+        """The loads as records, rebuilt from the arrays."""
+        return tuple(
+            PhaseLoad(node, {ph: v for ph, v, on in zip("abc", s, named) if on})
+            for node, s, named in zip(
+                self.load_nodes, self.load_s.tolist(), self.load_phases.tolist()
+            )
+        )
 
     def topology(self) -> "_Topology":
-        if self._topo is None:
-            self._topo = _compile_topology(self.head, self.lines)
-        return self._topo
+        if self._shared.topo is None:
+            self._shared.topo = _compile_topology(self.head, self.lines)
+        return self._shared.topo
+
+    def load_index(self) -> np.ndarray:
+        """(m,) topology index of each load's node."""
+        if self._shared.load_at is None:
+            index = self.topology().node_index
+            self._shared.load_at = np.array(
+                [index[node] for node in self.load_nodes], dtype=int
+            )
+        return self._shared.load_at
 
     def nodes(self) -> list[str]:
         return list(self.topology().node_order)
 
     def with_loads(self, loads) -> "Feeder":
         clone = Feeder(
-            self.base_kv, self.base_mva, self.head, self.lines, tuple(loads), self.name
+            self.base_kv, self.base_mva, self.head, self.lines, loads, self.name
         )
-        clone._topo = self._topo
+        clone._shared.topo = self._shared.topo
+        return clone
+
+    def _with_load_s(self, load_s: np.ndarray) -> "Feeder":
+        clone = copy.copy(self)
+        clone.load_s = load_s
         return clone
 
 
@@ -201,16 +256,15 @@ def validate_feeder(feeder: Feeder) -> list[str]:
             violations.append(f"{tag}: phases {ln.phases!r} not all present on "
                               f"parent path")
 
-    for ld in feeder.loads:
-        if ld.node not in topo.node_index:
-            violations.append(f"load at unknown node {ld.node!r}")
-            continue
-        node_mask = topo.mask[topo.node_index[ld.node]]
-        for ph in ld.s:
-            if ph not in PHASE_INDEX:
-                violations.append(f"load at {ld.node}: unknown phase {ph!r}")
-            elif not node_mask[PHASE_INDEX[ph]]:
-                violations.append(f"load at {ld.node}: phase {ph} not present there")
+    at = np.array([topo.node_index.get(node, -1) for node in feeder.load_nodes], dtype=int)
+    absent = feeder.load_phases & ~topo.mask[at] & (at >= 0)[:, None]
+    for k in np.flatnonzero((at < 0) | absent.any(axis=1)):
+        node = feeder.load_nodes[k]
+        if at[k] < 0:
+            violations.append(f"load at unknown node {node!r}")
+        for ph, bad in zip("abc", absent[k]):
+            if bad:
+                violations.append(f"load at {node}: phase {ph} not present there")
     return violations
 
 
@@ -243,12 +297,17 @@ class FeederSolution:
 def _load_array(feeder: Feeder, topo: _Topology) -> np.ndarray:
     """Per-node per-phase load in pu on the per-phase power base."""
     s = np.zeros((len(topo.node_order), 3), dtype=complex)
-    per_phase_base = feeder.base_mva / 3.0
-    for ld in feeder.loads:
-        i = topo.node_index[ld.node]
-        for ph, val in ld.s.items():
-            s[i, PHASE_INDEX[ph]] += val / per_phase_base
+    np.add.at(s, feeder.load_index(), _divide(feeder.load_s, feeder.base_mva / 3.0))
     return s
+
+
+def _divide(z: np.ndarray, x: float) -> np.ndarray:
+    """``z / x`` rounded part by part, as Python's ``complex / float`` is.
+
+    NumPy divides complex by real through a reciprocal, which can differ in
+    the last bit.
+    """
+    return (np.ascontiguousarray(z).view(float) / x).view(complex)
 
 
 def _load_currents(s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -309,7 +368,8 @@ def sweep_solve(
             worst = float(np.min(low))
             raise VoltageCollapseError(
                 f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
-                f"during sweep {iterations}"
+                f"during sweep {iterations}",
+                history,
             )
         if delta < tol:
             break
@@ -347,22 +407,14 @@ def head_power(solution: FeederSolution) -> PhasePowers:
 
 def aggregate_load(feeder: Feeder) -> PhasePowers:
     """Sum of all attached loads per phase (MVA); the decoupled-model proxy."""
-    s = np.zeros(3, dtype=complex)
-    for ld in feeder.loads:
-        for ph, val in ld.s.items():
-            s[PHASE_INDEX[ph]] += val
-    return PhasePowers.from_array(s)
+    return PhasePowers.from_array(feeder.load_s.sum(axis=0))
 
 
 def scale_loads(feeder: Feeder, multiplier: float) -> Feeder:
     """Uniformly scale every load; used to apply loadshape multipliers."""
     if multiplier < 0:
         raise ValueError("load multiplier must be non-negative")
-    loads = tuple(
-        PhaseLoad(ld.node, {ph: val * multiplier for ph, val in ld.s.items()})
-        for ld in feeder.loads
-    )
-    return feeder.with_loads(loads)
+    return feeder._with_load_s(feeder.load_s * multiplier)
 
 
 def apply_unbalance(feeder: Feeder, alpha: float) -> Feeder:
@@ -374,23 +426,11 @@ def apply_unbalance(feeder: Feeder, alpha: float) -> Feeder:
     """
     if not 0.0 <= alpha <= 0.5:
         raise ValueError(f"alpha must be within [0, 0.5], got {alpha}")
-    loads = []
-    for ld in feeder.loads:
-        if set(ld.s) == {"a", "b", "c"}:
-            m = ld.total() / 3.0
-            loads.append(
-                PhaseLoad(
-                    ld.node,
-                    {
-                        "a": (1.0 + alpha) * m,
-                        "b": (1.0 - alpha / 2.0) * m,
-                        "c": (1.0 - alpha / 2.0) * m,
-                    },
-                )
-            )
-        else:
-            loads.append(ld)
-    return feeder.with_loads(loads)
+    three = feeder.load_phases.all(axis=1)
+    m = _divide(feeder.load_s[three].sum(axis=1), 3.0)
+    load_s = feeder.load_s.copy()
+    load_s[three] = np.outer(m, [1.0 + alpha, 1.0 - alpha / 2.0, 1.0 - alpha / 2.0])
+    return feeder._with_load_s(load_s)
 
 
 TWO_PHASE_SETS = ("ab", "bc", "ac")
@@ -493,9 +533,6 @@ def synth_feeder(
     if not leaf_groups:
         leaf_groups.append((0, [backbone[-1]]))
 
-    skeleton = Feeder(base_kv, base_mva, "head", tuple(lines), (), name)
-    topo = skeleton.topology()
-
     by_cat: dict[int, list[list[str]]] = {0: [], 1: [], 2: []}
     for cat, leaves in leaf_groups:
         by_cat[cat].append(leaves)
@@ -534,13 +571,13 @@ def synth_feeder(
             ld.node, {ph: val + residual / k for ph, val in ld.s.items()}
         )
 
-    feeder = skeleton.with_loads(loads)
+    feeder = Feeder(base_kv, base_mva, "head", tuple(lines), loads, name)
 
     # Rescale impedances so the full-load drop hits the target band.
     for _ in range(6):
         try:
             sol = sweep_solve(feeder, PhaseVoltages.balanced(1.0), tol=1e-8, max_iter=200)
-        except (ConvergenceError, VoltageCollapseError):
+        except ConvergenceError:
             factor = 0.25  # overshot badly; soften and retry
         else:
             drop = 1.0 - float(np.min(np.abs(sol.v[sol.mask])))
@@ -551,5 +588,5 @@ def synth_feeder(
             FeederLine(ln.from_node, ln.to_node, ln.phases, ln.z_abc * factor)
             for ln in feeder.lines
         )
-        feeder = Feeder(base_kv, base_mva, "head", lines, feeder.loads, name)
+        feeder = Feeder(base_kv, base_mva, "head", lines, loads, name)
     return feeder

@@ -34,8 +34,12 @@ class SingularNetworkError(TdcosimError):
     """A sequence network has no solvable path for the requested injection."""
 
 
-class VoltageCollapseError(TdcosimError):
-    """A feeder sweep drove some node voltage below the collapse threshold."""
+class VoltageCollapseError(ConvergenceError):
+    """A feeder sweep drove some node voltage below the collapse threshold.
+
+    A numerical failure like running out of iterations: it carries the
+    sweep's voltage-change history.
+    """
 
 
 class ParseError(TdcosimError):

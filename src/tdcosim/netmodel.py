@@ -242,29 +242,6 @@ def to_per_unit(case: TransmissionCase) -> TransmissionCase:
     return replace(case, generators=gens, loads=loads, units=Units.PER_UNIT)
 
 
-def to_physical(case: TransmissionCase) -> TransmissionCase:
-    """Inverse of :func:`to_per_unit`; idempotent on physical input."""
-    if case.base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {case.base_mva}")
-    if case.units is Units.PHYSICAL:
-        return case
-    s = case.base_mva
-    gens = tuple(
-        replace(
-            g,
-            p_min=g.p_min * s,
-            p_max=g.p_max * s,
-            q_min=g.q_min * s,
-            q_max=g.q_max * s,
-            p_set=g.p_set * s,
-            q_set=g.q_set * s,
-        )
-        for g in case.generators
-    )
-    loads = tuple(replace(ld, p=ld.p * s, q=ld.q * s) for ld in case.loads)
-    return replace(case, generators=gens, loads=loads, units=Units.PHYSICAL)
-
-
 def with_dispatch(case: TransmissionCase, p_set_mw) -> TransmissionCase:
     """Return a copy with generator active-power setpoints replaced.
 

@@ -455,6 +455,7 @@ def solve_three_sequence(
 
     total_iters = 0
     mismatch = 0.0
+    history: list[float] = []
     for pass_no in range(1, max_passes + 1):
         # Sequence-domain image of each PCC load at the current voltages.
         extra_s1: dict[int, complex] = {}
@@ -504,6 +505,7 @@ def solve_three_sequence(
                 np.max(np.abs(v0_new - v0)),
             )
         v0, v1, v2 = v0_new, v1_new, v2_new
+        history.append(float(delta))
         if delta < tol:
             return SequenceSolution(
                 v0=v0, v1=v1, v2=v2, mismatch=mismatch,
@@ -511,5 +513,6 @@ def solve_three_sequence(
             )
 
     raise ConvergenceError(
-        f"sequence loop did not settle below {tol:g} pu in {max_passes} passes"
+        f"sequence loop did not settle below {tol:g} pu in {max_passes} passes",
+        history,
     )

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from tdcosim import cosim
+from tdcosim import cosim, dsolve, io
 from tdcosim.cli import main
 from tdcosim.errors import ConvergenceError
 
@@ -57,6 +57,46 @@ def test_corrupt_case_exit_2(tmp_path, paths, capsys):
     rc = main(["snapshot", "--case", str(bad), "--feeder", f"{paths['feeder']}@6"])
     assert rc == 2
     assert "parse error" in capsys.readouterr().err
+
+
+@pytest.fixture()
+def heavy_feeder(paths, tmp_path):
+    """The bundled feeder at 4x load: its first sweep collapses."""
+    path = tmp_path / "heavy.td"
+    heavy = dsolve.scale_loads(io.load_feeder(paths["feeder"]), 4.0)
+    path.write_text(io.serialize_feeder(heavy))
+    return f"{path}@6"
+
+
+def test_feeder_collapse_exit_1(paths, heavy_feeder, capsys):
+    rc = main(["snapshot", "--case", paths["case"], "--feeder", heavy_feeder,
+               "--out", paths["out"]])
+    assert rc == 1
+    assert "PCC bus 6" in capsys.readouterr().err
+    assert (Path(paths["out"]) / "coupling_trace.csv").exists()
+    rc = main(["sweep-unbalance", "--case", paths["case"], "--feeder", heavy_feeder,
+               "--alphas", "0"])
+    assert rc == 1
+    assert "did not converge" in capsys.readouterr().out
+
+
+def test_timeseries_collapse_continue_exit_1(paths, heavy_feeder):
+    rc = main(
+        ["timeseries", "--case", paths["case"], "--feeder", heavy_feeder,
+         "--loadshape", f"day={paths['flat']}", "--minutes", "2",
+         "--on-fail", "continue", "--out", paths["out"]]
+    )
+    assert rc == 1
+    # each collapsed step keeps its partial trace, up to the failing round
+    rows = (Path(paths["out"]) / "pcc_voltages.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0"] * 3 + ["1"] * 3
+
+
+def test_jobs_flag_is_gone(paths):
+    with pytest.raises(SystemExit) as err:
+        main(["snapshot", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+              "--jobs", "2"])
+    assert err.value.code == 2
 
 
 def test_nonconvergence_exit_1(paths):
@@ -150,15 +190,14 @@ def test_make_feeder_seed_determinism(tmp_path, capsys):
     assert c.read_bytes() != a.read_bytes()
 
 
-def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):
+def test_snapshot_artifacts_identical_across_runs(paths, tmp_path):
     bindings = []
     for bus in (5, 6, 8):
         bindings += ["--feeder", f"{paths['feeder']}@{bus}"]
     outs = []
-    for jobs in ("1", "2"):
-        out = tmp_path / f"jobs{jobs}"
-        rc = main(["snapshot", "--case", paths["case"], *bindings,
-                   "--jobs", jobs, "--out", str(out)])
+    for run in ("1", "2"):
+        out = tmp_path / f"run{run}"
+        rc = main(["snapshot", "--case", paths["case"], *bindings, "--out", str(out)])
         assert rc == 0
         outs.append(out)
     names = sorted(p.name for p in outs[0].iterdir())

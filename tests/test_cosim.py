@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from tdcosim import cosim, dsolve, ed, tsolve
-from tdcosim.errors import ConvergenceError, TdcosimError
+from tdcosim.errors import ConvergenceError, TdcosimError, VoltageCollapseError
 from tdcosim.netmodel import to_per_unit
 
 
@@ -112,18 +112,23 @@ def test_nonconvergence_carries_trace(system1, ckt_feeder):
     assert len(err.value.trace.rows) == 3
 
 
-def test_determinism_across_jobs(system2, feeders3):
-    disp = dispatch_for(system2, feeders3)
-    state1, trace1 = cosim.couple_step(system2, feeders3, dispatch=disp, jobs=1)
-    state3, trace3 = cosim.couple_step(system2, feeders3, dispatch=disp, jobs=3)
-    assert trace1.overall_iterations == trace3.overall_iterations
-    for r1, r3 in zip(trace1.rows, trace3.rows):
-        assert r1.pcc_bus == r3.pcc_bus and r1.iteration == r3.iteration
-        assert r1.v_trans_mag == r3.v_trans_mag
-    for bus in feeders3:
-        assert np.array_equal(
-            state1.feeder_solutions[bus].v, state3.feeder_solutions[bus].v
-        )
+def test_feeder_collapse_is_unconverged_with_trace(system1, ckt_feeder):
+    heavy = dsolve.scale_loads(ckt_feeder, 4.0)
+    with pytest.raises(ConvergenceError) as err:
+        cosim.couple_step(system1, {6: heavy}, eps=1e-4)
+    assert isinstance(err.value, VoltageCollapseError)
+    assert err.value.pcc_bus == 6
+    assert err.value.history
+    trace = err.value.trace
+    k = trace.overall_iterations
+    assert [r.iteration for r in trace.rows] == list(range(1, k + 1))
+
+
+def test_sweep_row_for_collapse_did_not_converge(system1, ckt_feeder):
+    heavy = dsolve.scale_loads(ckt_feeder, 4.0)
+    sweep = cosim.sweep_unbalance(system1, {6: heavy}, [0.0])
+    assert not sweep.rows[0].converged
+    assert "collapsed" in sweep.rows[0].error
 
 
 # -- time series --------------------------------------------------------------

@@ -317,6 +317,37 @@ def test_synthetic_feeder_bad_specs_rejected():
                      phase_mix=(-0.1, 0.5, 0.6))
 
 
+def test_value_copies_share_topology(ckt_feeder):
+    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+               ckt_feeder.lines, ckt_feeder.loads)
+    scaled = scale_loads(f, 0.5)
+    shifted = apply_unbalance(f, 0.1)
+    assert scaled.topology() is f.topology()
+    assert shifted.topology() is f.topology()
+    assert scaled.load_index() is f.load_index() is shifted.load_index()
+    assert f.load_s is not scaled.load_s
+
+
+def test_load_array_folds_repeated_and_zero_phase_loads():
+    f = Feeder(
+        12.47, 100.0, "head",
+        (FeederLine("head", "n1", "abc", z3(0.5 + 1.0j)),),
+        (PhaseLoad("n1", {"a": 0.3 + 0.1j, "b": 0j, "c": 0.2j}),
+         PhaseLoad("n1", {"b": 0.6 + 0j}),
+         PhaseLoad("head", {"c": 0.9 + 0.3j})),
+    )
+    assert aggregate_load(f).as_array() == pytest.approx([0.3 + 0.1j, 0.6, 0.9 + 0.5j])
+    s = dsolve._load_array(f, f.topology())
+    assert s[f.topology().node_index["n1"]] == pytest.approx(
+        np.array([0.3 + 0.1j, 0.6, 0.2j]) * 3 / 100.0)
+    # the named zero phase keeps the load three-phase, so alpha reshapes it
+    g = apply_unbalance(f, 0.3)
+    assert set(g.loads[0].s) == {"a", "b", "c"}
+    assert g.loads[0].s["b"] == pytest.approx(0.85 * f.loads[0].total() / 3)
+    assert g.loads[0].total() == pytest.approx(f.loads[0].total())
+    assert g.loads[1].s == f.loads[1].s
+
+
 def test_scale_loads():
     f = simple_feeder({"a": 1.0 + 0.2j, "b": 1.0 + 0.2j, "c": 1.0 + 0.2j})
     g = scale_loads(f, 0.5)

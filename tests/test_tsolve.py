@@ -434,6 +434,19 @@ def test_nr_mismatch_tail_strictly_decreasing(case9):
     assert tail[0] > tail[1] > tail[2]
 
 
+def test_sequence_loop_failure_carries_pass_history(case9):
+    loads = tuple(
+        ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
+    )
+    pu = to_per_unit(replace(case9, loads=loads))
+    m = (51.7 + 12.3j) / 3.0
+    s_abc = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
+    with pytest.raises(ConvergenceError) as err:
+        tsolve.solve_three_sequence(pu, pcc_loads=[(6, s_abc)], max_passes=2)
+    assert len(err.value.history) == 2
+    assert err.value.history[-1] > tsolve.SEQ_LOOP_TOL
+
+
 def test_three_sequence_with_untransposed_branch_converges():
     case = to_per_unit(untransposed_case())
     sol = tsolve.solve_three_sequence(case)
