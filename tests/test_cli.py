@@ -190,13 +190,15 @@ def test_make_feeder_seed_determinism(tmp_path, capsys):
     assert c.read_bytes() != a.read_bytes()
 
 
-def test_snapshot_artifacts_identical_across_runs(paths, tmp_path):
-    bindings = []
-    for bus in (5, 6, 8):
-        bindings += ["--feeder", f"{paths['feeder']}@{bus}"]
+def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):
+    # the feeder round is serial in PCC order, so the artifacts must not
+    # depend on the order in which the feeders are bound
     outs = []
-    for run in ("1", "2"):
-        out = tmp_path / f"run{run}"
+    for order in ((5, 6, 8), (8, 5, 6)):
+        bindings = []
+        for bus in order:
+            bindings += ["--feeder", f"{paths['feeder']}@{bus}"]
+        out = tmp_path / ("order" + "".join(map(str, order)))
         rc = main(["snapshot", "--case", paths["case"], *bindings, "--out", str(out)])
         assert rc == 0
         outs.append(out)

@@ -124,6 +124,24 @@ def test_feeder_collapse_is_unconverged_with_trace(system1, ckt_feeder):
     assert [r.iteration for r in trace.rows] == list(range(1, k + 1))
 
 
+def test_determinism_across_jobs(system2, feeders3):
+    # the feeder round is serial in PCC order: the result must not depend on
+    # the order in which the feeders are given
+    disp = dispatch_for(system2, feeders3)
+    reordered = {bus: feeders3[bus] for bus in sorted(feeders3, reverse=True)}
+    state1, trace1 = cosim.couple_step(system2, feeders3, dispatch=disp)
+    state2, trace2 = cosim.couple_step(system2, reordered, dispatch=disp)
+    assert trace1.overall_iterations == trace2.overall_iterations
+    assert len(trace1.rows) == len(trace2.rows)
+    for r1, r2 in zip(trace1.rows, trace2.rows):
+        assert r1.pcc_bus == r2.pcc_bus and r1.iteration == r2.iteration
+        assert r1.v_trans_mag == r2.v_trans_mag
+    for bus in feeders3:
+        assert np.array_equal(
+            state1.feeder_solutions[bus].v, state2.feeder_solutions[bus].v
+        )
+
+
 def test_sweep_row_for_collapse_did_not_converge(system1, ckt_feeder):
     heavy = dsolve.scale_loads(ckt_feeder, 4.0)
     sweep = cosim.sweep_unbalance(system1, {6: heavy}, [0.0])
