@@ -27,7 +27,7 @@ import numpy as np
 
 from . import dsolve, ed, tsolve
 from .errors import ConvergenceError, TdcosimError
-from .netmodel import TransmissionCase, to_per_unit, validate_case, with_dispatch
+from .netmodel import TransmissionCase, validate_case, with_dispatch
 from .seqxform import PhasePowers, PhaseVoltages, sequence_to_phase
 
 COUPLING_EPS = 1e-4
@@ -82,9 +82,9 @@ class CosimResult:
     aborted_at: int | None = None
 
 
-def _sweep_one(bus, feeder, head_v, sweep_tol, sweep_max_iter):
+def _sweep_one(bus, feeder, head_v):
     try:
-        return dsolve.sweep_solve(feeder, head_v, sweep_tol, sweep_max_iter)
+        return dsolve.sweep_solve(feeder, head_v)
     except TdcosimError as exc:
         exc.args = (f"PCC bus {bus}: {exc.args[0]}",) + exc.args[1:]
         exc.pcc_bus = bus
@@ -97,8 +97,6 @@ def couple_step(
     dispatch: ed.DispatchResult | None = None,
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
-    sweep_tol: float = dsolve.SWEEP_TOL,
-    sweep_max_iter: int = dsolve.SWEEP_MAX_ITER,
     warm: tsolve.SequenceSolution | None = None,
 ) -> tuple[CoupledState, CouplingTrace]:
     """Iterate one transmission/distribution exchange to convergence.
@@ -120,8 +118,6 @@ def couple_step(
 
     if dispatch is not None:
         case = with_dispatch(case, dispatch.p_set)
-    pu_case = to_per_unit(case)
-    ybus = tsolve.build_sequence_ybus(pu_case)
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.
@@ -139,9 +135,8 @@ def couple_step(
         # (i) transmission solve with the most recent PCC powers; on exit the
         # converged transmission model has consumed them verbatim.
         seq = tsolve.solve_three_sequence(
-            pu_case,
+            case,
             pcc_loads=[(bus, s_pcc[bus]) for bus in sorted(feeders)],
-            ybus=ybus,
             warm=seq,
         )
         v_sent = {bus: sequence_to_phase(seq.at(bus)) for bus in feeders}
@@ -149,22 +144,18 @@ def couple_step(
         all_ok = k >= 2
         for bus in sorted(feeders):
             mags = v_sent[bus].magnitudes()
-            if bus in prev_mag:
-                mismatch = float(np.max(np.abs(mags - prev_mag[bus])))
-            else:
-                mismatch = float("inf")
+            mismatch = (
+                float(np.max(np.abs(mags - prev_mag[bus]))) if bus in prev_mag else float("inf")
+            )
             # distribution side: head voltage of the latest feeder solve
             # (one exchange behind the transmission iterate, like Table 1)
-            if bus in fsols:
-                head_mags = tuple(float(m) for m in np.abs(fsols[bus].v[0]))
-            else:
-                head_mags = tuple(float(m) for m in mags)
+            head_mags = np.abs(fsols[bus].v[0]) if bus in fsols else mags
             trace.rows.append(
                 TraceRow(
                     pcc_bus=bus,
                     iteration=k,
                     v_trans_mag=tuple(float(m) for m in mags),
-                    v_dist_mag=head_mags,
+                    v_dist_mag=tuple(float(m) for m in head_mags),
                     mismatch=mismatch,
                 )
             )
@@ -194,14 +185,13 @@ def couple_step(
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
             fsols = {
-                bus: _sweep_one(bus, feeders[bus], v_sent[bus], sweep_tol, sweep_max_iter)
-                for bus in sorted(feeders)
+                bus: _sweep_one(bus, feeders[bus], v_sent[bus]) for bus in sorted(feeders)
             }
         except ConvergenceError as exc:
             trace.overall_iterations = k
             exc.trace = trace
             raise
-        s_pcc = {bus: dsolve.head_power(sol) for bus, sol in fsols.items()}
+        s_pcc = {bus: sol.head_power for bus, sol in fsols.items()}
 
     trace.overall_iterations = max_rounds
     err = ConvergenceError(
@@ -263,12 +253,12 @@ def _aggregate_pq_boundary(case, feeders, multipliers, dispatch, warm):
 
     The trace carries one round so the result shares the coupled run's shape.
     """
-    pu_case = to_per_unit(with_dispatch(case, dispatch.p_set))
+    case = with_dispatch(case, dispatch.p_set)
     pcc_loads = [
         (bus, dsolve.aggregate_load(feeders[bus]).scaled(multipliers.get(bus, 1.0)))
         for bus in sorted(feeders)
     ]
-    seq = tsolve.solve_three_sequence(pu_case, pcc_loads=pcc_loads, warm=warm)
+    seq = tsolve.solve_three_sequence(case, pcc_loads=pcc_loads, warm=warm)
     trace = CouplingTrace(overall_iterations=1)
     v_sent = {}
     for bus, _ in pcc_loads:
@@ -356,7 +346,6 @@ def run_timeseries(
     pf_interval_min: int = 1,
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
-    sweep_tol: float = dsolve.SWEEP_TOL,
     on_fail: str = "abort",
 ) -> CosimResult:
     """Coupled time-series simulation per the dispatch/load-flow cadence.
@@ -374,7 +363,7 @@ def run_timeseries(
         }
         return couple_step(
             step_case, scaled, dispatch=dispatch, eps=eps, max_rounds=max_rounds,
-            sweep_tol=sweep_tol, warm=warm,
+            warm=warm,
         )
 
     return _time_loop(
@@ -426,7 +415,6 @@ def sweep_unbalance(
     dispatch: ed.DispatchResult | None = None,
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
-    sweep_tol: float = dsolve.SWEEP_TOL,
 ) -> UnbalanceSweep:
     """Coupling iteration counts across load-unbalance levels (Table-2 shape)."""
     buses = tuple(sorted(feeders))
@@ -435,8 +423,7 @@ def sweep_unbalance(
         shifted = {b: dsolve.apply_unbalance(f, alpha) for b, f in feeders.items()}
         try:
             _, trace = couple_step(
-                case, shifted, dispatch=dispatch, eps=eps,
-                max_rounds=max_rounds, sweep_tol=sweep_tol,
+                case, shifted, dispatch=dispatch, eps=eps, max_rounds=max_rounds
             )
             rows.append(
                 SweepEntry(

@@ -31,6 +31,7 @@ from .errors import ConvergenceError, VoltageCollapseError
 from .seqxform import VOLTAGE_FLOOR, PhasePowers, PhaseVoltages
 
 PHASE_INDEX = {"a": 0, "b": 1, "c": 2}
+PHASE_SETS = ("a", "b", "c", "ab", "ac", "bc", "abc")  # a line's ordered phases
 SWEEP_TOL = 1e-6
 SWEEP_MAX_ITER = 100
 COLLAPSE_FLOOR = 0.5
@@ -229,30 +230,38 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         violations.append("base_kv must be positive")
     if feeder.base_mva <= 0:
         violations.append("base_mva must be positive")
+    # Phase sets and matrix shapes first: the topology cannot pad a line
+    # that fails either.
+    malformed: list[str] = []
+    for ln in feeder.lines:
+        tag = f"line {ln.from_node}-{ln.to_node}"
+        if ln.phases not in PHASE_SETS:
+            malformed.append(f"{tag}: invalid phase set {ln.phases!r}")
+        elif np.shape(ln.z_abc) != (len(ln.phases),) * 2:
+            malformed.append(f"{tag}: impedance matrix shape {np.shape(ln.z_abc)} "
+                             f"does not match phases {ln.phases!r}")
+    if malformed:
+        return violations + malformed
     try:
         topo = feeder.topology()
     except ValueError as exc:
         violations.append(str(exc))
         return violations
 
-    for k, p in zip(topo.line_index, topo.parent):
-        ln = feeder.lines[k]
+    # Numeric checks on the (L, 3, 3) pad; absent phases are zero there.
+    z = topo.z_pu_factor
+    line_mask = topo.mask[topo.child]
+    asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))
+    zero_self = (line_mask & (np.diagonal(z, axis1=1, axis2=2) == 0)).any(axis=1)
+    uncovered = (line_mask & ~topo.mask[topo.parent]).any(axis=1)
+    for j in np.flatnonzero(asym | zero_self | uncovered):
+        ln = feeder.lines[topo.line_index[j]]
         tag = f"line {ln.from_node}-{ln.to_node}"
-        idx = [PHASE_INDEX[ph] for ph in ln.phases]
-        if not ln.phases or any(ph not in PHASE_INDEX for ph in ln.phases):
-            violations.append(f"{tag}: invalid phase set {ln.phases!r}")
-            continue
-        z = np.asarray(ln.z_abc, dtype=complex)
-        if z.shape != (len(idx), len(idx)):
-            violations.append(f"{tag}: impedance matrix shape {z.shape} does not "
-                              f"match phases {ln.phases!r}")
-            continue
-        if not np.allclose(z, z.T):
+        if asym[j]:
             violations.append(f"{tag}: impedance matrix is not symmetric")
-        if np.any(np.abs(np.diag(z)) == 0.0):
+        if zero_self[j]:
             violations.append(f"{tag}: zero self-impedance on a present phase")
-        parent_mask = topo.mask[p]
-        if not all(parent_mask[i] for i in idx):
+        if uncovered[j]:
             violations.append(f"{tag}: phases {ln.phases!r} not all present on "
                               f"parent path")
 
@@ -278,9 +287,6 @@ class FeederSolution:
     iterations: int
     mask: np.ndarray
     _feeder: Feeder = field(repr=False)
-
-    def voltage_at(self, node: str) -> np.ndarray:
-        return self.v[self._feeder.topology().node_index[node]]
 
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
@@ -398,11 +404,6 @@ def sweep_solve(
         mask=mask,
         _feeder=feeder,
     )
-
-
-def head_power(solution: FeederSolution) -> PhasePowers:
-    """Per-phase complex power (MVA) drawn at the substation head."""
-    return solution.head_power
 
 
 def aggregate_load(feeder: Feeder) -> PhasePowers:

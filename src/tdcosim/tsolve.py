@@ -9,9 +9,16 @@ PCC loads enter the positive sequence as a PQ load ``v1*conj(i1)`` and the
 other sequences as current injections; because those terms depend on the
 solution voltages, the module iterates the three solves to an internal fixed
 point that is much tighter than the outer coupling tolerance.
+
+Everything that depends only on the buses and branches (the three Y-buses,
+the bus index and classes, and the ground-tied partition and sparse LU
+factor of Y0 and Y2) is derived once per network by
+:func:`build_sequence_ybus` and shared by every solve on that network, so a
+run that only changes dispatch, loads or PCC powers factorises once.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -51,13 +58,30 @@ class SequenceCoupling:
     y_off: np.ndarray
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
+class _GroundedFactor:
+    """Y0 or Y2 reduced to its ground-tied buses and factorised once."""
+
+    label: str
+    grounded: np.ndarray  # (n,) bool
+    idx: np.ndarray  # indices of the ground-tied buses
+    lu: spla.SuperLU | None  # None when that block is exactly singular
+
+
+@dataclass(frozen=True, eq=False)
 class SequenceYBus:
+    """The sequence network of one bus/branch set; shared, never mutated."""
+
     y0: sp.csr_matrix
     y1: sp.csr_matrix
     y2: sp.csr_matrix
     couplings: list[SequenceCoupling]
     bus_index: dict[int, int]
+    slack: int
+    pv: tuple[int, ...]
+    pq: tuple[int, ...]
+    zero: _GroundedFactor
+    negative: _GroundedFactor
 
     @property
     def n(self) -> int:
@@ -95,15 +119,25 @@ class PccInjection:
 
 
 def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
-    """Assemble the three sequence admittance matrices of a validated case."""
-    bus_index = {b.id: i for i, b in enumerate(case.buses)}
+    """The sequence network of a validated case, derived once per network.
+
+    Copies of a case made with ``dataclasses.replace`` (per-unit
+    normalisation, dispatch, load scaling) keep its ``buses`` and
+    ``branches`` tuples and so share one :class:`SequenceYBus`.
+    """
+    return _sequence_network(case.buses, case.branches)
+
+
+# Keyed on the two tuples: buses compare by value, branches (``eq=False``)
+# by identity.  Cached networks are immutable, so sharing them is safe.
+@functools.lru_cache(maxsize=8)
+def _sequence_network(buses, branches) -> SequenceYBus:
+    bus_index = {b.id: i for i, b in enumerate(buses)}
     n = len(bus_index)
-    y0 = sp.lil_matrix((n, n), dtype=complex)
-    y1 = sp.lil_matrix((n, n), dtype=complex)
-    y2 = sp.lil_matrix((n, n), dtype=complex)
+    y0, y1, y2 = (sp.lil_matrix((n, n), dtype=complex) for _ in range(3))
     couplings: list[SequenceCoupling] = []
 
-    for br in case.branches:
+    for br in branches:
         f = bus_index[br.from_bus]
         t = bus_index[br.to_bus]
         tap = br.tap if br.tap else 1.0
@@ -115,55 +149,48 @@ def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
                 br.coupling, dtype=complex
             )
             y_full = np.linalg.inv(z_full)
-            ys = np.diag(y_full)
-            y_off = y_full - np.diag(ys)
-            couplings.append(SequenceCoupling(f, t, y_off))
-            series = {0: ys[0], 1: ys[1], 2: ys[2]}
+            series = np.diag(y_full)
+            couplings.append(SequenceCoupling(f, t, y_full - np.diag(series)))
         else:
-            series = {0: 1.0 / br.z0_eff, 1: 1.0 / br.z1, 2: 1.0 / br.z2_eff}
+            series = (1.0 / br.z0_eff, 1.0 / br.z1, 1.0 / br.z2_eff)
 
-        for seq, mat, b_shunt in ((1, y1, br.b1_shunt), (2, y2, br.b1_shunt)):
-            ys = series[seq]
+        stamps = [(y1, series[1], br.b1_shunt), (y2, series[2], br.b1_shunt)]
+        if br.zero_seq_path is ZeroSeqPath.THROUGH:
+            stamps.append((y0, series[0], br.b0_shunt))
+        elif br.zero_seq_path is ZeroSeqPath.GROUNDED:
+            # Wye-grounded side assumed on the *to* bus; delta blocks the rest.
+            y0[t, t] += series[0]
+        # OPEN: no zero-sequence contribution at all.
+        for mat, ys, b_shunt in stamps:
             ysh = 1j * b_shunt / 2.0
             mat[f, f] += (ys + ysh) / tap**2
             mat[t, t] += ys + ysh
             mat[f, t] -= ys / tap
             mat[t, f] -= ys / tap
 
-        if br.zero_seq_path is ZeroSeqPath.THROUGH:
-            ys = series[0]
-            ysh = 1j * br.b0_shunt / 2.0
-            y0[f, f] += (ys + ysh) / tap**2
-            y0[t, t] += ys + ysh
-            y0[f, t] -= ys / tap
-            y0[t, f] -= ys / tap
-        elif br.zero_seq_path is ZeroSeqPath.GROUNDED:
-            # Wye-grounded side assumed on the *to* bus; delta blocks the rest.
-            y0[t, t] += series[0]
-        # OPEN: no zero-sequence contribution at all.
-
+    slack = [i for i, b in enumerate(buses) if b.kind is BusKind.SLACK]
+    if len(slack) != 1:
+        raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
+    y0, y2 = y0.tocsr(), y2.tocsr()
     return SequenceYBus(
-        y0=y0.tocsr(),
+        y0=y0,
         y1=y1.tocsr(),
-        y2=y2.tocsr(),
+        y2=y2,
         couplings=couplings,
         bus_index=bus_index,
+        slack=slack[0],
+        pv=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PV),
+        pq=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PQ),
+        zero=_factor_grounded(y0, "zero"),
+        negative=_factor_grounded(y2, "negative"),
     )
 
 
-def _bus_classification(case: TransmissionCase):
-    slack = [i for i, b in enumerate(case.buses) if b.kind is BusKind.SLACK]
-    pv = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PV]
-    pq = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ]
-    if len(slack) != 1:
-        raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
-    return slack[0], pv, pq
-
-
-def _scheduled_injections(case: TransmissionCase, extra_s1: dict[int, complex]) -> np.ndarray:
+def _scheduled_injections(
+    case: TransmissionCase, bus_index: dict[int, int], extra_s1: dict[int, complex]
+) -> np.ndarray:
     """Net complex power injection per bus (generation minus load), pu."""
-    bus_index = {b.id: i for i, b in enumerate(case.buses)}
-    s = np.zeros(len(case.buses), dtype=complex)
+    s = np.zeros(len(bus_index), dtype=complex)
     for g in case.generators:
         s[bus_index[g.bus]] += g.p_set + 1j * g.q_set
     for ld in case.loads:
@@ -186,10 +213,7 @@ def nr_positive_sequence(
     ybus: SequenceYBus,
     case: TransmissionCase,
     extra_s1: dict[int, complex] | None = None,
-    tol: float = NR_TOL,
-    max_iter: int = NR_MAX_ITER,
     v_init: np.ndarray | None = None,
-    enforce_q_limits: bool = True,
 ) -> NrResult:
     """Polar Newton-Raphson on the positive-sequence network.
 
@@ -202,45 +226,39 @@ def nr_positive_sequence(
     if case.units is not Units.PER_UNIT:
         raise ValueError("nr_positive_sequence requires a per-unit case")
     extra_s1 = extra_s1 or {}
-    n = ybus.n
     y = ybus.y1.toarray()
-    slack, pv, pq = _bus_classification(case)
-    s_sched = _scheduled_injections(case, extra_s1)
+    slack = ybus.slack
+    s_sched = _scheduled_injections(case, ybus.bus_index, extra_s1)
 
-    vm = np.ones(n)
-    va = np.zeros(n)
-    if v_init is not None:
-        vm = np.abs(v_init).copy()
-        va = np.angle(v_init).copy()
+    vm = np.ones(ybus.n) if v_init is None else np.abs(v_init)
+    va = np.zeros(ybus.n) if v_init is None else np.angle(v_init)
     sb = case.buses[slack]
     vm[slack] = sb.v_setpoint
     va[slack] = sb.angle_setpoint or 0.0
-    for i in pv:
+    for i in ybus.pv:
         vm[i] = case.buses[i].v_setpoint
 
     q_load = -s_sched.imag  # load Q at gen buses, used for limit checks
 
-    pv_work = list(pv)
-    pq_work = list(pq)
+    pv_work = list(ybus.pv)
+    pq_work = list(ybus.pq)
     q_fixed = dict[int, float]()  # PV buses clamped to a Q limit
     total_iters = 0
     mismatch = np.inf
     history: list[float] = []
 
     for _ in range(PV_SWITCH_MAX + 1):
-        vm, va, iters, mismatch, history = _nr_core(
-            y, s_sched, q_fixed, slack, pv_work, pq_work, vm, va, tol, max_iter
-        )
+        vm, va, iters, mismatch, history = _nr_core(y, s_sched, q_fixed, pv_work, pq_work, vm, va)
         total_iters += iters
-        if mismatch >= tol:
+        if mismatch >= NR_TOL:
             raise ConvergenceError(
-                f"positive-sequence NR did not reach {tol:g} pu in {max_iter} "
+                f"positive-sequence NR did not reach {NR_TOL:g} pu in {NR_MAX_ITER} "
                 f"iterations (last mismatch {mismatch:.3e})",
                 history,
             )
-        if not enforce_q_limits or not pv_work:
+        if not pv_work:
             break
-        switched = _check_q_limits(case, y, vm, va, pv_work, q_load)
+        switched = _check_q_limits(case, ybus.bus_index, y, vm, va, pv_work, q_load)
         if not switched:
             break
         for i, q_inj in switched.items():
@@ -252,8 +270,7 @@ def nr_positive_sequence(
     return NrResult(v1, total_iters, mismatch, tuple(history))
 
 
-def _nr_core(y, s_sched, q_fixed, slack, pv, pq, vm, va, tol, max_iter):
-    n = len(vm)
+def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
     pvpq = sorted(pv + pq)
     pq_s = sorted(pq)
     npvpq, npq = len(pvpq), len(pq_s)
@@ -263,7 +280,7 @@ def _nr_core(y, s_sched, q_fixed, slack, pv, pq, vm, va, tol, max_iter):
 
     history: list[float] = []
     mismatch = np.inf
-    for it in range(max_iter + 1):
+    for it in range(NR_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         i_bus = y @ v
         s_calc = v * np.conj(i_bus)
@@ -274,9 +291,9 @@ def _nr_core(y, s_sched, q_fixed, slack, pv, pq, vm, va, tol, max_iter):
             np.max(np.abs(dq)) if npq else 0.0,
         )
         history.append(float(mismatch))
-        if mismatch < tol:
+        if mismatch < NR_TOL:
             return vm, va, it, mismatch, history
-        if it == max_iter:
+        if it == NR_MAX_ITER:
             break
 
         # MATPOWER-style complex power-flow derivatives.
@@ -301,16 +318,15 @@ def _nr_core(y, s_sched, q_fixed, slack, pv, pq, vm, va, tol, max_iter):
         va[pvpq] += dx[:npvpq]
         vm[pq_s] += dx[npvpq:]
 
-    return vm, va, max_iter, mismatch, history
+    return vm, va, NR_MAX_ITER, mismatch, history
 
 
-def _check_q_limits(case, y, vm, va, pv_work, q_load):
+def _check_q_limits(case, bus_index, y, vm, va, pv_work, q_load):
     """Map of PV bus index -> clamped Q injection for violated limits."""
     v = vm * np.exp(1j * va)
     s_calc = v * np.conj(y @ v)
     switched: dict[int, float] = {}
     gen_limits: dict[int, tuple[float, float]] = {}
-    bus_index = {b.id: i for i, b in enumerate(case.buses)}
     for g in case.generators:
         i = bus_index[g.bus]
         lo, hi = gen_limits.get(i, (0.0, 0.0))
@@ -347,36 +363,44 @@ def _grounded_partition(y: sp.csr_matrix):
     return grounded
 
 
-def _solve_linear_sequence(y: sp.csr_matrix, injections: np.ndarray, label: str) -> np.ndarray:
-    v = np.zeros(y.shape[0], dtype=complex)
+def _factor_grounded(y: sp.csr_matrix, label: str) -> _GroundedFactor:
+    grounded = _grounded_partition(y)
+    idx = np.nonzero(grounded)[0]
+    lu = None
+    if idx.size:
+        try:
+            lu = spla.splu(y[np.ix_(idx, idx)].tocsc())
+        except RuntimeError:  # exactly singular
+            pass
+    return _GroundedFactor(label, grounded, idx, lu)
+
+
+def _solve_linear_sequence(seq: _GroundedFactor, injections: np.ndarray) -> np.ndarray:
+    v = np.zeros(len(seq.grounded), dtype=complex)
     if not np.any(np.abs(injections) > 0.0):
         return v
-    grounded = _grounded_partition(y)
-    floating_inj = np.abs(injections[~grounded])
-    if floating_inj.size and np.max(floating_inj) > 1e-12:
-        bad = np.nonzero(~grounded & (np.abs(injections) > 1e-12))[0]
+    bad = np.nonzero(~seq.grounded & (np.abs(injections) > 1e-12))[0]
+    if bad.size:
         raise SingularNetworkError(
-            f"{label}-sequence injection at bus index {bad.tolist()} has no "
+            f"{seq.label}-sequence injection at bus index {bad.tolist()} has no "
             f"path to ground; network is singular there"
         )
-    idx = np.nonzero(grounded)[0]
-    if idx.size:
-        y_red = y[np.ix_(idx, idx)].tocsc()
-        v_red = spla.spsolve(y_red, injections[idx])
+    if seq.idx.size:
+        v_red = np.nan if seq.lu is None else seq.lu.solve(injections[seq.idx])
         if not np.all(np.isfinite(v_red)):
-            raise SingularNetworkError(f"{label}-sequence network is singular")
-        v[idx] = v_red
+            raise SingularNetworkError(f"{seq.label}-sequence network is singular")
+        v[seq.idx] = v_red
     return v
 
 
 def solve_negative(ybus: SequenceYBus, injections: np.ndarray) -> np.ndarray:
     """Solve ``y2 @ v2 = i2`` for current injections (pu)."""
-    return _solve_linear_sequence(ybus.y2, np.asarray(injections, dtype=complex), "negative")
+    return _solve_linear_sequence(ybus.negative, np.asarray(injections, dtype=complex))
 
 
 def solve_zero(ybus: SequenceYBus, injections: np.ndarray) -> np.ndarray:
     """Solve ``y0 @ v0 = i0``; buses with no zero-sequence path stay at 0."""
-    return _solve_linear_sequence(ybus.y0, np.asarray(injections, dtype=complex), "zero")
+    return _solve_linear_sequence(ybus.zero, np.asarray(injections, dtype=complex))
 
 
 def compensation_currents(
@@ -428,11 +452,7 @@ def pcc_load_to_injections(
 def solve_three_sequence(
     case: TransmissionCase,
     pcc_loads: list[tuple[int, PhasePowers]] | None = None,
-    tol: float = SEQ_LOOP_TOL,
     max_passes: int = SEQ_LOOP_MAX_PASSES,
-    nr_tol: float = NR_TOL,
-    nr_max_iter: int = NR_MAX_ITER,
-    ybus: SequenceYBus | None = None,
     warm: SequenceSolution | None = None,
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
@@ -440,13 +460,12 @@ def solve_three_sequence(
     ``pcc_loads`` pairs PCC bus ids with per-phase head powers in MVA.
     Iterates {positive NR, negative solve, zero solve, injection refresh}
     until the largest sequence-voltage change between passes drops below
-    ``tol``.
+    ``SEQ_LOOP_TOL``.
     """
     base_mva = case.base_mva
     case = to_per_unit(case)
     pcc_loads = pcc_loads or []
-    if ybus is None:
-        ybus = build_sequence_ybus(case)
+    ybus = build_sequence_ybus(case)
     n = ybus.n
 
     v1 = warm.v1.copy() if warm is not None else None
@@ -474,45 +493,35 @@ def solve_three_sequence(
             i2_inj[i] += inj.i2
             i0_inj[i] += inj.i0
 
-        corr0, corr1, corr2 = compensation_currents(
-            ybus.couplings,
-            v0,
-            v1 if v1 is not None else np.ones(n, dtype=complex),
-            v2,
-        )
+        v1_ref = v1 if v1 is not None else np.ones(n, dtype=complex)
+        corr0, corr1, corr2 = compensation_currents(ybus.couplings, v0, v1_ref, v2)
         # Positive-sequence compensation enters NR as an equivalent PQ term.
         if np.any(np.abs(corr1) > 0.0):
-            v1_ref = v1 if v1 is not None else np.ones(n, dtype=complex)
             for bus_id, i in ybus.bus_index.items():
                 if abs(corr1[i]) > 0.0:
                     s_comp = -v1_ref[i] * np.conj(corr1[i])
                     extra_s1[bus_id] = extra_s1.get(bus_id, 0j) + s_comp
 
-        nr = nr_positive_sequence(
-            ybus, case, extra_s1, tol=nr_tol, max_iter=nr_max_iter, v_init=v1
-        )
+        nr = nr_positive_sequence(ybus, case, extra_s1, v_init=v1)
         v1_new, mismatch = nr.v1, nr.mismatch
         total_iters += nr.iterations
         v2_new = solve_negative(ybus, i2_inj + corr2)
         v0_new = solve_zero(ybus, i0_inj + corr0)
 
-        if v1 is None:
-            delta = np.inf
-        else:
-            delta = max(
-                np.max(np.abs(v1_new - v1)),
-                np.max(np.abs(v2_new - v2)),
-                np.max(np.abs(v0_new - v0)),
-            )
+        delta = np.inf if v1 is None else max(
+            np.max(np.abs(v1_new - v1)),
+            np.max(np.abs(v2_new - v2)),
+            np.max(np.abs(v0_new - v0)),
+        )
         v0, v1, v2 = v0_new, v1_new, v2_new
         history.append(float(delta))
-        if delta < tol:
+        if delta < SEQ_LOOP_TOL:
             return SequenceSolution(
                 v0=v0, v1=v1, v2=v2, mismatch=mismatch,
                 iterations=total_iters, passes=pass_no, bus_index=dict(ybus.bus_index),
             )
 
     raise ConvergenceError(
-        f"sequence loop did not settle below {tol:g} pu in {max_passes} passes",
+        f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {max_passes} passes",
         history,
     )

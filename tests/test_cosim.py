@@ -50,7 +50,7 @@ def test_both_sides_agree_at_final_iteration(sys1_state):
 
 def test_converged_transmission_consumed_head_powers_verbatim(sys1_state):
     state, _ = sys1_state
-    head = dsolve.head_power(state.feeder_solutions[6])
+    head = state.feeder_solutions[6].head_power
     assert state.pcc_powers[6].as_array() == pytest.approx(head.as_array(), abs=0)
 
 
@@ -169,6 +169,24 @@ def test_ed_cadence_counts(system1, ckt_feeder, day_shape):
     assert len(res.steps) == 23
     assert sum(1 for s in res.steps if s.dispatched) == 5  # ceil(23 / 5)
     assert res.steps[0].dispatched
+
+
+def test_run_partitions_and_factorises_y0_y2_once(
+    system1, ckt_feeder, day_shape, monkeypatch
+):
+    partitioned, factorised = [], []
+    partition, splu = tsolve._grounded_partition, tsolve.spla.splu
+    monkeypatch.setattr(
+        tsolve, "_grounded_partition", lambda y: partitioned.append(y) or partition(y)
+    )
+    monkeypatch.setattr(tsolve.spla, "splu", lambda a: factorised.append(a) or splu(a))
+    tsolve._sequence_network.cache_clear()
+    res = cosim.run_timeseries(
+        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=600, horizon_min=60
+    )
+    assert len(res.steps) == 60 and all(s.converged for s in res.steps)
+    assert len(partitioned) == 2  # Y0 and Y2
+    assert len(factorised) == 2
 
 
 def test_window_must_be_covered(system1, ckt_feeder, day_shape):

@@ -10,7 +10,6 @@ from tdcosim.dsolve import (
     PhaseLoad,
     aggregate_load,
     apply_unbalance,
-    head_power,
     scale_loads,
     sweep_solve,
     synth_feeder,
@@ -92,6 +91,40 @@ def test_asymmetric_impedance_is_rejected():
     z[0, 1] = 0.5j
     f = Feeder(12.47, 100.0, "head", (FeederLine("head", "a", "abc", z),), ())
     assert any("not symmetric" in p for p in validate_feeder(f))
+
+
+def test_malformed_lines_are_reported_not_raised():
+    bad_phases = Feeder(
+        12.47, 100.0, "head", (FeederLine("head", "n1", "abd", z3(1.0j)),), ()
+    )
+    assert validate_feeder(bad_phases) == ["line head-n1: invalid phase set 'abd'"]
+    bad_shape = Feeder(
+        12.47, 100.0, "head", (FeederLine("head", "n1", "abc", np.eye(2) * 1j),), ()
+    )
+    assert validate_feeder(bad_shape) == [
+        "line head-n1: impedance matrix shape (2, 2) does not match phases 'abc'"
+    ]
+
+
+def test_line_checks_report_in_topology_order():
+    lopsided = z3(1.0j)
+    lopsided[0, 1] = 0.5j
+    lopsided[2, 2] = 0.0
+    f = Feeder(
+        12.47, 100.0, "head",
+        (
+            FeederLine("n1", "n2", "c", np.array([[1.0j]])),
+            FeederLine("head", "n1", "ab", np.array([[1.0j, 0], [0, 0]])),
+            FeederLine("head", "n3", "abc", lopsided),
+        ),
+        (),
+    )
+    assert validate_feeder(f) == [
+        "line head-n1: zero self-impedance on a present phase",
+        "line head-n3: impedance matrix is not symmetric",
+        "line head-n3: zero self-impedance on a present phase",
+        "line n1-n2: phases 'c' not all present on parent path",
+    ]
 
 
 # -- sweep solve --------------------------------------------------------------
@@ -179,7 +212,7 @@ def test_lossless_head_power_equals_load_sum():
         (PhaseLoad("n1", {p: (52.1 + 11.7j) / 3 for p in "abc"}),),
     )
     sol = sweep_solve(f, PhaseVoltages.balanced(1.0), tol=1e-12)
-    assert head_power(sol).total() == pytest.approx(52.1 + 11.7j, abs=1e-6)
+    assert sol.head_power.total() == pytest.approx(52.1 + 11.7j, abs=1e-6)
 
 
 def test_lossy_head_power_is_load_plus_i2r(small_feeders):
@@ -198,7 +231,7 @@ def test_lossy_head_power_is_load_plus_i2r(small_feeders):
         z = np.asarray(ln.z_abc) / z_base
         dv = z @ i_vec
         loss += np.sum(dv * np.conj(i_vec))
-    head_pu = head_power(sol).total() / per_phase_base
+    head_pu = sol.head_power.total() / per_phase_base
     assert head_pu.real > loads_pu.real
     assert head_pu == pytest.approx(loads_pu + loss, abs=1e-8)
 
@@ -285,7 +318,7 @@ def test_ckt24_scale_aggregates_and_drop(ckt_feeder):
     drop = 1.0 - np.min(np.abs(sol.v[sol.mask]))
     assert 0.02 <= drop <= 0.06
     # solved head power within 5 percent of the load spec (difference = losses)
-    assert abs(head_power(sol).total() - (52.1 + 11.7j)) / abs(52.1 + 11.7j) < 0.05
+    assert abs(sol.head_power.total() - (52.1 + 11.7j)) / abs(52.1 + 11.7j) < 0.05
 
 
 def test_same_seed_same_feeder():
@@ -303,7 +336,7 @@ def test_synthetic_feeder_is_balanced_before_unbalance(ckt_feeder):
     per_phase = aggregate_load(ckt_feeder).as_array()
     assert np.max(np.abs(per_phase - per_phase[0])) < 1e-9
     sol = sweep_solve(ckt_feeder, PhaseVoltages.balanced(1.0), tol=1e-10)
-    head = np.asarray(head_power(sol).as_array())
+    head = np.asarray(sol.head_power.as_array())
     assert np.max(np.abs(head - head[0])) < 1e-6
 
 

@@ -15,6 +15,7 @@ from tdcosim.netmodel import (
     TransmissionCase,
     ZeroSeqPath,
     to_per_unit,
+    with_dispatch,
 )
 from tdcosim.seqxform import PhasePowers, PhaseVoltages
 
@@ -65,6 +66,36 @@ def test_grounded_zero_sequence_is_shunt_at_to_bus():
     y0 = tsolve.build_sequence_ybus(case).y0.toarray()
     assert y0[0, 0] == 0 and y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[1, 1] == pytest.approx(1.0 / 0.2j, abs=1e-14)
+
+
+def test_network_is_derived_once_per_bus_and_branch_set(case9):
+    yb = tsolve.build_sequence_ybus(case9)
+    assert tsolve.build_sequence_ybus(to_per_unit(case9)) is yb
+    redispatched = with_dispatch(case9, [g.p_set + 1.0 for g in case9.generators])
+    assert tsolve.build_sequence_ybus(redispatched) is yb
+    br = case9.branches[-1]
+    other = replace(case9, branches=case9.branches[:-1] + (replace(br, z1=1.1 * br.z1),))
+    assert tsolve.build_sequence_ybus(other) is not yb
+
+
+def test_solves_on_two_networks_do_not_share_state(case9):
+    loads = tuple(
+        ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
+    )
+    pu_a = to_per_unit(replace(case9, loads=loads))
+    br = pu_a.branches[-1]
+    pu_b = replace(pu_a, branches=pu_a.branches[:-1] + (replace(br, z0=1.3 * br.z0),))
+    m = (51.7 + 12.3j) / 3.0
+    pcc_loads = [(6, PhasePowers(1.15 * m, 0.925 * m, 0.925 * m))]
+
+    tsolve._sequence_network.cache_clear()
+    sol_a = tsolve.solve_three_sequence(pu_a, pcc_loads=pcc_loads)
+    after_a = tsolve.solve_three_sequence(pu_b, pcc_loads=pcc_loads)
+    tsolve._sequence_network.cache_clear()
+    fresh = tsolve.solve_three_sequence(pu_b, pcc_loads=pcc_loads)
+    assert not np.array_equal(sol_a.v0, fresh.v0)
+    for got, want in zip((after_a.v0, after_a.v1, after_a.v2), (fresh.v0, fresh.v1, fresh.v2)):
+        assert np.array_equal(got, want)
 
 
 # -- Newton-Raphson ---------------------------------------------------------
