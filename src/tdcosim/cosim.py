@@ -104,8 +104,10 @@ def couple_step(
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a feeder sweep fails.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
+    if max_rounds < 1:
+        raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
     attach_buses = set(case.pcc_buses())
     for bus in feeders:
         if bus not in attach_buses:

@@ -1,12 +1,18 @@
 """Three-phase unbalanced power flow for radial feeders.
 
-The solver is a backward/forward sweep over constant-PQ loads: load and
-branch currents are accumulated leaf-to-root at the present voltages, node
-voltages are refreshed root-to-leaf from the head voltage, and the two
-passes alternate until the largest per-phase voltage change falls below
-tolerance.  After convergence one extra backward pass recomputes all branch
-currents at the reported voltages, so the returned state satisfies KCL at
-every node to machine precision regardless of the sweep tolerance.
+The solver is a backward/forward sweep over constant-PQ loads: two
+triangular solves on one sparse LU factor of ``I - A`` per topology, with
+``A[parent, child] = 1`` per line, so a sweep costs O(n) at any depth.  The
+backward solve ``(I - A) acc = i_load`` sums the load currents at the
+present voltages over each subtree; a line carries its child's ``acc``.  The
+forward solve ``(I - A)^T v = b`` then needs those currents: ``b`` is the
+head voltage at the head and ``-Z i_line`` at each line's child.  The node
+numbering of the factor makes every sum round as a line-by-line loop would
+(see ``_compile_topology``).  Sweeps repeat until the largest per-phase
+voltage change falls below tolerance.  After convergence one extra backward
+solve recomputes all branch currents at the reported voltages, so the
+returned state satisfies KCL at every node to machine precision regardless
+of the sweep tolerance.
 
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases masked to zero; per-unit uses a line-to-neutral voltage base and a
@@ -23,9 +29,12 @@ they return share the topology and the per-load node index.
 from __future__ import annotations
 
 import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, VoltageCollapseError
 from .seqxform import VOLTAGE_FLOOR, PhasePowers, PhaseVoltages
@@ -130,15 +139,25 @@ class Feeder:
 
 @dataclass(eq=False)
 class _Topology:
-    node_order: tuple[str, ...]
+    node_order: tuple[str, ...]  # breadth-first from the head, so depth-major
     node_index: dict[str, int]
     mask: np.ndarray  # (n, 3) bool, phases present at each node
     parent: np.ndarray  # (L,) int, line parent node index
-    child: np.ndarray  # (L,) int
+    child: np.ndarray  # (L,) int, line j feeds node j + 1
     z_pu_factor: np.ndarray  # (L, 3, 3) complex, padded per-unit impedances
-    levels: list[slice]  # line slices grouped by child depth, shallow first
     line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, source index into Feeder.lines
+    number: np.ndarray  # (n,) int, factor position of each node; its own inverse
+
+    @functools.cached_property
+    def lu(self) -> spla.SuperLU:
+        """Factor of ``I - A`` in ``number`` order, built at the first sweep."""
+        n = len(self.node_order)
+        rows = np.concatenate([np.arange(n), self.number[self.parent]])
+        cols = np.concatenate([np.arange(n), self.number[self.child]])
+        data = np.concatenate([np.ones(n), -np.ones(n - 1)])
+        return spla.splu(sp.csc_matrix((data, (rows, cols)), shape=(n, n)),
+                         permc_spec="NATURAL", relax=1)
 
 
 def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
@@ -147,68 +166,55 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         adj.setdefault(ln.from_node, []).append((k, ln.to_node))
         adj.setdefault(ln.to_node, []).append((k, ln.from_node))
 
+    # Breadth-first from the head: node j + 1 is reached from parents[j] by
+    # line vias[j], and depth never decreases along the order.
     order = [head]
-    depth = {head: 0}
-    via_line: dict[str, int] = {}
-    seen_lines: set[int] = set()
-    q = 0
-    while q < len(order):
-        node = order[q]
-        q += 1
+    node_index = {head: 0}
+    depths = [0]
+    parents: list[int] = []
+    vias: list[int] = []
+    for p, node in enumerate(order):
         for k, other in adj[node]:
-            if k in seen_lines:
-                continue
-            seen_lines.add(k)
-            if other in depth:
+            if p and k == vias[p - 1]:
+                continue  # the line this node was reached by
+            if other in node_index:
                 raise ValueError(
                     f"feeder is not radial: line {lines[k].from_node}-"
                     f"{lines[k].to_node} closes a loop"
                 )
-            depth[other] = depth[node] + 1
-            via_line[other] = k
+            node_index[other] = len(order)
             order.append(other)
+            depths.append(depths[p] + 1)
+            parents.append(p)
+            vias.append(k)
 
-    unreached = sorted(set(adj) - set(depth))
+    unreached = sorted(set(adj) - set(node_index))
     if unreached:
         raise ValueError(f"nodes not reachable from head {head!r}: {unreached}")
 
-    node_index = {name: i for i, name in enumerate(order)}
     n = len(order)
+    parent = np.array(parents, dtype=int)
+    child = np.arange(1, n)
     mask = np.zeros((n, 3), dtype=bool)
     mask[0, :] = True
+    z_pad = np.zeros((n - 1, 3, 3), dtype=complex)
+    phases = np.array([lines[k].phases for k in vias], dtype=str)
+    for ps in np.unique(phases):
+        sel = np.flatnonzero(phases == ps)
+        idx = [PHASE_INDEX[ph] for ph in ps]
+        z_pad[np.ix_(sel, idx, idx)] = [lines[vias[j]].z_abc for j in sel]
+        mask[np.ix_(child[sel], idx)] = True
 
-    # Orient lines parent -> child and sort by child depth.
-    oriented = []
-    for child_name, k in via_line.items():
-        ln = lines[k]
-        parent_name = ln.from_node if ln.to_node == child_name else ln.to_node
-        oriented.append((depth[child_name], node_index[parent_name],
-                         node_index[child_name], k))
-    oriented.sort(key=lambda t: (t[0], t[2]))
-
-    L = len(oriented)
-    parent = np.zeros(L, dtype=int)
-    child = np.zeros(L, dtype=int)
-    line_index = np.zeros(L, dtype=int)
-    z_pad = np.zeros((L, 3, 3), dtype=complex)
-    levels: list[slice] = []
-    level_start = 0
-    current_depth = 1
-    for j, (d, p, c, k) in enumerate(oriented):
-        if d != current_depth:
-            levels.append(slice(level_start, j))
-            level_start = j
-            current_depth = d
-        ln = lines[k]
-        parent[j] = p
-        child[j] = c
-        line_index[j] = k
-        idx = [PHASE_INDEX[ph] for ph in ln.phases]
-        z = np.asarray(ln.z_abc, dtype=complex)
-        z_pad[j][np.ix_(idx, idx)] = z
-        mask[c, idx] = True
-    if L:
-        levels.append(slice(level_start, L))
+    # The factor (_Topology.lu) numbers nodes by depth, which makes I - A unit
+    # upper-triangular, and reverses the nodes within each depth: SuperLU's
+    # back-substitution adds a parent's children in reverse column order,
+    # which is then line order, so every sum rounds as a line-by-line loop's.
+    # permc_spec="NATURAL" keeps this numbering; relax=1 keeps each column its
+    # own supernode, as a larger relax makes the root a dense supernode that
+    # BLAS sums in another order.
+    depth = np.array(depths)
+    number = (np.searchsorted(depth, depth, side="left")
+              + np.searchsorted(depth, depth, side="right") - 1 - np.arange(n))
 
     return _Topology(
         node_order=tuple(order),
@@ -217,10 +223,16 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         parent=parent,
         child=child,
         z_pu_factor=z_pad,
-        levels=levels,
         line_names=tuple((order[p], order[c]) for p, c in zip(parent, child)),
-        line_index=line_index,
+        line_index=np.array(vias, dtype=int),
+        number=number,
     )
+
+
+def _tree_solve(topo: _Topology, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
+    """Solve ``(I - A) x = rhs`` or its transpose; complex (n, 3) as 6 real columns."""
+    real = rhs[topo.number].view(float)
+    return topo.lu.solve(real, trans=trans)[topo.number].view(complex)
 
 
 def validate_feeder(feeder: Feeder) -> list[str]:
@@ -323,15 +335,6 @@ def _load_currents(s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndar
     return np.conj(out)
 
 
-def _backward(i_load: np.ndarray, topo: _Topology) -> tuple[np.ndarray, np.ndarray]:
-    acc = i_load.copy()
-    i_line = np.zeros((len(topo.parent), 3), dtype=complex)
-    for sl in reversed(topo.levels):
-        i_line[sl] = acc[topo.child[sl]]
-        np.add.at(acc, topo.parent[sl], i_line[sl])
-    return i_line, acc
-
-
 def sweep_solve(
     feeder: Feeder,
     head_v: PhaseVoltages,
@@ -339,6 +342,10 @@ def sweep_solve(
     max_iter: int = SWEEP_MAX_ITER,
 ) -> FeederSolution:
     """Backward/forward sweep power flow from a fixed head voltage."""
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     head_arr = head_v.as_array()
     head_mag = np.abs(head_arr)
     if np.any(head_mag <= COLLAPSE_FLOOR) or np.any(head_mag >= 1.5):
@@ -348,30 +355,22 @@ def sweep_solve(
         )
     topo = feeder.topology()
     mask = topo.mask
-    n = len(topo.node_order)
     z_base = feeder.base_kv**2 / feeder.base_mva
     z_pu = topo.z_pu_factor / z_base
     s_pu = _load_array(feeder, topo)
 
     v = np.where(mask, head_arr[None, :], 0.0).astype(complex)
-    iterations = 0
     history: list[float] = []
-    for _ in range(max_iter):
-        iterations += 1
+    for iterations in range(1, max_iter + 1):
         i_load = _load_currents(s_pu, v, mask)
-        i_line, _ = _backward(i_load, topo)
-        v_new = np.zeros_like(v)
-        v_new[0] = head_arr
-        for sl in topo.levels:
-            drop = np.einsum("lij,lj->li", z_pu[sl], i_line[sl])
-            v_new[topo.child[sl]] = (v_new[topo.parent[sl]] - drop) * mask[topo.child[sl]]
-        v_new[0] = head_arr * mask[0]
-        delta = float(np.max(np.abs(v_new - v))) if n else 0.0
+        i_line = _tree_solve(topo, i_load)[1:]
+        drop = np.einsum("lij,lj->li", z_pu, i_line)
+        v_new = _tree_solve(topo, np.concatenate([head_arr[None], -drop]), "T") * mask
+        delta = float(np.max(np.abs(v_new - v)))
         history.append(delta)
         v = v_new
-        low = np.abs(v[mask])
-        if low.size and np.min(low) < COLLAPSE_FLOOR:
-            worst = float(np.min(low))
+        worst = float(np.min(np.abs(v[mask])))
+        if worst < COLLAPSE_FLOOR:
             raise VoltageCollapseError(
                 f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
                 f"during sweep {iterations}",
@@ -388,16 +387,14 @@ def sweep_solve(
 
     # Final consistency pass: currents recomputed at the reported voltages so
     # KCL holds exactly at every node.
-    i_load = _load_currents(s_pu, v, mask)
-    i_line, acc = _backward(i_load, topo)
-    i_head = acc[0]
-    s_head_pu = v[0] * np.conj(i_head)
+    acc = _tree_solve(topo, _load_currents(s_pu, v, mask))
+    s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 
     return FeederSolution(
         node_order=topo.node_order,
         v=v,
-        i_line=i_line,
+        i_line=acc[1:],
         line_names=topo.line_names,
         head_power=head_power,
         iterations=iterations,

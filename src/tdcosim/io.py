@@ -422,17 +422,15 @@ def parse_feeder(text: str) -> Feeder:
 
     for lineno, toks in lines.rows[1:]:
         directive, dcol = toks[0]
+        if directive in ("name", "base_kv", "base_mva", "head") and len(toks) != 2:
+            raise ParseError(lineno, dcol, f"{directive} takes a single value")
         if directive == "name":
-            if len(toks) != 2:
-                raise ParseError(lineno, dcol, "name takes a single value")
             name = toks[1][0]
         elif directive == "base_kv":
             base_kv = _parse_float(toks[1][0], lineno, toks[1][1], "base_kv")
         elif directive == "base_mva":
             base_mva = _parse_float(toks[1][0], lineno, toks[1][1], "base_mva")
         elif directive == "head":
-            if len(toks) != 2:
-                raise ParseError(lineno, dcol, "head takes a single node name")
             head = toks[1][0]
         elif directive == "line":
             pos, kv = _split_kv(toks, lineno, 2, "line")

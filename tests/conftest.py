@@ -164,6 +164,33 @@ def make_small_feeders():
             name="ten_node_laterals",
         )
     )
+
+    # n1 fans out to children on abc, ab and c, so siblings' currents of
+    # mixed phase sets are summed into one parent; the head has two children.
+    feeders.append(
+        Feeder(
+            12.47, 100.0, "head",
+            (
+                FeederLine("head", "n1", "abc", _z3(0.4 + 0.9j, 0.1 + 0.25j)),
+                FeederLine("n1", "n2", "abc", _z3(0.5 + 1.0j, 0.12 + 0.28j)),
+                FeederLine("n1", "n3", "ab", z2ph),
+                FeederLine("n1", "n4", "c", z1ph),
+                FeederLine("n2", "n5", "a", z1ph * 0.8),
+                FeederLine("n3", "n6", "b", z1ph * 1.1),
+                FeederLine("head", "n7", "abc", _z3(0.3 + 0.6j, 0.07 + 0.18j)),
+            ),
+            (
+                PhaseLoad("n2", {"a": 0.6 + 0.2j, "b": 0.5 + 0.1j, "c": 0.4 + 0.1j}),
+                PhaseLoad("n3", {"a": 0.5 + 0.15j, "b": 0.3 + 0.1j}),
+                PhaseLoad("n4", {"c": 0.7 + 0.2j}),
+                PhaseLoad("n5", {"a": 0.3 + 0.05j}),
+                PhaseLoad("n6", {"b": 0.4 + 0.1j}),
+                PhaseLoad("n1", {"a": 0.2 + 0.05j, "b": 0.2 + 0.05j, "c": 0.2 + 0.05j}),
+                PhaseLoad("n7", {"a": 0.5 + 0.1j, "b": 0.45 + 0.1j, "c": 0.55 + 0.12j}),
+            ),
+            name="eight_node_fan_out",
+        )
+    )
     return feeders
 
 

@@ -120,6 +120,23 @@ def test_validate_ok_and_bad(paths, tmp_path, capsys):
     assert "not radial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "bases", ["base_kv\nbase_mva 100", "base_kv 12.47\nbase_mva", "base_kv 12.47 99\nbase_mva 100"]
+)
+def test_validate_base_directive_arity_exit_2(tmp_path, bases, capsys):
+    bad = tmp_path / "arity.td"
+    bad.write_text(f"tdfeeder 1\n{bases}\nhead h\n")
+    assert main(["validate", str(bad)]) == 2
+    assert "takes a single value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("budget", [["--eps", "nan"], ["--max-rounds", "0"]])
+def test_unworkable_budget_exit_2(paths, budget):
+    rc = main(["snapshot", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+               *budget])
+    assert rc == 2
+
+
 def test_sweep_unbalance_table(paths, capsys):
     rc = main(
         ["sweep-unbalance", "--case", paths["case"],

@@ -100,6 +100,15 @@ def test_couple_step_requires_attachment(case9, ckt_feeder):
         cosim.couple_step(case9, {6: ckt_feeder})  # bus 6 is a lumped load here
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [{"eps": float("nan")}, {"eps": float("inf")}, {"eps": 0.0}, {"max_rounds": 0}],
+)
+def test_couple_step_rejects_unworkable_budget(system1, ckt_feeder, budget):
+    with pytest.raises(ValueError):
+        cosim.couple_step(system1, {6: ckt_feeder}, **budget)
+
+
 def test_missing_feeder_for_attachment(system1):
     with pytest.raises(ValueError):
         cosim.couple_step(system1, {})

@@ -178,6 +178,27 @@ def test_nonconvergence_raises():
         sweep_solve(f, PhaseVoltages.balanced(1.0))
 
 
+@pytest.mark.parametrize(
+    "budget",
+    [{"tol": float("nan")}, {"tol": float("inf")}, {"tol": 0.0}, {"max_iter": 0}],
+)
+def test_unworkable_sweep_budget_rejected(budget):
+    with pytest.raises(ValueError):
+        sweep_solve(simple_feeder(), PhaseVoltages.balanced(1.0), **budget)
+
+
+def test_head_only_feeder_sweeps_once():
+    load = {"a": 1.0 + 0.2j, "b": 0.5j, "c": 2.0}
+    f = Feeder(12.47, 100.0, "head", (), (PhaseLoad("head", load),))
+    head = PhaseVoltages.balanced(1.02, 0.1)
+    sol = sweep_solve(f, head)
+    assert sol.iterations == 1
+    assert np.array_equal(sol.v, head.as_array()[None, :])
+    assert sol.head_power.as_array() == pytest.approx([load[p] for p in "abc"], abs=1e-12)
+    assert sol.i_line.shape == (0, 3)
+    assert sol.line_names == ()
+
+
 def test_head_voltage_band_enforced():
     f = simple_feeder()
     with pytest.raises(ValueError):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcosim import cosim, dsolve, io
@@ -208,6 +208,8 @@ def test_case_parser_never_crashes(text):
 
 
 @given(st.text(max_size=300))
+@example("tdfeeder 1\nbase_kv\n")
+@example("tdfeeder 1\nbase_mva\n")
 @settings(max_examples=300, deadline=None)
 def test_feeder_parser_never_crashes(text):
     try:
