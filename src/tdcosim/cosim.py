@@ -291,6 +291,8 @@ def _time_loop(
         raise ValueError("pf interval must divide the ed interval")
     if on_fail not in ("abort", "continue"):
         raise ValueError("on_fail must be 'abort' or 'continue'")
+    if not 0 < eps < np.inf:
+        raise ValueError(f"eps must be finite and positive, got {eps}")
     loadshapes = loadshapes or {}
     _check_shape_coverage(case, loadshapes, start_min, horizon_min)
 

@@ -1,18 +1,16 @@
 """Three-phase unbalanced power flow for radial feeders.
 
-The solver is a backward/forward sweep over constant-PQ loads: two
-triangular solves on one sparse LU factor of ``I - A`` per topology, with
-``A[parent, child] = 1`` per line, so a sweep costs O(n) at any depth.  The
-backward solve ``(I - A) acc = i_load`` sums the load currents at the
-present voltages over each subtree; a line carries its child's ``acc``.  The
-forward solve ``(I - A)^T v = b`` then needs those currents: ``b`` is the
-head voltage at the head and ``-Z i_line`` at each line's child.  The node
-numbering of the factor makes every sum round as a line-by-line loop would
-(see ``_compile_topology``).  Sweeps repeat until the largest per-phase
-voltage change falls below tolerance.  After convergence one extra backward
-solve recomputes all branch currents at the reported voltages, so the
-returned state satisfies KCL at every node to machine precision regardless
-of the sweep tolerance.
+The solver is a backward/forward sweep over constant-PQ loads (the ladder
+method) in a depth-first numbering of the nodes, where every subtree is a
+range of positions, so a sweep is a few O(n) prefix sums at any depth.  The
+backward sweep sums the load currents over each subtree as a difference of
+suffix sums; a line carries its child's sum.  The forward sweep subtracts
+the line drops ``Z i_line`` along each path from the head: a prefix sum less
+the terms of subtrees already closed (see ``_Preorder``).  Sweeps repeat
+until the largest per-phase voltage change falls below tolerance.  After
+convergence one extra backward sweep recomputes all branch currents at the
+reported voltages, so the returned state satisfies KCL at every node to
+machine precision regardless of the sweep tolerance.
 
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases masked to zero; per-unit uses a line-to-neutral voltage base and a
@@ -33,8 +31,6 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, VoltageCollapseError
 from .seqxform import VOLTAGE_FLOOR, PhasePowers, PhaseVoltages
@@ -147,17 +143,42 @@ class _Topology:
     z_pu_factor: np.ndarray  # (L, 3, 3) complex, padded per-unit impedances
     line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, source index into Feeder.lines
-    number: np.ndarray  # (n,) int, factor position of each node; its own inverse
 
     @functools.cached_property
-    def lu(self) -> spla.SuperLU:
-        """Factor of ``I - A`` in ``number`` order, built at the first sweep."""
-        n = len(self.node_order)
-        rows = np.concatenate([np.arange(n), self.number[self.parent]])
-        cols = np.concatenate([np.arange(n), self.number[self.child]])
-        data = np.concatenate([np.ones(n), -np.ones(n - 1)])
-        return spla.splu(sp.csc_matrix((data, (rows, cols)), shape=(n, n)),
-                         permc_spec="NATURAL", relax=1)
+    def preorder(self) -> "_Preorder":
+        """Depth-first numbering, built at the first sweep."""
+        return _Preorder(self.parent)
+
+
+class _Preorder:
+    """Depth-first numbering: the subtree at position k is ``[k, end[k])``."""
+
+    def __init__(self, parent: np.ndarray):
+        n = len(parent) + 1
+        size = [1] * n
+        for c, p in zip(range(n - 1, 0, -1), parent[::-1].tolist()):
+            size[p] += size[c]  # reversed breadth-first order: children first
+        at, free = [0] * n, [1] * n  # free: next offset inside each subtree
+        for c, p in enumerate(parent.tolist(), 1):  # siblings in line order
+            at[c], free[p] = at[p] + free[p], free[p] + size[c]
+        self.at = np.array(at)  # position of each topology index
+        self.node = np.argsort(self.at)  # topology index at each position
+        self.end = np.arange(n) + np.array(size)[self.node]
+        self.by_end = np.argsort(self.end, kind="stable")  # positions by subtree end
+        self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(n), "right")
+
+    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
+        """Sums of (n, 3) ``x`` over each subtree; on a chain, as a loop from the tail."""
+        suffix = np.zeros((len(x) + 1, 3), dtype=complex)
+        np.cumsum(x[::-1], axis=0, out=suffix[-2::-1])
+        return suffix[:-1] - suffix[self.end]
+
+    def path_sums(self, b: np.ndarray) -> np.ndarray:
+        """Sums of (n, 3) ``b`` over each path from the head: prefix sums less
+        the terms whose subtree ended at or before the position."""
+        ended = np.zeros((len(b) + 1, 3), dtype=complex)
+        np.cumsum(b[self.by_end], axis=0, out=ended[1:])
+        return np.cumsum(b, axis=0) - ended[self.n_ended]
 
 
 def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
@@ -167,10 +188,9 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         adj.setdefault(ln.to_node, []).append((k, ln.from_node))
 
     # Breadth-first from the head: node j + 1 is reached from parents[j] by
-    # line vias[j], and depth never decreases along the order.
+    # line vias[j], so every child comes after its parent (see _Preorder).
     order = [head]
     node_index = {head: 0}
-    depths = [0]
     parents: list[int] = []
     vias: list[int] = []
     for p, node in enumerate(order):
@@ -184,7 +204,6 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
                 )
             node_index[other] = len(order)
             order.append(other)
-            depths.append(depths[p] + 1)
             parents.append(p)
             vias.append(k)
 
@@ -205,17 +224,6 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         z_pad[np.ix_(sel, idx, idx)] = [lines[vias[j]].z_abc for j in sel]
         mask[np.ix_(child[sel], idx)] = True
 
-    # The factor (_Topology.lu) numbers nodes by depth, which makes I - A unit
-    # upper-triangular, and reverses the nodes within each depth: SuperLU's
-    # back-substitution adds a parent's children in reverse column order,
-    # which is then line order, so every sum rounds as a line-by-line loop's.
-    # permc_spec="NATURAL" keeps this numbering; relax=1 keeps each column its
-    # own supernode, as a larger relax makes the root a dense supernode that
-    # BLAS sums in another order.
-    depth = np.array(depths)
-    number = (np.searchsorted(depth, depth, side="left")
-              + np.searchsorted(depth, depth, side="right") - 1 - np.arange(n))
-
     return _Topology(
         node_order=tuple(order),
         node_index=node_index,
@@ -225,14 +233,7 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         z_pu_factor=z_pad,
         line_names=tuple((order[p], order[c]) for p, c in zip(parent, child)),
         line_index=np.array(vias, dtype=int),
-        number=number,
     )
-
-
-def _tree_solve(topo: _Topology, rhs: np.ndarray, trans: str = "N") -> np.ndarray:
-    """Solve ``(I - A) x = rhs`` or its transpose; complex (n, 3) as 6 real columns."""
-    real = rhs[topo.number].view(float)
-    return topo.lu.solve(real, trans=trans)[topo.number].view(complex)
 
 
 def validate_feeder(feeder: Feeder) -> list[str]:
@@ -304,8 +305,7 @@ class FeederSolution:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()
         s_pu = _load_array(self._feeder, topo)
-        i_load = _load_currents(s_pu, self.v, topo.mask)
-        resid = -i_load.copy()
+        resid = -_load_currents(s_pu, self.v, topo.mask)
         np.subtract.at(resid, topo.parent, self.i_line)
         resid[topo.child] += self.i_line
         resid[topo.node_index[self._feeder.head]] = 0.0  # balance closed by source
@@ -354,18 +354,18 @@ def sweep_solve(
             f"({COLLAPSE_FLOOR}, 1.5) pu band"
         )
     topo = feeder.topology()
-    mask = topo.mask
-    z_base = feeder.base_kv**2 / feeder.base_mva
-    z_pu = topo.z_pu_factor / z_base
-    s_pu = _load_array(feeder, topo)
+    pre = topo.preorder  # the sweep runs in its positions; z_pu[k - 1] feeds k
+    mask = topo.mask[pre.node]
+    z_pu = topo.z_pu_factor[pre.node[1:] - 1]
+    z_pu /= feeder.base_kv**2 / feeder.base_mva
+    s_pu = _load_array(feeder, topo)[pre.node]
 
     v = np.where(mask, head_arr[None, :], 0.0).astype(complex)
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
-        i_load = _load_currents(s_pu, v, mask)
-        i_line = _tree_solve(topo, i_load)[1:]
+        i_line = pre.subtree_sums(_load_currents(s_pu, v, mask))[1:]
         drop = np.einsum("lij,lj->li", z_pu, i_line)
-        v_new = _tree_solve(topo, np.concatenate([head_arr[None], -drop]), "T") * mask
+        v_new = pre.path_sums(np.concatenate([head_arr[None], -drop])) * mask
         delta = float(np.max(np.abs(v_new - v)))
         history.append(delta)
         v = v_new
@@ -387,18 +387,18 @@ def sweep_solve(
 
     # Final consistency pass: currents recomputed at the reported voltages so
     # KCL holds exactly at every node.
-    acc = _tree_solve(topo, _load_currents(s_pu, v, mask))
+    acc = pre.subtree_sums(_load_currents(s_pu, v, mask))
     s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 
     return FeederSolution(
         node_order=topo.node_order,
-        v=v,
-        i_line=acc[1:],
+        v=v[pre.at],
+        i_line=acc[pre.at[1:]],
         line_names=topo.line_names,
         head_power=head_power,
         iterations=iterations,
-        mask=mask,
+        mask=topo.mask,
         _feeder=feeder,
     )
 

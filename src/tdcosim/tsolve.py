@@ -75,6 +75,7 @@ class SequenceYBus:
     y0: sp.csr_matrix
     y1: sp.csr_matrix
     y2: sp.csr_matrix
+    y1_dense: np.ndarray  # the NR's Y1, densified once
     couplings: list[SequenceCoupling]
     bus_index: dict[int, int]
     slack: int
@@ -176,6 +177,7 @@ def _sequence_network(buses, branches) -> SequenceYBus:
         y0=y0,
         y1=y1.tocsr(),
         y2=y2,
+        y1_dense=y1.toarray(),
         couplings=couplings,
         bus_index=bus_index,
         slack=slack[0],
@@ -226,7 +228,7 @@ def nr_positive_sequence(
     if case.units is not Units.PER_UNIT:
         raise ValueError("nr_positive_sequence requires a per-unit case")
     extra_s1 = extra_s1 or {}
-    y = ybus.y1.toarray()
+    y = ybus.y1_dense
     slack = ybus.slack
     s_sched = _scheduled_injections(case, ybus.bus_index, extra_s1)
 
@@ -271,9 +273,10 @@ def nr_positive_sequence(
 
 
 def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
-    pvpq = sorted(pv + pq)
-    pq_s = sorted(pq)
+    pvpq = np.array(sorted(pv + pq), dtype=int)
+    pq_s = np.array(sorted(pq), dtype=int)
     npvpq, npq = len(pvpq), len(pq_s)
+    jac = np.empty((npvpq + npq, npvpq + npq))
     s_spec = s_sched.copy()
     for i, q in q_fixed.items():
         s_spec[i] = s_spec[i].real + 1j * q
@@ -284,12 +287,9 @@ def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
         v = vm * np.exp(1j * va)
         i_bus = y @ v
         s_calc = v * np.conj(i_bus)
-        dp = (s_spec.real - s_calc.real)[pvpq]
-        dq = (s_spec.imag - s_calc.imag)[pq_s]
-        mismatch = max(
-            np.max(np.abs(dp)) if npvpq else 0.0,
-            np.max(np.abs(dq)) if npq else 0.0,
-        )
+        rhs = np.concatenate([(s_spec.real - s_calc.real)[pvpq],
+                              (s_spec.imag - s_calc.imag)[pq_s]])
+        mismatch = np.max(np.abs(rhs), initial=0.0)
         history.append(float(mismatch))
         if mismatch < NR_TOL:
             return vm, va, it, mismatch, history
@@ -303,12 +303,10 @@ def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
         ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
         ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
 
-        j11 = ds_dva[np.ix_(pvpq, pvpq)].real
-        j12 = ds_dvm[np.ix_(pvpq, pq_s)].real
-        j21 = ds_dva[np.ix_(pq_s, pvpq)].imag
-        j22 = ds_dvm[np.ix_(pq_s, pq_s)].imag
-        jac = np.block([[j11, j12], [j21, j22]])
-        rhs = np.concatenate([dp, dq])
+        jac[:npvpq, :npvpq] = ds_dva.real[pvpq[:, None], pvpq]
+        jac[:npvpq, npvpq:] = ds_dvm.real[pvpq[:, None], pq_s]
+        jac[npvpq:, :npvpq] = ds_dva.imag[pq_s[:, None], pvpq]
+        jac[npvpq:, npvpq:] = ds_dvm.imag[pq_s[:, None], pq_s]
         try:
             dx = np.linalg.solve(jac, rhs)
         except np.linalg.LinAlgError as exc:

@@ -292,6 +292,15 @@ def test_baseline_rejects_non_positive_interval(system1, ckt_feeder, flat_shape,
         )
 
 
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), 0.0, -1e-4])
+def test_baseline_rejects_unusable_eps(system1, ckt_feeder, flat_shape, eps):
+    with pytest.raises(ValueError, match="eps must be finite and positive"):
+        cosim.run_decoupled_baseline(
+            system1, {6: ckt_feeder}, {"day": flat_shape},
+            start_min=0, horizon_min=10, eps=eps,
+        )
+
+
 def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
     res = cosim.run_decoupled_baseline(
         system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1245, horizon_min=30

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdcosim import dsolve
@@ -408,3 +408,116 @@ def test_scale_loads():
     assert aggregate_load(g).total() == pytest.approx(0.5 * aggregate_load(f).total())
     with pytest.raises(ValueError):
         scale_loads(f, -1.0)
+
+
+# -- random radial trees and cancellation pins ---------------------------------
+
+
+@st.composite
+def radial_trees(draw):
+    """Lines, loads and a line permutation of a random radial tree headed at n0.
+
+    Each node's phase set is drawn from its parent's subsets, and each line is
+    written in either orientation.
+    """
+    n = draw(st.integers(2, 12))
+    node_phases = ["abc"]
+    lines = []
+    for i in range(1, n):
+        p = draw(st.integers(0, i - 1))
+        ps = draw(st.sampled_from(
+            [s for s in dsolve.PHASE_SETS if set(s) <= set(node_phases[p])]
+        ))
+        node_phases.append(ps)
+        z_self = complex(draw(st.floats(0.01, 0.05)), draw(st.floats(0.02, 0.1)))
+        z = np.full((len(ps), len(ps)), draw(st.floats(0.0, 0.4)) * z_self)
+        np.fill_diagonal(z, z_self)
+        ends = (f"n{p}", f"n{i}") if draw(st.booleans()) else (f"n{i}", f"n{p}")
+        lines.append(FeederLine(*ends, ps, z))
+    loads = [
+        PhaseLoad(f"n{i}", {
+            ph: complex(draw(st.floats(0.0, 0.3)), draw(st.floats(-0.1, 0.2)))
+            for ph in ps
+        })
+        for i, ps in enumerate(node_phases)
+        if draw(st.booleans())
+    ]
+    return lines, loads, draw(st.permutations(range(n - 1)))
+
+
+_NEARLY_UNLOADED = (  # the oracle's default xtol fails here; see below
+    [FeederLine(a, b, "a", np.array([[0.03125 + x * 0.03125j]]))
+     for a, b, x in [("n1", "n0", 1), ("n2", "n0", 2), ("n3", "n0", 2), ("n4", "n1", 2),
+                     ("n5", "n4", 1), ("n6", "n2", 2), ("n7", "n2", 2), ("n8", "n2", 2)]],
+    [PhaseLoad("n4", {"a": 0.25 + 0.125j}), PhaseLoad("n5", {"a": 0.125 + 0.0625j})],
+    list(range(8)),
+)
+
+
+@given(radial_trees())
+@example(_NEARLY_UNLOADED)
+@settings(max_examples=60, deadline=None)
+def test_random_radial_trees_match_oracle_and_line_order(tree):
+    lines, loads, order = tree
+    f = Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads))
+    shuffled = Feeder(12.47, 100.0, "n0", tuple(lines[k] for k in order), tuple(loads))
+    assert validate_feeder(f) == []
+    head = PhaseVoltages.balanced(1.02, 0.1)
+    sol = sweep_solve(f, head, tol=1e-12, max_iter=300)
+    # The oracle's default xtol of 1e-12 can end in scipy's "not making good
+    # progress" on a nearly unloaded tree whose residual is already 4e-15.
+    oracle = feeder_nodal_newton_oracle(f, head, tol=1e-10)
+    assert np.max(np.abs(sol.v - oracle)) < 1e-8
+    assert np.max(np.abs(sol.kcl_residuals())) < 1e-9
+    other = sweep_solve(shuffled, head, tol=1e-12, max_iter=300)
+    at = [other.node_order.index(node) for node in sol.node_order]
+    assert np.max(np.abs(other.v[at] - sol.v)) <= 1e-12
+
+
+def _line_by_line_sweep(feeder, head_v, tol):
+    """The ladder method one line at a time; lines listed parent before child."""
+    head = head_v.as_array()
+    z_base = feeder.base_kv**2 / feeder.base_mva
+    nodes = [feeder.head] + [ln.to_node for ln in feeder.lines]
+    s = {node: np.zeros(3, dtype=complex) for node in nodes}
+    for ld in feeder.loads:
+        for ph, val in ld.s.items():
+            s[ld.node][dsolve.PHASE_INDEX[ph]] += val / (feeder.base_mva / 3.0)
+    v = {node: head for node in nodes}
+    for iterations in range(1, dsolve.SWEEP_MAX_ITER + 1):
+        acc = {node: np.conj(s[node] / v[node]) for node in nodes}
+        for ln in reversed(feeder.lines):
+            acc[ln.from_node] = acc[ln.from_node] + acc[ln.to_node]
+        new = {feeder.head: head}
+        for ln in feeder.lines:
+            new[ln.to_node] = new[ln.from_node] - (ln.z_abc / z_base) @ acc[ln.to_node]
+        delta = max(np.max(np.abs(new[node] - v[node])) for node in nodes)
+        v = new
+        if delta < tol:
+            break
+    return np.array([v[node] for node in nodes]), iterations
+
+
+
+@pytest.mark.parametrize("shape", ["chain-2000", "star-3000"])
+def test_long_chain_and_wide_star_match_line_by_line_sweep(shape):
+    kind, size = shape.split("-")
+    size = int(size)
+    if kind == "chain":  # every subtree sum runs to the tail
+        z, s = z3(0.002 + 0.004j, 0.0005 + 0.001j), 0.0003 + 0.0001j
+        ends = [(f"n{k}", f"n{k + 1}") for k in range(size)]
+    else:  # every path sum cancels the terms of all earlier siblings
+        z, s = z3(0.5 + 1.0j, 0.1 + 0.2j), 0.01 + 0.003j
+        ends = [("n0", f"n{k + 1}") for k in range(size)]
+    f = Feeder(
+        12.47, 100.0, "n0",
+        tuple(FeederLine(a, b, "abc", z) for a, b in ends),
+        tuple(PhaseLoad(f"n{k}", {p: s * (1 + 0.1 * (k % 7)) for p in "abc"})
+              for k in range(1, size + 1)),
+    )
+    head = PhaseVoltages.balanced(1.0)
+    sol = sweep_solve(f, head)
+    v_ref, iterations = _line_by_line_sweep(f, head, dsolve.SWEEP_TOL)
+    assert sol.node_order == tuple(["n0"] + [b for _, b in ends])
+    assert sol.iterations == iterations
+    assert np.max(np.abs(sol.v - v_ref)) < 1e-12
