@@ -20,20 +20,21 @@ A feeder holds its loads as arrays with one row per ``load`` line, in file
 order: ``load_s`` is the (m, 3) complex MVA, zero on phases a load does not
 name, ``load_phases`` the (m, 3) mask of the phases it names and
 ``load_nodes`` its node.  Load scaling, unbalance and aggregation are vector
-operations on ``load_s``; each sweep folds it onto the nodes in that same
-order, so every sum rounds as a loop over the loads would.  The value copies
-they return share the topology and the per-load node index.
+operations on ``load_s``.  The value copies they return share the topology
+and the sweep plan, built at the first sweep: the node mask and per-unit
+impedances in depth-first order and each load's position there.  A sweep
+then only folds ``load_s`` onto the nodes with one ``bincount`` in file
+order, so every sum rounds as a loop over the loads would.
 """
 from __future__ import annotations
 
 import copy
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConvergenceError, VoltageCollapseError
-from .seqxform import VOLTAGE_FLOOR, PhasePowers, PhaseVoltages
+from .seqxform import PhasePowers, PhaseVoltages
 
 PHASE_INDEX = {"a": 0, "b": 1, "c": 2}
 PHASE_SETS = ("a", "b", "c", "ab", "ac", "bc", "abc")  # a line's ordered phases
@@ -66,7 +67,7 @@ class _Shared:
     """Lazily compiled structure shared by a feeder and its value copies."""
 
     topo: "_Topology | None" = None
-    load_at: np.ndarray | None = None  # (m,) topology index of each load's node
+    plan: "_SweepPlan | None" = None
 
 
 class Feeder:
@@ -108,14 +109,11 @@ class Feeder:
             self._shared.topo = _compile_topology(self.head, self.lines)
         return self._shared.topo
 
-    def load_index(self) -> np.ndarray:
-        """(m,) topology index of each load's node."""
-        if self._shared.load_at is None:
-            index = self.topology().node_index
-            self._shared.load_at = np.array(
-                [index[node] for node in self.load_nodes], dtype=int
-            )
-        return self._shared.load_at
+    def sweep_plan(self) -> "_SweepPlan":
+        """What every sweep of this feeder reuses, built at the first sweep."""
+        if self._shared.plan is None:
+            self._shared.plan = _SweepPlan(self)
+        return self._shared.plan
 
     def nodes(self) -> list[str]:
         return list(self.topology().node_order)
@@ -140,14 +138,8 @@ class _Topology:
     mask: np.ndarray  # (n, 3) bool, phases present at each node
     parent: np.ndarray  # (L,) int, line parent node index
     child: np.ndarray  # (L,) int, line j feeds node j + 1
-    z_pu_factor: np.ndarray  # (L, 3, 3) complex, padded per-unit impedances
     line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, source index into Feeder.lines
-
-    @functools.cached_property
-    def preorder(self) -> "_Preorder":
-        """Depth-first numbering, built at the first sweep."""
-        return _Preorder(self.parent)
 
 
 class _Preorder:
@@ -167,18 +159,42 @@ class _Preorder:
         self.by_end = np.argsort(self.end, kind="stable")  # positions by subtree end
         self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(n), "right")
 
-    def subtree_sums(self, x: np.ndarray) -> np.ndarray:
-        """Sums of (n, 3) ``x`` over each subtree; on a chain, as a loop from the tail."""
-        suffix = np.zeros((len(x) + 1, 3), dtype=complex)
-        np.cumsum(x[::-1], axis=0, out=suffix[-2::-1])
-        return suffix[:-1] - suffix[self.end]
+    # The gathers below take mode="clip" because their indices are in range
+    # by construction; the default mode copies ``out`` before writing it.
 
-    def path_sums(self, b: np.ndarray) -> np.ndarray:
-        """Sums of (n, 3) ``b`` over each path from the head: prefix sums less
-        the terms whose subtree ended at or before the position."""
-        ended = np.zeros((len(b) + 1, 3), dtype=complex)
-        np.cumsum(b[self.by_end], axis=0, out=ended[1:])
-        return np.cumsum(b, axis=0) - ended[self.n_ended]
+    def subtree_sums(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Sums of (n, 3) ``x`` over each subtree into ``out``; on a chain, as a
+        loop from the tail.  ``work`` is (n + 1, 3) scratch."""
+        work[-1] = 0.0
+        np.cumsum(x[::-1], axis=0, out=work[-2::-1])  # suffix sums
+        np.take(work, self.end, axis=0, out=out, mode="clip")
+        return np.subtract(work[:-1], out, out=out)
+
+    def path_sums(self, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Sums of (n, 3) ``b`` over each path from the head into ``out``: prefix
+        sums less the terms whose subtree ended at or before the position.
+        ``b`` is overwritten by its prefix sums; ``work`` is (n + 1, 3) scratch."""
+        work[0] = 0.0
+        np.take(b, self.by_end, axis=0, out=work[1:], mode="clip")
+        np.cumsum(work[1:], axis=0, out=work[1:])  # terms of ended subtrees
+        np.cumsum(b, axis=0, out=b)
+        np.take(work, self.n_ended, axis=0, out=out, mode="clip")
+        return np.subtract(b, out, out=out)
+
+
+class _SweepPlan:
+    """The parts of a sweep that depend only on the feeder, not on the load
+    values or the head voltage, in preorder positions: the sweep runs there."""
+
+    def __init__(self, feeder: Feeder):
+        topo = feeder.topology()
+        self.pre = pre = _Preorder(topo.parent)
+        self.mask = topo.mask[pre.node]
+        self.absent = np.where(self.mask, 0.0, np.inf)  # added to |v|: min over present phases
+        # z_pu[k - 1] is the per-unit impedance of the line that feeds position k.
+        self.z_pu = _impedance_pad(feeder.lines, topo.line_index[pre.node[1:] - 1])
+        self.z_pu /= feeder.base_kv**2 / feeder.base_mva
+        self.load_at = pre.at[[topo.node_index[node] for node in feeder.load_nodes]]  # (m,)
 
 
 def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
@@ -216,13 +232,9 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
     child = np.arange(1, n)
     mask = np.zeros((n, 3), dtype=bool)
     mask[0, :] = True
-    z_pad = np.zeros((n - 1, 3, 3), dtype=complex)
     phases = np.array([lines[k].phases for k in vias], dtype=str)
     for ps in np.unique(phases):
-        sel = np.flatnonzero(phases == ps)
-        idx = [PHASE_INDEX[ph] for ph in ps]
-        z_pad[np.ix_(sel, idx, idx)] = [lines[vias[j]].z_abc for j in sel]
-        mask[np.ix_(child[sel], idx)] = True
+        mask[np.ix_(child[phases == ps], [PHASE_INDEX[ph] for ph in ps])] = True
 
     return _Topology(
         node_order=tuple(order),
@@ -230,10 +242,20 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
         mask=mask,
         parent=parent,
         child=child,
-        z_pu_factor=z_pad,
         line_names=tuple((order[p], order[c]) for p, c in zip(parent, child)),
         line_index=np.array(vias, dtype=int),
     )
+
+
+def _impedance_pad(lines: tuple[FeederLine, ...], index: np.ndarray) -> np.ndarray:
+    """(len(index), 3, 3) complex ohms of ``lines[index[j]]``, zero on absent phases."""
+    z = np.zeros((len(index), 3, 3), dtype=complex)
+    phases = np.array([lines[k].phases for k in index], dtype=str)
+    for ps in np.unique(phases):
+        sel = np.flatnonzero(phases == ps)
+        idx = [PHASE_INDEX[ph] for ph in ps]
+        z[np.ix_(sel, idx, idx)] = [lines[index[j]].z_abc for j in sel]
+    return z
 
 
 def validate_feeder(feeder: Feeder) -> list[str]:
@@ -262,7 +284,7 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         return violations
 
     # Numeric checks on the (L, 3, 3) pad; absent phases are zero there.
-    z = topo.z_pu_factor
+    z = _impedance_pad(feeder.lines, topo.line_index)
     line_mask = topo.mask[topo.child]
     asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))
     zero_self = (line_mask & (np.diagonal(z, axis1=1, axis2=2) == 0)).any(axis=1)
@@ -304,19 +326,26 @@ class FeederSolution:
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()
-        s_pu = _load_array(self._feeder, topo)
-        resid = -_load_currents(s_pu, self.v, topo.mask)
+        s_pu = _load_array(self._feeder)[self._feeder.sweep_plan().pre.at]
+        resid = -_load_currents(s_pu, self.v, topo.mask, np.zeros_like(s_pu))
         np.subtract.at(resid, topo.parent, self.i_line)
         resid[topo.child] += self.i_line
         resid[topo.node_index[self._feeder.head]] = 0.0  # balance closed by source
         return resid
 
 
-def _load_array(feeder: Feeder, topo: _Topology) -> np.ndarray:
-    """Per-node per-phase load in pu on the per-phase power base."""
-    s = np.zeros((len(topo.node_order), 3), dtype=complex)
-    np.add.at(s, feeder.load_index(), _divide(feeder.load_s, feeder.base_mva / 3.0))
-    return s
+def _load_array(feeder: Feeder) -> np.ndarray:
+    """Per-node per-phase load in pu on the per-phase power base, in preorder.
+
+    ``bincount`` adds each slot's terms in load order starting from zero, so
+    every sum rounds as a loop over the loads would.
+    """
+    plan = feeder.sweep_plan()
+    n = len(plan.mask)
+    terms = _divide(feeder.load_s, feeder.base_mva / 3.0).view(float).ravel()
+    # The slot of each term in the (n, 3) complex result seen as (n, 6) floats.
+    slots = (6 * plan.load_at[:, None] + np.arange(6)).ravel()
+    return np.bincount(slots, terms, minlength=6 * n).view(complex).reshape(n, 3)
 
 
 def _divide(z: np.ndarray, x: float) -> np.ndarray:
@@ -328,11 +357,18 @@ def _divide(z: np.ndarray, x: float) -> np.ndarray:
     return (np.ascontiguousarray(z).view(float) / x).view(complex)
 
 
-def _load_currents(s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s_pu)
-    ok = mask & (np.abs(v) > VOLTAGE_FLOOR)
-    np.divide(s_pu, v, out=out, where=ok)
-    return np.conj(out)
+def _load_currents(
+    s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray, quot: np.ndarray,
+    out: np.ndarray | None = None,
+) -> np.ndarray:
+    """``conj(s_pu / v)`` on present phases, zero elsewhere; ``quot`` is
+    scratch that holds zero on absent phases.
+
+    No voltage floor is tested: callers pass a head voltage inside the band
+    or an iterate that passed the collapse floor.
+    """
+    np.divide(s_pu, v, out=quot, where=mask)
+    return np.conjugate(quot, out=out)
 
 
 def sweep_solve(
@@ -354,22 +390,29 @@ def sweep_solve(
             f"({COLLAPSE_FLOOR}, 1.5) pu band"
         )
     topo = feeder.topology()
-    pre = topo.preorder  # the sweep runs in its positions; z_pu[k - 1] feeds k
-    mask = topo.mask[pre.node]
-    z_pu = topo.z_pu_factor[pre.node[1:] - 1]
-    z_pu /= feeder.base_kv**2 / feeder.base_mva
-    s_pu = _load_array(feeder, topo)[pre.node]
+    plan = feeder.sweep_plan()
+    pre, mask = plan.pre, plan.mask
+    s_pu = _load_array(feeder)
 
-    v = np.where(mask, head_arr[None, :], 0.0).astype(complex)
+    # Buffers reused by every iteration; b[0] is the head voltage, b[k] minus
+    # the drop on the line that feeds position k.
+    quot = np.zeros_like(s_pu)
+    cur, acc, b, v_new = (np.empty_like(s_pu) for _ in range(4))
+    work = np.empty((len(s_pu) + 1, 3), dtype=complex)
+    mag = np.empty(s_pu.shape)
+    v = np.zeros_like(s_pu)
+    np.copyto(v, head_arr, where=mask)
+    b[0] = head_arr
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
-        i_line = pre.subtree_sums(_load_currents(s_pu, v, mask))[1:]
-        drop = np.einsum("lij,lj->li", z_pu, i_line)
-        v_new = pre.path_sums(np.concatenate([head_arr[None], -drop])) * mask
-        delta = float(np.max(np.abs(v_new - v)))
+        pre.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
+        np.einsum("lij,lj->li", plan.z_pu, acc[1:], out=b[1:])
+        np.negative(b[1:], out=b[1:])
+        np.multiply(pre.path_sums(b, v_new, work), mask, out=v_new)
+        delta = float(np.max(np.abs(np.subtract(v_new, v, out=cur), out=mag)))
         history.append(delta)
-        v = v_new
-        worst = float(np.min(np.abs(v[mask])))
+        v, v_new = v_new, v
+        worst = float(np.add(np.abs(v, out=mag), plan.absent, out=mag).min())
         if worst < COLLAPSE_FLOOR:
             raise VoltageCollapseError(
                 f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
@@ -387,7 +430,7 @@ def sweep_solve(
 
     # Final consistency pass: currents recomputed at the reported voltages so
     # KCL holds exactly at every node.
-    acc = pre.subtree_sums(_load_currents(s_pu, v, mask))
+    pre.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
     s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 

@@ -10,7 +10,9 @@ repeated runs produce byte-identical files.
 """
 from __future__ import annotations
 
+import cmath
 import csv
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,7 +90,7 @@ def _parse_float(tok: str, lineno: int, col: int, what: str) -> float:
         v = float(tok)
     except ValueError:
         raise ParseError(lineno, col, f"expected a number for {what}, got {tok!r}") from None
-    if not np.isfinite(v):
+    if not math.isfinite(v):
         raise ParseError(lineno, col, f"{what} must be finite, got {tok!r}")
     return v
 
@@ -100,7 +102,7 @@ def _parse_complex(tok: str, lineno: int, col: int, what: str) -> complex:
         raise ParseError(
             lineno, col, f"expected a complex literal for {what}, got {tok!r}"
         ) from None
-    if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+    if not cmath.isfinite(v):
         raise ParseError(lineno, col, f"{what} must be finite, got {tok!r}")
     return v
 
@@ -550,7 +552,7 @@ def parse_loadshape(text: str, shape_id: str = "shape") -> LoadshapeSeries:
             mult = float(row[1])
         except ValueError:
             raise ParseError(rowno, 2, f"bad multiplier value {row[1]!r}") from None
-        if not np.isfinite(mult) or mult < 0:
+        if not math.isfinite(mult) or mult < 0:
             raise ParseError(rowno, 2, f"multiplier must be finite and >= 0, got {row[1]}")
         if minutes and minute != minutes[-1] + 1:
             raise ParseError(

@@ -106,6 +106,9 @@ def nr_oracle(case_pu, extra_s1=None, tol: float = 1e-12) -> np.ndarray:
     return vm * np.exp(1j * va)
 
 
+FEEDER_RESIDUAL_TOL = 1e-10  # pu current, per node and phase
+
+
 def feeder_nodal_newton_oracle(feeder, head_v, tol: float = 1e-12) -> np.ndarray:
     """Dense nodal constant-PQ solve of a feeder via scipy root.
 
@@ -167,7 +170,10 @@ def feeder_nodal_newton_oracle(feeder, head_v, tol: float = 1e-12) -> np.ndarray
     v0 = np.array([head_arr[p] for _, p in unknown])
     x0 = np.concatenate([v0.real, v0.imag])
     sol = scipy.optimize.root(residual, x0, method="hybr", tol=tol)
-    assert sol.success, sol.message
+    # Judge the answer by its own current mismatch, not by hybr's step-size
+    # test: that can report "not making good progress" at a 4e-15 residual.
+    worst = np.max(np.abs(residual(sol.x)), initial=0.0)
+    assert worst < FEEDER_RESIDUAL_TOL, f"{sol.message} (residual {worst:.2e} pu)"
     return unpack(sol.x)
 
 
