@@ -236,11 +236,10 @@ def cmd_validate(args) -> int:
         header = text.lstrip().split(None, 1)[0] if text.strip() else ""
         try:
             if header == "tdfeeder":
-                feeder = io.parse_feeder(text)
-                problems = dsolve.validate_feeder(feeder)
+                io.parse_feeder(text)  # raises on any problem
+                problems = []
             else:
-                doc = io.parse_case(text)
-                problems = validate_case(doc.case)
+                problems = validate_case(io.parse_case(text).case)
             if problems:
                 for p in problems:
                     print(f"{path}: {p}")

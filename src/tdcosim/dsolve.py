@@ -16,15 +16,20 @@ Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases masked to zero; per-unit uses a line-to-neutral voltage base and a
 per-phase power base of ``base_mva / 3``.
 
-A feeder holds its loads as arrays with one row per ``load`` line, in file
-order: ``load_s`` is the (m, 3) complex MVA, zero on phases a load does not
-name, ``load_phases`` the (m, 3) mask of the phases it names and
-``load_nodes`` its node.  Load scaling, unbalance and aggregation are vector
-operations on ``load_s``.  The value copies they return share the topology
-and the sweep plan, built at the first sweep: the node mask and per-unit
-impedances in depth-first order and each load's position there.  A sweep
-then only folds ``load_s`` onto the nodes with one ``bincount`` in file
-order, so every sum rounds as a loop over the loads would.
+A feeder holds its lines and loads as arrays, one row per ``line`` or
+``load`` line in file order: ``line_from``/``line_to`` name the ends,
+``line_phases`` the phase sets and ``line_z`` is the (L, 3, 3) complex ohm
+pad, zero on absent phases; ``load_s`` is the (m, 3) complex MVA, zero on
+phases a load does not name, ``load_phases`` the (m, 3) mask of the phases
+it names and ``load_nodes`` its node.  ``FeederLine`` and ``PhaseLoad``
+records are converted on construction and rebuilt on demand, never on the
+solve path.  Load scaling, unbalance and aggregation are vector operations
+on ``load_s``.  The value copies they return share the topology and the
+sweep plan, built at the first sweep: the node mask and the per-unit
+impedances gathered from the pad in depth-first order, and each load's
+position there.  A sweep then only folds ``load_s`` onto the nodes with
+one ``bincount`` in file order, so every sum rounds as a loop over the
+loads would.
 """
 from __future__ import annotations
 
@@ -71,28 +76,37 @@ class _Shared:
 
 
 class Feeder:
-    """Radial feeder; treat as immutable, value copies share topology."""
+    """Radial feeder; treat as immutable, value copies share topology.
+
+    Built from records, or from arrays with :meth:`from_arrays`."""
 
     def __init__(self, base_kv, base_mva, head, lines, loads, name="feeder"):
         self.base_kv = base_kv
         self.base_mva = base_mva
         self.head = head
-        self.lines = lines
         self.name = name
-        loads = tuple(loads)
-        for ld in loads:
-            for ph in ld.s:
-                if ph not in PHASE_INDEX:
-                    raise ValueError(f"load at {ld.node}: unknown phase {ph!r}")
-        m = len(loads)
-        self.load_nodes = tuple(ld.node for ld in loads)
-        self.load_phases = np.fromiter(
-            (ph in ld.s for ld in loads for ph in "abc"), dtype=bool, count=3 * m
-        ).reshape(m, 3)
-        self.load_s = np.fromiter(
-            (ld.s.get(ph, 0j) for ld in loads for ph in "abc"), dtype=complex, count=3 * m
-        ).reshape(m, 3)
+        self.line_from, self.line_to, self.line_phases, self.line_z = _line_arrays(lines)
+        self.load_nodes, self.load_phases, self.load_s = _load_arrays(loads)
         self._shared = _Shared()
+
+    @classmethod
+    def from_arrays(cls, base_kv, base_mva, head, line_from, line_to, line_phases, line_z,
+                    load_nodes, load_phases, load_s, name="feeder") -> "Feeder":
+        """A feeder that keeps the given arrays as its own, unchecked: each phase
+        set must be one of ``PHASE_SETS``, and ``line_z`` zero off it."""
+        feeder = cls(base_kv, base_mva, head, (), (), name)
+        feeder.line_from, feeder.line_to, feeder.line_phases = line_from, line_to, line_phases
+        feeder.line_z = line_z
+        feeder.load_nodes, feeder.load_phases, feeder.load_s = load_nodes, load_phases, load_s
+        return feeder
+
+    @property
+    def lines(self) -> tuple[FeederLine, ...]:
+        """The lines as records, rebuilt from the arrays."""
+        return tuple(
+            FeederLine(a, b, ps, z[_PHASE_POSITIONS[ps]][:, _PHASE_POSITIONS[ps]])
+            for a, b, ps, z in zip(self.line_from, self.line_to, self.line_phases, self.line_z)
+        )
 
     @property
     def loads(self) -> tuple[PhaseLoad, ...]:
@@ -106,7 +120,7 @@ class Feeder:
 
     def topology(self) -> "_Topology":
         if self._shared.topo is None:
-            self._shared.topo = _compile_topology(self.head, self.lines)
+            self._shared.topo = _compile_topology(self)
         return self._shared.topo
 
     def sweep_plan(self) -> "_SweepPlan":
@@ -119,16 +133,49 @@ class Feeder:
         return list(self.topology().node_order)
 
     def with_loads(self, loads) -> "Feeder":
-        clone = Feeder(
-            self.base_kv, self.base_mva, self.head, self.lines, loads, self.name
-        )
-        clone._shared.topo = self._shared.topo
+        load_nodes, load_phases, load_s = _load_arrays(loads)
+        return self._copy(_Shared(self._shared.topo), load_nodes=load_nodes,
+                          load_phases=load_phases, load_s=load_s)
+
+    def _copy(self, shared: _Shared, **arrays) -> "Feeder":
+        """A value copy with ``arrays`` replaced, sharing ``shared``."""
+        clone = copy.copy(self)
+        vars(clone).update(arrays, _shared=shared)
         return clone
 
-    def _with_load_s(self, load_s: np.ndarray) -> "Feeder":
-        clone = copy.copy(self)
-        clone.load_s = load_s
-        return clone
+
+_PHASE_POSITIONS = {ps: [PHASE_INDEX[ph] for ph in ps] for ps in PHASE_SETS}
+
+
+def _line_arrays(lines) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], np.ndarray]:
+    """End names, phase sets and the (L, 3, 3) complex ohm pad of records."""
+    lines = tuple(lines)
+    for ln in lines:
+        tag = f"line {ln.from_node}-{ln.to_node}"
+        if ln.phases not in PHASE_SETS:
+            raise ValueError(f"{tag}: invalid phase set {ln.phases!r}")
+        if np.shape(ln.z_abc) != (len(ln.phases),) * 2:
+            raise ValueError(f"{tag}: impedance matrix shape {np.shape(ln.z_abc)} "
+                             f"does not match phases {ln.phases!r}")
+    z = np.zeros((len(lines), 3, 3), dtype=complex)
+    phases = np.array([ln.phases for ln in lines], dtype=str)
+    for ps in np.unique(phases):
+        sel = np.flatnonzero(phases == ps)
+        z[np.ix_(sel, _PHASE_POSITIONS[ps], _PHASE_POSITIONS[ps])] = [lines[j].z_abc for j in sel]
+    return (tuple(ln.from_node for ln in lines), tuple(ln.to_node for ln in lines),
+            tuple(phases.tolist()), z)
+
+
+def _load_arrays(loads) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Node names, (m, 3) named-phase mask and (m, 3) complex MVA of records."""
+    loads = tuple(loads)
+    for ld in loads:
+        for ph in ld.s:
+            if ph not in PHASE_INDEX:
+                raise ValueError(f"load at {ld.node}: unknown phase {ph!r}")
+    phases = np.array([[ph in ld.s for ph in "abc"] for ld in loads], dtype=bool)
+    s = np.array([[ld.s.get(ph, 0j) for ph in "abc"] for ld in loads], dtype=complex)
+    return tuple(ld.node for ld in loads), phases.reshape(-1, 3), s.reshape(-1, 3)
 
 
 @dataclass(eq=False)
@@ -136,10 +183,9 @@ class _Topology:
     node_order: tuple[str, ...]  # breadth-first from the head, so depth-major
     node_index: dict[str, int]
     mask: np.ndarray  # (n, 3) bool, phases present at each node
-    parent: np.ndarray  # (L,) int, line parent node index
-    child: np.ndarray  # (L,) int, line j feeds node j + 1
+    parent: np.ndarray  # (L,) int, line j runs from node parent[j] to node j + 1
     line_names: tuple[tuple[str, str], ...]
-    line_index: np.ndarray  # (L,) int, source index into Feeder.lines
+    line_index: np.ndarray  # (L,) int, index into the feeder's line arrays
 
 
 class _Preorder:
@@ -188,20 +234,24 @@ class _SweepPlan:
 
     def __init__(self, feeder: Feeder):
         topo = feeder.topology()
+        at, problems = _place_loads(feeder, topo)
+        if problems:
+            raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(problems))
         self.pre = pre = _Preorder(topo.parent)
         self.mask = topo.mask[pre.node]
         self.absent = np.where(self.mask, 0.0, np.inf)  # added to |v|: min over present phases
         # z_pu[k - 1] is the per-unit impedance of the line that feeds position k.
-        self.z_pu = _impedance_pad(feeder.lines, topo.line_index[pre.node[1:] - 1])
+        self.z_pu = feeder.line_z[topo.line_index[pre.node[1:] - 1]]
         self.z_pu /= feeder.base_kv**2 / feeder.base_mva
-        self.load_at = pre.at[[topo.node_index[node] for node in feeder.load_nodes]]  # (m,)
+        self.load_at = pre.at[at]  # (m,)
 
 
-def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
+def _compile_topology(feeder: Feeder) -> _Topology:
+    head, ends = feeder.head, (feeder.line_from, feeder.line_to)
     adj: dict[str, list[tuple[int, str]]] = {head: []}
-    for k, ln in enumerate(lines):
-        adj.setdefault(ln.from_node, []).append((k, ln.to_node))
-        adj.setdefault(ln.to_node, []).append((k, ln.from_node))
+    for k, (a, b) in enumerate(zip(*ends)):
+        adj.setdefault(a, []).append((k, b))
+        adj.setdefault(b, []).append((k, a))
 
     # Breadth-first from the head: node j + 1 is reached from parents[j] by
     # line vias[j], so every child comes after its parent (see _Preorder).
@@ -215,8 +265,7 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
                 continue  # the line this node was reached by
             if other in node_index:
                 raise ValueError(
-                    f"feeder is not radial: line {lines[k].from_node}-"
-                    f"{lines[k].to_node} closes a loop"
+                    f"feeder is not radial: line {ends[0][k]}-{ends[1][k]} closes a loop"
                 )
             node_index[other] = len(order)
             order.append(other)
@@ -227,35 +276,36 @@ def _compile_topology(head: str, lines: tuple[FeederLine, ...]) -> _Topology:
     if unreached:
         raise ValueError(f"nodes not reachable from head {head!r}: {unreached}")
 
-    n = len(order)
-    parent = np.array(parents, dtype=int)
-    child = np.arange(1, n)
-    mask = np.zeros((n, 3), dtype=bool)
+    line_index = np.array(vias, dtype=int)
+    mask = np.zeros((len(order), 3), dtype=bool)
     mask[0, :] = True
-    phases = np.array([lines[k].phases for k in vias], dtype=str)
+    phases = np.array(feeder.line_phases, dtype=str)[line_index]
     for ps in np.unique(phases):
-        mask[np.ix_(child[phases == ps], [PHASE_INDEX[ph] for ph in ps])] = True
+        mask[np.ix_(np.flatnonzero(phases == ps) + 1, _PHASE_POSITIONS[ps])] = True
 
     return _Topology(
         node_order=tuple(order),
         node_index=node_index,
         mask=mask,
-        parent=parent,
-        child=child,
-        line_names=tuple((order[p], order[c]) for p, c in zip(parent, child)),
-        line_index=np.array(vias, dtype=int),
+        parent=np.array(parents, dtype=int),
+        line_names=tuple((order[p], order[c]) for c, p in enumerate(parents, 1)),
+        line_index=line_index,
     )
 
 
-def _impedance_pad(lines: tuple[FeederLine, ...], index: np.ndarray) -> np.ndarray:
-    """(len(index), 3, 3) complex ohms of ``lines[index[j]]``, zero on absent phases."""
-    z = np.zeros((len(index), 3, 3), dtype=complex)
-    phases = np.array([lines[k].phases for k in index], dtype=str)
-    for ps in np.unique(phases):
-        sel = np.flatnonzero(phases == ps)
-        idx = [PHASE_INDEX[ph] for ph in ps]
-        z[np.ix_(sel, idx, idx)] = [lines[index[j]].z_abc for j in sel]
-    return z
+def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[str]]:
+    """Each load's topology index (-1 at an unknown node) and the loads' violations."""
+    at = np.array([topo.node_index.get(node, -1) for node in feeder.load_nodes], dtype=int)
+    absent = feeder.load_phases & ~topo.mask[at] & (at >= 0)[:, None]
+    problems: list[str] = []
+    for k in np.flatnonzero((at < 0) | absent.any(axis=1)):
+        node = feeder.load_nodes[k]
+        if at[k] < 0:
+            problems.append(f"load at unknown node {node!r}")
+        for ph, bad in zip("abc", absent[k]):
+            if bad:
+                problems.append(f"load at {node}: phase {ph} not present there")
+    return at, problems
 
 
 def validate_feeder(feeder: Feeder) -> list[str]:
@@ -265,51 +315,28 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         violations.append("base_kv must be positive")
     if feeder.base_mva <= 0:
         violations.append("base_mva must be positive")
-    # Phase sets and matrix shapes first: the topology cannot pad a line
-    # that fails either.
-    malformed: list[str] = []
-    for ln in feeder.lines:
-        tag = f"line {ln.from_node}-{ln.to_node}"
-        if ln.phases not in PHASE_SETS:
-            malformed.append(f"{tag}: invalid phase set {ln.phases!r}")
-        elif np.shape(ln.z_abc) != (len(ln.phases),) * 2:
-            malformed.append(f"{tag}: impedance matrix shape {np.shape(ln.z_abc)} "
-                             f"does not match phases {ln.phases!r}")
-    if malformed:
-        return violations + malformed
     try:
         topo = feeder.topology()
     except ValueError as exc:
         violations.append(str(exc))
         return violations
 
-    # Numeric checks on the (L, 3, 3) pad; absent phases are zero there.
-    z = _impedance_pad(feeder.lines, topo.line_index)
-    line_mask = topo.mask[topo.child]
-    asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))
-    zero_self = (line_mask & (np.diagonal(z, axis1=1, axis2=2) == 0)).any(axis=1)
+    # Numeric checks on the pad (zero on absent phases), in topology order.
+    z, k = feeder.line_z, topo.line_index
+    line_mask = topo.mask[1:]
+    asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))[k]
+    zero_self = (line_mask & (np.diagonal(z, axis1=1, axis2=2)[k] == 0)).any(axis=1)
     uncovered = (line_mask & ~topo.mask[topo.parent]).any(axis=1)
     for j in np.flatnonzero(asym | zero_self | uncovered):
-        ln = feeder.lines[topo.line_index[j]]
-        tag = f"line {ln.from_node}-{ln.to_node}"
+        tag = f"line {feeder.line_from[k[j]]}-{feeder.line_to[k[j]]}"
         if asym[j]:
             violations.append(f"{tag}: impedance matrix is not symmetric")
         if zero_self[j]:
             violations.append(f"{tag}: zero self-impedance on a present phase")
         if uncovered[j]:
-            violations.append(f"{tag}: phases {ln.phases!r} not all present on "
-                              f"parent path")
-
-    at = np.array([topo.node_index.get(node, -1) for node in feeder.load_nodes], dtype=int)
-    absent = feeder.load_phases & ~topo.mask[at] & (at >= 0)[:, None]
-    for k in np.flatnonzero((at < 0) | absent.any(axis=1)):
-        node = feeder.load_nodes[k]
-        if at[k] < 0:
-            violations.append(f"load at unknown node {node!r}")
-        for ph, bad in zip("abc", absent[k]):
-            if bad:
-                violations.append(f"load at {node}: phase {ph} not present there")
-    return violations
+            violations.append(f"{tag}: phases {feeder.line_phases[k[j]]!r} not all "
+                              f"present on parent path")
+    return violations + _place_loads(feeder, topo)[1]
 
 
 @dataclass
@@ -329,7 +356,7 @@ class FeederSolution:
         s_pu = _load_array(self._feeder)[self._feeder.sweep_plan().pre.at]
         resid = -_load_currents(s_pu, self.v, topo.mask, np.zeros_like(s_pu))
         np.subtract.at(resid, topo.parent, self.i_line)
-        resid[topo.child] += self.i_line
+        resid[1:] += self.i_line
         resid[topo.node_index[self._feeder.head]] = 0.0  # balance closed by source
         return resid
 
@@ -455,7 +482,7 @@ def scale_loads(feeder: Feeder, multiplier: float) -> Feeder:
     """Uniformly scale every load; used to apply loadshape multipliers."""
     if multiplier < 0:
         raise ValueError("load multiplier must be non-negative")
-    return feeder._with_load_s(feeder.load_s * multiplier)
+    return feeder._copy(feeder._shared, load_s=feeder.load_s * multiplier)
 
 
 def apply_unbalance(feeder: Feeder, alpha: float) -> Feeder:
@@ -471,7 +498,7 @@ def apply_unbalance(feeder: Feeder, alpha: float) -> Feeder:
     m = _divide(feeder.load_s[three].sum(axis=1), 3.0)
     load_s = feeder.load_s.copy()
     load_s[three] = np.outer(m, [1.0 + alpha, 1.0 - alpha / 2.0, 1.0 - alpha / 2.0])
-    return feeder._with_load_s(load_s)
+    return feeder._copy(feeder._shared, load_s=load_s)
 
 
 TWO_PHASE_SETS = ("ab", "bc", "ac")
@@ -625,9 +652,5 @@ def synth_feeder(
             if 0.025 <= drop <= 0.055:
                 break
             factor = target_drop / max(drop, 1e-9)
-        lines = tuple(
-            FeederLine(ln.from_node, ln.to_node, ln.phases, ln.z_abc * factor)
-            for ln in feeder.lines
-        )
-        feeder = Feeder(base_kv, base_mva, "head", lines, loads, name)
+        feeder = feeder._copy(_Shared(feeder.topology()), line_z=feeder.line_z * factor)
     return feeder

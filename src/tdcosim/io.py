@@ -13,8 +13,8 @@ from __future__ import annotations
 import cmath
 import csv
 import math
-import re
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -30,12 +30,10 @@ from .netmodel import (
     TransmissionCase,
     ZeroSeqPath,
 )
-from .dsolve import PHASE_INDEX, Feeder, FeederLine, PhaseLoad
+from .dsolve import PHASE_INDEX, PHASE_SETS, Feeder, validate_feeder
 
 CASE_SCHEMA = "1"
 FEEDER_SCHEMA = "1"
-
-_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -69,76 +67,79 @@ class LoadshapeSeries:
         return self.multipliers[idx]
 
 
-def _tokens(line: str) -> list[tuple[str, int]]:
-    """(token, 1-based column) pairs, comments stripped."""
-    if "#" in line:
-        line = line[: line.index("#")]
-    return [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
-
-
 class _Lines:
+    """A text's non-blank lines split on whitespace, ``#`` comments stripped.
+
+    Iterating yields ``(lineno, tokens)`` with 1-based line numbers.  A token's
+    column is worked out only for an error, from the line's text.
+    """
+
     def __init__(self, text: str):
-        self.rows = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            toks = _tokens(raw)
+        self.raw = text.splitlines()
+
+    def __iter__(self):
+        for lineno, line in enumerate(self.raw, start=1):
+            toks = line.partition("#")[0].split()
             if toks:
-                self.rows.append((lineno, toks))
+                yield lineno, toks
+
+    def error(self, lineno: int, k: int, message: str) -> ParseError:
+        """A ParseError located at token ``k`` of line ``lineno``."""
+        line = self.raw[lineno - 1].partition("#")[0]
+        end = 0
+        for tok in line.split()[: k + 1]:
+            start = line.index(tok, end)
+            end = start + len(tok)
+        return ParseError(lineno, start + 1, message)
 
 
-def _parse_float(tok: str, lineno: int, col: int, what: str) -> float:
+# What each number parser expects, and its finiteness test.
+_NUMBERS = {
+    float: ("a number", math.isfinite),
+    complex: ("a complex literal", cmath.isfinite),
+    int: ("an integer", None),
+}
+
+
+def _parse_number(kind: type, tok: str, lines: _Lines, lineno: int, k: int, what: str):
+    """``kind(tok)`` for token ``k`` of line ``lineno``; a float or complex must be finite."""
+    expected, finite = _NUMBERS[kind]
     try:
-        v = float(tok)
+        v = kind(tok)
     except ValueError:
-        raise ParseError(lineno, col, f"expected a number for {what}, got {tok!r}") from None
-    if not math.isfinite(v):
-        raise ParseError(lineno, col, f"{what} must be finite, got {tok!r}")
+        raise lines.error(lineno, k, f"expected {expected} for {what}, got {tok!r}") from None
+    if finite is not None and not finite(v):
+        raise lines.error(lineno, k, f"{what} must be finite, got {tok!r}")
     return v
 
 
-def _parse_complex(tok: str, lineno: int, col: int, what: str) -> complex:
-    try:
-        v = complex(tok)
-    except ValueError:
-        raise ParseError(
-            lineno, col, f"expected a complex literal for {what}, got {tok!r}"
-        ) from None
-    if not cmath.isfinite(v):
-        raise ParseError(lineno, col, f"{what} must be finite, got {tok!r}")
-    return v
+_parse_float = partial(_parse_number, float)
+_parse_complex = partial(_parse_number, complex)
+_parse_int = partial(_parse_number, int)
 
 
-def _parse_int(tok: str, lineno: int, col: int, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(lineno, col, f"expected an integer for {what}, got {tok!r}") from None
-
-
-def _split_kv(toks, lineno, n_positional, directive):
-    pos = toks[1 : 1 + n_positional]
-    if len(pos) < n_positional:
-        raise ParseError(
-            lineno,
-            toks[0][1],
-            f"{directive!r} needs {n_positional} positional argument(s)",
+def _options(lines: _Lines, lineno: int, toks: list[str], n_positional: int,
+             directive: str, allowed) -> dict[str, tuple[str, int]]:
+    """The ``key=value`` options after the positional arguments, as
+    key -> (value, token index); every key must be in ``allowed``."""
+    if len(toks) <= n_positional:
+        raise lines.error(
+            lineno, 0, f"{directive!r} needs {n_positional} positional argument(s)"
         )
     kv: dict[str, tuple[str, int]] = {}
-    for tok, col in toks[1 + n_positional :]:
-        if "=" not in tok:
-            raise ParseError(lineno, col, f"expected key=value, got {tok!r}")
-        key, _, val = tok.partition("=")
+    for k in range(1 + n_positional, len(toks)):
+        key, eq, val = toks[k].partition("=")
+        if not eq:
+            raise lines.error(lineno, k, f"expected key=value, got {toks[k]!r}")
         if not key or not val:
-            raise ParseError(lineno, col, f"malformed key=value pair {tok!r}")
+            raise lines.error(lineno, k, f"malformed key=value pair {toks[k]!r}")
         if key in kv:
-            raise ParseError(lineno, col, f"duplicate key {key!r}")
-        kv[key] = (val, col)
-    return pos, kv
-
-
-def _reject_unknown(kv, allowed, lineno, directive):
-    for key, (_, col) in kv.items():
-        if key not in allowed:
-            raise ParseError(lineno, col, f"unknown key {key!r} for {directive!r}")
+            raise lines.error(lineno, k, f"duplicate key {key!r}")
+        kv[key] = (val, k)
+    if not kv.keys() <= allowed:
+        key = next(key for key in kv if key not in allowed)
+        raise lines.error(lineno, kv[key][1], f"unknown key {key!r} for {directive!r}")
+    return kv
 
 
 # ---------------------------------------------------------------------------
@@ -153,21 +154,22 @@ _BRANCH_KEYS = {
 _GEN_KEYS = {"pmin", "pmax", "qmin", "qmax", "cost_a", "cost_b", "cost_c", "p", "q"}
 _LOAD_KEYS = {"p", "q", "shape"}
 _FEEDER_KEYS = {"id", "shape"}
+_BUS_REFS = {"branch": (1, 2), "gen": (1,), "load": (1,), "feeder": (1,)}  # token indices
 
 
 def parse_case(text: str) -> CaseDocument:
     """Parse a transmission case document (physical units)."""
     lines = _Lines(text)
-    if not lines.rows:
+    rows = list(lines)
+    if not rows:
         raise ParseError(1, 1, "empty input; expected 'tdcase <version>' header")
-    lineno, toks = lines.rows[0]
-    if toks[0][0] != "tdcase":
-        raise ParseError(lineno, toks[0][1], "expected 'tdcase <version>' header")
+    lineno, toks = rows[0]
+    if toks[0] != "tdcase":
+        raise lines.error(lineno, 0, "expected 'tdcase <version>' header")
     if len(toks) != 2:
-        raise ParseError(lineno, toks[0][1], "header must be exactly 'tdcase <version>'")
-    version = toks[1][0]
-    if version != CASE_SCHEMA:
-        raise ParseError(lineno, toks[1][1], f"unsupported case schema version {version!r}")
+        raise lines.error(lineno, 0, "header must be exactly 'tdcase <version>'")
+    if toks[1] != CASE_SCHEMA:
+        raise lines.error(lineno, 1, f"unsupported case schema version {toks[1]!r}")
 
     base_mva: float | None = None
     buses: list[Bus] = []
@@ -176,66 +178,56 @@ def parse_case(text: str) -> CaseDocument:
     loads: list[LoadAttachment] = []
     seen_bus: dict[int, int] = {}
 
-    for lineno, toks in lines.rows[1:]:
-        directive, dcol = toks[0]
+    kv: dict[str, tuple[str, int]] = {}
+
+    def num(key: str, default: float | None = None) -> float | None:
+        """Option ``key`` of the current line as a number, ``default`` if absent."""
+        if key not in kv:
+            return default
+        return _parse_float(kv[key][0], lines, lineno, kv[key][1], key)
+
+    for lineno, toks in rows[1:]:
+        directive = toks[0]
         if directive == "base_mva":
             if len(toks) != 2:
-                raise ParseError(lineno, dcol, "base_mva takes a single value")
-            base_mva = _parse_float(toks[1][0], lineno, toks[1][1], "base_mva")
+                raise lines.error(lineno, 0, "base_mva takes a single value")
+            base_mva = _parse_float(toks[1], lines, lineno, 1, "base_mva")
             if base_mva <= 0:
-                raise ParseError(lineno, toks[1][1], "base_mva must be positive")
+                raise lines.error(lineno, 1, "base_mva must be positive")
         elif directive == "bus":
-            pos, kv = _split_kv(toks, lineno, 2, "bus")
-            _reject_unknown(kv, _BUS_KEYS, lineno, "bus")
-            bus_id = _parse_int(pos[0][0], lineno, pos[0][1], "bus id")
-            kind_tok, kind_col = pos[1]
+            kv = _options(lines, lineno, toks, 2, "bus", _BUS_KEYS)
+            bus_id = _parse_int(toks[1], lines, lineno, 1, "bus id")
             try:
-                kind = BusKind(kind_tok)
+                kind = BusKind(toks[2])
             except ValueError:
-                raise ParseError(
-                    lineno, kind_col, f"bus kind must be slack/pv/pq, got {kind_tok!r}"
+                raise lines.error(
+                    lineno, 2, f"bus kind must be slack/pv/pq, got {toks[2]!r}"
                 ) from None
             if bus_id in seen_bus:
-                raise ParseError(
-                    lineno, pos[0][1],
+                raise lines.error(
+                    lineno, 1,
                     f"duplicate bus id {bus_id} (first defined on line {seen_bus[bus_id]})",
                 )
             seen_bus[bus_id] = lineno
             if "base_kv" not in kv:
-                raise ParseError(lineno, dcol, f"bus {bus_id} needs base_kv=")
-            base_kv = _parse_float(kv["base_kv"][0], lineno, kv["base_kv"][1], "base_kv")
-            v_sp = (
-                _parse_float(kv["v"][0], lineno, kv["v"][1], "v")
-                if "v" in kv
-                else None
-            )
-            ang = (
-                _parse_float(kv["angle"][0], lineno, kv["angle"][1], "angle")
-                if "angle" in kv
-                else (0.0 if kind is BusKind.SLACK else None)
-            )
+                raise lines.error(lineno, 0, f"bus {bus_id} needs base_kv=")
+            base_kv = num("base_kv")
+            v_sp = num("v")
+            ang = num("angle", 0.0 if kind is BusKind.SLACK else None)
             buses.append(Bus(bus_id, kind, base_kv, v_sp, ang))
         elif directive == "branch":
-            pos, kv = _split_kv(toks, lineno, 2, "branch")
-            _reject_unknown(kv, _BRANCH_KEYS, lineno, "branch")
-            f = _parse_int(pos[0][0], lineno, pos[0][1], "from bus")
-            t = _parse_int(pos[1][0], lineno, pos[1][1], "to bus")
-
-            def fval(key: str, default: float = 0.0) -> float:
-                if key not in kv:
-                    return default
-                return _parse_float(kv[key][0], lineno, kv[key][1], key)
-
-            z1 = complex(fval("r1"), fval("x1"))
-            z2 = complex(fval("r2"), fval("x2")) if ("r2" in kv or "x2" in kv) else None
-            z0 = complex(fval("r0"), fval("x0")) if ("r0" in kv or "x0" in kv) else None
-            zseq_tok = kv.get("zero_seq", ("through", dcol))
+            kv = _options(lines, lineno, toks, 2, "branch", _BRANCH_KEYS)
+            f = _parse_int(toks[1], lines, lineno, 1, "from bus")
+            t = _parse_int(toks[2], lines, lineno, 2, "to bus")
+            z1 = complex(num("r1", 0.0), num("x1", 0.0))
+            z2 = complex(num("r2", 0.0), num("x2", 0.0)) if ("r2" in kv or "x2" in kv) else None
+            z0 = complex(num("r0", 0.0), num("x0", 0.0)) if ("r0" in kv or "x0" in kv) else None
+            zseq_tok, zseq_k = kv.get("zero_seq", ("through", 0))
             try:
-                zseq = ZeroSeqPath(zseq_tok[0])
+                zseq = ZeroSeqPath(zseq_tok)
             except ValueError:
-                raise ParseError(
-                    lineno, zseq_tok[1],
-                    f"zero_seq must be open/grounded/through, got {zseq_tok[0]!r}",
+                raise lines.error(
+                    lineno, zseq_k, f"zero_seq must be open/grounded/through, got {zseq_tok!r}"
                 ) from None
             coupling = None
             c_keys = [k for k in kv if k.startswith("c") and len(k) == 3]
@@ -243,7 +235,7 @@ def parse_case(text: str) -> CaseDocument:
                 coupling = np.zeros((3, 3), dtype=complex)
                 for key in c_keys:
                     i, j = int(key[1]), int(key[2])
-                    coupling[i, j] = _parse_complex(kv[key][0], lineno, kv[key][1], key)
+                    coupling[i, j] = _parse_complex(kv[key][0], lines, lineno, kv[key][1], key)
             branches.append(
                 Branch(
                     from_bus=f,
@@ -251,53 +243,50 @@ def parse_case(text: str) -> CaseDocument:
                     z1=z1,
                     z2=z2,
                     z0=z0,
-                    b1_shunt=fval("b1"),
-                    b0_shunt=fval("b0"),
-                    tap=fval("tap", 1.0),
+                    b1_shunt=num("b1", 0.0),
+                    b0_shunt=num("b0", 0.0),
+                    tap=num("tap", 1.0),
                     zero_seq_path=zseq,
                     untransposed=coupling is not None,
                     coupling=coupling,
                 )
             )
         elif directive == "gen":
-            pos, kv = _split_kv(toks, lineno, 1, "gen")
-            _reject_unknown(kv, _GEN_KEYS, lineno, "gen")
-            bus_id = _parse_int(pos[0][0], lineno, pos[0][1], "gen bus")
+            kv = _options(lines, lineno, toks, 1, "gen", _GEN_KEYS)
+            bus_id = _parse_int(toks[1], lines, lineno, 1, "gen bus")
             required = ("pmin", "pmax", "qmin", "qmax", "cost_a", "cost_b", "cost_c")
             for key in required:
                 if key not in kv:
-                    raise ParseError(lineno, dcol, f"gen at bus {bus_id} needs {key}=")
-            num = {k: _parse_float(kv[k][0], lineno, kv[k][1], k) for k in kv}
+                    raise lines.error(lineno, 0, f"gen at bus {bus_id} needs {key}=")
+            values = {key: num(key) for key in kv}
             gens.append(
                 Generator(
                     bus=bus_id,
-                    p_min=num["pmin"],
-                    p_max=num["pmax"],
-                    q_min=num["qmin"],
-                    q_max=num["qmax"],
-                    cost=CostCurve(num["cost_a"], num["cost_b"], num["cost_c"]),
-                    p_set=num.get("p", num["pmin"]),
-                    q_set=num.get("q", 0.0),
+                    p_min=values["pmin"],
+                    p_max=values["pmax"],
+                    q_min=values["qmin"],
+                    q_max=values["qmax"],
+                    cost=CostCurve(values["cost_a"], values["cost_b"], values["cost_c"]),
+                    p_set=values.get("p", values["pmin"]),
+                    q_set=values.get("q", 0.0),
                 )
             )
         elif directive == "load":
-            pos, kv = _split_kv(toks, lineno, 1, "load")
-            _reject_unknown(kv, _LOAD_KEYS, lineno, "load")
-            bus_id = _parse_int(pos[0][0], lineno, pos[0][1], "load bus")
+            kv = _options(lines, lineno, toks, 1, "load", _LOAD_KEYS)
+            bus_id = _parse_int(toks[1], lines, lineno, 1, "load bus")
             loads.append(
                 LoadAttachment(
                     bus=bus_id,
-                    p=_parse_float(kv["p"][0], lineno, kv["p"][1], "p") if "p" in kv else 0.0,
-                    q=_parse_float(kv["q"][0], lineno, kv["q"][1], "q") if "q" in kv else 0.0,
+                    p=num("p", 0.0),
+                    q=num("q", 0.0),
                     loadshape_id=kv["shape"][0] if "shape" in kv else None,
                 )
             )
         elif directive == "feeder":
-            pos, kv = _split_kv(toks, lineno, 1, "feeder")
-            _reject_unknown(kv, _FEEDER_KEYS, lineno, "feeder")
-            bus_id = _parse_int(pos[0][0], lineno, pos[0][1], "feeder bus")
+            kv = _options(lines, lineno, toks, 1, "feeder", _FEEDER_KEYS)
+            bus_id = _parse_int(toks[1], lines, lineno, 1, "feeder bus")
             if "id" not in kv:
-                raise ParseError(lineno, dcol, f"feeder at bus {bus_id} needs id=")
+                raise lines.error(lineno, 0, f"feeder at bus {bus_id} needs id=")
             loads.append(
                 LoadAttachment(
                     bus=bus_id,
@@ -306,22 +295,17 @@ def parse_case(text: str) -> CaseDocument:
                 )
             )
         else:
-            raise ParseError(lineno, dcol, f"unknown directive {directive!r}")
+            raise lines.error(lineno, 0, f"unknown directive {directive!r}")
 
     if base_mva is None:
         raise ParseError(1, 1, "case is missing the base_mva directive")
 
     bus_ids = {b.id for b in buses}
-    for lineno, toks in lines.rows[1:]:
-        directive = toks[0][0]
-        if directive == "branch":
-            for tok, col in toks[1:3]:
-                if int(tok) not in bus_ids:
-                    raise ParseError(lineno, col, f"branch references unknown bus {tok}")
-        elif directive in ("gen", "load", "feeder"):
-            tok, col = toks[1]
-            if int(tok) not in bus_ids:
-                raise ParseError(lineno, col, f"{directive} references unknown bus {tok}")
+    for lineno, toks in rows[1:]:
+        directive = toks[0]
+        for k in _BUS_REFS.get(directive, ()):
+            if int(toks[k]) not in bus_ids:
+                raise lines.error(lineno, k, f"{directive} references unknown bus {toks[k]}")
 
     case = TransmissionCase(
         base_mva=base_mva,
@@ -338,7 +322,8 @@ def _fmt(x: float) -> str:
 
 
 def _fmt_complex(z: complex) -> str:
-    return f"{float(z.real)!r}{'+' if z.imag >= 0 else '-'}{abs(float(z.imag))!r}j"
+    sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"  # keeps -0.0 through a reparse
+    return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}j"
 
 
 def serialize_case(doc: CaseDocument) -> str:
@@ -399,92 +384,89 @@ def serialize_case(doc: CaseDocument) -> str:
 # Feeder files
 # ---------------------------------------------------------------------------
 
-_Z_KEYS = {"zaa", "zbb", "zcc", "zab", "zac", "zbc"}
+# Each impedance key's two slots in a line's row-major 3 x 3 matrix.
+_Z_SLOTS = {
+    f"z{pa}{pb}": (3 * PHASE_INDEX[pa] + PHASE_INDEX[pb], 3 * PHASE_INDEX[pb] + PHASE_INDEX[pa])
+    for pa, pb in ("aa", "ab", "ac", "bb", "bc", "cc")  # the order they are written in
+}
+_LINE_KEYS = {"phases", *_Z_SLOTS}
+_PHASE_LOAD_KEYS = {"sa", "sb", "sc"}
 
 
 def parse_feeder(text: str) -> Feeder:
-    """Parse a radial feeder file; raises on cycles or dangling references."""
+    """Parse a radial feeder file; raises on cycles or dangling references.
+
+    One pass fills the feeder's arrays, a row per line and per load."""
     lines = _Lines(text)
-    if not lines.rows:
+    rows = iter(lines)
+    lineno, toks = next(rows, (1, None))
+    if toks is None:
         raise ParseError(1, 1, "empty input; expected 'tdfeeder <version>' header")
-    lineno, toks = lines.rows[0]
-    if toks[0][0] != "tdfeeder" or len(toks) != 2:
-        raise ParseError(lineno, toks[0][1], "expected 'tdfeeder <version>' header")
-    if toks[1][0] != FEEDER_SCHEMA:
-        raise ParseError(
-            lineno, toks[1][1], f"unsupported feeder schema version {toks[1][0]!r}"
-        )
+    if toks[0] != "tdfeeder" or len(toks) != 2:
+        raise lines.error(lineno, 0, "expected 'tdfeeder <version>' header")
+    if toks[1] != FEEDER_SCHEMA:
+        raise lines.error(lineno, 1, f"unsupported feeder schema version {toks[1]!r}")
 
-    name = "feeder"
-    base_kv: float | None = None
-    base_mva: float | None = None
-    head: str | None = None
-    flines: list[FeederLine] = []
-    floads: list[PhaseLoad] = []
+    meta = {"name": "feeder"}  # and base_kv, base_mva, head
+    line_from, line_to, line_phases = [], [], []
+    line_z: list[complex] = []  # nine a line, row-major
+    load_nodes: list[str] = []
+    load_phases, load_s = [], []  # three a load
 
-    for lineno, toks in lines.rows[1:]:
-        directive, dcol = toks[0]
-        if directive in ("name", "base_kv", "base_mva", "head") and len(toks) != 2:
-            raise ParseError(lineno, dcol, f"{directive} takes a single value")
-        if directive == "name":
-            name = toks[1][0]
-        elif directive == "base_kv":
-            base_kv = _parse_float(toks[1][0], lineno, toks[1][1], "base_kv")
-        elif directive == "base_mva":
-            base_mva = _parse_float(toks[1][0], lineno, toks[1][1], "base_mva")
-        elif directive == "head":
-            head = toks[1][0]
-        elif directive == "line":
-            pos, kv = _split_kv(toks, lineno, 2, "line")
-            allowed = _Z_KEYS | {"phases"}
-            _reject_unknown(kv, allowed, lineno, "line")
+    for lineno, toks in rows:
+        directive = toks[0]
+        if directive == "line":
+            kv = _options(lines, lineno, toks, 2, "line", _LINE_KEYS)
             if "phases" not in kv:
-                raise ParseError(lineno, dcol, "line needs phases=")
-            phases = kv["phases"][0]
-            if (
-                not phases
-                or any(p not in PHASE_INDEX for p in phases)
-                or list(phases) != sorted(set(phases))
-            ):
-                raise ParseError(
-                    lineno, kv["phases"][1],
-                    f"phases must be an ordered subset of 'abc', got {phases!r}",
+                raise lines.error(lineno, 0, "line needs phases=")
+            phases, k = kv.pop("phases")
+            if phases not in PHASE_SETS:
+                raise lines.error(
+                    lineno, k, f"phases must be an ordered subset of 'abc', got {phases!r}"
                 )
-            k = len(phases)
-            z = np.zeros((k, k), dtype=complex)
-            for key, (val, col) in kv.items():
-                if key == "phases":
-                    continue
-                pa, pb = key[1], key[2]
-                if pa not in phases or pb not in phases:
-                    raise ParseError(
-                        lineno, col, f"{key} refers to a phase not in {phases!r}"
-                    )
-                i, j = phases.index(pa), phases.index(pb)
-                z[i, j] = z[j, i] = _parse_complex(val, lineno, col, key)
-            for i, p in enumerate(phases):
-                if z[i, i] == 0:
-                    raise ParseError(lineno, dcol, f"line needs z{p}{p}= (self impedance)")
-            flines.append(FeederLine(pos[0][0], pos[1][0], phases, z))
+            z = [0j] * 9
+            for key, (val, k) in kv.items():
+                if key[1] not in phases or key[2] not in phases:
+                    raise lines.error(lineno, k, f"{key} refers to a phase not in {phases!r}")
+                i, j = _Z_SLOTS[key]
+                z[i] = z[j] = _parse_complex(val, lines, lineno, k, key)
+            for p in phases:
+                if z[4 * PHASE_INDEX[p]] == 0:
+                    raise lines.error(lineno, 0, f"line needs z{p}{p}= (self impedance)")
+            line_from.append(toks[1])
+            line_to.append(toks[2])
+            line_phases.append(phases)
+            line_z += z
         elif directive == "load":
-            pos, kv = _split_kv(toks, lineno, 1, "load")
-            _reject_unknown(kv, {"sa", "sb", "sc"}, lineno, "load")
+            kv = _options(lines, lineno, toks, 1, "load", _PHASE_LOAD_KEYS)
             if not kv:
-                raise ParseError(lineno, dcol, "load needs at least one s<phase>=")
-            s = {
-                key[1]: _parse_complex(val, lineno, col, key)
-                for key, (val, col) in kv.items()
-            }
-            floads.append(PhaseLoad(pos[0][0], s))
+                raise lines.error(lineno, 0, "load needs at least one s<phase>=")
+            s, named = [0j] * 3, [False] * 3
+            for key, (val, k) in kv.items():
+                i = PHASE_INDEX[key[1]]
+                s[i] = _parse_complex(val, lines, lineno, k, key)
+                named[i] = True
+            load_nodes.append(toks[1])
+            load_phases += named
+            load_s += s
+        elif directive in ("name", "base_kv", "base_mva", "head"):
+            if len(toks) != 2:
+                raise lines.error(lineno, 0, f"{directive} takes a single value")
+            meta[directive] = (toks[1] if directive in ("name", "head")
+                               else _parse_float(toks[1], lines, lineno, 1, directive))
         else:
-            raise ParseError(lineno, dcol, f"unknown directive {directive!r}")
+            raise lines.error(lineno, 0, f"unknown directive {directive!r}")
 
-    if base_kv is None or base_mva is None or head is None:
+    if len(meta) < 4:
         raise ParseError(1, 1, "feeder file needs base_kv, base_mva and head directives")
 
-    feeder = Feeder(base_kv, base_mva, head, tuple(flines), tuple(floads), name)
-    from .dsolve import validate_feeder
-
+    feeder = Feeder.from_arrays(
+        meta["base_kv"], meta["base_mva"], meta["head"],
+        tuple(line_from), tuple(line_to), tuple(line_phases),
+        np.array(line_z, dtype=complex).reshape(-1, 3, 3), tuple(load_nodes),
+        np.array(load_phases, dtype=bool).reshape(-1, 3),
+        np.array(load_s, dtype=complex).reshape(-1, 3), meta["name"],
+    )
     problems = validate_feeder(feeder)
     if problems:
         raise ParseError(1, 1, "; ".join(problems))
@@ -499,22 +481,15 @@ def serialize_feeder(feeder: Feeder) -> str:
         f"base_mva {_fmt(feeder.base_mva)}",
         f"head {feeder.head}",
     ]
-    for ln in feeder.lines:
-        parts = [f"line {ln.from_node} {ln.to_node} phases={ln.phases}"]
-        z = np.asarray(ln.z_abc)
-        for i, pa in enumerate(ln.phases):
-            for j, pb in enumerate(ln.phases):
-                if j < i:
-                    continue
-                if i == j or z[i, j] != 0:
-                    parts.append(f"z{pa}{pb}={_fmt_complex(z[i, j])}")
-        out.append(" ".join(parts))
+    for a, b, phases, z in zip(feeder.line_from, feeder.line_to, feeder.line_phases,
+                               feeder.line_z.reshape(-1, 9).tolist()):
+        out.append(" ".join([f"line {a} {b} phases={phases}"] + [
+            f"{key}={_fmt_complex(z[i])}" for key, (i, _) in _Z_SLOTS.items()
+            if key[1] in phases and key[2] in phases and (key[1] == key[2] or z[i] != 0)
+        ]))
     for ld in feeder.loads:
-        parts = [f"load {ld.node}"]
-        for ph in "abc":
-            if ph in ld.s:
-                parts.append(f"s{ph}={_fmt_complex(ld.s[ph])}")
-        out.append(" ".join(parts))
+        out.append(" ".join([f"load {ld.node}"]
+                            + [f"s{ph}={_fmt_complex(v)}" for ph, v in ld.s.items()]))
     return "\n".join(out) + "\n"
 
 

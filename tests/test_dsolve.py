@@ -93,17 +93,28 @@ def test_asymmetric_impedance_is_rejected():
     assert any("not symmetric" in p for p in validate_feeder(f))
 
 
-def test_malformed_lines_are_reported_not_raised():
-    bad_phases = Feeder(
-        12.47, 100.0, "head", (FeederLine("head", "n1", "abd", z3(1.0j)),), ()
-    )
-    assert validate_feeder(bad_phases) == ["line head-n1: invalid phase set 'abd'"]
-    bad_shape = Feeder(
-        12.47, 100.0, "head", (FeederLine("head", "n1", "abc", np.eye(2) * 1j),), ()
-    )
-    assert validate_feeder(bad_shape) == [
+def test_malformed_lines_raise_at_construction():
+    with pytest.raises(ValueError) as err:
+        Feeder(12.47, 100.0, "head", (FeederLine("head", "n1", "abd", z3(1.0j)),), ())
+    assert str(err.value) == "line head-n1: invalid phase set 'abd'"
+    with pytest.raises(ValueError) as err:
+        Feeder(12.47, 100.0, "head", (FeederLine("head", "n1", "abc", np.eye(2) * 1j),), ())
+    assert str(err.value) == (
         "line head-n1: impedance matrix shape (2, 2) does not match phases 'abc'"
-    ]
+    )
+
+
+@pytest.mark.parametrize("load, message", [
+    (PhaseLoad("zz", {"a": 1.0 + 0j}), "load at unknown node 'zz'"),
+    (PhaseLoad("n1", {"b": 1.0 + 0j}), "load at n1: phase b not present there"),
+])
+def test_sweep_rejects_a_load_off_the_lines(load, message):
+    f = Feeder(12.47, 100.0, "head",
+               (FeederLine("head", "n1", "a", np.array([[0.5 + 1.0j]])),), (load,))
+    assert validate_feeder(f) == [message]
+    with pytest.raises(ValueError) as err:
+        sweep_solve(f, PhaseVoltages.balanced(1.0))
+    assert str(err.value) == f"feeder 'feeder': {message}"
 
 
 def test_line_checks_report_in_topology_order():

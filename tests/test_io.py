@@ -1,3 +1,5 @@
+import random
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -6,6 +8,8 @@ from hypothesis import strategies as st
 from tdcosim import cosim, dsolve, io
 from tdcosim.errors import ParseError
 from tdcosim.netmodel import BusKind, ZeroSeqPath
+
+from test_dsolve import _same_bits, radial_trees
 
 
 # -- case parsing -------------------------------------------------------------
@@ -145,6 +149,103 @@ def test_cyclic_feeder_names_loop():
     assert "not radial" in str(err.value)
 
 
+_HEAD = "tdfeeder 1\nbase_kv 12.47\nbase_mva 100.0\nhead h\n"
+_LINE = "line h n1 phases=abc zaa=1j zbb=1j zcc=1j\n"
+
+# One input per place a ParseError is raised: (text, line, column, message).
+FEEDER_ERRORS = {
+    "empty": ("", 1, 1, "empty input; expected 'tdfeeder <version>' header"),
+    "comment only": ("# nothing\n  \n", 1, 1,
+                     "empty input; expected 'tdfeeder <version>' header"),
+    "wrong header": ("tdcase 1\n", 1, 1, "expected 'tdfeeder <version>' header"),
+    "header arity": ("tdfeeder 1 2\n", 1, 1, "expected 'tdfeeder <version>' header"),
+    "version": ("  tdfeeder\t2  # new\n", 1, 12, "unsupported feeder schema version '2'"),
+    "arity": ("tdfeeder 1\nname a b\n", 2, 1, "name takes a single value"),
+    "not a number": ("tdfeeder 1\nbase_kv\tabc\n", 2, 9,
+                     "expected a number for base_kv, got 'abc'"),
+    "not finite": ("tdfeeder 1\nbase_mva inf\n", 2, 10, "base_mva must be finite, got 'inf'"),
+    "line positional": (_HEAD + "line h\n", 5, 1, "'line' needs 2 positional argument(s)"),
+    "not key=value": (_HEAD + "line h n1 phases=a\tzaa\n", 5, 20,
+                      "expected key=value, got 'zaa'"),
+    "empty value": (_HEAD + "line h n1 phases=a zaa=\n", 5, 20,
+                    "malformed key=value pair 'zaa='"),
+    "empty key": (_HEAD + "line h n1 phases=a =1j\n", 5, 20,
+                  "malformed key=value pair '=1j'"),
+    "duplicate key": (_HEAD + "load n1 sa=1 sa=1  # sa=1\n", 5, 14, "duplicate key 'sa'"),
+    "same tokens": (_HEAD + "load a=a a=a a=a\n", 5, 14, "duplicate key 'a'"),
+    "unknown key": (_HEAD + "line h n1 phases=a zaa=x zdd=1\n", 5, 26,
+                    "unknown key 'zdd' for 'line'"),
+    "needs phases": (_HEAD + "line h n1 zaa=1j\n", 5, 1, "line needs phases="),
+    "phase order": (_HEAD + "line h n1 phases=ba zaa=1j\n", 5, 11,
+                    "phases must be an ordered subset of 'abc', got 'ba'"),
+    "phase not on line": (_HEAD + "line h n1 phases=a zaa=1j zbb=1j\n", 5, 27,
+                          "zbb refers to a phase not in 'a'"),
+    "two bad values": (_HEAD + "line h n1 phases=ab zaa=1+ zbb=2+\n", 5, 21,
+                       "expected a complex literal for zaa, got '1+'"),
+    "nan impedance": (_HEAD + "line  h n1 phases=a   zaa=nanj\n", 5, 23,
+                      "zaa must be finite, got 'nanj'"),
+    "no self impedance": (_HEAD + "line h n1 phases=ab zaa=1j zab=0.1j\n", 5, 1,
+                          "line needs zbb= (self impedance)"),
+    "zero self impedance": (_HEAD + "line h n1 phases=a zaa=0\n", 5, 1,
+                            "line needs zaa= (self impedance)"),
+    "load positional": (_HEAD + "load\n", 5, 1, "'load' needs 1 positional argument(s)"),
+    "load key": (_HEAD + "load n1 sd=1\n", 5, 9, "unknown key 'sd' for 'load'"),
+    "load empty": (_HEAD + "load n1\n", 5, 1, "load needs at least one s<phase>="),
+    "load value": (_HEAD + "load n1 sa=1 sb=x\n", 5, 14,
+                   "expected a complex literal for sb, got 'x'"),
+    "load inf": (_HEAD + "load n1 sa=infj\n", 5, 9, "sa must be finite, got 'infj'"),
+    "no-break space": (_HEAD + "load n1\u00a0sa=x\n", 5, 9,
+                       "expected a complex literal for sa, got 'x'"),
+    "directive": (_HEAD + "bus 1\n", 5, 1, "unknown directive 'bus'"),
+    "missing head": ("tdfeeder 1\nbase_kv 12.47\nbase_mva 100.0\n", 1, 1,
+                     "feeder file needs base_kv, base_mva and head directives"),
+    "two bad lines": (_HEAD + "line h n1 phases=a zaa=x\nline n1 n2 phases=a zaa=y\n", 5, 20,
+                      "expected a complex literal for zaa, got 'x'"),
+    "loop": (_HEAD + "line h a phases=a zaa=1j\nline a b phases=a zaa=1j\n"
+             "line b h phases=a zaa=1j\n", 1, 1,
+             "feeder is not radial: line a-b closes a loop"),
+    "unreachable": (_HEAD + _LINE + "line x y phases=a zaa=1j\n", 1, 1,
+                    "nodes not reachable from head 'h': ['x', 'y']"),
+    "uncovered phase": (_HEAD + "line h n1 phases=a zaa=1j\nline n1 n2 phases=b zbb=1j\n",
+                        1, 1, "line n1-n2: phases 'b' not all present on parent path"),
+    "load node": (_HEAD + _LINE + "load zz sa=1\n", 1, 1, "load at unknown node 'zz'"),
+    "load phase": (_HEAD + "line h n1 phases=a zaa=1j\nload n1 sb=1\n", 1, 1,
+                   "load at n1: phase b not present there"),
+    "bases": ("tdfeeder 1\nbase_kv -1\nbase_mva 0\nhead h\n" + _LINE, 1, 1,
+              "base_kv must be positive; base_mva must be positive"),
+}
+
+CASE_ERRORS = {
+    "bus kind": ("tdcase 1\nbase_mva 100.0\n\tbus 1 slack\tbase_kv=230 # c\n"
+                 "bus 2 xx base_kv=230\n", 4, 7, "bus kind must be slack/pv/pq, got 'xx'"),
+    "duplicate bus": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\nbus  1 pq base_kv=1\n",
+                      4, 6, "duplicate bus id 1 (first defined on line 3)"),
+    "branch bus": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\n"
+                   "branch 1 99 x1=0.1  # to 99\n", 4, 10, "branch references unknown bus 99"),
+    "base arity": ("tdcase 1\nbase_mva 100.0 2\n", 2, 1, "base_mva takes a single value"),
+    "gen key": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\ngen 1 pmin=0\n", 4, 1,
+                "gen at bus 1 needs pmax="),
+    "coupling": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\nbus 2 pq base_kv=1\n"
+                 "branch 1 2 x1=0.1 c01=1+\n", 5, 19,
+                 "expected a complex literal for c01, got '1+'"),
+    "header": ("tdcase 1 x\n", 1, 1, "header must be exactly 'tdcase <version>'"),
+    "version": ("# v\ntdcase 2\n", 2, 8, "unsupported case schema version '2'"),
+    "no base": ("tdcase 1\n", 1, 1, "case is missing the base_mva directive"),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, text, line, col, message",
+    [pytest.param(io.parse_feeder, *row, id=f"feeder-{key}") for key, row in FEEDER_ERRORS.items()]
+    + [pytest.param(io.parse_case, *row, id=f"case-{key}") for key, row in CASE_ERRORS.items()],
+)
+def test_parse_errors_are_located(parse, text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
+
+
 def test_shipped_synthetic_totals(ckt_feeder):
     total = dsolve.aggregate_load(ckt_feeder).total()
     assert total.real == pytest.approx(52.1, abs=1e-9)
@@ -158,6 +259,42 @@ def test_feeder_round_trip(ckt_feeder):
     assert [ln.phases for ln in again.lines] == [ln.phases for ln in ckt_feeder.lines]
     for a, b in zip(again.lines, ckt_feeder.lines):
         assert np.array_equal(a.z_abc, b.z_abc)
+
+
+_SPACES = [" ", "\t", "   ", " \t "]
+_COMMENTS = ["  # note", "#x=1 y", "\t# line n0 n1 phases=a"]
+_NEGATIVE_ZERO_IMAG = (  # a -0.0 imaginary part reads back only if written "-0.0j"
+    [dsolve.FeederLine("n0", "n1", "ab", np.array([[0.02 + 0.04j, 0.01j], [0.01j, 0.02j]]))],
+    [dsolve.PhaseLoad("n1", {"a": complex(0.1, -0.0), "b": complex(-0.0, 0.05)})],
+    [0],
+)
+
+
+@given(radial_trees(), st.randoms(use_true_random=False))
+@example(_NEGATIVE_ZERO_IMAG, random.Random(0))
+@settings(max_examples=100, deadline=None)
+def test_feeder_text_round_trips_bit_for_bit(tree, rnd):
+    """Written, spaced and commented at random, with options shuffled, a feeder
+    parses back to the same arrays, bit for bit."""
+    lines, loads, _ = tree
+    f = dsolve.Feeder(12.47, 100.0, "n0", lines, loads, name="tree")
+    noisy = [rnd.choice(["", "# tree"])]
+    for row in io.serialize_feeder(f).splitlines():
+        toks = row.split()
+        n_fixed = {"line": 3, "load": 2}.get(toks[0], len(toks))
+        options = toks[n_fixed:]
+        rnd.shuffle(options)
+        noisy.append("".join(rnd.choice(_SPACES) + tok for tok in toks[:n_fixed] + options))
+        if rnd.random() < 0.3:
+            noisy[-1] += rnd.choice(_COMMENTS)
+        if rnd.random() < 0.2:
+            noisy.append(rnd.choice(["", " \t", "# comment"]))
+    g = io.parse_feeder("\n".join(noisy))
+    assert (g.line_from, g.line_to, g.line_phases) == (f.line_from, f.line_to, f.line_phases)
+    assert _same_bits(g.line_z, f.line_z)
+    assert g.load_nodes == f.load_nodes
+    assert np.array_equal(g.load_phases, f.load_phases)
+    assert _same_bits(g.load_s, f.load_s)
 
 
 # -- loadshape parsing --------------------------------------------------------
