@@ -233,7 +233,7 @@ def cmd_validate(args) -> int:
             print(f"{path}: {exc}", file=sys.stderr)
             status = EXIT_INPUT
             continue
-        header = text.lstrip().split(None, 1)[0] if text.strip() else ""
+        header = next((toks[0] for _, toks in io._Lines(text)), "")
         try:
             if header == "tdfeeder":
                 io.parse_feeder(text)  # raises on any problem

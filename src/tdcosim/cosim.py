@@ -91,6 +91,20 @@ def _sweep_one(bus, feeder, head_v):
         raise
 
 
+def _check_feeder_binding(case: TransmissionCase, feeders: dict[int, dsolve.Feeder]) -> None:
+    """Every feeder sits at a feeder attachment of the case, and every
+    attachment has its feeder."""
+    attach_buses = set(case.pcc_buses())
+    for bus in feeders:
+        if bus not in attach_buses:
+            raise ValueError(
+                f"bus {bus} has a feeder bound but no Feeder attachment in the case"
+            )
+    missing = attach_buses - set(feeders)
+    if missing:
+        raise ValueError(f"case expects feeders at buses {sorted(missing)}")
+
+
 def couple_step(
     case: TransmissionCase,
     feeders: dict[int, dsolve.Feeder],
@@ -108,15 +122,7 @@ def couple_step(
         raise ValueError(f"eps must be finite and positive, got {eps}")
     if max_rounds < 1:
         raise ValueError(f"max_rounds must be at least 1, got {max_rounds}")
-    attach_buses = set(case.pcc_buses())
-    for bus in feeders:
-        if bus not in attach_buses:
-            raise ValueError(
-                f"bus {bus} has a feeder bound but no Feeder attachment in the case"
-            )
-    missing = attach_buses - set(feeders)
-    if missing:
-        raise ValueError(f"case expects feeders at buses {sorted(missing)}")
+    _check_feeder_binding(case, feeders)
 
     if dispatch is not None:
         case = with_dispatch(case, dispatch.p_set)
@@ -300,6 +306,7 @@ def _time_loop(
     problems = validate_case(case)
     if problems:
         raise ValueError("invalid case: " + "; ".join(problems))
+    _check_feeder_binding(case, feeders)
 
     gen_buses = tuple(g.bus for g in case.generators)
     steps: list[StepResult] = []

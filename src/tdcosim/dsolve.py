@@ -1,16 +1,18 @@
 """Three-phase unbalanced power flow for radial feeders.
 
-The solver is a backward/forward sweep over constant-PQ loads (the ladder
-method) in a depth-first numbering of the nodes, where every subtree is a
-range of positions, so a sweep is a few O(n) prefix sums at any depth.  The
+Each feeder has one node numbering: depth-first from the head, with a
+node's children in line order, so every subtree is a range of nodes and a
+sweep is a few O(n) prefix sums at any depth.  The solver is a
+backward/forward sweep over constant-PQ loads (the ladder method).  The
 backward sweep sums the load currents over each subtree as a difference of
 suffix sums; a line carries its child's sum.  The forward sweep subtracts
 the line drops ``Z i_line`` along each path from the head: a prefix sum less
-the terms of subtrees already closed (see ``_Preorder``).  Sweeps repeat
+the terms of subtrees already closed (see ``_Topology``).  Sweeps repeat
 until the largest per-phase voltage change falls below tolerance.  After
 convergence one extra backward sweep recomputes all branch currents at the
 reported voltages, so the returned state satisfies KCL at every node to
-machine precision regardless of the sweep tolerance.
+machine precision regardless of the sweep tolerance.  Solutions, masks and
+line checks are all reported in this numbering.
 
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases masked to zero; per-unit uses a line-to-neutral voltage base and a
@@ -25,11 +27,10 @@ it names and ``load_nodes`` its node.  ``FeederLine`` and ``PhaseLoad``
 records are converted on construction and rebuilt on demand, never on the
 solve path.  Load scaling, unbalance and aggregation are vector operations
 on ``load_s``.  The value copies they return share the topology and the
-sweep plan, built at the first sweep: the node mask and the per-unit
-impedances gathered from the pad in depth-first order, and each load's
-position there.  A sweep then only folds ``load_s`` onto the nodes with
-one ``bincount`` in file order, so every sum rounds as a loop over the
-loads would.
+sweep plan, built at the first sweep: the per-unit impedances gathered from
+the pad by node and each load's node.  A sweep then only folds ``load_s``
+onto the nodes with one ``bincount`` in file order, so every sum rounds as
+a loop over the loads would.
 """
 from __future__ import annotations
 
@@ -132,11 +133,6 @@ class Feeder:
     def nodes(self) -> list[str]:
         return list(self.topology().node_order)
 
-    def with_loads(self, loads) -> "Feeder":
-        load_nodes, load_phases, load_s = _load_arrays(loads)
-        return self._copy(_Shared(self._shared.topo), load_nodes=load_nodes,
-                          load_phases=load_phases, load_s=load_s)
-
     def _copy(self, shared: _Shared, **arrays) -> "Feeder":
         """A value copy with ``arrays`` replaced, sharing ``shared``."""
         clone = copy.copy(self)
@@ -145,6 +141,8 @@ class Feeder:
 
 
 _PHASE_POSITIONS = {ps: [PHASE_INDEX[ph] for ph in ps] for ps in PHASE_SETS}
+_PHASE_ROW = {ps: k for k, ps in enumerate(PHASE_SETS)}
+_PHASE_MASKS = np.array([[ph in ps for ph in "abc"] for ps in PHASE_SETS])  # by _PHASE_ROW
 
 
 def _line_arrays(lines) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...], np.ndarray]:
@@ -180,30 +178,19 @@ def _load_arrays(loads) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
 
 @dataclass(eq=False)
 class _Topology:
-    node_order: tuple[str, ...]  # breadth-first from the head, so depth-major
+    """A feeder's one node numbering and the subtree ranges the sweep sums over."""
+
+    node_order: tuple[str, ...]  # depth-first from the head, siblings in line order
     node_index: dict[str, int]
     mask: np.ndarray  # (n, 3) bool, phases present at each node
     parent: np.ndarray  # (L,) int, line j runs from node parent[j] to node j + 1
+    end: np.ndarray  # (n,) int, the subtree at node k is [k, end[k])
     line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, index into the feeder's line arrays
 
-
-class _Preorder:
-    """Depth-first numbering: the subtree at position k is ``[k, end[k])``."""
-
-    def __init__(self, parent: np.ndarray):
-        n = len(parent) + 1
-        size = [1] * n
-        for c, p in zip(range(n - 1, 0, -1), parent[::-1].tolist()):
-            size[p] += size[c]  # reversed breadth-first order: children first
-        at, free = [0] * n, [1] * n  # free: next offset inside each subtree
-        for c, p in enumerate(parent.tolist(), 1):  # siblings in line order
-            at[c], free[p] = at[p] + free[p], free[p] + size[c]
-        self.at = np.array(at)  # position of each topology index
-        self.node = np.argsort(self.at)  # topology index at each position
-        self.end = np.arange(n) + np.array(size)[self.node]
-        self.by_end = np.argsort(self.end, kind="stable")  # positions by subtree end
-        self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(n), "right")
+    def __post_init__(self):
+        self.by_end = np.argsort(self.end, kind="stable")  # nodes by subtree end
+        self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(len(self.end)), "right")
 
     # The gathers below take mode="clip" because their indices are in range
     # by construction; the default mode copies ``out`` before writing it.
@@ -218,7 +205,7 @@ class _Preorder:
 
     def path_sums(self, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Sums of (n, 3) ``b`` over each path from the head into ``out``: prefix
-        sums less the terms whose subtree ended at or before the position.
+        sums less the terms whose subtree ended at or before the node.
         ``b`` is overwritten by its prefix sums; ``work`` is (n + 1, 3) scratch."""
         work[0] = 0.0
         np.take(b, self.by_end, axis=0, out=work[1:], mode="clip")
@@ -229,72 +216,78 @@ class _Preorder:
 
 
 class _SweepPlan:
-    """The parts of a sweep that depend only on the feeder, not on the load
-    values or the head voltage, in preorder positions: the sweep runs there."""
+    """The parts of a sweep that depend on the impedances and on where the
+    loads are, not on the load values or the head voltage."""
 
     def __init__(self, feeder: Feeder):
         topo = feeder.topology()
-        at, problems = _place_loads(feeder, topo)
+        self.load_at, problems = _place_loads(feeder, topo)  # (m,)
         if problems:
             raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(problems))
-        self.pre = pre = _Preorder(topo.parent)
-        self.mask = topo.mask[pre.node]
-        self.absent = np.where(self.mask, 0.0, np.inf)  # added to |v|: min over present phases
-        # z_pu[k - 1] is the per-unit impedance of the line that feeds position k.
-        self.z_pu = feeder.line_z[topo.line_index[pre.node[1:] - 1]]
+        # z_pu[k - 1] is the per-unit impedance of the line that feeds node k.
+        self.z_pu = feeder.line_z[topo.line_index]
         self.z_pu /= feeder.base_kv**2 / feeder.base_mva
-        self.load_at = pre.at[at]  # (m,)
 
 
 def _compile_topology(feeder: Feeder) -> _Topology:
-    head, ends = feeder.head, (feeder.line_from, feeder.line_to)
-    adj: dict[str, list[tuple[int, str]]] = {head: []}
-    for k, (a, b) in enumerate(zip(*ends)):
-        adj.setdefault(a, []).append((k, b))
-        adj.setdefault(b, []).append((k, a))
+    line_from, line_to = feeder.line_from, feeder.line_to
+    ids = {feeder.head: 0}  # each name's number, in order of first mention
+    # Line k's ends are half-edges 2k and 2k + 1; a stable sort of them
+    # reversed groups each name's lines in reverse line order.
+    ends = np.empty(2 * len(line_from), dtype=int)
+    ends[0::2] = [ids.setdefault(name, len(ids)) for name in line_from]
+    ends[1::2] = [ids.setdefault(name, len(ids)) for name in line_to]
+    halves = len(ends) - 1 - np.argsort(ends[::-1], kind="stable")
+    first = np.searchsorted(ends, np.arange(len(ids) + 1), sorter=halves).tolist()
+    ends, halves = ends.tolist(), halves.tolist()
 
-    # Breadth-first from the head: node j + 1 is reached from parents[j] by
-    # line vias[j], so every child comes after its parent (see _Preorder).
-    order = [head]
-    node_index = {head: 0}
-    parents: list[int] = []
-    vias: list[int] = []
-    for p, node in enumerate(order):
-        for k, other in adj[node]:
-            if p and k == vias[p - 1]:
-                continue  # the line this node was reached by
-            if other in node_index:
-                raise ValueError(
-                    f"feeder is not radial: line {ends[0][k]}-{ends[1][k]} closes a loop"
-                )
-            node_index[other] = len(order)
-            order.append(other)
-            parents.append(p)
-            vias.append(k)
+    # Depth-first from the head: a name is numbered when it is popped, after
+    # its unseen neighbours were pushed in reverse line order.
+    walk: list[tuple[int, int, int]] = []  # (name id, line it was reached by, parent)
+    seen = [False] * len(ids)
+    seen[0] = True
+    stack = [(0, -1, -1)]
+    while stack:
+        u, via, _ = node = stack.pop()
+        k = len(walk)
+        walk.append(node)
+        for h in halves[first[u]:first[u + 1]]:
+            line = h >> 1
+            if line != via:
+                other = ends[h ^ 1]
+                if seen[other]:
+                    raise ValueError(f"feeder is not radial: line {line_from[line]}-"
+                                     f"{line_to[line]} closes a loop")
+                seen[other] = True
+                stack.append((other, line, k))
 
-    unreached = sorted(set(adj) - set(node_index))
-    if unreached:
-        raise ValueError(f"nodes not reachable from head {head!r}: {unreached}")
+    if len(walk) < len(ids):
+        unreached = sorted(name for name, i in ids.items() if not seen[i])
+        raise ValueError(f"nodes not reachable from head {feeder.head!r}: {unreached}")
 
-    line_index = np.array(vias, dtype=int)
-    mask = np.zeros((len(order), 3), dtype=bool)
-    mask[0, :] = True
-    phases = np.array(feeder.line_phases, dtype=str)[line_index]
-    for ps in np.unique(phases):
-        mask[np.ix_(np.flatnonzero(phases == ps) + 1, _PHASE_POSITIONS[ps])] = True
+    order, vias, parents = zip(*walk)
+    n = len(order)
+    size = [1] * n
+    for c in range(n - 1, 0, -1):  # children before parents
+        size[parents[c]] += size[c]
 
+    names = list(ids)
+    node_order = tuple(names[i] for i in order)
+    mask = np.ones((n, 3), dtype=bool)  # the head has every phase
+    mask[1:] = _PHASE_MASKS[[_PHASE_ROW[feeder.line_phases[k]] for k in vias[1:]]]
     return _Topology(
-        node_order=tuple(order),
-        node_index=node_index,
+        node_order=node_order,
+        node_index=dict(zip(node_order, range(n))),
         mask=mask,
-        parent=np.array(parents, dtype=int),
-        line_names=tuple((order[p], order[c]) for c, p in enumerate(parents, 1)),
-        line_index=line_index,
+        parent=np.array(parents[1:], dtype=int),
+        end=np.arange(n) + size,
+        line_names=tuple((node_order[p], b) for p, b in zip(parents[1:], node_order[1:])),
+        line_index=np.array(vias[1:], dtype=int),
     )
 
 
 def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[str]]:
-    """Each load's topology index (-1 at an unknown node) and the loads' violations."""
+    """Each load's node number (-1 at an unknown node) and the loads' violations."""
     at = np.array([topo.node_index.get(node, -1) for node in feeder.load_nodes], dtype=int)
     absent = feeder.load_phases & ~topo.mask[at] & (at >= 0)[:, None]
     problems: list[str] = []
@@ -321,7 +314,7 @@ def validate_feeder(feeder: Feeder) -> list[str]:
         violations.append(str(exc))
         return violations
 
-    # Numeric checks on the pad (zero on absent phases), in topology order.
+    # Numeric checks on the pad (zero on absent phases), in depth-first node order.
     z, k = feeder.line_z, topo.line_index
     line_mask = topo.mask[1:]
     asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))[k]
@@ -353,22 +346,22 @@ class FeederSolution:
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()
-        s_pu = _load_array(self._feeder)[self._feeder.sweep_plan().pre.at]
+        s_pu = _load_array(self._feeder)
         resid = -_load_currents(s_pu, self.v, topo.mask, np.zeros_like(s_pu))
         np.subtract.at(resid, topo.parent, self.i_line)
         resid[1:] += self.i_line
-        resid[topo.node_index[self._feeder.head]] = 0.0  # balance closed by source
+        resid[0] = 0.0  # the head's balance is closed by the source
         return resid
 
 
 def _load_array(feeder: Feeder) -> np.ndarray:
-    """Per-node per-phase load in pu on the per-phase power base, in preorder.
+    """Per-node per-phase load in pu on the per-phase power base.
 
     ``bincount`` adds each slot's terms in load order starting from zero, so
     every sum rounds as a loop over the loads would.
     """
     plan = feeder.sweep_plan()
-    n = len(plan.mask)
+    n = len(feeder.topology().node_order)
     terms = _divide(feeder.load_s, feeder.base_mva / 3.0).view(float).ravel()
     # The slot of each term in the (n, 3) complex result seen as (n, 6) floats.
     slots = (6 * plan.load_at[:, None] + np.arange(6)).ravel()
@@ -418,11 +411,12 @@ def sweep_solve(
         )
     topo = feeder.topology()
     plan = feeder.sweep_plan()
-    pre, mask = plan.pre, plan.mask
+    mask = topo.mask
+    absent = np.where(mask, 0.0, np.inf)  # added to |v|: min over present phases
     s_pu = _load_array(feeder)
 
     # Buffers reused by every iteration; b[0] is the head voltage, b[k] minus
-    # the drop on the line that feeds position k.
+    # the drop on the line that feeds node k.
     quot = np.zeros_like(s_pu)
     cur, acc, b, v_new = (np.empty_like(s_pu) for _ in range(4))
     work = np.empty((len(s_pu) + 1, 3), dtype=complex)
@@ -432,14 +426,14 @@ def sweep_solve(
     b[0] = head_arr
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
-        pre.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
+        topo.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
         np.einsum("lij,lj->li", plan.z_pu, acc[1:], out=b[1:])
         np.negative(b[1:], out=b[1:])
-        np.multiply(pre.path_sums(b, v_new, work), mask, out=v_new)
+        np.multiply(topo.path_sums(b, v_new, work), mask, out=v_new)
         delta = float(np.max(np.abs(np.subtract(v_new, v, out=cur), out=mag)))
         history.append(delta)
         v, v_new = v_new, v
-        worst = float(np.add(np.abs(v, out=mag), plan.absent, out=mag).min())
+        worst = float(np.add(np.abs(v, out=mag), absent, out=mag).min())
         if worst < COLLAPSE_FLOOR:
             raise VoltageCollapseError(
                 f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
@@ -457,14 +451,14 @@ def sweep_solve(
 
     # Final consistency pass: currents recomputed at the reported voltages so
     # KCL holds exactly at every node.
-    pre.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
+    topo.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
     s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 
     return FeederSolution(
         node_order=topo.node_order,
-        v=v[pre.at],
-        i_line=acc[pre.at[1:]],
+        v=v,
+        i_line=acc[1:],
         line_names=topo.line_names,
         head_power=head_power,
         iterations=iterations,

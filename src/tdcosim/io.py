@@ -41,10 +41,6 @@ class CaseDocument:
     schema_version: str
     case: TransmissionCase
 
-    @property
-    def feeder_attachments(self) -> dict[int, str]:
-        return {ld.bus: ld.feeder_id for ld in self.case.loads if ld.is_feeder}
-
 
 @dataclass(frozen=True)
 class LoadshapeSeries:
@@ -324,60 +320,6 @@ def _fmt(x: float) -> str:
 def _fmt_complex(z: complex) -> str:
     sign = "-" if math.copysign(1.0, z.imag) < 0 else "+"  # keeps -0.0 through a reparse
     return f"{float(z.real)!r}{sign}{abs(float(z.imag))!r}j"
-
-
-def serialize_case(doc: CaseDocument) -> str:
-    """Canonical text form; reparses to an equal document."""
-    case = doc.case
-    out = [f"tdcase {doc.schema_version}", f"base_mva {_fmt(case.base_mva)}"]
-    for b in case.buses:
-        parts = [f"bus {b.id} {b.kind.value} base_kv={_fmt(b.base_kv)}"]
-        if b.v_setpoint is not None:
-            parts.append(f"v={_fmt(b.v_setpoint)}")
-        if b.angle_setpoint is not None:
-            parts.append(f"angle={_fmt(b.angle_setpoint)}")
-        out.append(" ".join(parts))
-    for br in case.branches:
-        parts = [f"branch {br.from_bus} {br.to_bus}"]
-        parts.append(f"r1={_fmt(br.z1.real)}")
-        parts.append(f"x1={_fmt(br.z1.imag)}")
-        if br.z2 is not None:
-            parts.append(f"r2={_fmt(br.z2.real)}")
-            parts.append(f"x2={_fmt(br.z2.imag)}")
-        if br.z0 is not None:
-            parts.append(f"r0={_fmt(br.z0.real)}")
-            parts.append(f"x0={_fmt(br.z0.imag)}")
-        if br.b1_shunt:
-            parts.append(f"b1={_fmt(br.b1_shunt)}")
-        if br.b0_shunt:
-            parts.append(f"b0={_fmt(br.b0_shunt)}")
-        if br.tap != 1.0:
-            parts.append(f"tap={_fmt(br.tap)}")
-        if br.zero_seq_path is not ZeroSeqPath.THROUGH:
-            parts.append(f"zero_seq={br.zero_seq_path.value}")
-        if br.coupling is not None:
-            c = np.asarray(br.coupling)
-            for i in range(3):
-                for j in range(3):
-                    if i != j and c[i, j] != 0:
-                        parts.append(f"c{i}{j}={_fmt_complex(c[i, j])}")
-        out.append(" ".join(parts))
-    for g in case.generators:
-        out.append(
-            f"gen {g.bus} pmin={_fmt(g.p_min)} pmax={_fmt(g.p_max)} "
-            f"qmin={_fmt(g.q_min)} qmax={_fmt(g.q_max)} "
-            f"cost_a={_fmt(g.cost.a)} cost_b={_fmt(g.cost.b)} cost_c={_fmt(g.cost.c)} "
-            f"p={_fmt(g.p_set)} q={_fmt(g.q_set)}"
-        )
-    for ld in case.loads:
-        if ld.is_feeder:
-            line = f"feeder {ld.bus} id={ld.feeder_id}"
-        else:
-            line = f"load {ld.bus} p={_fmt(ld.p)} q={_fmt(ld.q)}"
-        if ld.loadshape_id:
-            line += f" shape={ld.loadshape_id}"
-        out.append(line)
-    return "\n".join(out) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -118,18 +118,6 @@ class TransmissionCase:
     def bus_ids(self) -> list[int]:
         return [b.id for b in self.buses]
 
-    def bus_by_id(self, bus_id: int) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise KeyError(f"no bus {bus_id} in case")
-
-    def slack_bus(self) -> Bus:
-        for b in self.buses:
-            if b.kind is BusKind.SLACK:
-                return b
-        raise ValueError("case has no slack bus")
-
     def pcc_buses(self) -> list[int]:
         return [ld.bus for ld in self.loads if ld.is_feeder]
 

@@ -260,7 +260,8 @@ def test_criterion_9_decoupled_baseline(system1, ckt_feeder, day_shape):
     max_diff = max(diffs)
     assert max_diff > 0.0
 
-    empty = ckt_feeder.with_loads(())
+    empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+                         ckt_feeder.lines, ())
     c0 = cosim.run_timeseries(system1, {6: empty}, shapes, start_min=1245, horizon_min=5)
     b0 = cosim.run_decoupled_baseline(
         system1, {6: empty}, shapes, start_min=1245, horizon_min=5

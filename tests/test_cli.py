@@ -120,6 +120,14 @@ def test_validate_ok_and_bad(paths, tmp_path, capsys):
     assert "not radial" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("kind", ["case", "feeder"])
+def test_validate_reads_the_header_past_comments(paths, tmp_path, capsys, kind):
+    commented = tmp_path / f"commented-{kind}.td"
+    commented.write_text("# c\n\n" + Path(paths[kind]).read_text())
+    assert main(["validate", str(commented)]) == 0
+    assert capsys.readouterr().out == f"{commented}: ok\n"
+
+
 @pytest.mark.parametrize(
     "bases", ["base_kv\nbase_mva 100", "base_kv 12.47\nbase_mva", "base_kv 12.47 99\nbase_mva 100"]
 )

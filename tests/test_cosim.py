@@ -76,7 +76,8 @@ def test_inner_failure_names_the_pcc(system1):
 
 
 def test_zero_load_feeder_two_rounds(system1, ckt_feeder):
-    empty = ckt_feeder.with_loads(())
+    empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+                         ckt_feeder.lines, ())
     state, trace = cosim.couple_step(system1, {6: empty}, eps=1e-4)
     assert trace.overall_iterations == 2
     # PCC voltage equals the no-load transmission solution
@@ -112,6 +113,17 @@ def test_couple_step_rejects_unworkable_budget(system1, ckt_feeder, budget):
 def test_missing_feeder_for_attachment(system1):
     with pytest.raises(ValueError):
         cosim.couple_step(system1, {})
+
+
+@pytest.mark.parametrize("run", [cosim.run_timeseries, cosim.run_decoupled_baseline])
+@pytest.mark.parametrize("buses, message", [
+    ((), r"case expects feeders at buses \[6\]"),
+    ((5, 6), "bus 5 has a feeder bound but no Feeder attachment in the case"),
+])
+def test_runs_check_the_feeder_binding(system1, ckt_feeder, day_shape, run, buses, message):
+    feeders = {bus: ckt_feeder for bus in buses}
+    with pytest.raises(ValueError, match=message):
+        run(system1, feeders, {"day": day_shape}, start_min=0, horizon_min=5)
 
 
 def test_nonconvergence_carries_trace(system1, ckt_feeder):
@@ -257,7 +269,8 @@ def test_decoupled_baseline_differs_for_lossy_feeder(system1, ckt_feeder, day_sh
 
 
 def test_decoupled_baseline_equals_coupled_for_zero_load(system1, ckt_feeder, flat_shape):
-    empty = ckt_feeder.with_loads(())
+    empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+                         ckt_feeder.lines, ())
     shapes = {"day": flat_shape}
     coupled = cosim.run_timeseries(
         system1, {6: empty}, shapes, start_min=0, horizon_min=5

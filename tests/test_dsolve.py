@@ -130,11 +130,11 @@ def test_line_checks_report_in_topology_order():
         ),
         (),
     )
-    assert validate_feeder(f) == [
+    assert validate_feeder(f) == [  # depth-first: head-n1, n1-n2, head-n3
         "line head-n1: zero self-impedance on a present phase",
+        "line n1-n2: phases 'c' not all present on parent path",
         "line head-n3: impedance matrix is not symmetric",
         "line head-n3: zero self-impedance on a present phase",
-        "line n1-n2: phases 'c' not all present on parent path",
     ]
 
 
@@ -402,8 +402,8 @@ def test_load_array_folds_repeated_and_zero_phase_loads():
          PhaseLoad("head", {"c": 0.9 + 0.3j})),
     )
     assert aggregate_load(f).as_array() == pytest.approx([0.3 + 0.1j, 0.6, 0.9 + 0.5j])
-    s = dsolve._load_array(f)  # in preorder
-    assert s[f.sweep_plan().pre.at[f.topology().node_index["n1"]]] == pytest.approx(
+    s = dsolve._load_array(f)
+    assert s[f.topology().node_index["n1"]] == pytest.approx(
         np.array([0.3 + 0.1j, 0.6, 0.2j]) * 3 / 100.0)
     # the named zero phase keeps the load three-phase, so alpha reshapes it
     g = apply_unbalance(f, 0.3)
@@ -436,22 +436,6 @@ def test_value_copies_sweep_as_a_rebuilt_feeder(ckt_feeder):
         assert all(map(_same_bits, _solution_bits(a), _solution_bits(b)))
 
 
-def test_with_loads_after_a_sweep_uses_the_new_loads():
-    lines = (FeederLine("head", "n1", "abc", z3(0.5 + 1.0j, 0.1 + 0.2j)),
-             FeederLine("n1", "n2", "ab", z3(0.4 + 0.8j)[:2, :2]),
-             FeederLine("head", "n3", "c", np.array([[0.3 + 0.6j]])))
-    f = Feeder(12.47, 100.0, "head", lines, (PhaseLoad("n1", {"a": 2.0 + 0.5j}),))
-    head = PhaseVoltages.balanced(1.0)
-    sweep_solve(f, head)
-    moved = (PhaseLoad("n3", {"c": 1.5 + 0.4j}), PhaseLoad("n2", {"b": 1.0 + 0.2j}))
-    g = f.with_loads(moved)
-    assert g.topology() is f.topology()
-    a, b = sweep_solve(g, head), sweep_solve(Feeder(12.47, 100.0, "head", lines, moved), head)
-    assert all(map(_same_bits, _solution_bits(a), _solution_bits(b)))
-    assert a.head_power.as_array()[0] == 0  # nothing is left at n1's phase a
-    assert np.max(np.abs(a.kcl_residuals())) < 1e-12
-
-
 @given(st.lists(
     st.tuples(
         st.sampled_from(["head", "n1", "n2", "n3"]),
@@ -475,8 +459,7 @@ def test_load_fold_equals_a_loop_over_the_loads(records):
     for ld in loads:
         for ph, val in ld.s.items():
             s[index[ld.node], dsolve.PHASE_INDEX[ph]] += val / (f.base_mva / 3.0)
-    folded = dsolve._load_array(f)[f.sweep_plan().pre.at]
-    assert _same_bits(folded, s)
+    assert _same_bits(dsolve._load_array(f), s)
 
 
 def test_scale_loads():
@@ -547,6 +530,33 @@ def test_random_radial_trees_match_oracle_and_line_order(tree):
     other = sweep_solve(shuffled, head, tol=1e-12, max_iter=300)
     at = [other.node_order.index(node) for node in sol.node_order]
     assert np.max(np.abs(other.v[at] - sol.v)) <= 1e-12
+
+
+@given(radial_trees())
+@settings(max_examples=60, deadline=None)
+def test_nodes_are_numbered_depth_first_in_line_order(tree):
+    lines, _, order = tree
+    lines = [lines[k] for k in order]
+    topo = Feeder(12.47, 100.0, "n0", tuple(lines), ()).topology()
+
+    def walk(node, parent):
+        yield node, parent
+        for ln in lines:
+            ends = (ln.from_node, ln.to_node)
+            if node in ends and parent not in ends:
+                yield from walk(ends[ends[0] == node], node)
+
+    parent = dict(walk("n0", None))
+    assert topo.node_order == tuple(parent)
+
+    def ancestry(node):
+        while node is not None:
+            yield node
+            node = parent[node]
+
+    for k, node in enumerate(topo.node_order):
+        subtree = {other for other in parent if node in ancestry(other)}
+        assert set(topo.node_order[k:topo.end[k]]) == subtree
 
 
 def _line_by_line_sweep(feeder, head_v, tol):

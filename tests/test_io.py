@@ -22,7 +22,7 @@ def test_shipped_case_shape(case9_doc):
     assert len(case.generators) == 3
     assert len([ld for ld in case.loads if not ld.is_feeder]) == 3
     assert {ld.bus for ld in case.loads} == {5, 6, 8}
-    assert case.bus_by_id(1).kind is BusKind.SLACK
+    assert case.buses[0].id == 1 and case.buses[0].kind is BusKind.SLACK
     assert case.branches[0].zero_seq_path is ZeroSeqPath.GROUNDED
 
 
@@ -67,24 +67,7 @@ def test_dangling_branch_reference_located():
     assert err.value.line == 4
 
 
-def test_case_round_trip(case9_doc):
-    text = io.serialize_case(case9_doc)
-    doc2 = io.parse_case(text)
-    c1, c2 = case9_doc.case, doc2.case
-    assert c2.buses == c1.buses
-    assert c2.generators == c1.generators
-    assert c2.loads == c1.loads
-    assert c2.base_mva == c1.base_mva
-    for a, b in zip(c1.branches, c2.branches):
-        for field in (
-            "from_bus", "to_bus", "z1", "z2", "z0", "b1_shunt", "b0_shunt",
-            "tap", "zero_seq_path", "untransposed",
-        ):
-            assert getattr(a, field) == getattr(b, field), field
-    assert io.serialize_case(doc2) == text
-
-
-def test_case_round_trip_with_coupling():
+def test_case_coupling_parsed():
     text = (
         "tdcase 1\nbase_mva 100.0\n"
         "bus 1 slack base_kv=230.0 v=1.0 angle=0.0\n"
@@ -99,9 +82,6 @@ def test_case_round_trip_with_coupling():
     assert br.untransposed
     assert br.coupling[0, 1] == 0.004 + 0.012j
     assert br.coupling[2, 0] == -0.003 + 0.008j
-    text2 = io.serialize_case(doc)
-    doc2 = io.parse_case(text2)
-    assert np.array_equal(doc2.case.branches[0].coupling, br.coupling)
 
 
 def test_feeder_attachment_parsed():
@@ -114,7 +94,9 @@ def test_feeder_attachment_parsed():
         "feeder 2 id=ckt24 shape=day\n"
     )
     doc = io.parse_case(text)
-    assert doc.feeder_attachments == {2: "ckt24"}
+    assert [(ld.bus, ld.feeder_id, ld.loadshape_id) for ld in doc.case.loads] == [
+        (2, "ckt24", "day")
+    ]
     assert doc.case.pcc_buses() == [2]
 
 

@@ -119,8 +119,4 @@ def test_with_dispatch_replaces_setpoints():
 
 
 def test_case_lookup_helpers(case9):
-    assert case9.slack_bus().id == 1
-    assert case9.bus_by_id(6).kind is BusKind.PQ
-    with pytest.raises(KeyError):
-        case9.bus_by_id(42)
     assert case9.pcc_buses() == []
