@@ -12,7 +12,10 @@ advances past a step once its boundary has converged.
   and the per-phase head powers feed the next transmission solve.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``; the first
-  round bootstraps from each feeder's aggregate load.
+  round bootstraps from each feeder's aggregate load.  Each sweep starts
+  from the latest solution of its feeder: the previous round's, or for the
+  first round the previous step's, which the loop hands over with the whole
+  converged state.  A feeder solved on another topology starts flat.
 * The aggregate-PQ boundary is the decoupled model: each feeder enters as
   its aggregate load times its multiplier, and one transmission solve ends
   the step with no feeder sweep.  :func:`run_decoupled_baseline` runs it on
@@ -82,9 +85,12 @@ class CosimResult:
     aborted_at: int | None = None
 
 
-def _sweep_one(bus, feeder, head_v):
+def _sweep_one(bus, feeder, head_v, last):
+    """Sweep one feeder, starting from ``last``, its latest solution, when
+    that was solved on the same topology."""
+    start = last.start_for(feeder) if last is not None else None
     try:
-        return dsolve.sweep_solve(feeder, head_v)
+        return dsolve.sweep_solve(feeder, head_v, start=start)
     except TdcosimError as exc:
         exc.args = (f"PCC bus {bus}: {exc.args[0]}",) + exc.args[1:]
         exc.pcc_bus = bus
@@ -111,12 +117,17 @@ def couple_step(
     dispatch: ed.DispatchResult | None = None,
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
-    warm: tsolve.SequenceSolution | None = None,
+    warm: CoupledState | None = None,
 ) -> tuple[CoupledState, CouplingTrace]:
     """Iterate one transmission/distribution exchange to convergence.
 
+    ``warm``, a previous step's converged state, starts the first
+    transmission solve and the first feeder sweeps; later sweeps start
+    from the previous round's feeder solutions.
+
     Raises :class:`ConvergenceError` (with the trace so far attached as
-    ``exc.trace``) if ``max_rounds`` is exhausted or a feeder sweep fails.
+    ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
+    a feeder sweep fails.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -137,17 +148,24 @@ def couple_step(
     trace = CouplingTrace()
     prev_mag: dict[int, np.ndarray] = {}
     converged_at: dict[int, int] = {}
-    seq = warm
-    fsols: dict[int, dsolve.FeederSolution] = {}
+    seq = warm.seq if warm is not None else None
+    fsols: dict[int, dsolve.FeederSolution] = {}  # this step's latest sweeps
+    last = warm.feeder_solutions if warm is not None else {}
 
     for k in range(1, max_rounds + 1):
         # (i) transmission solve with the most recent PCC powers; on exit the
         # converged transmission model has consumed them verbatim.
-        seq = tsolve.solve_three_sequence(
-            case,
-            pcc_loads=[(bus, s_pcc[bus]) for bus in sorted(feeders)],
-            warm=seq,
-        )
+        try:
+            seq = tsolve.solve_three_sequence(
+                case,
+                pcc_loads=[(bus, s_pcc[bus]) for bus in sorted(feeders)],
+                warm=seq,
+            )
+        except ConvergenceError as exc:
+            exc.args = (f"round {k}: {exc.args[0]}",) + exc.args[1:]
+            trace.overall_iterations = k
+            exc.trace = trace
+            raise
         v_sent = {bus: sequence_to_phase(seq.at(bus)) for bus in feeders}
 
         all_ok = k >= 2
@@ -194,12 +212,14 @@ def couple_step(
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
             fsols = {
-                bus: _sweep_one(bus, feeders[bus], v_sent[bus]) for bus in sorted(feeders)
+                bus: _sweep_one(bus, feeders[bus], v_sent[bus], last.get(bus))
+                for bus in sorted(feeders)
             }
         except ConvergenceError as exc:
             trace.overall_iterations = k
             exc.trace = trace
             raise
+        last = fsols
         s_pcc = {bus: sol.head_power for bus, sol in fsols.items()}
 
     trace.overall_iterations = max_rounds
@@ -267,7 +287,9 @@ def _aggregate_pq_boundary(case, feeders, multipliers, dispatch, warm):
         (bus, dsolve.aggregate_load(feeders[bus]).scaled(multipliers.get(bus, 1.0)))
         for bus in sorted(feeders)
     ]
-    seq = tsolve.solve_three_sequence(case, pcc_loads=pcc_loads, warm=warm)
+    seq = tsolve.solve_three_sequence(
+        case, pcc_loads=pcc_loads, warm=warm.seq if warm is not None else None
+    )
     trace = CouplingTrace(overall_iterations=1)
     v_sent = {}
     for bus, _ in pcc_loads:
@@ -286,9 +308,9 @@ def _time_loop(
 
     Each step's ``boundary(step_case, feeders, multipliers, dispatch, warm)``
     gets the loadshape-scaled case, the unscaled feeders with their
-    multipliers by PCC bus, the dispatch in force and the previous step's
-    transmission solution; it returns ``(CoupledState, CouplingTrace)`` or
-    raises :class:`ConvergenceError`.
+    multipliers by PCC bus, the dispatch in force and the last converged
+    step's :class:`CoupledState`; it returns ``(CoupledState, CouplingTrace)``
+    or raises :class:`ConvergenceError`.
     """
     if horizon_min <= 0:
         raise ValueError("horizon must be positive")
@@ -311,7 +333,7 @@ def _time_loop(
     gen_buses = tuple(g.bus for g in case.generators)
     steps: list[StepResult] = []
     dispatch: ed.DispatchResult | None = None
-    warm: tsolve.SequenceSolution | None = None
+    warm: CoupledState | None = None
     aborted_at: int | None = None
 
     for t in range(start_min, start_min + horizon_min, pf_interval_min):
@@ -329,7 +351,7 @@ def _time_loop(
         except ConvergenceError as exc:
             state, trace = None, getattr(exc, "trace", CouplingTrace())
         else:
-            warm = state.seq
+            warm = state
         steps.append(
             StepResult(
                 t_min=t,

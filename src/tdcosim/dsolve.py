@@ -7,7 +7,9 @@ backward/forward sweep over constant-PQ loads (the ladder method).  The
 backward sweep sums the load currents over each subtree as a difference of
 suffix sums; a line carries its child's sum.  The forward sweep subtracts
 the line drops ``Z i_line`` along each path from the head: a prefix sum less
-the terms of subtrees already closed (see ``_Topology``).  Sweeps repeat
+the terms of subtrees already closed (see ``_Topology``).  Sweeps start
+from the head voltage at every node, or from a previous solution's voltages
+on the same topology rescaled per phase to the new head voltage, and repeat
 until the largest per-phase voltage change falls below tolerance.  After
 convergence one extra backward sweep recomputes all branch currents at the
 reported voltages, so the returned state satisfies KCL at every node to
@@ -27,10 +29,10 @@ it names and ``load_nodes`` its node.  ``FeederLine`` and ``PhaseLoad``
 records are converted on construction and rebuilt on demand, never on the
 solve path.  Load scaling, unbalance and aggregation are vector operations
 on ``load_s``.  The value copies they return share the topology and the
-sweep plan, built at the first sweep: the per-unit impedances gathered from
-the pad by node and each load's node.  A sweep then only folds ``load_s``
-onto the nodes with one ``bincount`` in file order, so every sum rounds as
-a loop over the loads would.
+sweep plan, built at the first sweep: the negated per-unit impedances
+gathered from the pad by node and each load's node.  A sweep then only
+folds ``load_s`` onto the nodes with one ``bincount`` in file order, so
+every sum rounds as a loop over the loads would.
 """
 from __future__ import annotations
 
@@ -224,9 +226,11 @@ class _SweepPlan:
         self.load_at, problems = _place_loads(feeder, topo)  # (m,)
         if problems:
             raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(problems))
-        # z_pu[k - 1] is the per-unit impedance of the line that feeds node k.
-        self.z_pu = feeder.line_z[topo.line_index]
-        self.z_pu /= feeder.base_kv**2 / feeder.base_mva
+        # neg_z_pu[k - 1] is minus the per-unit impedance of the line that
+        # feeds node k, so a sweep forms the drops -Z i_line in one product.
+        self.neg_z_pu = feeder.line_z[topo.line_index]
+        self.neg_z_pu /= feeder.base_kv**2 / feeder.base_mva
+        np.negative(self.neg_z_pu, out=self.neg_z_pu)
 
 
 def _compile_topology(feeder: Feeder) -> _Topology:
@@ -343,6 +347,11 @@ class FeederSolution:
     mask: np.ndarray
     _feeder: Feeder = field(repr=False)
 
+    def start_for(self, feeder: Feeder) -> np.ndarray | None:
+        """These voltages as a sweep ``start`` for ``feeder``, or None unless
+        they were solved on the same topology object."""
+        return self.v if self._feeder.topology() is feeder.topology() else None
+
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()
@@ -396,8 +405,14 @@ def sweep_solve(
     head_v: PhaseVoltages,
     tol: float = SWEEP_TOL,
     max_iter: int = SWEEP_MAX_ITER,
+    start: np.ndarray | None = None,
 ) -> FeederSolution:
-    """Backward/forward sweep power flow from a fixed head voltage."""
+    """Backward/forward sweep power flow from a fixed head voltage.
+
+    The sweep starts from the head voltage at every node or, given
+    ``start``, from a previous solution's (n, 3) voltages on this topology
+    rescaled per phase by ``head / start[0]``.
+    """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
@@ -412,6 +427,12 @@ def sweep_solve(
     topo = feeder.topology()
     plan = feeder.sweep_plan()
     mask = topo.mask
+    if start is not None:
+        start = np.asarray(start)
+        if start.shape != mask.shape:
+            raise ValueError(f"start has shape {start.shape}, the feeder {mask.shape}")
+        if np.any(start[0] == 0):  # the head has every phase
+            raise ValueError(f"start has a zero head voltage: {start[0]}")
     absent = np.where(mask, 0.0, np.inf)  # added to |v|: min over present phases
     s_pu = _load_array(feeder)
 
@@ -422,13 +443,15 @@ def sweep_solve(
     work = np.empty((len(s_pu) + 1, 3), dtype=complex)
     mag = np.empty(s_pu.shape)
     v = np.zeros_like(s_pu)
-    np.copyto(v, head_arr, where=mask)
+    if start is None:
+        np.copyto(v, head_arr, where=mask)
+    else:
+        np.multiply(start, head_arr / start[0], out=v, where=mask)
     b[0] = head_arr
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
         topo.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
-        np.einsum("lij,lj->li", plan.z_pu, acc[1:], out=b[1:])
-        np.negative(b[1:], out=b[1:])
+        np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
         np.multiply(topo.path_sums(b, v_new, work), mask, out=v_new)
         delta = float(np.max(np.abs(np.subtract(v_new, v, out=cur), out=mag)))
         history.append(delta)

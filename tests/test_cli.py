@@ -80,6 +80,18 @@ def test_feeder_collapse_exit_1(paths, heavy_feeder, capsys):
     assert "did not converge" in capsys.readouterr().out
 
 
+def test_transmission_failure_writes_the_partial_trace(paths, tmp_path, capsys):
+    # at 2x load and alpha 0.25 the sequence loop fails in round 2
+    path = tmp_path / "double.td"
+    path.write_text(io.serialize_feeder(dsolve.scale_loads(io.load_feeder(paths["feeder"]), 2.0)))
+    rc = main(["snapshot", "--case", paths["case"], "--feeder", f"{path}@6",
+               "--alpha", "0.25", "--out", paths["out"]])
+    assert rc == 1
+    assert "round 2: sequence loop did not settle" in capsys.readouterr().err
+    rows = (Path(paths["out"]) / "coupling_trace.csv").read_text().splitlines()[1:]
+    assert len(rows) == 1
+
+
 def test_timeseries_collapse_continue_exit_1(paths, heavy_feeder):
     rc = main(
         ["timeseries", "--case", paths["case"], "--feeder", heavy_feeder,

@@ -1,0 +1,99 @@
+"""Where the coupling converges: rounds and failure points over a grid.
+
+The grid crosses ``case9`` with ``ckt24_synth`` at bus 6 and at buses 5, 6
+and 8, with the loads as given and with the first half of them negated
+(reverse flow), over load scale 1-4x and unbalance alpha.  Generators keep
+the case-file setpoints, so every reverse-flow point has a feasible
+operating point to start from.
+
+A converged point pins the overall rounds and the rounds per PCC: an int is
+the overall count when every PCC converged in that round, a dict gives the
+rounds per PCC (the overall count is the largest).  A failing point pins the
+error type and the round it failed in (``overall_iterations`` of the trace
+it carries).
+"""
+from dataclasses import replace
+
+import pytest
+
+from tdcosim import cosim, dsolve
+from tdcosim.errors import TdcosimError
+from tdcosim.netmodel import LoadAttachment
+
+SCALES = (1, 2, 3, 4)
+ALPHAS = (0.0, 0.1, 0.25, 0.5)
+SEQ = "ConvergenceError"  # a Newton solve or the sequence loop failed
+COLLAPSE = "VoltageCollapseError"
+
+# (PCC buses, reverse flow): {load scale: one cell per alpha in ALPHAS}
+CONVERGENCE_MAP = {
+    ((6,), False): {
+        1: [3, 3, 3, 4],
+        2: [4, 5, (SEQ, 2), (SEQ, 1)],
+        3: [5, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        4: [(COLLAPSE, 4), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+    },
+    ((5, 6, 8), False): {
+        1: [3, 4, 5, 5],
+        2: [4, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        3: [{5: 6, 6: 6, 8: 5}, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        4: [(COLLAPSE, 2), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+    },
+    ((6,), True): {
+        1: [3, 3, 3, 3],
+        2: [3, 3, 3, 3],
+        3: [3, 3, 4, 4],
+        4: [3, 4, 4, 4],
+    },
+    ((5, 6, 8), True): {
+        1: [3, 3, 3, 4],
+        2: [3, 4, 4, (SEQ, 1)],
+        3: [3, 4, (SEQ, 1), (SEQ, 1)],
+        4: [(SEQ, 1), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+    },
+}
+
+POINTS = [
+    pytest.param(
+        buses, reverse, scale, alpha, cells[i],
+        id=f"{'-'.join(map(str, buses))}{'-reverse' if reverse else ''}-x{scale}-a{alpha}",
+    )
+    for (buses, reverse), rows in CONVERGENCE_MAP.items()
+    for scale, cells in rows.items()
+    for i, alpha in enumerate(ALPHAS)
+]
+
+
+def _reverse_flow(feeder):
+    """The feeder with the first half of its loads negated."""
+    load_s = feeder.load_s.copy()
+    load_s[: len(load_s) // 2] *= -1
+    return dsolve.Feeder.from_arrays(
+        feeder.base_kv, feeder.base_mva, feeder.head, feeder.line_from, feeder.line_to,
+        feeder.line_phases, feeder.line_z, feeder.load_nodes, feeder.load_phases, load_s,
+        feeder.name,
+    )
+
+
+def test_grid_covers_every_point():
+    assert len(POINTS) == 64
+
+
+@pytest.mark.parametrize("buses, reverse, scale, alpha, expected", POINTS)
+def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expected):
+    case = replace(case9, loads=tuple(
+        LoadAttachment(ld.bus, feeder_id=f"ckt24_{ld.bus}", loadshape_id=ld.loadshape_id)
+        if ld.bus in buses else ld
+        for ld in case9.loads
+    ))
+    base = _reverse_flow(ckt_feeder) if reverse else ckt_feeder
+    feeder = dsolve.apply_unbalance(dsolve.scale_loads(base, scale), alpha)
+    try:
+        _, trace = cosim.couple_step(case, {bus: feeder for bus in buses})
+    except TdcosimError as exc:
+        assert (type(exc).__name__, exc.trace.overall_iterations) == expected
+        return
+    assert not isinstance(expected, tuple), f"expected {expected}, converged"
+    per_pcc = expected if isinstance(expected, dict) else dict.fromkeys(buses, expected)
+    assert trace.iterations_to_converge == per_pcc
+    assert trace.overall_iterations == max(per_pcc.values())

@@ -246,6 +246,51 @@ def test_continue_policy_records_failures(system1, ckt_feeder, flat_shape):
     assert all(not s.converged for s in res.steps)
 
 
+def test_each_sweep_starts_from_the_last_solution(system1, ckt_feeder, flat_shape, monkeypatch):
+    sweeps = []  # (start, solution) of every sweep, in call order
+    sweep_solve = dsolve.sweep_solve
+
+    def spy(feeder, head_v, start=None):
+        sol = sweep_solve(feeder, head_v, start=start)
+        sweeps.append((start, sol))
+        return sol
+
+    monkeypatch.setattr(dsolve, "sweep_solve", spy)
+    res = cosim.run_timeseries(system1, {6: ckt_feeder}, {"day": flat_shape}, horizon_min=3)
+    assert sum(s.trace.overall_iterations - 1 for s in res.steps) == len(sweeps)
+    assert sweeps[0][0] is None
+    # round to round and minute to minute, one PCC: each start is the sweep before
+    for (start, _), (_, before) in zip(sweeps[1:], sweeps):
+        assert start is before.v
+    cold = sweeps[0][1].iterations
+    assert all(sol.iterations < cold for _, sol in sweeps[1:])
+    # a warm minute still reports the transmission magnitudes in round 1
+    assert all(r.v_dist_mag == r.v_trans_mag
+               for s in res.steps for r in s.trace.rows if r.iteration == 1)
+    # alpha rows of an unbalance sweep stay independent
+    sweeps.clear()
+    sweep = cosim.sweep_unbalance(system1, {6: ckt_feeder}, [0.0, 0.1])
+    flat = [i for i, (start, _) in enumerate(sweeps) if start is None]
+    assert flat == [0, sweep.rows[0].overall_n - 1]
+
+
+def test_timeseries_is_repeatable_and_free_of_feeder_order(system2, feeders3, day_shape):
+    def run(feeders):
+        return cosim.run_timeseries(
+            system2, feeders, {"day": day_shape}, start_min=600, horizon_min=6
+        )
+
+    first = run(feeders3)
+    reordered = {bus: feeders3[bus] for bus in sorted(feeders3, reverse=True)}
+    for other in (run(feeders3), run(reordered)):
+        for a, b in zip(first.steps, other.steps, strict=True):
+            assert a.converged and a.trace == b.trace
+            for bus in feeders3:
+                fa, fb = a.state.feeder_solutions[bus], b.state.feeder_solutions[bus]
+                assert fa.iterations == fb.iterations
+                assert np.array_equal(fa.v, fb.v)
+
+
 # -- decoupled baseline -------------------------------------------------------
 
 

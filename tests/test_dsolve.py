@@ -218,6 +218,50 @@ def test_head_voltage_band_enforced():
         sweep_solve(f, PhaseVoltages.balanced(1.6))
 
 
+@pytest.mark.parametrize("scale, alpha", [(0.95, 0.0), (0.9, 0.1), (1.0, 0.0)])
+def test_warm_sweep_matches_the_cold_sweep(ckt_feeder, scale, alpha):
+    # the start is solved at another head voltage and load level
+    nearby = apply_unbalance(scale_loads(ckt_feeder, scale), alpha)
+    start = sweep_solve(nearby, PhaseVoltages.balanced(1.0)).v
+    head = PhaseVoltages.balanced(1.02, -0.05)
+    cold = sweep_solve(ckt_feeder, head)
+    warm = sweep_solve(ckt_feeder, head, start=start)
+    assert np.max(np.abs(warm.v - cold.v)) < 1e-6
+    assert np.max(np.abs(warm.kcl_residuals())) < 1e-15
+    assert warm.iterations <= cold.iterations
+    assert np.array_equal(warm.v[0], head.as_array())
+
+
+def test_warm_start_is_rescaled_to_the_head():
+    f = simple_feeder({"a": 1.0 + 0.3j, "b": 0.8 + 0.2j, "c": 1.2 + 0.1j})
+    head = PhaseVoltages.balanced(1.01, 0.2)
+    sol = sweep_solve(f, head, tol=1e-12)
+    # the same solution at a head rotated and scaled per phase converges at once
+    start = sol.v * np.array([0.9, 1.1j, -1.05])
+    warm = sweep_solve(f, head, start=start)
+    assert warm.iterations == 1
+    assert np.max(np.abs(warm.v - sol.v)) < 1e-12
+
+
+def test_bad_warm_start_rejected(ckt_feeder):
+    head = PhaseVoltages.balanced(1.0)
+    v = sweep_solve(ckt_feeder, head).v
+    with pytest.raises(ValueError, match="shape"):
+        sweep_solve(ckt_feeder, head, start=v[1:])
+    zero_head = v.copy()
+    zero_head[0, 1] = 0.0
+    with pytest.raises(ValueError, match="zero head"):
+        sweep_solve(ckt_feeder, head, start=zero_head)
+
+
+def test_start_only_from_the_same_topology(ckt_feeder):
+    sol = sweep_solve(ckt_feeder, PhaseVoltages.balanced(1.0))
+    assert sol.start_for(scale_loads(ckt_feeder, 1.1)) is sol.v
+    rebuilt = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+                     ckt_feeder.lines, ckt_feeder.loads)
+    assert sol.start_for(rebuilt) is None
+
+
 def test_monotone_drop_along_uniform_path():
     lines = []
     loads = []
