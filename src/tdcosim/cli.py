@@ -169,11 +169,12 @@ def cmd_timeseries(args) -> int:
         _write_comparison(result, baseline, outdir)
         print(f"decoupled baseline in {outdir / 'decoupled'}")
         if baseline.aborted_at is not None:
-            print(f"decoupled baseline aborted at minute {baseline.aborted_at}",
-                  file=sys.stderr)
+            print(f"decoupled baseline aborted at minute {baseline.aborted_at}: "
+                  f"{baseline.steps[-1].error}", file=sys.stderr)
             return EXIT_NUMERIC
     if result.aborted_at is not None:
-        print(f"aborted at minute {result.aborted_at} (coupling failure)", file=sys.stderr)
+        print(f"aborted at minute {result.aborted_at} (coupling failure): "
+              f"{result.steps[-1].error}", file=sys.stderr)
         return EXIT_NUMERIC
     return EXIT_NUMERIC if n_fail else EXIT_OK
 

@@ -76,6 +76,7 @@ class StepResult:
     dispatched: bool  # True when the dispatch was computed at this step
     gen_buses: tuple[int, ...]
     wall_s: float
+    error: str | None = None  # why the step did not converge
 
 
 @dataclass
@@ -280,17 +281,22 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
 def _aggregate_pq_boundary(case, feeders, multipliers, dispatch, warm):
     """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
-    The trace carries one round so the result shares the coupled run's shape.
+    The trace carries one round so the result shares the coupled run's
+    shape; a :class:`ConvergenceError` carries it too, with no rows.
     """
     case = with_dispatch(case, dispatch.p_set)
     pcc_loads = [
         (bus, dsolve.aggregate_load(feeders[bus]).scaled(multipliers.get(bus, 1.0)))
         for bus in sorted(feeders)
     ]
-    seq = tsolve.solve_three_sequence(
-        case, pcc_loads=pcc_loads, warm=warm.seq if warm is not None else None
-    )
     trace = CouplingTrace(overall_iterations=1)
+    try:
+        seq = tsolve.solve_three_sequence(
+            case, pcc_loads=pcc_loads, warm=warm.seq if warm is not None else None
+        )
+    except ConvergenceError as exc:
+        exc.trace = trace
+        raise
     v_sent = {}
     for bus, _ in pcc_loads:
         v_sent[bus] = sequence_to_phase(seq.at(bus))
@@ -310,7 +316,8 @@ def _time_loop(
     gets the loadshape-scaled case, the unscaled feeders with their
     multipliers by PCC bus, the dispatch in force and the last converged
     step's :class:`CoupledState`; it returns ``(CoupledState, CouplingTrace)``
-    or raises :class:`ConvergenceError`.
+    or raises :class:`ConvergenceError`, whose message becomes the step's
+    ``error``.
     """
     if horizon_min <= 0:
         raise ValueError("horizon must be positive")
@@ -346,10 +353,11 @@ def _time_loop(
         multipliers = {
             ld.bus: _multiplier(ld, loadshapes, t) for ld in case.loads if ld.is_feeder
         }
+        error = None
         try:
             state, trace = boundary(step_case, feeders, multipliers, dispatch, warm)
         except ConvergenceError as exc:
-            state, trace = None, getattr(exc, "trace", CouplingTrace())
+            state, trace, error = None, getattr(exc, "trace", CouplingTrace()), str(exc)
         else:
             warm = state
         steps.append(
@@ -362,6 +370,7 @@ def _time_loop(
                 dispatched=dispatched,
                 gen_buses=gen_buses,
                 wall_s=time.perf_counter() - began,
+                error=error,
             )
         )
         if state is None and on_fail == "abort":

@@ -17,8 +17,9 @@ machine precision regardless of the sweep tolerance.  Solutions, masks and
 line checks are all reported in this numbering.
 
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
-phases masked to zero; per-unit uses a line-to-neutral voltage base and a
-per-phase power base of ``base_mva / 3``.
+phases zero in every result (a sweep's iterates hold a placeholder voltage
+there, which carries no load and no drop); per-unit uses a line-to-neutral
+voltage base and a per-phase power base of ``base_mva / 3``.
 
 A feeder holds its lines and loads as arrays, one row per ``line`` or
 ``load`` line in file order: ``line_from``/``line_to`` name the ends,
@@ -356,7 +357,7 @@ class FeederSolution:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()
         s_pu = _load_array(self._feeder)
-        resid = -_load_currents(s_pu, self.v, topo.mask, np.zeros_like(s_pu))
+        resid = -_load_currents(s_pu, self.v, topo.mask)
         np.subtract.at(resid, topo.parent, self.i_line)
         resid[1:] += self.i_line
         resid[0] = 0.0  # the head's balance is closed by the source
@@ -386,18 +387,14 @@ def _divide(z: np.ndarray, x: float) -> np.ndarray:
     return (np.ascontiguousarray(z).view(float) / x).view(complex)
 
 
-def _load_currents(
-    s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray, quot: np.ndarray,
-    out: np.ndarray | None = None,
-) -> np.ndarray:
-    """``conj(s_pu / v)`` on present phases, zero elsewhere; ``quot`` is
-    scratch that holds zero on absent phases.
+def _load_currents(s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """``conj(s_pu / v)`` on present phases, zero elsewhere, where ``v`` is zero.
 
-    No voltage floor is tested: callers pass a head voltage inside the band
-    or an iterate that passed the collapse floor.
+    No voltage floor is tested: callers pass voltages that passed the
+    collapse floor.
     """
-    np.divide(s_pu, v, out=quot, where=mask)
-    return np.conjugate(quot, out=out)
+    quot = np.divide(s_pu, v, out=np.zeros_like(s_pu), where=mask)
+    return np.conjugate(quot, out=quot)
 
 
 def sweep_solve(
@@ -411,7 +408,10 @@ def sweep_solve(
 
     The sweep starts from the head voltage at every node or, given
     ``start``, from a previous solution's (n, 3) voltages on this topology
-    rescaled per phase by ``head / start[0]``.
+    rescaled per phase by ``head / start[0]``.  While it iterates, absent
+    phases carry no load and no drop, so they keep a nonzero voltage (the
+    head's at the start) and the load currents need no mask; they are set
+    to zero once, before the final pass.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -438,21 +438,19 @@ def sweep_solve(
 
     # Buffers reused by every iteration; b[0] is the head voltage, b[k] minus
     # the drop on the line that feeds node k.
-    quot = np.zeros_like(s_pu)
-    cur, acc, b, v_new = (np.empty_like(s_pu) for _ in range(4))
+    cur, acc, b, v_new, v = (np.empty_like(s_pu) for _ in range(5))
     work = np.empty((len(s_pu) + 1, 3), dtype=complex)
     mag = np.empty(s_pu.shape)
-    v = np.zeros_like(s_pu)
-    if start is None:
-        np.copyto(v, head_arr, where=mask)
-    else:
+    v[:] = head_arr
+    if start is not None:
         np.multiply(start, head_arr / start[0], out=v, where=mask)
     b[0] = head_arr
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
-        topo.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
+        np.divide(s_pu, v, out=cur)
+        topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
         np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
-        np.multiply(topo.path_sums(b, v_new, work), mask, out=v_new)
+        topo.path_sums(b, v_new, work)
         delta = float(np.max(np.abs(np.subtract(v_new, v, out=cur), out=mag)))
         history.append(delta)
         v, v_new = v_new, v
@@ -474,7 +472,8 @@ def sweep_solve(
 
     # Final consistency pass: currents recomputed at the reported voltages so
     # KCL holds exactly at every node.
-    topo.subtree_sums(_load_currents(s_pu, v, mask, quot, cur), acc, work)
+    np.multiply(v, mask, out=v)
+    topo.subtree_sums(_load_currents(s_pu, v, mask), acc, work)
     s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 

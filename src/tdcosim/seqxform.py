@@ -126,15 +126,20 @@ def sequence_to_phase(v: SequenceVoltages) -> PhaseVoltages:
     return PhaseVoltages.from_array(FORTESCUE @ v.as_array())
 
 
-def phase_currents_from_power(s: PhasePowers, v: PhaseVoltages) -> np.ndarray:
+def phase_currents_from_power(
+    s: PhasePowers | np.ndarray, v: PhaseVoltages | np.ndarray
+) -> np.ndarray:
     """Per-phase load currents ``i_p = conj(s_p / v_p)``.
 
-    ``s`` and ``v`` must share a per-unit frame.  Raises
+    ``s`` and ``v`` are a :class:`PhasePowers` and a :class:`PhaseVoltages`,
+    or (..., 3) arrays, in one per-unit frame.  Raises
     :class:`DegenerateVoltageError` if any phase voltage magnitude is below
     :data:`VOLTAGE_FLOOR`.
     """
-    varr = v.as_array()
-    for phase, vp in zip(PHASES, varr):
-        if abs(vp) < VOLTAGE_FLOOR:
-            raise DegenerateVoltageError(phase, abs(vp))
-    return np.conj(s.as_array() / varr)
+    s = s.as_array() if isinstance(s, PhasePowers) else s
+    v = v.as_array() if isinstance(v, PhaseVoltages) else v
+    mags = np.abs(v)
+    if mags.min(initial=VOLTAGE_FLOOR) < VOLTAGE_FLOOR:
+        low = np.argwhere(mags < VOLTAGE_FLOOR)[0]
+        raise DegenerateVoltageError(PHASES[low[-1]], float(mags[tuple(low)]))
+    return np.conj(s / v)

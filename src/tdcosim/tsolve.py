@@ -8,7 +8,9 @@ currents, so the three networks stay independent within a pass.  Unbalanced
 PCC loads enter the positive sequence as a PQ load ``v1*conj(i1)`` and the
 other sequences as current injections; because those terms depend on the
 solution voltages, the module iterates the three solves to an internal fixed
-point that is much tighter than the outer coupling tolerance.
+point that is much tighter than the outer coupling tolerance.  One pass of
+that loop is a function of the (3, n) sequence voltages, and the loop
+Anderson-mixes its passes.
 
 Everything that depends only on the buses and branches (the three Y-buses,
 the bus index and classes, and the ground-tied partition and sparse LU
@@ -29,19 +31,18 @@ import scipy.sparse.linalg as spla
 from .errors import ConvergenceError, SingularNetworkError
 from .netmodel import BusKind, TransmissionCase, Units, ZeroSeqPath, to_per_unit
 from .seqxform import (
+    FORTESCUE,
     FORTESCUE_INV,
     PhasePowers,
-    PhaseVoltages,
     SequenceVoltages,
     phase_currents_from_power,
-    phase_to_sequence,
-    sequence_to_phase,
 )
 
 NR_TOL = 1e-8
 NR_MAX_ITER = 30
 SEQ_LOOP_TOL = 1e-9
 SEQ_LOOP_MAX_PASSES = 20
+SEQ_LOOP_MEMORY = 5  # passes the sequence loop's Anderson mixing looks back over
 PV_SWITCH_MAX = 5
 
 
@@ -77,6 +78,8 @@ class SequenceYBus:
     y2: sp.csr_matrix
     y1_dense: np.ndarray  # the NR's Y1, densified once
     couplings: list[SequenceCoupling]
+    coupling_ends: np.ndarray  # (2c,) from and to bus of each coupling in turn
+    coupling_y: np.ndarray  # (c, 3, 3) their y_off blocks, stacked
     bus_index: dict[int, int]
     slack: int
     pv: tuple[int, ...]
@@ -102,21 +105,6 @@ class SequenceSolution:
     def at(self, bus_id: int) -> SequenceVoltages:
         i = self.bus_index[bus_id]
         return SequenceVoltages(complex(self.v0[i]), complex(self.v1[i]), complex(self.v2[i]))
-
-
-@dataclass(frozen=True)
-class PccInjection:
-    """Sequence-domain image of one unbalanced PCC load.
-
-    ``s1`` is the positive-sequence load power (consumption positive, pu on
-    the system base); ``i2``/``i0`` are current injections into the network
-    (load currents negated) for the linear sequence solves.
-    """
-
-    bus: int
-    s1: complex
-    i2: complex
-    i0: complex
 
 
 def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
@@ -173,12 +161,15 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     if len(slack) != 1:
         raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
     y0, y2 = y0.tocsr(), y2.tocsr()
+    ends, y_off = _stack_couplings(couplings)
     return SequenceYBus(
         y0=y0,
         y1=y1.tocsr(),
         y2=y2,
         y1_dense=y1.toarray(),
         couplings=couplings,
+        coupling_ends=ends,
+        coupling_y=y_off,
         bus_index=bus_index,
         slack=slack[0],
         pv=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PV),
@@ -189,7 +180,7 @@ def _sequence_network(buses, branches) -> SequenceYBus:
 
 
 def _scheduled_injections(
-    case: TransmissionCase, bus_index: dict[int, int], extra_s1: dict[int, complex]
+    case: TransmissionCase, bus_index: dict[int, int], extra_s1: dict[int, complex] | np.ndarray
 ) -> np.ndarray:
     """Net complex power injection per bus (generation minus load), pu."""
     s = np.zeros(len(bus_index), dtype=complex)
@@ -198,8 +189,11 @@ def _scheduled_injections(
     for ld in case.loads:
         if not ld.is_feeder:
             s[bus_index[ld.bus]] -= ld.p + 1j * ld.q
-    for bus_id, s1 in extra_s1.items():
-        s[bus_index[bus_id]] -= s1
+    if isinstance(extra_s1, dict):
+        for bus_id, s1 in extra_s1.items():
+            s[bus_index[bus_id]] -= s1
+    else:
+        s -= extra_s1
     return s
 
 
@@ -219,15 +213,15 @@ def nr_positive_sequence(
 ) -> NrResult:
     """Polar Newton-Raphson on the positive-sequence network.
 
-    ``extra_s1`` adds PQ loads (pu, consumption positive) keyed by bus id, on
-    top of the case's lumped loads.
+    ``extra_s1`` adds PQ loads (pu, consumption positive) on top of the
+    case's lumped loads: a dict by bus id, or an (n,) array by bus index.
 
     PV reactive limits are enforced by PV->PQ switching after convergence,
     re-solving at most ``PV_SWITCH_MAX`` times.
     """
     if case.units is not Units.PER_UNIT:
         raise ValueError("nr_positive_sequence requires a per-unit case")
-    extra_s1 = extra_s1 or {}
+    extra_s1 = {} if extra_s1 is None else extra_s1
     y = ybus.y1_dense
     slack = ybus.slack
     s_sched = _scheduled_injections(case, ybus.bus_index, extra_s1)
@@ -277,6 +271,7 @@ def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
     pq_s = np.array(sorted(pq), dtype=int)
     npvpq, npq = len(pvpq), len(pq_s)
     jac = np.empty((npvpq + npq, npvpq + npq))
+    diag = np.diag_indices(len(vm))
     s_spec = s_sched.copy()
     for i, q in q_fixed.items():
         s_spec[i] = s_spec[i].real + 1j * q
@@ -296,12 +291,15 @@ def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
         if it == NR_MAX_ITER:
             break
 
-        # MATPOWER-style complex power-flow derivatives.
-        diag_v = np.diag(v)
-        diag_i = np.diag(i_bus)
-        diag_vnorm = np.diag(v / vm)
-        ds_dva = 1j * diag_v @ np.conj(diag_i - y @ diag_v)
-        ds_dvm = diag_v @ np.conj(y @ diag_vnorm) + np.conj(diag_i) @ diag_vnorm
+        # MATPOWER's dSbus_dV with its diagonal matrices as vectors:
+        # dS/dVa = j diag(V) conj(diag(I) - Y diag(V)),
+        # dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|).
+        v_norm = v / vm
+        ds_dva = y * v
+        ds_dva[diag] -= i_bus
+        ds_dva = -1j * v[:, None] * np.conj(ds_dva)
+        ds_dvm = v[:, None] * np.conj(y * v_norm)
+        ds_dvm[diag] += np.conj(i_bus) * v_norm
 
         jac[:npvpq, :npvpq] = ds_dva.real[pvpq[:, None], pvpq]
         jac[:npvpq, npvpq:] = ds_dvm.real[pvpq[:, None], pq_s]
@@ -401,6 +399,25 @@ def solve_zero(ybus: SequenceYBus, injections: np.ndarray) -> np.ndarray:
     return _solve_linear_sequence(ybus.zero, np.asarray(injections, dtype=complex))
 
 
+def _stack_couplings(couplings: list[SequenceCoupling]) -> tuple[np.ndarray, np.ndarray]:
+    """The from and to bus of each coupling in turn, and the stacked blocks."""
+    ends = [end for c in couplings for end in (c.from_idx, c.to_idx)]
+    y_off = np.array([c.y_off for c in couplings], dtype=complex).reshape(-1, 3, 3)
+    return np.array(ends, dtype=int), y_off
+
+
+def _compensation(ends: np.ndarray, y_off: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(3, n) compensation injections at the (3, n) sequence voltages ``x``:
+    one gather of the branch-end voltages, one scatter of the currents, in
+    coupling order."""
+    corr = np.zeros_like(x)
+    if len(y_off):  # a fully transposed network has none
+        v_ends = x[:, ends].reshape(3, -1, 2)  # (3, c, from/to)
+        i_cross = (y_off @ (v_ends[..., 0] - v_ends[..., 1]).T[..., None])[..., 0]  # (c, 3)
+        np.add.at(corr, (slice(None), ends), np.stack([-i_cross, i_cross], axis=1).reshape(-1, 3).T)
+    return corr
+
+
 def compensation_currents(
     couplings: list[SequenceCoupling],
     v0: np.ndarray,
@@ -414,37 +431,26 @@ def compensation_currents(
     from bus, added at the to bus.  Returns per-sequence injection vectors
     (zero when ``couplings`` is empty).
     """
-    n = len(v1)
-    corr = np.zeros((3, n), dtype=complex)
-    for c in couplings:
-        dv = np.array(
-            [v0[c.from_idx] - v0[c.to_idx],
-             v1[c.from_idx] - v1[c.to_idx],
-             v2[c.from_idx] - v2[c.to_idx]]
-        )
-        i_cross = c.y_off @ dv
-        corr[:, c.from_idx] -= i_cross
-        corr[:, c.to_idx] += i_cross
+    corr = _compensation(*_stack_couplings(couplings), np.array([v0, v1, v2], dtype=complex))
     return corr[0], corr[1], corr[2]
 
 
-def pcc_load_to_injections(
-    bus: int,
-    s_abc_mva: PhasePowers,
-    v_pcc: PhaseVoltages,
-    base_mva: float,
-) -> PccInjection:
-    """Map an unbalanced PCC load to sequence-domain injections.
+def pcc_injections(s_abc: np.ndarray, v012: np.ndarray) -> np.ndarray:
+    """Sequence-domain images of k unbalanced PCC loads.
 
-    ``s_abc_mva`` is the per-phase feeder head power in MVA; ``v_pcc`` the
-    per-unit PCC phase voltages at the current transmission iterate.
+    ``s_abc`` is the (k, 3) per-phase feeder head power in pu on the
+    per-phase base, ``v012`` the (3, k) per-unit sequence voltages of the
+    PCC buses.  Returns a (3, k) array: rows 0 and 2 are the zero- and
+    negative-sequence current injections (load currents negated) for the
+    linear solves, row 1 the positive-sequence load power (consumption
+    positive, pu on the system base).
     """
-    s_pu = PhasePowers.from_array(s_abc_mva.as_array() / (base_mva / 3.0))
-    i_abc = phase_currents_from_power(s_pu, v_pcc)
-    i012 = FORTESCUE_INV @ i_abc
-    v012 = phase_to_sequence(v_pcc)
-    s1 = v012.v1 * np.conj(i012[1])
-    return PccInjection(bus=bus, s1=complex(s1), i2=-complex(i012[2]), i0=-complex(i012[0]))
+    v_abc = FORTESCUE @ v012
+    i012 = FORTESCUE_INV @ phase_currents_from_power(s_abc, v_abc.T).T
+    s1 = (FORTESCUE_INV @ v_abc)[1] * np.conj(i012[1])
+    np.negative(i012, out=i012)
+    i012[1] = s1
+    return i012
 
 
 def solve_three_sequence(
@@ -455,71 +461,84 @@ def solve_three_sequence(
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
 
-    ``pcc_loads`` pairs PCC bus ids with per-phase head powers in MVA.
-    Iterates {positive NR, negative solve, zero solve, injection refresh}
-    until the largest sequence-voltage change between passes drops below
-    ``SEQ_LOOP_TOL``.
+    ``pcc_loads`` pairs PCC bus ids with per-phase head powers in MVA.  One
+    pass maps the (3, n) sequence voltages to the next: PCC injections and
+    compensation currents at those voltages, then the positive NR and the
+    negative and zero solves.  The passes stop when the largest
+    sequence-voltage change of a pass drops below ``SEQ_LOOP_TOL``.  After
+    the second pass and each later one, the next iterate is the Anderson mix
+    of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
+    plain pass result when the change grew.
     """
     base_mva = case.base_mva
     case = to_per_unit(case)
     pcc_loads = pcc_loads or []
     ybus = build_sequence_ybus(case)
     n = ybus.n
+    pcc = np.array([ybus.bus_index[bus_id] for bus_id, _ in pcc_loads], dtype=int)
+    s_abc = np.array([s.as_array() for _, s in pcc_loads], dtype=complex).reshape(-1, 3)
+    s_abc /= base_mva / 3.0
 
-    v1 = warm.v1.copy() if warm is not None else None
-    v0 = warm.v0.copy() if warm is not None else np.zeros(n, dtype=complex)
-    v2 = warm.v2.copy() if warm is not None else np.zeros(n, dtype=complex)
+    def sequence_pass(x: np.ndarray) -> tuple[np.ndarray, NrResult]:
+        inj = np.zeros((3, n), dtype=complex)
+        np.add.at(inj, (slice(None), pcc), pcc_injections(s_abc, x[:, pcc]))
+        corr = _compensation(ybus.coupling_ends, ybus.coupling_y, x)
+        # Positive-sequence compensation enters NR as an equivalent PQ load.
+        nr = nr_positive_sequence(ybus, case, inj[1] - x[1] * np.conj(corr[1]), v_init=x[1])
+        v2 = solve_negative(ybus, inj[2] + corr[2])
+        v0 = solve_zero(ybus, inj[0] + corr[0])
+        return np.array([v0, nr.v1, v2]), nr
 
+    if warm is not None:
+        x = np.array([warm.v0, warm.v1, warm.v2])
+    else:  # flat: balanced 1 pu
+        x = np.zeros((3, n), dtype=complex)
+        x[1] = 1.0
+    mixer = _AndersonMixer(SEQ_LOOP_MEMORY)
     total_iters = 0
-    mismatch = 0.0
     history: list[float] = []
     for pass_no in range(1, max_passes + 1):
-        # Sequence-domain image of each PCC load at the current voltages.
-        extra_s1: dict[int, complex] = {}
-        i2_inj = np.zeros(n, dtype=complex)
-        i0_inj = np.zeros(n, dtype=complex)
-        for bus_id, s_abc in pcc_loads:
-            i = ybus.bus_index[bus_id]
-            if v1 is None:
-                v_abc = PhaseVoltages.balanced(1.0)
-            else:
-                v_abc = sequence_to_phase(
-                    SequenceVoltages(complex(v0[i]), complex(v1[i]), complex(v2[i]))
-                )
-            inj = pcc_load_to_injections(bus_id, s_abc, v_abc, base_mva)
-            extra_s1[bus_id] = inj.s1
-            i2_inj[i] += inj.i2
-            i0_inj[i] += inj.i0
-
-        v1_ref = v1 if v1 is not None else np.ones(n, dtype=complex)
-        corr0, corr1, corr2 = compensation_currents(ybus.couplings, v0, v1_ref, v2)
-        # Positive-sequence compensation enters NR as an equivalent PQ term.
-        if np.any(np.abs(corr1) > 0.0):
-            for bus_id, i in ybus.bus_index.items():
-                if abs(corr1[i]) > 0.0:
-                    s_comp = -v1_ref[i] * np.conj(corr1[i])
-                    extra_s1[bus_id] = extra_s1.get(bus_id, 0j) + s_comp
-
-        nr = nr_positive_sequence(ybus, case, extra_s1, v_init=v1)
-        v1_new, mismatch = nr.v1, nr.mismatch
+        g, nr = sequence_pass(x)
         total_iters += nr.iterations
-        v2_new = solve_negative(ybus, i2_inj + corr2)
-        v0_new = solve_zero(ybus, i0_inj + corr0)
-
-        delta = np.inf if v1 is None else max(
-            np.max(np.abs(v1_new - v1)),
-            np.max(np.abs(v2_new - v2)),
-            np.max(np.abs(v0_new - v0)),
-        )
-        v0, v1, v2 = v0_new, v1_new, v2_new
-        history.append(float(delta))
+        delta = np.inf if warm is None and pass_no == 1 else float(np.max(np.abs(g - x)))
+        history.append(delta)
         if delta < SEQ_LOOP_TOL:
             return SequenceSolution(
-                v0=v0, v1=v1, v2=v2, mismatch=mismatch,
+                v0=g[0], v1=g[1], v2=g[2], mismatch=nr.mismatch,
                 iterations=total_iters, passes=pass_no, bus_index=dict(ybus.bus_index),
             )
+        x = mixer.next(x, g, grew=len(history) > 1 and delta > history[-2])
 
     raise ConvergenceError(
         f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {max_passes} passes",
         history,
     )
+
+
+class _AndersonMixer:
+    """Anderson mixing of a fixed-point iteration ``x -> g(x)`` (type II).
+
+    The next iterate is ``g_k - dG @ gamma``, with ``gamma`` the least-squares
+    fit of the residual ``f_k = g_k - x_k`` by the differences ``dF`` of the
+    last ``memory`` residuals; ``dG`` holds the differences of their ``g``.
+    Complex iterates are fitted on their stacked real and imaginary parts,
+    so ``gamma`` is real.  Mixing needs two residuals; with ``memory`` 0, or
+    when the caller says the change grew, the next iterate is ``g_k``.
+    """
+
+    def __init__(self, memory: int):
+        self.memory = memory
+        self.f: list[np.ndarray] = []
+        self.g: list[np.ndarray] = []
+
+    def next(self, x: np.ndarray, g: np.ndarray, grew: bool) -> np.ndarray:
+        if self.memory == 0:
+            return g
+        self.f = (self.f + [(g - x).ravel().view(float)])[-self.memory - 1:]
+        self.g = (self.g + [g.ravel().view(float)])[-self.memory - 1:]
+        if grew or len(self.f) < 2:
+            return g
+        d_f = np.diff(self.f, axis=0).T
+        d_g = np.diff(self.g, axis=0).T
+        gamma = np.linalg.lstsq(d_f, self.f[-1], rcond=None)[0]
+        return (self.g[-1] - d_g @ gamma).view(complex).reshape(g.shape)

@@ -81,15 +81,17 @@ def test_feeder_collapse_exit_1(paths, heavy_feeder, capsys):
 
 
 def test_transmission_failure_writes_the_partial_trace(paths, tmp_path, capsys):
-    # at 2x load and alpha 0.25 the sequence loop fails in round 2
-    path = tmp_path / "double.td"
-    path.write_text(io.serialize_feeder(dsolve.scale_loads(io.load_feeder(paths["feeder"]), 2.0)))
-    rc = main(["snapshot", "--case", paths["case"], "--feeder", f"{path}@6",
-               "--alpha", "0.25", "--out", paths["out"]])
+    # with 3x load on feeders at buses 5, 6 and 8 and alpha 0.1 the sequence
+    # loop fails in round 4, after three rounds of one trace row per PCC
+    path = tmp_path / "triple.td"
+    path.write_text(io.serialize_feeder(dsolve.scale_loads(io.load_feeder(paths["feeder"]), 3.0)))
+    rc = main(["snapshot", "--case", paths["case"], "--feeder", f"{path}@5",
+               "--feeder", f"{path}@6", "--feeder", f"{path}@8",
+               "--alpha", "0.1", "--out", paths["out"]])
     assert rc == 1
-    assert "round 2: sequence loop did not settle" in capsys.readouterr().err
+    assert "round 4: sequence loop did not settle" in capsys.readouterr().err
     rows = (Path(paths["out"]) / "coupling_trace.csv").read_text().splitlines()[1:]
-    assert len(rows) == 1
+    assert len(rows) == 9
 
 
 def test_timeseries_collapse_continue_exit_1(paths, heavy_feeder):
@@ -189,7 +191,7 @@ def test_timeseries_run_and_artifacts(paths):
     assert (root / "decoupled" / "pcc_voltages.csv").exists()
 
 
-def test_timeseries_decoupled_failure_exit_1(paths, monkeypatch):
+def test_timeseries_decoupled_failure_exit_1(paths, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ConvergenceError("forced transmission failure", [])
 
@@ -200,6 +202,8 @@ def test_timeseries_decoupled_failure_exit_1(paths, monkeypatch):
          "--decoupled", "--out", paths["out"]]
     )
     assert rc == 1
+    assert ("decoupled baseline aborted at minute 1245: forced transmission failure"
+            in capsys.readouterr().err)
 
 
 def test_timeseries_zero_window_usage_error(paths):

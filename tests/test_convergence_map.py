@@ -11,13 +11,19 @@ the overall count when every PCC converged in that round, a dict gives the
 rounds per PCC (the overall count is the largest).  A failing point pins the
 error type and the round it failed in (``overall_iterations`` of the trace
 it carries).
+
+The sequence loop's Anderson mixing converges 13 points within its 20-pass
+budget that the plain loop reaches only with up to 77 passes; a second test
+checks that both land on the same fixed point there.
 """
+import functools
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tdcosim import cosim, dsolve
-from tdcosim.errors import TdcosimError
+from tdcosim import cosim, dsolve, tsolve
+from tdcosim.errors import ConvergenceError, TdcosimError
 from tdcosim.netmodel import LoadAttachment
 
 SCALES = (1, 2, 3, 4)
@@ -29,14 +35,14 @@ COLLAPSE = "VoltageCollapseError"
 CONVERGENCE_MAP = {
     ((6,), False): {
         1: [3, 3, 3, 4],
-        2: [4, 5, (SEQ, 2), (SEQ, 1)],
-        3: [5, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
-        4: [(COLLAPSE, 4), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        2: [4, 5, 5, 6],
+        3: [5, 11, 13, 18],
+        4: [(COLLAPSE, 4), (COLLAPSE, 2), (COLLAPSE, 1), (COLLAPSE, 1)],
     },
     ((5, 6, 8), False): {
         1: [3, 4, 5, 5],
-        2: [4, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
-        3: [{5: 6, 6: 6, 8: 5}, (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        2: [4, 8, 10, 12],
+        3: [{5: 6, 6: 6, 8: 5}, (SEQ, 4), (SEQ, 2), (SEQ, 1)],
         4: [(COLLAPSE, 2), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
     },
     ((6,), True): {
@@ -47,17 +53,29 @@ CONVERGENCE_MAP = {
     },
     ((5, 6, 8), True): {
         1: [3, 3, 3, 4],
-        2: [3, 4, 4, (SEQ, 1)],
-        3: [3, 4, (SEQ, 1), (SEQ, 1)],
-        4: [(SEQ, 1), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        2: [3, 4, 4, 5],
+        3: [3, 4, 5, (SEQ, 1)],
+        4: [4, {5: 4, 6: 4, 8: 5}, 7, (SEQ, 1)],
     },
 }
 
+# Points the plain loop does not converge in 20 passes: (PCC buses, reverse
+# flow, load scale, alpha).
+OPENED_BY_MIXING = [
+    ((6,), False, 2, 0.25), ((6,), False, 2, 0.5),
+    ((6,), False, 3, 0.1), ((6,), False, 3, 0.25), ((6,), False, 3, 0.5),
+    ((5, 6, 8), False, 2, 0.1), ((5, 6, 8), False, 2, 0.25), ((5, 6, 8), False, 2, 0.5),
+    ((5, 6, 8), True, 2, 0.5), ((5, 6, 8), True, 3, 0.25),
+    ((5, 6, 8), True, 4, 0.0), ((5, 6, 8), True, 4, 0.1), ((5, 6, 8), True, 4, 0.25),
+]
+
+
+def _id(buses, reverse, scale, alpha):
+    return f"{'-'.join(map(str, buses))}{'-reverse' if reverse else ''}-x{scale}-a{alpha}"
+
+
 POINTS = [
-    pytest.param(
-        buses, reverse, scale, alpha, cells[i],
-        id=f"{'-'.join(map(str, buses))}{'-reverse' if reverse else ''}-x{scale}-a{alpha}",
-    )
+    pytest.param(buses, reverse, scale, alpha, cells[i], id=_id(buses, reverse, scale, alpha))
     for (buses, reverse), rows in CONVERGENCE_MAP.items()
     for scale, cells in rows.items()
     for i, alpha in enumerate(ALPHAS)
@@ -79,8 +97,8 @@ def test_grid_covers_every_point():
     assert len(POINTS) == 64
 
 
-@pytest.mark.parametrize("buses, reverse, scale, alpha, expected", POINTS)
-def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expected):
+def _point(case9, ckt_feeder, buses, reverse, scale, alpha):
+    """The case and the feeders by PCC bus of one grid point."""
     case = replace(case9, loads=tuple(
         LoadAttachment(ld.bus, feeder_id=f"ckt24_{ld.bus}", loadshape_id=ld.loadshape_id)
         if ld.bus in buses else ld
@@ -88,8 +106,14 @@ def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expect
     ))
     base = _reverse_flow(ckt_feeder) if reverse else ckt_feeder
     feeder = dsolve.apply_unbalance(dsolve.scale_loads(base, scale), alpha)
+    return case, {bus: feeder for bus in buses}
+
+
+@pytest.mark.parametrize("buses, reverse, scale, alpha, expected", POINTS)
+def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expected):
+    case, feeders = _point(case9, ckt_feeder, buses, reverse, scale, alpha)
     try:
-        _, trace = cosim.couple_step(case, {bus: feeder for bus in buses})
+        _, trace = cosim.couple_step(case, feeders)
     except TdcosimError as exc:
         assert (type(exc).__name__, exc.trace.overall_iterations) == expected
         return
@@ -97,3 +121,23 @@ def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expect
     per_pcc = expected if isinstance(expected, dict) else dict.fromkeys(buses, expected)
     assert trace.iterations_to_converge == per_pcc
     assert trace.overall_iterations == max(per_pcc.values())
+
+
+@pytest.mark.parametrize("buses, reverse, scale, alpha",
+                         [pytest.param(*point, id=_id(*point)) for point in OPENED_BY_MIXING])
+def test_mixing_lands_on_the_plain_loops_fixed_point(
+    case9, ckt_feeder, monkeypatch, buses, reverse, scale, alpha
+):
+    case, feeders = _point(case9, ckt_feeder, buses, reverse, scale, alpha)
+    mixed, mixed_trace = cosim.couple_step(case, feeders)
+    monkeypatch.setattr(tsolve, "SEQ_LOOP_MEMORY", 0)
+    with pytest.raises(ConvergenceError, match="sequence loop did not settle"):
+        cosim.couple_step(case, feeders)  # the plain loop within 20 passes
+    monkeypatch.setattr(tsolve, "solve_three_sequence",
+                        functools.partial(tsolve.solve_three_sequence, max_passes=400))
+    plain, plain_trace = cosim.couple_step(case, feeders)
+    assert mixed_trace.iterations_to_converge == plain_trace.iterations_to_converge
+    assert mixed_trace.overall_iterations == plain_trace.overall_iterations
+    for bus in buses:
+        gap = mixed.pcc_voltages[bus].as_array() - plain.pcc_voltages[bus].as_array()
+        assert np.max(np.abs(gap)) < 1e-7

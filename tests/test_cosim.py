@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -244,6 +246,7 @@ def test_continue_policy_records_failures(system1, ckt_feeder, flat_shape):
     assert res.aborted_at is None
     assert len(res.steps) == 3
     assert all(not s.converged for s in res.steps)
+    assert all(s.error.startswith("PCC coupling did not converge") for s in res.steps)
 
 
 def test_each_sweep_starts_from_the_last_solution(system1, ckt_feeder, flat_shape, monkeypatch):
@@ -389,7 +392,42 @@ def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
     assert res.aborted_at == res.steps[-1].t_min > 900
     assert not res.steps[-1].converged
     assert res.steps[-1].state is None
-    assert all(s.converged for s in res.steps[:-1])
+    assert all(s.converged and s.error is None for s in res.steps[:-1])
+    # the failed step says why and carries its one round, with no rows
+    assert res.steps[-1].error
+    assert res.steps[-1].trace.overall_iterations == 1
+    assert res.steps[-1].trace.rows == []
+
+
+def test_solves_that_settle_by_pass_two_are_the_plain_loops(
+    system1, ckt_feeder, day_shape, monkeypatch
+):
+    # An evening hour of the day run with 1 % load noise, coupled and
+    # decoupled: every transmission solve settles by its second pass, before
+    # the sequence loop mixes, so it returns exactly what the plain loop does.
+    rng = np.random.default_rng(31)
+    noise = 1.0 + 0.01 * rng.standard_normal(len(day_shape.multipliers))
+    shapes = {"day": replace(day_shape, multipliers=tuple(day_shape.multipliers * noise))}
+    solves = []
+    solve = tsolve.solve_three_sequence
+
+    def record(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        solves.append((args, kwargs, sol))
+        return sol
+
+    monkeypatch.setattr(tsolve, "solve_three_sequence", record)
+    for run in (cosim.run_timeseries, cosim.run_decoupled_baseline):
+        res = run(system1, {6: ckt_feeder}, shapes, start_min=1020, horizon_min=60)
+        assert all(step.converged for step in res.steps)
+    monkeypatch.setattr(tsolve, "SEQ_LOOP_MEMORY", 0)
+    assert len(solves) == 192
+    for args, kwargs, mixed in solves:
+        assert mixed.passes <= 2
+        plain = solve(*args, **kwargs)
+        assert (plain.passes, plain.iterations) == (mixed.passes, mixed.iterations)
+        for v_plain, v_mixed in ((plain.v0, mixed.v0), (plain.v1, mixed.v1), (plain.v2, mixed.v2)):
+            assert np.array_equal(v_plain, v_mixed)
 
 
 # -- unbalance sweep ----------------------------------------------------------

@@ -232,6 +232,23 @@ def test_warm_sweep_matches_the_cold_sweep(ckt_feeder, scale, alpha):
     assert np.array_equal(warm.v[0], head.as_array())
 
 
+def test_absent_phases_are_exactly_zero_cold_and_warm():
+    f = synth_feeder(nodes=400, total_p_mw=5.0, total_q_mvar=1.5, base_kv=12.47, seed=3)
+    mask = f.topology().mask
+    assert {int(k) for k in mask.sum(axis=1)} == {1, 2, 3}  # laterals of every width
+    head = PhaseVoltages.balanced(1.01, -0.03)
+    cold = sweep_solve(f, head)
+    # a start with garbage on absent phases, and the cold solution, zero there
+    garbage = np.where(mask, cold.v, 7.0 - 3.0j)
+    for sol in (cold, sweep_solve(f, head, start=garbage),
+                sweep_solve(scale_loads(f, 1.2), head, start=cold.v)):
+        assert np.all(sol.v[~mask] == 0)
+        assert np.all(sol.i_line[~mask[1:]] == 0)
+        assert np.all(np.abs(sol.v[mask]) > 0.9)
+        assert np.max(np.abs(sol.kcl_residuals())) < 1e-15
+    assert np.max(np.abs(sweep_solve(f, head, start=garbage).v - cold.v)) < 1e-6
+
+
 def test_warm_start_is_rescaled_to_the_head():
     f = simple_feeder({"a": 1.0 + 0.3j, "b": 0.8 + 0.2j, "c": 1.2 + 0.1j})
     head = PhaseVoltages.balanced(1.01, 0.2)

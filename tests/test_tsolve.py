@@ -17,7 +17,7 @@ from tdcosim.netmodel import (
     to_per_unit,
     with_dispatch,
 )
-from tdcosim.seqxform import PhasePowers, PhaseVoltages
+from tdcosim.seqxform import PhasePowers
 
 from oracles import (
     branchwise_power_balance,
@@ -314,29 +314,35 @@ def test_decoupled_fixed_point_matches_coupled_direct_solve():
 
 # -- PCC load mapping -------------------------------------------------------
 
+BALANCED_1PU = np.array([[0.0], [1.0], [0.0]], dtype=complex)  # (v0, v1, v2) of one PCC
+
+
+def pcc_injection(s: PhasePowers, v012=BALANCED_1PU):
+    """(i0, s1, i2) of one PCC load."""
+    return tsolve.pcc_injections(s.as_array()[None] / (100.0 / 3.0), v012)[:, 0]
+
 
 def test_balanced_pcc_load_maps_to_pure_positive():
     s = PhasePowers(51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3)
-    inj = tsolve.pcc_load_to_injections(6, s, PhaseVoltages.balanced(1.0), 100.0)
-    assert inj.bus == 6
-    assert inj.s1 == pytest.approx(0.517 + 0.123j, abs=1e-12)
-    assert abs(inj.i2) < 1e-14
-    assert abs(inj.i0) < 1e-14
+    i0, s1, i2 = pcc_injection(s)
+    assert s1 == pytest.approx(0.517 + 0.123j, abs=1e-12)
+    assert abs(i2) < 1e-14
+    assert abs(i0) < 1e-14
 
 
 def test_unbalanced_pcc_load_matches_hand_transform():
     m = (51.7 + 12.3j) / 3.0
     s = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
-    inj = tsolve.pcc_load_to_injections(6, s, PhaseVoltages.balanced(1.0), 100.0)
+    i0, s1, i2 = pcc_injection(s)
     # frozen from the scalar Fortescue transform of the load currents
-    assert inj.s1 == pytest.approx(0.517 + 0.123j, abs=1e-12)
-    assert -inj.i2 == pytest.approx(0.038775 - 0.009225j, abs=1e-12)
-    assert -inj.i0 == pytest.approx(0.038775 - 0.009225j, abs=1e-12)
+    assert s1 == pytest.approx(0.517 + 0.123j, abs=1e-12)
+    assert -i2 == pytest.approx(0.038775 - 0.009225j, abs=1e-12)
+    assert -i0 == pytest.approx(0.038775 - 0.009225j, abs=1e-12)
 
 
 def test_zero_power_zero_injection():
-    inj = tsolve.pcc_load_to_injections(5, PhasePowers.zero(), PhaseVoltages.balanced(), 100.0)
-    assert inj.s1 == 0 and inj.i2 == 0 and inj.i0 == 0
+    i0, s1, i2 = pcc_injection(PhasePowers.zero())
+    assert s1 == 0 and i2 == 0 and i0 == 0
 
 
 # -- full three-sequence solve ----------------------------------------------
