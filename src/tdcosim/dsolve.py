@@ -410,8 +410,9 @@ def sweep_solve(
     ``start``, from a previous solution's (n, 3) voltages on this topology
     rescaled per phase by ``head / start[0]``.  While it iterates, absent
     phases carry no load and no drop, so they keep a nonzero voltage (the
-    head's at the start) and the load currents need no mask; they are set
-    to zero once, before the final pass.
+    head's at the start, then their nearest ancestor's) and the load
+    currents need no mask; they are set to zero once, before the final
+    pass, and a warm start's first change is taken over present phases.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -451,7 +452,12 @@ def sweep_solve(
         topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
         np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
         topo.path_sums(b, v_new, work)
-        delta = float(np.max(np.abs(np.subtract(v_new, v, out=cur), out=mag)))
+        np.subtract(v_new, v, out=cur)
+        if iterations == 1 and start is not None:
+            # An absent phase moves from the head's voltage to its nearest
+            # ancestor's; later it moves exactly as that ancestor does.
+            np.multiply(cur, mask, out=cur)
+        delta = float(np.max(np.abs(cur, out=mag)))
         history.append(delta)
         v, v_new = v_new, v
         worst = float(np.add(np.abs(v, out=mag), absent, out=mag).min())

@@ -126,18 +126,13 @@ def sequence_to_phase(v: SequenceVoltages) -> PhaseVoltages:
     return PhaseVoltages.from_array(FORTESCUE @ v.as_array())
 
 
-def phase_currents_from_power(
-    s: PhasePowers | np.ndarray, v: PhaseVoltages | np.ndarray
-) -> np.ndarray:
+def phase_currents_from_power(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Per-phase load currents ``i_p = conj(s_p / v_p)``.
 
-    ``s`` and ``v`` are a :class:`PhasePowers` and a :class:`PhaseVoltages`,
-    or (..., 3) arrays, in one per-unit frame.  Raises
-    :class:`DegenerateVoltageError` if any phase voltage magnitude is below
-    :data:`VOLTAGE_FLOOR`.
+    ``s`` and ``v`` are (..., 3) per-phase arrays in one per-unit frame.
+    Raises :class:`DegenerateVoltageError` if any phase voltage magnitude is
+    below :data:`VOLTAGE_FLOOR`.
     """
-    s = s.as_array() if isinstance(s, PhasePowers) else s
-    v = v.as_array() if isinstance(v, PhaseVoltages) else v
     mags = np.abs(v)
     if mags.min(initial=VOLTAGE_FLOOR) < VOLTAGE_FLOOR:
         low = np.argwhere(mags < VOLTAGE_FLOOR)[0]

@@ -180,7 +180,7 @@ def _sequence_network(buses, branches) -> SequenceYBus:
 
 
 def _scheduled_injections(
-    case: TransmissionCase, bus_index: dict[int, int], extra_s1: dict[int, complex] | np.ndarray
+    case: TransmissionCase, bus_index: dict[int, int], extra_s1: np.ndarray | None
 ) -> np.ndarray:
     """Net complex power injection per bus (generation minus load), pu."""
     s = np.zeros(len(bus_index), dtype=complex)
@@ -189,10 +189,7 @@ def _scheduled_injections(
     for ld in case.loads:
         if not ld.is_feeder:
             s[bus_index[ld.bus]] -= ld.p + 1j * ld.q
-    if isinstance(extra_s1, dict):
-        for bus_id, s1 in extra_s1.items():
-            s[bus_index[bus_id]] -= s1
-    else:
+    if extra_s1 is not None:
         s -= extra_s1
     return s
 
@@ -208,20 +205,19 @@ class NrResult:
 def nr_positive_sequence(
     ybus: SequenceYBus,
     case: TransmissionCase,
-    extra_s1: dict[int, complex] | None = None,
+    extra_s1: np.ndarray | None = None,
     v_init: np.ndarray | None = None,
 ) -> NrResult:
     """Polar Newton-Raphson on the positive-sequence network.
 
     ``extra_s1`` adds PQ loads (pu, consumption positive) on top of the
-    case's lumped loads: a dict by bus id, or an (n,) array by bus index.
+    case's lumped loads: an (n,) array by bus index, None for none.
 
     PV reactive limits are enforced by PV->PQ switching after convergence,
     re-solving at most ``PV_SWITCH_MAX`` times.
     """
     if case.units is not Units.PER_UNIT:
         raise ValueError("nr_positive_sequence requires a per-unit case")
-    extra_s1 = {} if extra_s1 is None else extra_s1
     y = ybus.y1_dense
     slack = ybus.slack
     s_sched = _scheduled_injections(case, ybus.bus_index, extra_s1)
@@ -447,7 +443,7 @@ def pcc_injections(s_abc: np.ndarray, v012: np.ndarray) -> np.ndarray:
     """
     v_abc = FORTESCUE @ v012
     i012 = FORTESCUE_INV @ phase_currents_from_power(s_abc, v_abc.T).T
-    s1 = (FORTESCUE_INV @ v_abc)[1] * np.conj(i012[1])
+    s1 = v012[1] * np.conj(i012[1])
     np.negative(i012, out=i012)
     i012[1] = s1
     return i012
