@@ -30,7 +30,7 @@ import numpy as np
 
 from . import dsolve, ed, tsolve
 from .errors import ConvergenceError, TdcosimError
-from .netmodel import TransmissionCase, to_per_unit, validate_case, with_dispatch
+from .netmodel import TransmissionCase, validate_case, with_dispatch
 from .seqxform import PhasePowers, PhaseVoltages, sequence_to_phase
 
 COUPLING_EPS = 1e-4
@@ -138,7 +138,6 @@ def couple_step(
 
     if dispatch is not None:
         case = with_dispatch(case, dispatch.p_set)
-    case = to_per_unit(case)  # once, not in each transmission solve
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.

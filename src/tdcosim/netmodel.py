@@ -1,10 +1,9 @@
-"""Transmission network domain types, per-unit normalization and validation.
+"""Transmission network domain types and validation.
 
-Powers (loads, generator limits and setpoints) are carried in MW/MVAr in a
-freshly parsed case and in per-unit after :func:`to_per_unit`.  Branch
-impedances are per-unit on the system MVA base in both forms, which is how
-the bundled case files state them.  Generator cost coefficients are always
-on a $/MWh basis and are never rescaled.
+A case carries its powers (loads, generator limits and setpoints) in
+MW/MVAr, as the case files state them; the transmission solve reads them
+into per-unit arrays once per solve.  Branch impedances are per-unit on the
+system MVA base.  Generator cost coefficients are on a $/MWh basis.
 """
 from __future__ import annotations
 
@@ -31,11 +30,6 @@ class ZeroSeqPath(enum.Enum):
     OPEN = "open"
     GROUNDED = "grounded"
     THROUGH = "through"
-
-
-class Units(enum.Enum):
-    PHYSICAL = "physical"  # MW / MVAr
-    PER_UNIT = "pu"
 
 
 @dataclass(frozen=True)
@@ -113,7 +107,6 @@ class TransmissionCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     loads: tuple[LoadAttachment, ...]
-    units: Units = Units.PHYSICAL
 
     def bus_ids(self) -> list[int]:
         return [b.id for b in self.buses]
@@ -207,37 +200,11 @@ def _connected(case: TransmissionCase) -> bool:
     return seen == ids
 
 
-def to_per_unit(case: TransmissionCase) -> TransmissionCase:
-    """Express all powers on the system base; idempotent on normalized input."""
-    if case.base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {case.base_mva}")
-    if case.units is Units.PER_UNIT:
-        return case
-    s = 1.0 / case.base_mva
-    gens = tuple(
-        replace(
-            g,
-            p_min=g.p_min * s,
-            p_max=g.p_max * s,
-            q_min=g.q_min * s,
-            q_max=g.q_max * s,
-            p_set=g.p_set * s,
-            q_set=g.q_set * s,
-        )
-        for g in case.generators
-    )
-    loads = tuple(replace(ld, p=ld.p * s, q=ld.q * s) for ld in case.loads)
-    return replace(case, generators=gens, loads=loads, units=Units.PER_UNIT)
-
-
 def with_dispatch(case: TransmissionCase, p_set_mw) -> TransmissionCase:
     """Return a copy with generator active-power setpoints replaced.
 
-    ``p_set_mw`` is a sequence aligned with ``case.generators``; the case must
-    be in physical units (setpoints are MW).
+    ``p_set_mw`` is a sequence of MW setpoints aligned with ``case.generators``.
     """
-    if case.units is not Units.PHYSICAL:
-        raise ValueError("dispatch setpoints are MW; normalize afterwards")
     if len(p_set_mw) != len(case.generators):
         raise ValueError("one setpoint per generator required")
     gens = tuple(

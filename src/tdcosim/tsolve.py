@@ -13,10 +13,13 @@ that loop is a function of the (3, n) sequence voltages, and the loop
 Anderson-mixes its passes.
 
 Everything that depends only on the buses and branches (the three Y-buses,
-the bus index and classes, and the ground-tied partition and sparse LU
-factor of Y0 and Y2) is derived once per network by
-:func:`build_sequence_ybus` and shared by every solve on that network, so a
-run that only changes dispatch, loads or PCC powers factorises once.
+the bus index, classes and voltage setpoints, the stacked coupling blocks,
+and the ground-tied partition and sparse LU factor of Y0 and Y2) is derived
+once per network by :func:`build_sequence_ybus` and shared by every solve on
+that network, so a run that only changes dispatch, loads or PCC powers
+factorises once.  Cases carry MW/MVAr; each solve reads the generators and
+lumped loads into per-unit arrays by bus once (:func:`bus_schedule`), as
+MATPOWER's ``makeSbus`` does.
 """
 from __future__ import annotations
 
@@ -29,7 +32,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, SingularNetworkError
-from .netmodel import BusKind, TransmissionCase, Units, ZeroSeqPath, to_per_unit
+from .netmodel import BusKind, TransmissionCase, ZeroSeqPath
 from .seqxform import (
     FORTESCUE,
     FORTESCUE_INV,
@@ -44,19 +47,6 @@ SEQ_LOOP_TOL = 1e-9
 SEQ_LOOP_MAX_PASSES = 20
 SEQ_LOOP_MEMORY = 5  # passes the sequence loop's Anderson mixing looks back over
 PV_SWITCH_MAX = 5
-
-
-@dataclass(frozen=True)
-class SequenceCoupling:
-    """Off-diagonal admittance block of one untransposed branch.
-
-    ``y_off`` is the full 3x3 series admittance with its diagonal zeroed;
-    rows/columns are ordered (0, 1, 2).
-    """
-
-    from_idx: int
-    to_idx: int
-    y_off: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,13 +67,16 @@ class SequenceYBus:
     y1: sp.csr_matrix
     y2: sp.csr_matrix
     y1_dense: np.ndarray  # the NR's Y1, densified once
-    couplings: list[SequenceCoupling]
+    # One coupling per untransposed branch: its full 3x3 series admittance
+    # with the diagonal zeroed, rows and columns ordered (0, 1, 2).
     coupling_ends: np.ndarray  # (2c,) from and to bus of each coupling in turn
-    coupling_y: np.ndarray  # (c, 3, 3) their y_off blocks, stacked
+    coupling_y: np.ndarray  # (c, 3, 3) their off-diagonal blocks, stacked
     bus_index: dict[int, int]
     slack: int
     pv: tuple[int, ...]
     pq: tuple[int, ...]
+    v_set: np.ndarray  # (n,) |V| setpoint at the slack and PV buses, 1 elsewhere
+    slack_angle: float  # rad
     zero: _GroundedFactor
     negative: _GroundedFactor
 
@@ -110,9 +103,9 @@ class SequenceSolution:
 def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
     """The sequence network of a validated case, derived once per network.
 
-    Copies of a case made with ``dataclasses.replace`` (per-unit
-    normalisation, dispatch, load scaling) keep its ``buses`` and
-    ``branches`` tuples and so share one :class:`SequenceYBus`.
+    Copies of a case made with ``dataclasses.replace`` (dispatch, load
+    scaling) keep its ``buses`` and ``branches`` tuples and so share one
+    :class:`SequenceYBus`.
     """
     return _sequence_network(case.buses, case.branches)
 
@@ -124,7 +117,8 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     bus_index = {b.id: i for i, b in enumerate(buses)}
     n = len(bus_index)
     y0, y1, y2 = (sp.lil_matrix((n, n), dtype=complex) for _ in range(3))
-    couplings: list[SequenceCoupling] = []
+    coupling_ends: list[int] = []
+    coupling_y: list[np.ndarray] = []
 
     for br in branches:
         f = bus_index[br.from_bus]
@@ -139,7 +133,8 @@ def _sequence_network(buses, branches) -> SequenceYBus:
             )
             y_full = np.linalg.inv(z_full)
             series = np.diag(y_full)
-            couplings.append(SequenceCoupling(f, t, y_full - np.diag(series)))
+            coupling_ends += (f, t)
+            coupling_y.append(y_full - np.diag(series))
         else:
             series = (1.0 / br.z0_eff, 1.0 / br.z1, 1.0 / br.z2_eff)
 
@@ -161,37 +156,60 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     if len(slack) != 1:
         raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
     y0, y2 = y0.tocsr(), y2.tocsr()
-    ends, y_off = _stack_couplings(couplings)
     return SequenceYBus(
         y0=y0,
         y1=y1.tocsr(),
         y2=y2,
         y1_dense=y1.toarray(),
-        couplings=couplings,
-        coupling_ends=ends,
-        coupling_y=y_off,
+        coupling_ends=np.array(coupling_ends, dtype=int),
+        coupling_y=np.array(coupling_y, dtype=complex).reshape(-1, 3, 3),
         bus_index=bus_index,
         slack=slack[0],
         pv=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PV),
         pq=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PQ),
+        v_set=np.array([b.v_setpoint or 1.0 for b in buses]),
+        slack_angle=buses[slack[0]].angle_setpoint or 0.0,
         zero=_factor_grounded(y0, "zero"),
         negative=_factor_grounded(y2, "negative"),
     )
 
 
-def _scheduled_injections(
-    case: TransmissionCase, bus_index: dict[int, int], extra_s1: np.ndarray | None
-) -> np.ndarray:
-    """Net complex power injection per bus (generation minus load), pu."""
-    s = np.zeros(len(bus_index), dtype=complex)
+@dataclass(frozen=True, eq=False)
+class BusSchedule:
+    """A case's generators and lumped loads by bus index, per-unit."""
+
+    s: np.ndarray  # (n,) generation minus lumped load
+    q_set: np.ndarray  # (n,) generator Q setpoints, summed
+    q_min: np.ndarray  # (n,) generator Q limits, summed; -inf and +inf
+    q_max: np.ndarray  # at buses without a generator
+
+
+def bus_schedule(case: TransmissionCase, ybus: SequenceYBus) -> BusSchedule:
+    """Read the MW/MVAr case's generators and lumped loads into per-unit arrays.
+
+    Each power is taken as ``x * (1.0 / base_mva)`` and summed by bus in
+    case order, generators before loads.
+    """
+    if case.base_mva <= 0:
+        raise ValueError(f"base_mva must be positive, got {case.base_mva}")
+    to_pu = 1.0 / case.base_mva
+    n = ybus.n
+    s = [0j] * n
+    q_set, q_min, q_max = [0.0] * n, [0.0] * n, [0.0] * n
+    gen_buses = set()
     for g in case.generators:
-        s[bus_index[g.bus]] += g.p_set + 1j * g.q_set
+        i = ybus.bus_index[g.bus]
+        s[i] += g.p_set * to_pu + 1j * (g.q_set * to_pu)
+        q_set[i] += g.q_set * to_pu
+        q_min[i] += g.q_min * to_pu
+        q_max[i] += g.q_max * to_pu
+        gen_buses.add(i)
     for ld in case.loads:
         if not ld.is_feeder:
-            s[bus_index[ld.bus]] -= ld.p + 1j * ld.q
-    if extra_s1 is not None:
-        s -= extra_s1
-    return s
+            s[ybus.bus_index[ld.bus]] -= ld.p * to_pu + 1j * (ld.q * to_pu)
+    for i in set(range(n)) - gen_buses:  # no generator, no Q limit
+        q_min[i], q_max[i] = -np.inf, np.inf
+    return BusSchedule(np.array(s), np.array(q_set), np.array(q_min), np.array(q_max))
 
 
 @dataclass(frozen=True)
@@ -204,43 +222,37 @@ class NrResult:
 
 def nr_positive_sequence(
     ybus: SequenceYBus,
-    case: TransmissionCase,
+    sched: BusSchedule,
     extra_s1: np.ndarray | None = None,
     v_init: np.ndarray | None = None,
 ) -> NrResult:
     """Polar Newton-Raphson on the positive-sequence network.
 
-    ``extra_s1`` adds PQ loads (pu, consumption positive) on top of the
-    case's lumped loads: an (n,) array by bus index, None for none.
+    ``sched`` holds the case's per-unit injections and generator Q limits
+    (:func:`bus_schedule`).  ``extra_s1`` adds PQ loads (pu, consumption
+    positive) on top of the case's lumped loads: an (n,) array by bus index,
+    None for none.
 
     PV reactive limits are enforced by PV->PQ switching after convergence,
-    re-solving at most ``PV_SWITCH_MAX`` times.
+    re-solving at most ``PV_SWITCH_MAX`` times: a PV bus whose generators'
+    Q (the bus injection plus the bus's loads) leaves their summed limits
+    is held at the limit it crossed.
     """
-    if case.units is not Units.PER_UNIT:
-        raise ValueError("nr_positive_sequence requires a per-unit case")
     y = ybus.y1_dense
-    slack = ybus.slack
-    s_sched = _scheduled_injections(case, ybus.bus_index, extra_s1)
+    s_spec = sched.s.copy() if extra_s1 is None else sched.s - extra_s1
+    q_other = s_spec.imag - sched.q_set  # the bus's Q injection besides its generators'
 
     vm = np.ones(ybus.n) if v_init is None else np.abs(v_init)
     va = np.zeros(ybus.n) if v_init is None else np.angle(v_init)
-    sb = case.buses[slack]
-    vm[slack] = sb.v_setpoint
-    va[slack] = sb.angle_setpoint or 0.0
-    for i in ybus.pv:
-        vm[i] = case.buses[i].v_setpoint
+    held = [ybus.slack, *ybus.pv]
+    vm[held] = ybus.v_set[held]
+    va[ybus.slack] = ybus.slack_angle
 
-    q_load = -s_sched.imag  # load Q at gen buses, used for limit checks
-
-    pv_work = list(ybus.pv)
-    pq_work = list(ybus.pq)
-    q_fixed = dict[int, float]()  # PV buses clamped to a Q limit
+    pv = np.array(ybus.pv, dtype=int)
+    pq = np.array(ybus.pq, dtype=int)
     total_iters = 0
-    mismatch = np.inf
-    history: list[float] = []
-
     for _ in range(PV_SWITCH_MAX + 1):
-        vm, va, iters, mismatch, history = _nr_core(y, s_sched, q_fixed, pv_work, pq_work, vm, va)
+        vm, va, iters, mismatch, history = _nr_core(y, s_spec, pv, pq, vm, va)
         total_iters += iters
         if mismatch >= NR_TOL:
             raise ConvergenceError(
@@ -248,29 +260,27 @@ def nr_positive_sequence(
                 f"iterations (last mismatch {mismatch:.3e})",
                 history,
             )
-        if not pv_work:
+        v = vm * np.exp(1j * va)
+        q_gen = (v * np.conj(y @ v)).imag[pv] - q_other[pv]
+        over = q_gen > sched.q_max[pv] + 1e-9
+        under = q_gen < sched.q_min[pv] - 1e-9
+        hit = over | under
+        if not hit.any():
             break
-        switched = _check_q_limits(case, ybus.bus_index, y, vm, va, pv_work, q_load)
-        if not switched:
-            break
-        for i, q_inj in switched.items():
-            pv_work.remove(i)
-            pq_work.append(i)
-            q_fixed[i] = q_inj
-        pq_work.sort()
-    v1 = vm * np.exp(1j * va)
-    return NrResult(v1, total_iters, mismatch, tuple(history))
+        q_lim = np.where(over, sched.q_max[pv], sched.q_min[pv])
+        switched = pv[hit]
+        s_spec[switched] = s_spec[switched].real + 1j * (q_lim[hit] + q_other[switched])
+        pv = pv[~hit]
+        pq = np.sort(np.concatenate([pq, switched]))
+    return NrResult(v, total_iters, mismatch, tuple(history))
 
 
-def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
-    pvpq = np.array(sorted(pv + pq), dtype=int)
-    pq_s = np.array(sorted(pq), dtype=int)
+def _nr_core(y, s_spec, pv, pq_s, vm, va):
+    """NR iterations with the ``pv`` and sorted ``pq_s`` bus classes fixed."""
+    pvpq = np.sort(np.concatenate([pv, pq_s]))
     npvpq, npq = len(pvpq), len(pq_s)
     jac = np.empty((npvpq + npq, npvpq + npq))
     diag = np.diag_indices(len(vm))
-    s_spec = s_sched.copy()
-    for i, q in q_fixed.items():
-        s_spec[i] = s_spec[i].real + 1j * q
 
     history: list[float] = []
     mismatch = np.inf
@@ -311,28 +321,6 @@ def _nr_core(y, s_sched, q_fixed, pv, pq, vm, va):
         vm[pq_s] += dx[npvpq:]
 
     return vm, va, NR_MAX_ITER, mismatch, history
-
-
-def _check_q_limits(case, bus_index, y, vm, va, pv_work, q_load):
-    """Map of PV bus index -> clamped Q injection for violated limits."""
-    v = vm * np.exp(1j * va)
-    s_calc = v * np.conj(y @ v)
-    switched: dict[int, float] = {}
-    gen_limits: dict[int, tuple[float, float]] = {}
-    for g in case.generators:
-        i = bus_index[g.bus]
-        lo, hi = gen_limits.get(i, (0.0, 0.0))
-        gen_limits[i] = (lo + g.q_min, hi + g.q_max)
-    for i in pv_work:
-        if i not in gen_limits:
-            continue
-        q_gen = s_calc[i].imag + q_load[i]
-        lo, hi = gen_limits[i]
-        if q_gen > hi + 1e-9:
-            switched[i] = hi - q_load[i]
-        elif q_gen < lo - 1e-9:
-            switched[i] = lo - q_load[i]
-    return switched
 
 
 def _grounded_partition(y: sp.csr_matrix):
@@ -395,40 +383,23 @@ def solve_zero(ybus: SequenceYBus, injections: np.ndarray) -> np.ndarray:
     return _solve_linear_sequence(ybus.zero, np.asarray(injections, dtype=complex))
 
 
-def _stack_couplings(couplings: list[SequenceCoupling]) -> tuple[np.ndarray, np.ndarray]:
-    """The from and to bus of each coupling in turn, and the stacked blocks."""
-    ends = [end for c in couplings for end in (c.from_idx, c.to_idx)]
-    y_off = np.array([c.y_off for c in couplings], dtype=complex).reshape(-1, 3, 3)
-    return np.array(ends, dtype=int), y_off
+def compensation_currents(ybus: SequenceYBus, x: np.ndarray) -> np.ndarray:
+    """Injection corrections replacing off-diagonal sequence coupling.
 
-
-def _compensation(ends: np.ndarray, y_off: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """(3, n) compensation injections at the (3, n) sequence voltages ``x``:
-    one gather of the branch-end voltages, one scatter of the currents, in
-    coupling order."""
-    corr = np.zeros_like(x)
-    if len(y_off):  # a fully transposed network has none
+    For each untransposed branch the cross-sequence current
+    ``y_off @ (v_f - v_t)`` at the (3, n) sequence voltages ``x`` is moved to
+    the right-hand side: subtracted at the from bus, added at the to bus.
+    One gather of the branch-end voltages, one scatter of the currents, in
+    coupling order.  Returns the (3, n) injections, zero when every branch
+    is transposed.
+    """
+    ends, y_off = ybus.coupling_ends, ybus.coupling_y
+    corr = np.zeros(x.shape, dtype=complex)
+    if len(y_off):
         v_ends = x[:, ends].reshape(3, -1, 2)  # (3, c, from/to)
         i_cross = (y_off @ (v_ends[..., 0] - v_ends[..., 1]).T[..., None])[..., 0]  # (c, 3)
         np.add.at(corr, (slice(None), ends), np.stack([-i_cross, i_cross], axis=1).reshape(-1, 3).T)
     return corr
-
-
-def compensation_currents(
-    couplings: list[SequenceCoupling],
-    v0: np.ndarray,
-    v1: np.ndarray,
-    v2: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Injection corrections replacing off-diagonal sequence coupling.
-
-    For each untransposed branch the cross-sequence current
-    ``y_off @ (v_f - v_t)`` is moved to the right-hand side: subtracted at the
-    from bus, added at the to bus.  Returns per-sequence injection vectors
-    (zero when ``couplings`` is empty).
-    """
-    corr = _compensation(*_stack_couplings(couplings), np.array([v0, v1, v2], dtype=complex))
-    return corr[0], corr[1], corr[2]
 
 
 def pcc_injections(s_abc: np.ndarray, v012: np.ndarray) -> np.ndarray:
@@ -457,6 +428,7 @@ def solve_three_sequence(
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
 
+    ``case`` is in MW/MVAr and is read into per-unit arrays once.
     ``pcc_loads`` pairs PCC bus ids with per-phase head powers in MVA.  One
     pass maps the (3, n) sequence voltages to the next: PCC injections and
     compensation currents at those voltages, then the positive NR and the
@@ -466,21 +438,20 @@ def solve_three_sequence(
     of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
     plain pass result when the change grew.
     """
-    base_mva = case.base_mva
-    case = to_per_unit(case)
     pcc_loads = pcc_loads or []
     ybus = build_sequence_ybus(case)
+    sched = bus_schedule(case, ybus)
     n = ybus.n
     pcc = np.array([ybus.bus_index[bus_id] for bus_id, _ in pcc_loads], dtype=int)
     s_abc = np.array([s.as_array() for _, s in pcc_loads], dtype=complex).reshape(-1, 3)
-    s_abc /= base_mva / 3.0
+    s_abc /= case.base_mva / 3.0
 
     def sequence_pass(x: np.ndarray) -> tuple[np.ndarray, NrResult]:
         inj = np.zeros((3, n), dtype=complex)
         np.add.at(inj, (slice(None), pcc), pcc_injections(s_abc, x[:, pcc]))
-        corr = _compensation(ybus.coupling_ends, ybus.coupling_y, x)
+        corr = compensation_currents(ybus, x)
         # Positive-sequence compensation enters NR as an equivalent PQ load.
-        nr = nr_positive_sequence(ybus, case, inj[1] - x[1] * np.conj(corr[1]), v_init=x[1])
+        nr = nr_positive_sequence(ybus, sched, inj[1] - x[1] * np.conj(corr[1]), v_init=x[1])
         v2 = solve_negative(ybus, inj[2] + corr[2])
         v0 = solve_zero(ybus, inj[0] + corr[0])
         return np.array([v0, nr.v1, v2]), nr

@@ -57,33 +57,35 @@ def stamp_ybus_dense(case, sequence: int) -> np.ndarray:
     return y
 
 
-def nr_oracle(case_pu, extra_s1=None, tol: float = 1e-12) -> np.ndarray:
-    """Positive-sequence power flow solved by scipy's generic root finder."""
-    extra_s1 = extra_s1 or {}
-    n = len(case_pu.buses)
-    index = {b.id: i for i, b in enumerate(case_pu.buses)}
-    y = stamp_ybus_dense(case_pu, 1)
+def nr_oracle(case, tol: float = 1e-12) -> np.ndarray:
+    """Positive-sequence power flow solved by scipy's generic root finder.
+
+    ``case`` is in MW/MVAr; the scheduled injection of each bus is its
+    generation minus its lumped load, divided by the system base.
+    """
+    n = len(case.buses)
+    index = {b.id: i for i, b in enumerate(case.buses)}
+    y = stamp_ybus_dense(case, 1)
 
     s_spec = np.zeros(n, dtype=complex)
-    for g in case_pu.generators:
-        s_spec[index[g.bus]] += g.p_set + 1j * g.q_set
-    for ld in case_pu.loads:
+    for g in case.generators:
+        s_spec[index[g.bus]] += complex(g.p_set, g.q_set)
+    for ld in case.loads:
         if not ld.is_feeder:
-            s_spec[index[ld.bus]] -= ld.p + 1j * ld.q
-    for bus, s1 in extra_s1.items():
-        s_spec[index[bus]] -= s1
+            s_spec[index[ld.bus]] -= complex(ld.p, ld.q)
+    s_spec /= case.base_mva
 
-    slack = next(i for i, b in enumerate(case_pu.buses) if b.kind is BusKind.SLACK)
-    pv = [i for i, b in enumerate(case_pu.buses) if b.kind is BusKind.PV]
-    pq = [i for i, b in enumerate(case_pu.buses) if b.kind is BusKind.PQ]
+    slack = next(i for i, b in enumerate(case.buses) if b.kind is BusKind.SLACK)
+    pv = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PV]
+    pq = [i for i, b in enumerate(case.buses) if b.kind is BusKind.PQ]
     pvpq = sorted(pv + pq)
 
     vm0 = np.ones(n)
     va0 = np.zeros(n)
-    vm0[slack] = case_pu.buses[slack].v_setpoint
-    va0[slack] = case_pu.buses[slack].angle_setpoint or 0.0
+    vm0[slack] = case.buses[slack].v_setpoint
+    va0[slack] = case.buses[slack].angle_setpoint or 0.0
     for i in pv:
-        vm0[i] = case_pu.buses[i].v_setpoint
+        vm0[i] = case.buses[i].v_setpoint
 
     def residual(x):
         va = va0.copy()
@@ -196,11 +198,11 @@ def coupled_sequence_direct_2bus(z012_full, sh_b0, sh_b1, injections) -> np.ndar
     return np.vstack([v[:3], v[3:]])
 
 
-def branchwise_power_balance(case_pu, v: np.ndarray, sequence: int) -> complex:
+def branchwise_power_balance(case, v: np.ndarray, sequence: int) -> complex:
     """Total complex power absorbed by branches and shunts, element by element."""
-    index = {b.id: i for i, b in enumerate(case_pu.buses)}
+    index = {b.id: i for i, b in enumerate(case.buses)}
     total = 0j
-    for br in case_pu.branches:
+    for br in case.branches:
         f, t = index[br.from_bus], index[br.to_bus]
         tap = br.tap or 1.0
         if sequence == 1:

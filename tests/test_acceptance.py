@@ -10,7 +10,7 @@ import pytest
 
 from tdcosim import cosim, dsolve, ed, io, tsolve
 from tdcosim.errors import ParseError
-from tdcosim.netmodel import CostCurve, Generator, to_per_unit
+from tdcosim.netmodel import CostCurve, Generator
 from tdcosim.seqxform import (
     FORTESCUE,
     FORTESCUE_INV,
@@ -91,9 +91,8 @@ def test_criterion_3_table1_structure(system1, ckt_feeder):
 
 
 def test_criterion_4_transmission_oracle(case9):
-    pu = to_per_unit(case9)
-    sol = tsolve.solve_three_sequence(pu)
-    oracle = nr_oracle(pu)
+    sol = tsolve.solve_three_sequence(case9)
+    oracle = nr_oracle(case9)
     err = np.max(np.abs(sol.v1 - oracle))
     assert err < 1e-8, err
     assert np.max(np.abs(sol.v0)) < 1e-10
@@ -107,7 +106,7 @@ def test_criterion_4_transmission_oracle(case9):
 def test_criterion_5_compensation_oracle():
     from test_tsolve import COUPLING, untransposed_case
 
-    case = to_per_unit(untransposed_case())
+    case = untransposed_case()
     br = case.branches[0]
     yb = tsolve.build_sequence_ybus(case)
     inj = np.array(
@@ -123,7 +122,7 @@ def test_criterion_5_compensation_oracle():
     mats = [yb.y0.toarray(), yb.y1.toarray(), yb.y2.toarray()]
     v = np.zeros((2, 3), dtype=complex)
     for _ in range(300):
-        corr = tsolve.compensation_currents(yb.couplings, v[:, 0], v[:, 1], v[:, 2])
+        corr = tsolve.compensation_currents(yb, v.T)
         v_new = np.column_stack(
             [np.linalg.solve(mats[s], inj[:, s] + corr[s]) for s in range(3)]
         )

@@ -5,7 +5,6 @@ import pytest
 
 from tdcosim import cosim, dsolve, ed, tsolve
 from tdcosim.errors import ConvergenceError, TdcosimError, VoltageCollapseError
-from tdcosim.netmodel import to_per_unit
 
 
 def dispatch_for(case, feeders):
@@ -83,8 +82,7 @@ def test_zero_load_feeder_two_rounds(system1, ckt_feeder):
     state, trace = cosim.couple_step(system1, {6: empty}, eps=1e-4)
     assert trace.overall_iterations == 2
     # PCC voltage equals the no-load transmission solution
-    pu = to_per_unit(system1)
-    sol = tsolve.solve_three_sequence(pu)
+    sol = tsolve.solve_three_sequence(system1)
     expected = abs(sol.v1[sol.bus_index[6]])
     assert state.pcc_voltages[6].magnitudes() == pytest.approx(expected, abs=1e-9)
     assert state.pcc_powers[6].total() == 0

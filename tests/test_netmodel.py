@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import pytest
 
+from tdcosim import tsolve
 from tdcosim.netmodel import (
     Branch,
     Bus,
@@ -10,8 +11,6 @@ from tdcosim.netmodel import (
     Generator,
     LoadAttachment,
     TransmissionCase,
-    Units,
-    to_per_unit,
     validate_case,
     with_dispatch,
 )
@@ -74,38 +73,12 @@ def test_generator_setpoint_outside_limits_flagged():
     assert any("p_set" in v for v in validate_case(case))
 
 
-def test_to_per_unit_mw_loads():
-    pu = to_per_unit(two_bus_case())
-    assert pu.units is Units.PER_UNIT
-    ld = pu.loads[0]
-    assert ld.p == pytest.approx(0.517, abs=1e-15)
-    assert ld.q == pytest.approx(0.123, abs=1e-15)
-
-
-def test_to_per_unit_idempotent():
-    pu = to_per_unit(two_bus_case())
-    assert to_per_unit(pu) is pu
-
-
-def test_to_per_unit_generators():
-    case = two_bus_case()
-    pu = to_per_unit(case)
-    for orig, g in zip(case.generators, pu.generators):
-        for attr in ("p_min", "p_max", "q_min", "q_max", "p_set", "q_set"):
-            a, b = getattr(orig, attr), getattr(g, attr)
-            assert b == pytest.approx(a / case.base_mva, rel=1e-12)
-        assert g.cost == orig.cost  # cost stays on the MW basis
-
-
-def test_normalization_never_introduces_violations(case9):
-    assert validate_case(to_per_unit(case9)) == []
-
-
 def test_zero_base_rejected():
-    with pytest.raises(ValueError):
-        to_per_unit(two_bus_case(base_mva=0.0))
-    with pytest.raises(ValueError):
-        to_per_unit(two_bus_case(base_mva=-5.0))
+    for base_mva in (0.0, -5.0):
+        case = two_bus_case(base_mva=base_mva)
+        assert any("base_mva" in v for v in validate_case(case))
+        with pytest.raises(ValueError):
+            tsolve.solve_three_sequence(case)
 
 
 def test_with_dispatch_replaces_setpoints():
@@ -114,8 +87,6 @@ def test_with_dispatch_replaces_setpoints():
     assert updated.generators[0].p_set == 123.0
     with pytest.raises(ValueError):
         with_dispatch(case, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        with_dispatch(to_per_unit(case), [1.0])
 
 
 def test_case_lookup_helpers(case9):

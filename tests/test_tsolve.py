@@ -14,7 +14,6 @@ from tdcosim.netmodel import (
     LoadAttachment,
     TransmissionCase,
     ZeroSeqPath,
-    to_per_unit,
     with_dispatch,
 )
 from tdcosim.seqxform import PhasePowers
@@ -37,32 +36,36 @@ def two_bus_case(load_p=100.0, load_q=0.0, z1=0.1j, **branch_kw):
     )
 
 
+def solve_nr(case):
+    yb = tsolve.build_sequence_ybus(case)
+    return tsolve.nr_positive_sequence(yb, tsolve.bus_schedule(case, yb))
+
+
 # -- Y-bus assembly ---------------------------------------------------------
 
 
 def test_single_line_offdiagonal():
-    yb = tsolve.build_sequence_ybus(to_per_unit(two_bus_case()))
+    yb = tsolve.build_sequence_ybus(two_bus_case())
     y1 = yb.y1.toarray()
     assert y1[0, 1] == pytest.approx(-1.0 / 0.1j, abs=1e-14)
     assert y1[0, 1] == pytest.approx(10j, abs=1e-14)
 
 
 def test_nine_bus_matches_stamping_oracle(case9):
-    pu = to_per_unit(case9)
-    yb = tsolve.build_sequence_ybus(pu)
+    yb = tsolve.build_sequence_ybus(case9)
     for seq, mat in ((0, yb.y0), (1, yb.y1), (2, yb.y2)):
-        oracle = stamp_ybus_dense(pu, seq)
+        oracle = stamp_ybus_dense(case9, seq)
         assert np.allclose(mat.toarray(), oracle, atol=1e-13), f"sequence {seq}"
 
 
 def test_open_zero_sequence_path_leaves_no_terms():
-    case = to_per_unit(two_bus_case(zero_seq_path=ZeroSeqPath.OPEN))
+    case = two_bus_case(zero_seq_path=ZeroSeqPath.OPEN)
     y0 = tsolve.build_sequence_ybus(case).y0.toarray()
     assert np.all(y0 == 0)
 
 
 def test_grounded_zero_sequence_is_shunt_at_to_bus():
-    case = to_per_unit(two_bus_case(z0=0.2j, zero_seq_path=ZeroSeqPath.GROUNDED))
+    case = two_bus_case(z0=0.2j, zero_seq_path=ZeroSeqPath.GROUNDED)
     y0 = tsolve.build_sequence_ybus(case).y0.toarray()
     assert y0[0, 0] == 0 and y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[1, 1] == pytest.approx(1.0 / 0.2j, abs=1e-14)
@@ -70,7 +73,7 @@ def test_grounded_zero_sequence_is_shunt_at_to_bus():
 
 def test_network_is_derived_once_per_bus_and_branch_set(case9):
     yb = tsolve.build_sequence_ybus(case9)
-    assert tsolve.build_sequence_ybus(to_per_unit(case9)) is yb
+    assert tsolve.build_sequence_ybus(case9) is yb
     redispatched = with_dispatch(case9, [g.p_set + 1.0 for g in case9.generators])
     assert tsolve.build_sequence_ybus(redispatched) is yb
     br = case9.branches[-1]
@@ -82,17 +85,17 @@ def test_solves_on_two_networks_do_not_share_state(case9):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
-    pu_a = to_per_unit(replace(case9, loads=loads))
-    br = pu_a.branches[-1]
-    pu_b = replace(pu_a, branches=pu_a.branches[:-1] + (replace(br, z0=1.3 * br.z0),))
+    case_a = replace(case9, loads=loads)
+    br = case_a.branches[-1]
+    case_b = replace(case_a, branches=case_a.branches[:-1] + (replace(br, z0=1.3 * br.z0),))
     m = (51.7 + 12.3j) / 3.0
     pcc_loads = [(6, PhasePowers(1.15 * m, 0.925 * m, 0.925 * m))]
 
     tsolve._sequence_network.cache_clear()
-    sol_a = tsolve.solve_three_sequence(pu_a, pcc_loads=pcc_loads)
-    after_a = tsolve.solve_three_sequence(pu_b, pcc_loads=pcc_loads)
+    sol_a = tsolve.solve_three_sequence(case_a, pcc_loads=pcc_loads)
+    after_a = tsolve.solve_three_sequence(case_b, pcc_loads=pcc_loads)
     tsolve._sequence_network.cache_clear()
-    fresh = tsolve.solve_three_sequence(pu_b, pcc_loads=pcc_loads)
+    fresh = tsolve.solve_three_sequence(case_b, pcc_loads=pcc_loads)
     assert not np.array_equal(sol_a.v0, fresh.v0)
     for got, want in zip((after_a.v0, after_a.v1, after_a.v2), (fresh.v0, fresh.v1, fresh.v2)):
         assert np.array_equal(got, want)
@@ -102,15 +105,15 @@ def test_solves_on_two_networks_do_not_share_state(case9):
 
 
 def test_no_load_flat_solution():
-    case = to_per_unit(replace(two_bus_case(), loads=()))
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(case), case)
+    case = replace(two_bus_case(), loads=())
+    nr = solve_nr(case)
     assert np.allclose(nr.v1, [1.0, 1.0], atol=1e-12)
     assert nr.iterations <= 1
 
 
 def test_two_bus_matches_gauss_seidel_oracle():
-    case = to_per_unit(two_bus_case(load_p=100.0, load_q=0.0))
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(case), case)
+    case = two_bus_case(load_p=100.0, load_q=0.0)
+    nr = solve_nr(case)
     v2 = 1.0 + 0j
     for _ in range(500):  # plain fixed point on the same equations
         v2 = 1.0 - 0.1j * np.conj((1.0 + 0j) / v2)
@@ -120,10 +123,12 @@ def test_two_bus_matches_gauss_seidel_oracle():
 
 
 def test_nine_bus_base_case_matches_root_finder_oracle(case9):
-    pu = to_per_unit(case9)
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(pu), pu)
-    oracle = nr_oracle(pu)
-    assert np.max(np.abs(nr.v1 - oracle)) < 1e-8
+    # A second system base checks the solver's MW-to-pu reading against the
+    # oracle's own.
+    for case in (case9, replace(case9, base_mva=250.0)):
+        nr = solve_nr(case)
+        oracle = nr_oracle(case)
+        assert np.max(np.abs(nr.v1 - oracle)) < 1e-8, case.base_mva
 
 
 def test_nine_bus_pcc_load_voltage_scale(case9):
@@ -131,55 +136,92 @@ def test_nine_bus_pcc_load_voltage_scale(case9):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, p=51.7, q=12.3) for ld in case9.loads
     )
-    pu = to_per_unit(replace(case9, loads=loads))
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(pu), pu)
-    oracle = nr_oracle(pu)
+    case = replace(case9, loads=loads)
+    nr = solve_nr(case)
+    oracle = nr_oracle(case)
     assert np.max(np.abs(nr.v1 - oracle)) < 1e-6
-    i6 = [b.id for b in pu.buses].index(6)
+    i6 = [b.id for b in case.buses].index(6)
     assert 1.0 < abs(nr.v1[i6]) < 1.06
 
 
 def test_divergence_raises_with_history():
-    case = to_per_unit(two_bus_case(load_p=2500.0))  # far beyond loadability
+    case = two_bus_case(load_p=2500.0)  # far beyond loadability
     with pytest.raises(ConvergenceError) as err:
-        tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(case), case)
+        solve_nr(case)
     assert len(err.value.history) > 0
 
 
-def test_pv_q_limit_switching():
-    case = TransmissionCase(
+def pv_bus_case(v_set, gens, load_q):
+    """Slack bus 1, PV bus 2 at ``v_set`` with generators ``gens`` and a
+    100 MW + ``load_q`` MVAr load at PQ bus 3."""
+    return TransmissionCase(
         base_mva=100.0,
         buses=(
             Bus(1, BusKind.SLACK, 230.0, 1.0, 0.0),
-            Bus(2, BusKind.PV, 230.0, 1.05),
+            Bus(2, BusKind.PV, 230.0, v_set),
             Bus(3, BusKind.PQ, 230.0),
         ),
         branches=(Branch(1, 2, z1=0.02 + 0.1j), Branch(2, 3, z1=0.02 + 0.1j)),
-        generators=(
-            Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),
-            Generator(2, 0.0, 500.0, -5.0, 5.0, CostCurve(0.01, 10.0, 0.0), p_set=50.0),
-        ),
-        loads=(LoadAttachment(3, p=100.0, q=60.0),),
+        generators=(Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)), *gens),
+        loads=(LoadAttachment(3, p=100.0, q=load_q),),
     )
-    pu = to_per_unit(case)
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(pu), pu)
+
+
+def pv_gen(q_min, q_max, p_set=50.0, q_set=0.0):
+    return Generator(2, 0.0, 500.0, q_min, q_max, CostCurve(0.01, 10.0, 0.0), p_set, q_set)
+
+
+def pv_bus_state(case):
+    """|V| and generator MVAr at PV bus 2, which carries no load."""
+    nr = solve_nr(case)
+    y1 = tsolve.build_sequence_ybus(case).y1_dense
+    return abs(nr.v1[1]), (nr.v1 * np.conj(y1 @ nr.v1))[1].imag * case.base_mva
+
+
+def test_pv_q_limit_switching():
     # the PV bus cannot hold 1.05 with only 5 MVAr; it must have been released
-    assert abs(nr.v1[1]) < 1.05 - 1e-4
+    v2, q2 = pv_bus_state(pv_bus_case(1.05, [pv_gen(-5.0, 5.0)], load_q=60.0))
+    assert v2 < 1.05 - 1e-4
+    assert q2 == pytest.approx(5.0, abs=1e-6)
+
+    # holding 0.95 takes about 24 MVAr of absorption: released at q_min
+    v2, q2 = pv_bus_state(pv_bus_case(0.95, [pv_gen(-10.0, 10.0)], load_q=0.0))
+    assert v2 > 0.95 + 1e-4
+    assert q2 == pytest.approx(-10.0, abs=1e-6)
+
+    # holding 1.02 takes about 48 MVAr: two 30 MVAr units on the bus hold it
+    # together, either one alone would not
+    v2, q2 = pv_bus_state(
+        pv_bus_case(1.02, [pv_gen(-30.0, 30.0, p_set=25.0)] * 2, load_q=5.0)
+    )
+    assert v2 == pytest.approx(1.02, abs=1e-12)
+    assert 30.0 < q2 < 60.0
+    v2, q2 = pv_bus_state(pv_bus_case(1.02, [pv_gen(-30.0, 30.0)], load_q=5.0))
+    assert v2 < 1.02 - 1e-4
+    assert q2 == pytest.approx(30.0, abs=1e-6)
+
+
+def test_pv_q_limit_ignores_generator_q_setpoint():
+    # the generator needs about 48 of its 52.7 MVAr to hold 1.02 pu; its own
+    # Q setpoint, which a PV bus overrides, must not shift the limits
+    for q_set in (-30.0, 0.0, 30.0):
+        v2, q2 = pv_bus_state(pv_bus_case(1.02, [pv_gen(-52.7, 52.7, q_set=q_set)], load_q=5.0))
+        assert v2 == pytest.approx(1.02, abs=1e-12), q_set
+        assert q2 == pytest.approx(47.72, abs=0.01), q_set
 
 
 # -- linear sequence solves -------------------------------------------------
 
 
 def test_zero_injection_zero_voltage(case9):
-    pu = to_per_unit(case9)
-    yb = tsolve.build_sequence_ybus(pu)
+    yb = tsolve.build_sequence_ybus(case9)
     n = yb.n
     assert np.all(tsolve.solve_negative(yb, np.zeros(n)) == 0)
     assert np.all(tsolve.solve_zero(yb, np.zeros(n)) == 0)
 
 
 def test_two_bus_negative_solve_matches_dense():
-    case = to_per_unit(two_bus_case(b1_shunt=0.2))
+    case = two_bus_case(b1_shunt=0.2)
     yb = tsolve.build_sequence_ybus(case)
     inj = np.array([0.0, 0.1 - 0.05j])
     v = tsolve.solve_negative(yb, inj)
@@ -188,8 +230,7 @@ def test_two_bus_negative_solve_matches_dense():
 
 
 def test_nine_bus_linear_solves_match_dense_lu(case9):
-    pu = to_per_unit(case9)
-    yb = tsolve.build_sequence_ybus(pu)
+    yb = tsolve.build_sequence_ybus(case9)
     idx6 = yb.bus_index[6]
     inj = np.zeros(yb.n, dtype=complex)
     inj[idx6] = 0.05 - 0.02j
@@ -224,7 +265,7 @@ def test_injection_behind_open_transformer():
         generators=(Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),),
         loads=(),
     )
-    yb = tsolve.build_sequence_ybus(to_per_unit(case))
+    yb = tsolve.build_sequence_ybus(case)
     inj = np.zeros(3, dtype=complex)
     inj[yb.bus_index[3]] = 0.02j
     v0 = tsolve.solve_zero(yb, inj)
@@ -263,28 +304,24 @@ def untransposed_case():
 
 
 def test_transposed_case_has_no_corrections(case9):
-    pu = to_per_unit(case9)
-    yb = tsolve.build_sequence_ybus(pu)
-    assert yb.couplings == []
-    n = yb.n
-    c0, c1, c2 = tsolve.compensation_currents([], np.ones(n), np.ones(n), np.ones(n))
-    assert np.all(c0 == 0) and np.all(c1 == 0) and np.all(c2 == 0)
+    yb = tsolve.build_sequence_ybus(case9)
+    assert yb.coupling_y.shape == (0, 3, 3)
+    assert np.all(tsolve.compensation_currents(yb, np.ones((3, yb.n), dtype=complex)) == 0)
 
 
 def test_corrections_linear_in_coupling_block():
-    yb = tsolve.build_sequence_ybus(to_per_unit(untransposed_case()))
-    (c,) = yb.couplings
-    doubled = tsolve.SequenceCoupling(c.from_idx, c.to_idx, 2.0 * c.y_off)
+    yb = tsolve.build_sequence_ybus(untransposed_case())
+    assert len(yb.coupling_y) == 1
+    doubled = replace(yb, coupling_y=2.0 * yb.coupling_y)
     rng = np.random.default_rng(3)
-    v0, v1, v2 = (rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3))
-    base = tsolve.compensation_currents([c], v0, v1, v2)
-    twice = tsolve.compensation_currents([doubled], v0, v1, v2)
-    for b, t in zip(base, twice):
-        assert np.allclose(t, 2.0 * b, atol=1e-14)
+    x = np.array([rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3)])
+    base = tsolve.compensation_currents(yb, x)
+    twice = tsolve.compensation_currents(doubled, x)
+    assert np.allclose(twice, 2.0 * base, atol=1e-14)
 
 
 def test_decoupled_fixed_point_matches_coupled_direct_solve():
-    case = to_per_unit(untransposed_case())
+    case = untransposed_case()
     br = case.branches[0]
     yb = tsolve.build_sequence_ybus(case)
 
@@ -301,7 +338,7 @@ def test_decoupled_fixed_point_matches_coupled_direct_solve():
     mats = [yb.y0.toarray(), yb.y1.toarray(), yb.y2.toarray()]
     v = np.zeros((2, 3), dtype=complex)
     for _ in range(200):
-        corr = tsolve.compensation_currents(yb.couplings, v[:, 0], v[:, 1], v[:, 2])
+        corr = tsolve.compensation_currents(yb, v.T)
         v_new = np.zeros_like(v)
         for s in range(3):
             v_new[:, s] = np.linalg.solve(mats[s], inj[:, s] + corr[s])
@@ -349,11 +386,10 @@ def test_zero_power_zero_injection():
 
 
 def test_balanced_reduces_to_positive_sequence(case9):
-    pu = to_per_unit(case9)
-    sol = tsolve.solve_three_sequence(pu)
+    sol = tsolve.solve_three_sequence(case9)
     assert np.max(np.abs(sol.v0)) < 1e-10
     assert np.max(np.abs(sol.v2)) < 1e-10
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(pu), pu)
+    nr = solve_nr(case9)
     assert np.max(np.abs(sol.v1 - nr.v1)) < 1e-8
 
 
@@ -373,10 +409,9 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
         generators=(Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),),
         loads=(LoadAttachment(3, feeder_id="f"),),
     )
-    pu = to_per_unit(case)
     m = (20.0 + 5.0j) / 3.0
     s_abc = PhasePowers(1.1 * m, 0.95 * m, 0.95 * m)
-    sol = tsolve.solve_three_sequence(pu, pcc_loads=[(3, s_abc)])
+    sol = tsolve.solve_three_sequence(case, pcc_loads=[(3, s_abc)])
 
     # Monolithic oracle: simultaneous phase-frame nodal equations solved by a
     # generic root finder.  The source bus holds its positive-sequence
@@ -387,7 +422,7 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
     from oracles import fortescue_inverse, fortescue_matrix, stamp_ybus_dense
 
     A, Ainv = fortescue_matrix(), fortescue_inverse()
-    y_seq = [stamp_ybus_dense(pu, s) for s in (0, 1, 2)]
+    y_seq = [stamp_ybus_dense(case, s) for s in (0, 1, 2)]
     n = 3
     # phase-frame block admittance: Y_abc[i,j] = A @ diag(y0,y1,y2)[i,j] @ A^-1
     y_abc = np.zeros((3 * n, 3 * n), dtype=complex)
@@ -434,9 +469,9 @@ def test_nine_bus_snapshot_load_converges(case9):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
-    pu = to_per_unit(replace(case9, loads=loads))
+    case = replace(case9, loads=loads)
     s = PhasePowers(51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3)
-    sol = tsolve.solve_three_sequence(pu, pcc_loads=[(6, s)])
+    sol = tsolve.solve_three_sequence(case, pcc_loads=[(6, s)])
     assert sol.mismatch < tsolve.NR_TOL
 
 
@@ -444,28 +479,27 @@ def test_power_conservation_per_sequence(case9):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
-    pu = to_per_unit(replace(case9, loads=loads))
+    case = replace(case9, loads=loads)
     m = (51.7 + 12.3j) / 3.0
     s_abc = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
-    sol = tsolve.solve_three_sequence(pu, pcc_loads=[(6, s_abc)])
-    yb = tsolve.build_sequence_ybus(pu)
+    sol = tsolve.solve_three_sequence(case, pcc_loads=[(6, s_abc)])
+    yb = tsolve.build_sequence_ybus(case)
 
     # positive sequence: scheduled injections (with slack/PV fill-in) must
     # match the element-by-element branch/shunt consumption
-    consumed = branchwise_power_balance(pu, sol.v1, 1)
+    consumed = branchwise_power_balance(case, sol.v1, 1)
     injected = np.sum(sol.v1 * np.conj(yb.y1 @ sol.v1))
     assert abs(consumed - injected) < 1e-8
 
     # negative/zero: injected boundary power equals element consumption
     for seq, v, y in ((2, sol.v2, yb.y2), (0, sol.v0, yb.y0)):
         inj_power = np.sum(v * np.conj(y @ v))
-        consumed = branchwise_power_balance(pu, v, seq)
+        consumed = branchwise_power_balance(case, v, seq)
         assert abs(inj_power - consumed) < 1e-8, f"sequence {seq}"
 
 
 def test_nr_mismatch_tail_strictly_decreasing(case9):
-    pu = to_per_unit(case9)
-    nr = tsolve.nr_positive_sequence(tsolve.build_sequence_ybus(pu), pu)
+    nr = solve_nr(case9)
     tail = nr.history[-3:]
     assert len(tail) == 3
     assert tail[0] > tail[1] > tail[2]
@@ -475,17 +509,17 @@ def test_sequence_loop_failure_carries_pass_history(case9):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
-    pu = to_per_unit(replace(case9, loads=loads))
+    case = replace(case9, loads=loads)
     m = (51.7 + 12.3j) / 3.0
     s_abc = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
     with pytest.raises(ConvergenceError) as err:
-        tsolve.solve_three_sequence(pu, pcc_loads=[(6, s_abc)], max_passes=2)
+        tsolve.solve_three_sequence(case, pcc_loads=[(6, s_abc)], max_passes=2)
     assert len(err.value.history) == 2
     assert err.value.history[-1] > tsolve.SEQ_LOOP_TOL
 
 
 def test_three_sequence_with_untransposed_branch_converges():
-    case = to_per_unit(untransposed_case())
+    case = untransposed_case()
     sol = tsolve.solve_three_sequence(case)
     # coupling drags nonzero negative/zero voltages out of the balanced load
     assert np.max(np.abs(sol.v2)) > 1e-6
