@@ -194,16 +194,25 @@ class _Topology:
     def __post_init__(self):
         self.by_end = np.argsort(self.end, kind="stable")  # nodes by subtree end
         self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(len(self.end)), "right")
+        # Where the absent phases are in an (n, 3) array seen flat, phase by phase.
+        self.absent_at = [np.flatnonzero(~self.mask[:, p]) * 3 + p for p in range(3)]
+
+    def fill_absent(self, x: np.ndarray, values) -> None:
+        """Set the absent phases of (n, 3) ``x`` to ``values`` by phase."""
+        flat = x.reshape(-1)
+        for at, value in zip(self.absent_at, values):
+            flat[at] = value
 
     # The gathers below take mode="clip" because their indices are in range
     # by construction; the default mode copies ``out`` before writing it.
+    # They and the sums are array methods, which skip the np.* wrappers.
 
     def subtree_sums(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """Sums of (n, 3) ``x`` over each subtree into ``out``; on a chain, as a
         loop from the tail.  ``work`` is (n + 1, 3) scratch."""
         work[-1] = 0.0
-        np.cumsum(x[::-1], axis=0, out=work[-2::-1])  # suffix sums
-        np.take(work, self.end, axis=0, out=out, mode="clip")
+        x[::-1].cumsum(0, out=work[-2::-1])  # suffix sums
+        work.take(self.end, 0, out, "clip")
         return np.subtract(work[:-1], out, out=out)
 
     def path_sums(self, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
@@ -211,10 +220,10 @@ class _Topology:
         sums less the terms whose subtree ended at or before the node.
         ``b`` is overwritten by its prefix sums; ``work`` is (n + 1, 3) scratch."""
         work[0] = 0.0
-        np.take(b, self.by_end, axis=0, out=work[1:], mode="clip")
-        np.cumsum(work[1:], axis=0, out=work[1:])  # terms of ended subtrees
-        np.cumsum(b, axis=0, out=b)
-        np.take(work, self.n_ended, axis=0, out=out, mode="clip")
+        b.take(self.by_end, 0, work[1:], "clip")
+        work[1:].cumsum(0, out=work[1:])  # terms of ended subtrees
+        b.cumsum(0, out=b)
+        work.take(self.n_ended, 0, out, "clip")
         return np.subtract(b, out, out=out)
 
 
@@ -411,8 +420,8 @@ def sweep_solve(
     rescaled per phase by ``head / start[0]``.  While it iterates, absent
     phases carry no load and no drop, so they keep a nonzero voltage (the
     head's at the start, then their nearest ancestor's) and the load
-    currents need no mask; they are set to zero once, before the final
-    pass, and a warm start's first change is taken over present phases.
+    currents need no mask; they are set to zero once, in the final pass,
+    and a warm start's first change is taken over present phases.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -420,7 +429,7 @@ def sweep_solve(
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
     head_arr = head_v.as_array()
     head_mag = np.abs(head_arr)
-    if np.any(head_mag <= COLLAPSE_FLOOR) or np.any(head_mag >= 1.5):
+    if not (COLLAPSE_FLOOR < head_mag.min() and head_mag.max() < 1.5):  # NaN fails too
         raise ValueError(
             f"head voltage magnitudes {head_mag} outside the supported "
             f"({COLLAPSE_FLOOR}, 1.5) pu band"
@@ -432,7 +441,7 @@ def sweep_solve(
         start = np.asarray(start)
         if start.shape != mask.shape:
             raise ValueError(f"start has shape {start.shape}, the feeder {mask.shape}")
-        if np.any(start[0] == 0):  # the head has every phase
+        if not start[0].all():  # the head has every phase
             raise ValueError(f"start has a zero head voltage: {start[0]}")
     absent = np.where(mask, 0.0, np.inf)  # added to |v|: min over present phases
     s_pu = _load_array(feeder)
@@ -442,9 +451,11 @@ def sweep_solve(
     cur, acc, b, v_new, v = (np.empty_like(s_pu) for _ in range(5))
     work = np.empty((len(s_pu) + 1, 3), dtype=complex)
     mag = np.empty(s_pu.shape)
-    v[:] = head_arr
-    if start is not None:
-        np.multiply(start, head_arr / start[0], out=v, where=mask)
+    if start is None:
+        v[:] = head_arr
+    else:
+        np.multiply(start, head_arr / start[0], out=v)
+        topo.fill_absent(v, head_arr)
     b[0] = head_arr
     history: list[float] = []
     for iterations in range(1, max_iter + 1):
@@ -457,7 +468,7 @@ def sweep_solve(
             # An absent phase moves from the head's voltage to its nearest
             # ancestor's; later it moves exactly as that ancestor does.
             np.multiply(cur, mask, out=cur)
-        delta = float(np.max(np.abs(cur, out=mag)))
+        delta = float(np.abs(cur, out=mag).max())
         history.append(delta)
         v, v_new = v_new, v
         worst = float(np.add(np.abs(v, out=mag), absent, out=mag).min())
@@ -477,9 +488,12 @@ def sweep_solve(
         )
 
     # Final consistency pass: currents recomputed at the reported voltages so
-    # KCL holds exactly at every node.
+    # KCL holds exactly at every node.  Absent phases carry no load at their
+    # placeholder voltage; their currents and voltages are then set to zero.
+    np.divide(s_pu, v, out=cur)
+    topo.fill_absent(cur, (0.0, 0.0, 0.0))
     np.multiply(v, mask, out=v)
-    topo.subtree_sums(_load_currents(s_pu, v, mask), acc, work)
+    topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
     s_head_pu = v[0] * np.conj(acc[0])
     head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 

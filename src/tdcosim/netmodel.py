@@ -131,12 +131,16 @@ def validate_case(case: TransmissionCase) -> list[str]:
     if case.base_mva <= 0:
         violations.append(f"base_mva must be positive, got {case.base_mva}")
 
+    gen_buses = {g.bus for g in case.generators}
     for b in case.buses:
         if b.base_kv <= 0:
             violations.append(f"bus {b.id}: base_kv must be positive")
         if b.kind in (BusKind.PV, BusKind.SLACK):
             if b.v_setpoint is None or b.v_setpoint <= 0:
                 violations.append(f"bus {b.id}: {b.kind.value} bus needs v_setpoint > 0")
+        if b.kind is BusKind.PV and b.id not in gen_buses:
+            # nothing would limit the Q that holds its voltage
+            violations.append(f"bus {b.id}: pv bus has no generator")
         if b.kind is BusKind.SLACK and b.angle_setpoint is None:
             violations.append(f"bus {b.id}: slack bus needs angle_setpoint")
 

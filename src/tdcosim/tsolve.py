@@ -13,13 +13,13 @@ that loop is a function of the (3, n) sequence voltages, and the loop
 Anderson-mixes its passes.
 
 Everything that depends only on the buses and branches (the three Y-buses,
-the bus index, classes and voltage setpoints, the stacked coupling blocks,
-and the ground-tied partition and sparse LU factor of Y0 and Y2) is derived
-once per network by :func:`build_sequence_ybus` and shared by every solve on
-that network, so a run that only changes dispatch, loads or PCC powers
-factorises once.  Cases carry MW/MVAr; each solve reads the generators and
-lumped loads into per-unit arrays by bus once (:func:`bus_schedule`), as
-MATPOWER's ``makeSbus`` does.
+the bus index, classes and voltage setpoints, the NR's index gathers, the
+stacked coupling blocks, and the ground-tied partition and sparse LU factor
+of Y0 and Y2) is derived once per network by :func:`build_sequence_ybus` and
+shared by every solve on that network, so a run that only changes dispatch,
+loads or PCC powers factorises once.  Cases carry MW/MVAr; each solve reads
+the generators and lumped loads into per-unit arrays by bus once
+(:func:`bus_schedule`), as MATPOWER's ``makeSbus`` does.
 """
 from __future__ import annotations
 
@@ -47,6 +47,7 @@ SEQ_LOOP_TOL = 1e-9
 SEQ_LOOP_MAX_PASSES = 20
 SEQ_LOOP_MEMORY = 5  # passes the sequence loop's Anderson mixing looks back over
 PV_SWITCH_MAX = 5
+FLOATING_TOL = 1e-12  # pu, the largest injection a bus with no path to ground may take
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,7 +57,39 @@ class _GroundedFactor:
     label: str
     grounded: np.ndarray  # (n,) bool
     idx: np.ndarray  # indices of the ground-tied buses
+    floating: np.ndarray  # indices of the others
     lu: spla.SuperLU | None  # None when that block is exactly singular
+
+
+@dataclass(frozen=True, eq=False)
+class _BusClasses:
+    """The NR's PV and PQ buses and the gathers its iterations use.
+
+    As in MATPOWER, the unknowns are the angles at the PV and PQ buses in bus
+    order (``pvpq``), then the magnitudes at the PQ buses, and the equations
+    the P mismatches at ``pvpq``, then the Q mismatches at ``pq``.  Entry
+    ``k`` of either is at bus ``pos[k]``, of kind ``kind[k]`` (0 for angle
+    and P, 1 for magnitude and Q).
+    """
+
+    pv: np.ndarray
+    pq: np.ndarray  # sorted
+    at_state: np.ndarray  # each unknown in the (2, n) angles and magnitudes
+    at_mismatch: np.ndarray  # each equation in S seen as (n, 2) floats
+    at_jac: np.ndarray  # the Jacobian in (dS/dVa, dS/dVm) seen as (2, n, n, 2) floats
+
+
+def _bus_classes(n: int, pv: np.ndarray, pq: np.ndarray) -> _BusClasses:
+    pvpq = np.sort(np.concatenate([pv, pq]))
+    pos = np.concatenate([pvpq, pq])
+    kind = np.repeat([0, 1], [len(pvpq), len(pq)])
+    return _BusClasses(
+        pv=pv,
+        pq=pq,
+        at_state=kind * n + pos,
+        at_mismatch=2 * pos + kind,
+        at_jac=2 * n * (n * kind + pos[:, None]) + 2 * pos + kind[:, None],
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,10 +106,10 @@ class SequenceYBus:
     coupling_y: np.ndarray  # (c, 3, 3) their off-diagonal blocks, stacked
     bus_index: dict[int, int]
     slack: int
-    pv: tuple[int, ...]
-    pq: tuple[int, ...]
-    v_set: np.ndarray  # (n,) |V| setpoint at the slack and PV buses, 1 elsewhere
+    held: np.ndarray  # the slack and PV buses, whose |V| the NR holds
+    v_held: np.ndarray  # their |V| setpoints
     slack_angle: float  # rad
+    classes: _BusClasses  # before any PV bus is switched to PQ
     zero: _GroundedFactor
     negative: _GroundedFactor
 
@@ -156,6 +189,9 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     if len(slack) != 1:
         raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
     y0, y2 = y0.tocsr(), y2.tocsr()
+    pv = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PV], dtype=int)
+    pq = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PQ], dtype=int)
+    held = np.concatenate([slack, pv])
     return SequenceYBus(
         y0=y0,
         y1=y1.tocsr(),
@@ -165,10 +201,10 @@ def _sequence_network(buses, branches) -> SequenceYBus:
         coupling_y=np.array(coupling_y, dtype=complex).reshape(-1, 3, 3),
         bus_index=bus_index,
         slack=slack[0],
-        pv=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PV),
-        pq=tuple(i for i, b in enumerate(buses) if b.kind is BusKind.PQ),
-        v_set=np.array([b.v_setpoint or 1.0 for b in buses]),
+        held=held,
+        v_held=np.array([buses[i].v_setpoint or 1.0 for i in held]),
         slack_angle=buses[slack[0]].angle_setpoint or 0.0,
+        classes=_bus_classes(n, pv, pq),
         zero=_factor_grounded(y0, "zero"),
         negative=_factor_grounded(y2, "negative"),
     )
@@ -240,28 +276,29 @@ def nr_positive_sequence(
     """
     y = ybus.y1_dense
     s_spec = sched.s.copy() if extra_s1 is None else sched.s - extra_s1
-    q_other = s_spec.imag - sched.q_set  # the bus's Q injection besides its generators'
+    x = np.empty((2, ybus.n))  # angles and magnitudes
+    if v_init is None:
+        x[0], x[1] = 0.0, 1.0
+    else:  # np.angle and np.abs
+        np.arctan2(v_init.imag, v_init.real, out=x[0])
+        np.abs(v_init, out=x[1])
+    x[1, ybus.held] = ybus.v_held
+    x[0, ybus.slack] = ybus.slack_angle
 
-    vm = np.ones(ybus.n) if v_init is None else np.abs(v_init)
-    va = np.zeros(ybus.n) if v_init is None else np.angle(v_init)
-    held = [ybus.slack, *ybus.pv]
-    vm[held] = ybus.v_set[held]
-    va[ybus.slack] = ybus.slack_angle
-
-    pv = np.array(ybus.pv, dtype=int)
-    pq = np.array(ybus.pq, dtype=int)
+    cls = ybus.classes
     total_iters = 0
     for _ in range(PV_SWITCH_MAX + 1):
-        vm, va, iters, mismatch, history = _nr_core(y, s_spec, pv, pq, vm, va)
+        v, s_calc, iters, mismatch, history = _nr_core(y, s_spec, cls, x)
         total_iters += iters
-        if mismatch >= NR_TOL:
+        if not mismatch < NR_TOL:  # NaN fails too
             raise ConvergenceError(
                 f"positive-sequence NR did not reach {NR_TOL:g} pu in {NR_MAX_ITER} "
                 f"iterations (last mismatch {mismatch:.3e})",
                 history,
             )
-        v = vm * np.exp(1j * va)
-        q_gen = (v * np.conj(y @ v)).imag[pv] - q_other[pv]
+        pv = cls.pv
+        q_other = s_spec.imag[pv] - sched.q_set[pv]  # the bus's Q besides its generators'
+        q_gen = s_calc.imag[pv] - q_other
         over = q_gen > sched.q_max[pv] + 1e-9
         under = q_gen < sched.q_min[pv] - 1e-9
         hit = over | under
@@ -269,58 +306,45 @@ def nr_positive_sequence(
             break
         q_lim = np.where(over, sched.q_max[pv], sched.q_min[pv])
         switched = pv[hit]
-        s_spec[switched] = s_spec[switched].real + 1j * (q_lim[hit] + q_other[switched])
-        pv = pv[~hit]
-        pq = np.sort(np.concatenate([pq, switched]))
+        s_spec[switched] = s_spec[switched].real + 1j * (q_lim[hit] + q_other[hit])
+        cls = _bus_classes(ybus.n, pv[~hit], np.sort(np.concatenate([cls.pq, switched])))
     return NrResult(v, total_iters, mismatch, tuple(history))
 
 
-def _nr_core(y, s_spec, pv, pq_s, vm, va):
-    """NR iterations with the ``pv`` and sorted ``pq_s`` bus classes fixed."""
-    pvpq = np.sort(np.concatenate([pv, pq_s]))
-    npvpq, npq = len(pvpq), len(pq_s)
-    jac = np.empty((npvpq + npq, npvpq + npq))
-    diag = np.diag_indices(len(vm))
-
+def _nr_core(y, s_spec, cls: _BusClasses, x: np.ndarray):
+    """NR iterations on the (2, n) angles and magnitudes ``x``, in place, with
+    the bus classes fixed.  Returns the last iterate's V and S, the
+    iterations taken, the last mismatch and the mismatch history."""
+    n = x.shape[1]
+    va, vm = x
     history: list[float] = []
-    mismatch = np.inf
     for it in range(NR_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         i_bus = y @ v
         s_calc = v * np.conj(i_bus)
-        rhs = np.concatenate([(s_spec.real - s_calc.real)[pvpq],
-                              (s_spec.imag - s_calc.imag)[pq_s]])
-        mismatch = np.max(np.abs(rhs), initial=0.0)
+        rhs = (s_spec - s_calc).view(float)[cls.at_mismatch]
+        mismatch = np.abs(rhs).max(initial=0.0)
         history.append(float(mismatch))
-        if mismatch < NR_TOL:
-            return vm, va, it, mismatch, history
-        if it == NR_MAX_ITER:
-            break
+        if mismatch < NR_TOL or it == NR_MAX_ITER or not mismatch < np.inf:  # NaN, inf
+            return v, s_calc, it, mismatch, history
 
         # MATPOWER's dSbus_dV with its diagonal matrices as vectors:
         # dS/dVa = j diag(V) conj(diag(I) - Y diag(V)),
         # dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|).
+        # Both are formed at once, as ds = (dS/dVa, dS/dVm).
         v_norm = v / vm
-        ds_dva = y * v
-        ds_dva[diag] -= i_bus
-        ds_dva = -1j * v[:, None] * np.conj(ds_dva)
-        ds_dvm = v[:, None] * np.conj(y * v_norm)
-        ds_dvm[diag] += np.conj(i_bus) * v_norm
-
-        jac[:npvpq, :npvpq] = ds_dva.real[pvpq[:, None], pvpq]
-        jac[:npvpq, npvpq:] = ds_dvm.real[pvpq[:, None], pq_s]
-        jac[npvpq:, :npvpq] = ds_dva.imag[pq_s[:, None], pvpq]
-        jac[npvpq:, npvpq:] = ds_dvm.imag[pq_s[:, None], pq_s]
+        ds = y * np.array([v, v_norm])[:, None, :]
+        diag = ds.reshape(2, -1)[:, :: n + 1]
+        diag[0] -= i_bus
+        np.multiply(np.array([-1j * v, v])[..., None], np.conj(ds, out=ds), out=ds)
+        diag[1] += np.conj(i_bus) * v_norm
         try:
-            dx = np.linalg.solve(jac, rhs)
+            dx = np.linalg.solve(ds.view(float).reshape(-1)[cls.at_jac], rhs)
         except np.linalg.LinAlgError as exc:
             raise SingularNetworkError(
                 f"singular Jacobian at NR iteration {it}"
             ) from exc
-        va[pvpq] += dx[:npvpq]
-        vm[pq_s] += dx[npvpq:]
-
-    return vm, va, NR_MAX_ITER, mismatch, history
+        x.reshape(-1)[cls.at_state] += dx
 
 
 def _grounded_partition(y: sp.csr_matrix):
@@ -352,25 +376,40 @@ def _factor_grounded(y: sp.csr_matrix, label: str) -> _GroundedFactor:
             lu = spla.splu(y[np.ix_(idx, idx)].tocsc())
         except RuntimeError:  # exactly singular
             pass
-    return _GroundedFactor(label, grounded, idx, lu)
+    return _GroundedFactor(label, grounded, idx, np.nonzero(~grounded)[0], lu)
 
 
 def _solve_linear_sequence(seq: _GroundedFactor, injections: np.ndarray) -> np.ndarray:
-    v = np.zeros(len(seq.grounded), dtype=complex)
-    if not np.any(np.abs(injections) > 0.0):
-        return v
-    bad = np.nonzero(~seq.grounded & (np.abs(injections) > 1e-12))[0]
+    if not injections.any():
+        return np.zeros(len(seq.grounded), dtype=complex)
+    if seq.floating.size and not np.abs(injections[seq.floating]).max() <= FLOATING_TOL:
+        _reject(seq, injections)
+    if not seq.floating.size and seq.lu is not None:  # every bus ground-tied
+        v = seq.lu.solve(injections)
+    else:
+        v = np.zeros(len(seq.grounded), dtype=complex)
+        if seq.idx.size:
+            v[seq.idx] = np.nan if seq.lu is None else seq.lu.solve(injections[seq.idx])
+    if not np.isfinite(v.sum()):  # NaN or inf anywhere
+        _reject(seq, injections)
+    return v
+
+
+def _reject(seq: _GroundedFactor, injections: np.ndarray):
+    """Raise for a linear solve that cannot be done or failed: ``ValueError``
+    for a non-finite injection, else ``SingularNetworkError``."""
+    bad = np.flatnonzero(~np.isfinite(injections))
+    if bad.size:
+        raise ValueError(
+            f"{seq.label}-sequence injection at bus index {bad.tolist()} is not finite"
+        )
+    bad = seq.floating[np.abs(injections[seq.floating]) > FLOATING_TOL]
     if bad.size:
         raise SingularNetworkError(
             f"{seq.label}-sequence injection at bus index {bad.tolist()} has no "
             f"path to ground; network is singular there"
         )
-    if seq.idx.size:
-        v_red = np.nan if seq.lu is None else seq.lu.solve(injections[seq.idx])
-        if not np.all(np.isfinite(v_red)):
-            raise SingularNetworkError(f"{seq.label}-sequence network is singular")
-        v[seq.idx] = v_red
-    return v
+    raise SingularNetworkError(f"{seq.label}-sequence network is singular")
 
 
 def solve_negative(ybus: SequenceYBus, injections: np.ndarray) -> np.ndarray:
@@ -429,10 +468,11 @@ def solve_three_sequence(
     """Full three-sequence solve with PCC loads and compensation currents.
 
     ``case`` is in MW/MVAr and is read into per-unit arrays once.
-    ``pcc_loads`` pairs PCC bus ids with per-phase head powers in MVA.  One
-    pass maps the (3, n) sequence voltages to the next: PCC injections and
-    compensation currents at those voltages, then the positive NR and the
-    negative and zero solves.  The passes stop when the largest
+    ``pcc_loads`` pairs distinct PCC bus ids with per-phase head powers in
+    MVA.  One pass maps the (3, n) sequence voltages to the next: PCC
+    injections and compensation currents (when a branch is untransposed) at
+    those voltages, then the positive NR and the negative and zero solves,
+    each called once through this module.  The passes stop when the largest
     sequence-voltage change of a pass drops below ``SEQ_LOOP_TOL``.  After
     the second pass and each later one, the next iterate is the Anderson mix
     of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
@@ -443,17 +483,23 @@ def solve_three_sequence(
     sched = bus_schedule(case, ybus)
     n = ybus.n
     pcc = np.array([ybus.bus_index[bus_id] for bus_id, _ in pcc_loads], dtype=int)
+    if len(set(pcc.tolist())) < len(pcc):
+        raise ValueError("pcc_loads names a bus more than once")
     s_abc = np.array([s.as_array() for _, s in pcc_loads], dtype=complex).reshape(-1, 3)
     s_abc /= case.base_mva / 3.0
+    coupled = len(ybus.coupling_y) > 0
 
     def sequence_pass(x: np.ndarray) -> tuple[np.ndarray, NrResult]:
         inj = np.zeros((3, n), dtype=complex)
-        np.add.at(inj, (slice(None), pcc), pcc_injections(s_abc, x[:, pcc]))
-        corr = compensation_currents(ybus, x)
-        # Positive-sequence compensation enters NR as an equivalent PQ load.
-        nr = nr_positive_sequence(ybus, sched, inj[1] - x[1] * np.conj(corr[1]), v_init=x[1])
-        v2 = solve_negative(ybus, inj[2] + corr[2])
-        v0 = solve_zero(ybus, inj[0] + corr[0])
+        inj[:, pcc] += pcc_injections(s_abc, x[:, pcc])
+        if coupled:
+            corr = compensation_currents(ybus, x)
+            # Positive-sequence compensation enters NR as an equivalent PQ load.
+            inj[1] -= x[1] * np.conj(corr[1])
+            inj[0::2] += corr[0::2]
+        nr = nr_positive_sequence(ybus, sched, inj[1], v_init=x[1])
+        v2 = solve_negative(ybus, inj[2])
+        v0 = solve_zero(ybus, inj[0])
         return np.array([v0, nr.v1, v2]), nr
 
     if warm is not None:
@@ -467,7 +513,7 @@ def solve_three_sequence(
     for pass_no in range(1, max_passes + 1):
         g, nr = sequence_pass(x)
         total_iters += nr.iterations
-        delta = np.inf if warm is None and pass_no == 1 else float(np.max(np.abs(g - x)))
+        delta = np.inf if warm is None and pass_no == 1 else float(np.abs(g - x).max())
         history.append(delta)
         if delta < SEQ_LOOP_TOL:
             return SequenceSolution(

@@ -134,6 +134,20 @@ def test_validate_ok_and_bad(paths, tmp_path, capsys):
     assert "not radial" in capsys.readouterr().err
 
 
+def test_validate_rejects_a_pv_bus_without_generator(tmp_path, capsys):
+    bad = tmp_path / "pv.td"
+    bad.write_text(
+        "tdcase 1\nbase_mva 100.0\n"
+        "bus 1 slack base_kv=230.0 v=1.0 angle=0.0\nbus 2 pv base_kv=230.0 v=1.05\n"
+        "bus 3 pq base_kv=230.0\n"
+        "branch 1 2 r1=0.02 x1=0.1\nbranch 2 3 r1=0.02 x1=0.1\n"
+        "gen 1 pmin=0.0 pmax=500.0 qmin=-500.0 qmax=500.0 cost_a=0.01 cost_b=10.0 cost_c=0.0\n"
+        "load 3 p=100.0 q=60.0\n"
+    )
+    assert main(["validate", str(bad)]) == 2
+    assert capsys.readouterr().out == f"{bad}: bus 2: pv bus has no generator\n"
+
+
 @pytest.mark.parametrize("kind", ["case", "feeder"])
 def test_validate_reads_the_header_past_comments(paths, tmp_path, capsys, kind):
     commented = tmp_path / f"commented-{kind}.td"

@@ -216,6 +216,8 @@ def test_head_voltage_band_enforced():
         sweep_solve(f, PhaseVoltages.balanced(0.4))
     with pytest.raises(ValueError):
         sweep_solve(f, PhaseVoltages.balanced(1.6))
+    with pytest.raises(ValueError):
+        sweep_solve(f, PhaseVoltages(1.0, complex("nan+nanj"), 1.0))
 
 
 @pytest.mark.parametrize("scale, alpha", [(0.95, 0.0), (0.9, 0.1), (1.0, 0.0)])

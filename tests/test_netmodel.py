@@ -73,6 +73,32 @@ def test_generator_setpoint_outside_limits_flagged():
     assert any("p_set" in v for v in validate_case(case))
 
 
+def pv_bus_case(gens):
+    """Slack bus 1, PV bus 2 at 1.05 pu with generators ``gens``, and a
+    100 + j60 MVA load at bus 3 beyond it."""
+    return TransmissionCase(
+        base_mva=100.0,
+        buses=(
+            Bus(1, BusKind.SLACK, 230.0, 1.0, 0.0),
+            Bus(2, BusKind.PV, 230.0, 1.05),
+            Bus(3, BusKind.PQ, 230.0),
+        ),
+        branches=(Branch(1, 2, z1=0.02 + 0.1j), Branch(2, 3, z1=0.02 + 0.1j)),
+        generators=(
+            Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),
+            *gens,
+        ),
+        loads=(LoadAttachment(3, p=100.0, q=60.0),),
+    )
+
+
+def test_pv_bus_without_generator_flagged():
+    # nothing would limit the Q that holds bus 2 at 1.05 pu
+    assert validate_case(pv_bus_case(())) == ["bus 2: pv bus has no generator"]
+    unit = Generator(2, 0.0, 500.0, -50.0, 50.0, CostCurve(0.01, 10.0, 0.0), p_set=20.0)
+    assert validate_case(pv_bus_case((unit,))) == []
+
+
 def test_zero_base_rejected():
     for base_mva in (0.0, -5.0):
         case = two_bus_case(base_mva=base_mva)

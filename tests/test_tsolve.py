@@ -151,6 +151,15 @@ def test_divergence_raises_with_history():
     assert len(err.value.history) > 0
 
 
+def test_nan_mismatch_is_not_converged(case9):
+    yb = tsolve.build_sequence_ybus(case9)
+    extra = np.zeros(yb.n, dtype=complex)
+    extra[4] = np.nan
+    with pytest.raises(ConvergenceError) as err:
+        tsolve.nr_positive_sequence(yb, tsolve.bus_schedule(case9, yb), extra)
+    assert np.isnan(err.value.history[-1])
+
+
 def pv_bus_case(v_set, gens, load_q):
     """Slack bus 1, PV bus 2 at ``v_set`` with generators ``gens`` and a
     100 MW + ``load_q`` MVAr load at PQ bus 3."""
@@ -277,6 +286,33 @@ def test_injection_behind_open_transformer():
     bad[yb.bus_index[1]] = 0.01
     with pytest.raises(SingularNetworkError):
         tsolve.solve_zero(yb, bad)
+
+
+def test_non_finite_injections_rejected(case9):
+    yb = tsolve.build_sequence_ybus(case9)
+    with pytest.raises(ValueError, match="not finite"):
+        tsolve.solve_zero(yb, np.full(yb.n, np.nan, dtype=complex))
+    # at a ground-tied bus, alone and beside a finite injection
+    for other in (0.0, 0.05 - 0.02j):
+        for bad in (np.nan, np.inf):
+            inj = np.zeros(yb.n, dtype=complex)
+            inj[yb.bus_index[5]] = other
+            inj[yb.bus_index[6]] = bad
+            for solve in (tsolve.solve_zero, tsolve.solve_negative):
+                with pytest.raises(ValueError, match=r"bus index \[5\] is not finite"):
+                    solve(yb, inj)
+
+
+def test_exactly_singular_sequence_network():
+    # 10j series with 0.4 pu charging: Y0 = 0.1j * [[1, 1], [1, 1]], tied to
+    # ground by its charging but singular
+    yb = tsolve.build_sequence_ybus(two_bus_case(z0=10j, b0_shunt=0.4))
+    assert yb.zero.grounded.all()
+    inj = np.zeros(2, dtype=complex)
+    inj[1] = 0.01
+    with pytest.raises(SingularNetworkError, match="zero-sequence network is singular"):
+        tsolve.solve_zero(yb, inj)
+    assert np.all(tsolve.solve_zero(yb, np.zeros(2)) == 0)
 
 
 # -- compensation currents --------------------------------------------------
@@ -463,6 +499,12 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
     for i in range(n):
         v_mine[i] = A @ np.array([sol.v0[i], sol.v1[i], sol.v2[i]])
     assert np.max(np.abs(v_mine - v_oracle)) < 1e-8
+
+
+def test_pcc_bus_named_twice_rejected(case9):
+    load = PhasePowers(10.0 + 2.0j, 10.0 + 2.0j, 10.0 + 2.0j)
+    with pytest.raises(ValueError, match="more than once"):
+        tsolve.solve_three_sequence(case9, pcc_loads=[(6, load), (5, load), (6, load)])
 
 
 def test_nine_bus_snapshot_load_converges(case9):
