@@ -9,7 +9,8 @@ advances past a step once its boundary has converged.
 * The coupled boundary (:func:`couple_step`) iterates the exchange to fixed
   point: the three-sequence solve produces PCC phase voltages, every feeder
   is swept at its commanded head voltage, one after another in PCC order,
-  and the per-phase head powers feed the next transmission solve.
+  and the per-phase head powers feed the next transmission solve.  The
+  exchange is kept as (k, 3) arrays, one row per PCC in sorted bus order.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``; the first
   round bootstraps from each feeder's aggregate load.  Each sweep starts
@@ -17,12 +18,13 @@ advances past a step once its boundary has converged.
   first round the previous step's, which the loop hands over with the whole
   converged state.  A feeder solved on another topology starts flat.
 * The aggregate-PQ boundary is the decoupled model: each feeder enters as
-  its aggregate load times its multiplier, and one transmission solve ends
-  the step with no feeder sweep.  :func:`run_decoupled_baseline` runs it on
-  the dispatch cadence.
+  its aggregate load, and one transmission solve ends the step with no
+  feeder sweep.  :func:`run_decoupled_baseline` runs it on the dispatch
+  cadence.
 """
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field, replace
 
@@ -31,7 +33,7 @@ import numpy as np
 from . import dsolve, ed, tsolve
 from .errors import ConvergenceError, TdcosimError
 from .netmodel import TransmissionCase, validate_case, with_dispatch
-from .seqxform import PhasePowers, PhaseVoltages, sequence_to_phase
+from .seqxform import PhasePowers, PhaseVoltages
 
 COUPLING_EPS = 1e-4
 MAX_ROUNDS = 50
@@ -62,8 +64,18 @@ class CoupledState:
 
     seq: tsolve.SequenceSolution
     feeder_solutions: dict[int, dsolve.FeederSolution]
-    pcc_voltages: dict[int, PhaseVoltages]
+    pcc_voltages: dict[int, PhaseVoltages]  # keyed in PCC order
     pcc_powers: dict[int, PhasePowers]
+
+
+def _state(seq, fsols, buses, v_pcc, s_pcc) -> CoupledState:
+    """The records of an exchange held as (k, 3) arrays in ``buses`` order."""
+    return CoupledState(
+        seq,
+        fsols,
+        {bus: PhaseVoltages.from_array(v) for bus, v in zip(buses, v_pcc)},
+        {bus: PhasePowers.from_array(s) for bus, s in zip(buses, s_pcc)},
+    )
 
 
 @dataclass
@@ -141,13 +153,12 @@ def couple_step(
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.
-    s_pcc: dict[int, PhasePowers] = {
-        bus: dsolve.aggregate_load(f) for bus, f in feeders.items()
-    }
+    buses = sorted(feeders)
+    s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
 
     trace = CouplingTrace()
-    prev_mag: dict[int, np.ndarray] = {}
-    converged_at: dict[int, int] = {}
+    mags = None  # the last round's PCC voltage magnitudes
+    since = np.zeros(len(buses), dtype=int)  # round since which each PCC stayed below eps
     seq = warm.seq if warm is not None else None
     fsols: dict[int, dsolve.FeederSolution] = {}  # this step's latest sweeps
     last = warm.feeder_solutions if warm is not None else {}
@@ -156,71 +167,45 @@ def couple_step(
         # (i) transmission solve with the most recent PCC powers; on exit the
         # converged transmission model has consumed them verbatim.
         try:
-            seq = tsolve.solve_three_sequence(
-                case,
-                pcc_loads=[(bus, s_pcc[bus]) for bus in sorted(feeders)],
-                warm=seq,
-            )
+            seq = tsolve.solve_three_sequence(case, buses, s_pcc, warm=seq)
         except ConvergenceError as exc:
             exc.args = (f"round {k}: {exc.args[0]}",) + exc.args[1:]
             trace.overall_iterations = k
             exc.trace = trace
             raise
-        v_sent = {bus: sequence_to_phase(seq.at(bus)) for bus in feeders}
-
-        all_ok = k >= 2
-        for bus in sorted(feeders):
-            mags = v_sent[bus].magnitudes()
-            mismatch = (
-                float(np.max(np.abs(mags - prev_mag[bus]))) if bus in prev_mag else float("inf")
-            )
-            # distribution side: head voltage of the latest feeder solve
-            # (one exchange behind the transmission iterate, like Table 1)
-            head_mags = np.abs(fsols[bus].v[0]) if bus in fsols else mags
-            trace.rows.append(
-                TraceRow(
-                    pcc_bus=bus,
-                    iteration=k,
-                    v_trans_mag=tuple(float(m) for m in mags),
-                    v_dist_mag=tuple(float(m) for m in head_mags),
-                    mismatch=mismatch,
-                )
-            )
-            if mismatch < eps:
-                converged_at.setdefault(bus, k)
-            else:
-                converged_at.pop(bus, None)
-                all_ok = False
-            prev_mag[bus] = mags
+        v_pcc = seq.phase_voltages(buses)
+        prev, mags = mags, np.abs(v_pcc)
+        mismatch = np.full(len(buses), np.inf) if prev is None else np.abs(mags - prev).max(axis=1)
+        below = mismatch < eps
+        since = np.where(below, np.where(since > 0, since, k), 0)
+        # distribution side: head voltage of the latest feeder solve
+        # (one exchange behind the transmission iterate, like Table 1)
+        head_mags = np.abs([fsols[b].v[0] for b in buses]) if fsols else mags
+        rows = zip(buses, mags.tolist(), head_mags.tolist(), mismatch.tolist())
+        trace.rows += [TraceRow(b, k, tuple(vt), tuple(vd), dv) for b, vt, vd, dv in rows]
 
         if not feeders:
             # Degenerate but legal: nothing to couple, one solve suffices.
             trace.overall_iterations = k
             return CoupledState(seq, {}, {}, {}), trace
 
-        if all_ok:
+        if k >= 2 and below.all():
             trace.overall_iterations = k
-            trace.iterations_to_converge = dict(converged_at)
-            state = CoupledState(
-                seq=seq,
-                feeder_solutions=fsols,
-                pcc_voltages=v_sent,
-                pcc_powers=dict(s_pcc),
-            )
-            return state, trace
+            trace.iterations_to_converge = dict(zip(buses, since.tolist()))
+            return _state(seq, fsols, buses, v_pcc, s_pcc), trace
 
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
             fsols = {
-                bus: _sweep_one(bus, feeders[bus], v_sent[bus], last.get(bus))
-                for bus in sorted(feeders)
+                bus: _sweep_one(bus, feeders[bus], PhaseVoltages.from_array(v), last.get(bus))
+                for bus, v in zip(buses, v_pcc)
             }
         except ConvergenceError as exc:
             trace.overall_iterations = k
             exc.trace = trace
             raise
         last = fsols
-        s_pcc = {bus: sol.head_power for bus, sol in fsols.items()}
+        s_pcc = np.array([fsols[b].head_power.as_array() for b in buses])
 
     trace.overall_iterations = max_rounds
     err = ConvergenceError(
@@ -238,15 +223,18 @@ def _multiplier(load, shapes, t_min: int) -> float:
     return 1.0
 
 
-def _scale_case_loads(case: TransmissionCase, shapes, t_min: int) -> TransmissionCase:
-    loads = []
+def _scale_step(case: TransmissionCase, feeders, shapes, t_min: int):
+    """The case and the feeders with every load scaled by its loadshape
+    multiplier at ``t_min``."""
+    loads, scaled = [], {}
     for ld in case.loads:
-        if ld.loadshape_id and not ld.is_feeder:
-            m = _multiplier(ld, shapes, t_min)
-            loads.append(replace(ld, p=ld.p * m, q=ld.q * m))
-        else:
-            loads.append(ld)
-    return replace(case, loads=tuple(loads))
+        m = _multiplier(ld, shapes, t_min)
+        if ld.is_feeder:
+            scaled[ld.bus] = dsolve.scale_loads(feeders[ld.bus], m)
+        elif ld.loadshape_id:
+            ld = replace(ld, p=ld.p * m, q=ld.q * m)
+        loads.append(ld)
+    return replace(case, loads=tuple(loads)), scaled
 
 
 def forecast_demand_mw(case, feeders, shapes=None, t_min: int = 0) -> float:
@@ -277,32 +265,28 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
             )
 
 
-def _aggregate_pq_boundary(case, feeders, multipliers, dispatch, warm):
+def _aggregate_pq_boundary(case, feeders, dispatch, warm):
     """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
     The trace carries one round so the result shares the coupled run's
     shape; a :class:`ConvergenceError` carries it too, with no rows.
     """
     case = with_dispatch(case, dispatch.p_set)
-    pcc_loads = [
-        (bus, dsolve.aggregate_load(feeders[bus]).scaled(multipliers.get(bus, 1.0)))
-        for bus in sorted(feeders)
-    ]
+    buses = sorted(feeders)
+    s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
     trace = CouplingTrace(overall_iterations=1)
     try:
         seq = tsolve.solve_three_sequence(
-            case, pcc_loads=pcc_loads, warm=warm.seq if warm is not None else None
+            case, buses, s_pcc, warm=warm.seq if warm is not None else None
         )
     except ConvergenceError as exc:
         exc.trace = trace
         raise
-    v_sent = {}
-    for bus, _ in pcc_loads:
-        v_sent[bus] = sequence_to_phase(seq.at(bus))
-        mags = tuple(float(m) for m in v_sent[bus].magnitudes())
-        trace.rows.append(TraceRow(bus, 1, mags, mags, 0.0))
+    v_pcc = seq.phase_voltages(buses)
+    for bus, mags in zip(buses, np.abs(v_pcc).tolist()):
+        trace.rows.append(TraceRow(bus, 1, tuple(mags), tuple(mags), 0.0))
         trace.iterations_to_converge[bus] = 1
-    return CoupledState(seq, {}, v_sent, dict(pcc_loads)), trace
+    return _state(seq, {}, buses, v_pcc, s_pcc), trace
 
 
 def _time_loop(
@@ -311,12 +295,11 @@ def _time_loop(
 ) -> CosimResult:
     """The one time-stepping loop behind both runs.
 
-    Each step's ``boundary(step_case, feeders, multipliers, dispatch, warm)``
-    gets the loadshape-scaled case, the unscaled feeders with their
-    multipliers by PCC bus, the dispatch in force and the last converged
-    step's :class:`CoupledState`; it returns ``(CoupledState, CouplingTrace)``
-    or raises :class:`ConvergenceError`, whose message becomes the step's
-    ``error``.
+    Each step's ``boundary(step_case, step_feeders, dispatch, warm=)`` gets
+    the case and the feeders with their loads scaled by the loadshapes, the
+    dispatch in force and the last converged step's :class:`CoupledState`;
+    it returns ``(CoupledState, CouplingTrace)`` or raises
+    :class:`ConvergenceError`, whose message becomes the step's ``error``.
     """
     if horizon_min <= 0:
         raise ValueError("horizon must be positive")
@@ -348,13 +331,10 @@ def _time_loop(
         if dispatched:
             demand = forecast_demand_mw(case, feeders, loadshapes, t)
             dispatch = ed.dispatch(case.generators, demand)
-        step_case = _scale_case_loads(case, loadshapes, t)
-        multipliers = {
-            ld.bus: _multiplier(ld, loadshapes, t) for ld in case.loads if ld.is_feeder
-        }
+        step_case, step_feeders = _scale_step(case, feeders, loadshapes, t)
         error = None
         try:
-            state, trace = boundary(step_case, feeders, multipliers, dispatch, warm)
+            state, trace = boundary(step_case, step_feeders, dispatch, warm=warm)
         except ConvergenceError as exc:
             state, trace, error = None, getattr(exc, "trace", CouplingTrace()), str(exc)
         else:
@@ -397,20 +377,10 @@ def run_timeseries(
     coupling failure the run either stops with partial results (``abort``)
     or records the failed step and continues (``continue``).
     """
-
-    def coupled(step_case, unscaled, multipliers, dispatch, warm):
-        scaled = {
-            bus: dsolve.scale_loads(f, multipliers.get(bus, 1.0))
-            for bus, f in unscaled.items()
-        }
-        return couple_step(
-            step_case, scaled, dispatch=dispatch, eps=eps, max_rounds=max_rounds,
-            warm=warm,
-        )
-
     return _time_loop(
         case, feeders, loadshapes, start_min, horizon_min, ed_interval_min,
-        pf_interval_min, eps, on_fail, coupled,
+        pf_interval_min, eps, on_fail,
+        functools.partial(couple_step, eps=eps, max_rounds=max_rounds),
     )
 
 

@@ -243,7 +243,6 @@ def parse_case(text: str) -> CaseDocument:
                     b0_shunt=num("b0", 0.0),
                     tap=num("tap", 1.0),
                     zero_seq_path=zseq,
-                    untransposed=coupling is not None,
                     coupling=coupling,
                 )
             )

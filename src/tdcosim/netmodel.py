@@ -50,10 +50,9 @@ class Branch:
     z0: complex | None = None  # defaults to z1
     b1_shunt: float = 0.0  # total line charging, pu
     b0_shunt: float = 0.0
-    tap: float = 1.0
+    tap: float = 1.0  # off-nominal ratio at the from bus, positive
     zero_seq_path: ZeroSeqPath = ZeroSeqPath.THROUGH
-    untransposed: bool = False
-    coupling: np.ndarray | None = None  # 3x3 off-diagonal sequence Z block
+    coupling: np.ndarray | None = None  # 3x3 off-diagonal sequence Z block of an untransposed line
 
     @property
     def z2_eff(self) -> complex:
@@ -154,8 +153,8 @@ def validate_case(case: TransmissionCase) -> list[str]:
         for name, z in (("z1", br.z1), ("z2", br.z2_eff), ("z0", br.z0_eff)):
             if abs(z) == 0.0:
                 violations.append(f"{tag}: |{name}| must be nonzero")
-        if br.coupling is not None and not br.untransposed:
-            violations.append(f"{tag}: coupling block on a transposed line")
+        if not br.tap > 0:
+            violations.append(f"{tag}: tap must be positive, got {br.tap}")
         if br.coupling is not None and np.asarray(br.coupling).shape != (3, 3):
             violations.append(f"{tag}: coupling block must be 3x3")
 
@@ -166,6 +165,10 @@ def validate_case(case: TransmissionCase) -> list[str]:
             violations.append(
                 f"generator at bus {g.bus}: p_set {g.p_set} outside "
                 f"[{g.p_min}, {g.p_max}]"
+            )
+        if g.q_min > g.q_max:
+            violations.append(
+                f"generator at bus {g.bus}: q_min {g.q_min} above q_max {g.q_max}"
             )
         if g.cost.a < 0:
             violations.append(f"generator at bus {g.bus}: cost a must be >= 0")

@@ -74,22 +74,6 @@ class PhaseVoltages:
 
 
 @dataclass(frozen=True)
-class SequenceVoltages:
-    """Complex per-unit voltages in the 0/1/2 frame."""
-
-    v0: complex
-    v1: complex
-    v2: complex
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v0, self.v1, self.v2], dtype=complex)
-
-    @classmethod
-    def from_array(cls, v: np.ndarray) -> "SequenceVoltages":
-        return cls(complex(v[0]), complex(v[1]), complex(v[2]))
-
-
-@dataclass(frozen=True)
 class PhasePowers:
     """Complex power per phase (P + jQ); MVA at module boundaries, per-unit
     inside the solvers — callers keep track of which frame they are in."""
@@ -111,19 +95,6 @@ class PhasePowers:
 
     def total(self) -> complex:
         return self.sa + self.sb + self.sc
-
-    def scaled(self, factor: float) -> "PhasePowers":
-        return PhasePowers(self.sa * factor, self.sb * factor, self.sc * factor)
-
-
-def phase_to_sequence(v: PhaseVoltages) -> SequenceVoltages:
-    """Transform a/b/c phasors into 0/1/2 components."""
-    return SequenceVoltages.from_array(FORTESCUE_INV @ v.as_array())
-
-
-def sequence_to_phase(v: SequenceVoltages) -> PhaseVoltages:
-    """Transform 0/1/2 components into a/b/c phasors (exact inverse)."""
-    return PhaseVoltages.from_array(FORTESCUE @ v.as_array())
 
 
 def phase_currents_from_power(s: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ the generators and lumped loads into per-unit arrays by bus once
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -33,13 +33,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, SingularNetworkError
 from .netmodel import BusKind, TransmissionCase, ZeroSeqPath
-from .seqxform import (
-    FORTESCUE,
-    FORTESCUE_INV,
-    PhasePowers,
-    SequenceVoltages,
-    phase_currents_from_power,
-)
+from .seqxform import FORTESCUE, FORTESCUE_INV, phase_currents_from_power
 
 NR_TOL = 1e-8
 NR_MAX_ITER = 30
@@ -125,12 +119,15 @@ class SequenceSolution:
     v2: np.ndarray
     mismatch: float
     iterations: int  # total NR iterations across passes
-    passes: int = 1
-    bus_index: dict[int, int] = field(default_factory=dict)
+    passes: int
+    bus_index: dict[int, int]  # the network's, shared: never mutate
 
-    def at(self, bus_id: int) -> SequenceVoltages:
-        i = self.bus_index[bus_id]
-        return SequenceVoltages(complex(self.v0[i]), complex(self.v1[i]), complex(self.v2[i]))
+    def phase_voltages(self, buses) -> np.ndarray:
+        """The (k, 3) phase voltages at ``buses``, one row per bus in order."""
+        rows = [self.bus_index[b] for b in buses]
+        return np.array(
+            [FORTESCUE @ np.array([self.v0[i], self.v1[i], self.v2[i]]) for i in rows]
+        ).reshape(-1, 3)
 
 
 def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
@@ -156,9 +153,9 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     for br in branches:
         f = bus_index[br.from_bus]
         t = bus_index[br.to_bus]
-        tap = br.tap if br.tap else 1.0
+        tap = br.tap
 
-        if br.untransposed and br.coupling is not None:
+        if br.coupling is not None:
             # Full series impedance, inverted once; diagonal admittances are
             # stamped, the rest becomes the compensation block.
             z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + np.asarray(
@@ -461,31 +458,34 @@ def pcc_injections(s_abc: np.ndarray, v012: np.ndarray) -> np.ndarray:
 
 def solve_three_sequence(
     case: TransmissionCase,
-    pcc_loads: list[tuple[int, PhasePowers]] | None = None,
+    pcc_buses=(),
+    s_pcc=None,
     max_passes: int = SEQ_LOOP_MAX_PASSES,
     warm: SequenceSolution | None = None,
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
 
     ``case`` is in MW/MVAr and is read into per-unit arrays once.
-    ``pcc_loads`` pairs distinct PCC bus ids with per-phase head powers in
-    MVA.  One pass maps the (3, n) sequence voltages to the next: PCC
-    injections and compensation currents (when a branch is untransposed) at
-    those voltages, then the positive NR and the negative and zero solves,
-    each called once through this module.  The passes stop when the largest
+    ``pcc_buses`` are distinct PCC bus ids and ``s_pcc`` their (k, 3)
+    per-phase head powers in MVA, one row per bus in that order.  One pass
+    maps the (3, n) sequence voltages to the next: PCC injections and
+    compensation currents (when a branch is untransposed) at those voltages,
+    then the positive NR and the negative and zero solves, each called once
+    through this module.  The passes stop when the largest
     sequence-voltage change of a pass drops below ``SEQ_LOOP_TOL``.  After
     the second pass and each later one, the next iterate is the Anderson mix
     of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
     plain pass result when the change grew.
     """
-    pcc_loads = pcc_loads or []
     ybus = build_sequence_ybus(case)
     sched = bus_schedule(case, ybus)
     n = ybus.n
-    pcc = np.array([ybus.bus_index[bus_id] for bus_id, _ in pcc_loads], dtype=int)
+    pcc = np.array([ybus.bus_index[bus_id] for bus_id in pcc_buses], dtype=int)
     if len(set(pcc.tolist())) < len(pcc):
-        raise ValueError("pcc_loads names a bus more than once")
-    s_abc = np.array([s.as_array() for _, s in pcc_loads], dtype=complex).reshape(-1, 3)
+        raise ValueError("pcc_buses names a bus more than once")
+    s_abc = np.array(s_pcc if s_pcc is not None else np.zeros((0, 3)), dtype=complex)
+    if s_abc.shape != (len(pcc), 3):
+        raise ValueError(f"s_pcc must be shaped ({len(pcc)}, 3), got {s_abc.shape}")
     s_abc /= case.base_mva / 3.0
     coupled = len(ybus.coupling_y) > 0
 
@@ -518,7 +518,7 @@ def solve_three_sequence(
         if delta < SEQ_LOOP_TOL:
             return SequenceSolution(
                 v0=g[0], v1=g[1], v2=g[2], mismatch=nr.mismatch,
-                iterations=total_iters, passes=pass_no, bus_index=dict(ybus.bus_index),
+                iterations=total_iters, passes=pass_no, bus_index=ybus.bus_index,
             )
         x = mixer.next(x, g, grew=len(history) > 1 and delta > history[-2])
 

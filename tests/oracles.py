@@ -31,14 +31,14 @@ def stamp_ybus_dense(case, sequence: int) -> np.ndarray:
     y = np.zeros((n, n), dtype=complex)
     for br in case.branches:
         f, t = index[br.from_bus], index[br.to_bus]
-        tap = br.tap or 1.0
+        tap = br.tap
         if sequence == 1:
             z, b = br.z1, br.b1_shunt
         elif sequence == 2:
             z, b = br.z2_eff, br.b1_shunt
         else:
             z, b = br.z0_eff, br.b0_shunt
-        if br.untransposed and br.coupling is not None:
+        if br.coupling is not None:
             z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + np.asarray(br.coupling)
             ys = np.linalg.inv(z_full)[sequence, sequence]
         else:
@@ -204,14 +204,14 @@ def branchwise_power_balance(case, v: np.ndarray, sequence: int) -> complex:
     total = 0j
     for br in case.branches:
         f, t = index[br.from_bus], index[br.to_bus]
-        tap = br.tap or 1.0
+        tap = br.tap
         if sequence == 1:
             z, b = br.z1, br.b1_shunt
         elif sequence == 2:
             z, b = br.z2_eff, br.b1_shunt
         else:
             z, b = br.z0_eff, br.b0_shunt
-        if br.untransposed and br.coupling is not None:
+        if br.coupling is not None:
             z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + np.asarray(br.coupling)
             ys = np.linalg.inv(z_full)[sequence, sequence]
         else:

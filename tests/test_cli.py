@@ -148,6 +148,16 @@ def test_validate_rejects_a_pv_bus_without_generator(tmp_path, capsys):
     assert capsys.readouterr().out == f"{bad}: bus 2: pv bus has no generator\n"
 
 
+def test_validate_rejects_a_zero_tap(paths, tmp_path, capsys):
+    text = Path(paths["case"]).read_text()
+    line = next(ln for ln in text.splitlines() if ln.startswith("branch "))
+    bad = tmp_path / "tap0.td"
+    bad.write_text(text.replace(line, line + " tap=0", 1))
+    assert main(["validate", str(bad)]) == 2
+    branch = "-".join(line.split()[1:3])
+    assert capsys.readouterr().out == f"{bad}: branch {branch}: tap must be positive, got 0.0\n"
+
+
 @pytest.mark.parametrize("kind", ["case", "feeder"])
 def test_validate_reads_the_header_past_comments(paths, tmp_path, capsys, kind):
     commented = tmp_path / f"commented-{kind}.td"

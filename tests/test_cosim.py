@@ -5,6 +5,7 @@ import pytest
 
 from tdcosim import cosim, dsolve, ed, tsolve
 from tdcosim.errors import ConvergenceError, TdcosimError, VoltageCollapseError
+from tdcosim.seqxform import FORTESCUE
 
 
 def dispatch_for(case, feeders):
@@ -49,10 +50,26 @@ def test_both_sides_agree_at_final_iteration(sys1_state):
         )
 
 
-def test_converged_transmission_consumed_head_powers_verbatim(sys1_state):
-    state, _ = sys1_state
-    head = state.feeder_solutions[6].head_power
-    assert state.pcc_powers[6].as_array() == pytest.approx(head.as_array(), abs=0)
+@pytest.fixture(scope="module")
+def sys2_state(system2, feeders3):
+    # three PCCs whose powers and voltages differ, so a transposed (k, 3)
+    # exchange or a PCC-order slip shows
+    shifted = {b: dsolve.apply_unbalance(f, 0.1) for b, f in feeders3.items()}
+    return cosim.couple_step(system2, shifted, dispatch=dispatch_for(system2, feeders3), eps=1e-4)
+
+
+@pytest.mark.parametrize("states", ["sys1_state", "sys2_state"])
+def test_converged_transmission_consumed_head_powers_verbatim(states, request):
+    state, trace = request.getfixturevalue(states)
+    assert list(state.pcc_voltages) == list(state.pcc_powers) == sorted(state.feeder_solutions)
+    for bus, fsol in state.feeder_solutions.items():
+        head = fsol.head_power
+        assert state.pcc_powers[bus].as_array() == pytest.approx(head.as_array(), abs=0)
+        i = state.seq.bus_index[bus]
+        v012 = np.array([state.seq.v0[i], state.seq.v1[i], state.seq.v2[i]])
+        v_abc = FORTESCUE @ v012
+        assert np.array_equal(state.pcc_voltages[bus].as_array(), v_abc)
+        assert trace.rows_for(bus)[-1].v_trans_mag == tuple(np.abs(v_abc).tolist())
 
 
 def test_balanced_phases_agree(sys1_state):
@@ -366,7 +383,6 @@ def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
     )
     assert [s.t_min for s in res.steps] == list(range(1245, 1275, 5))
     assert res.aborted_at is None
-    agg = dsolve.aggregate_load(ckt_feeder)
     for step in res.steps:
         assert step.converged and step.dispatched
         trace = step.trace
@@ -377,7 +393,8 @@ def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
         assert row.v_dist_mag == row.v_trans_mag
         assert row.v_trans_mag == tuple(step.state.pcc_voltages[6].magnitudes())
         assert step.state.feeder_solutions == {}
-        assert step.state.pcc_powers[6] == agg.scaled(day_shape.multiplier(step.t_min))
+        scaled = dsolve.scale_loads(ckt_feeder, day_shape.multiplier(step.t_min))
+        assert step.state.pcc_powers[6] == dsolve.aggregate_load(scaled)
 
 
 def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):

@@ -79,7 +79,7 @@ def test_case_coupling_parsed():
     )
     doc = io.parse_case(text)
     br = doc.case.branches[0]
-    assert br.untransposed
+    assert br.coupling is not None
     assert br.coupling[0, 1] == 0.004 + 0.012j
     assert br.coupling[2, 0] == -0.003 + 0.008j
 

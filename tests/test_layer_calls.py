@@ -11,7 +11,6 @@ from collections import Counter
 import pytest
 
 from tdcosim import cosim, dsolve, tsolve
-from tdcosim.seqxform import PhasePowers
 
 LAYERS = {
     tsolve: ("build_sequence_ybus", "solve_three_sequence", "nr_positive_sequence",
@@ -41,10 +40,9 @@ def calls(monkeypatch):
 
 def test_each_pass_calls_each_sequence_solve_once(system1, calls):
     m = (51.7 + 12.3j) / 3.0
-    cold = tsolve.solve_three_sequence(system1, [(6, PhasePowers(1.15 * m, 0.925 * m, m))])
+    cold = tsolve.solve_three_sequence(system1, [6], [[1.15 * m, 0.925 * m, m]])
     calls.clear()
-    later = PhasePowers(1.16 * m, 0.93 * m, 1.01 * m)
-    warm = tsolve.solve_three_sequence(system1, [(6, later)], warm=cold)
+    warm = tsolve.solve_three_sequence(system1, [6], [[1.16 * m, 0.93 * m, 1.01 * m]], warm=cold)
     assert warm.passes >= 2
     assert calls == {
         "solve_three_sequence": 1,

@@ -73,6 +73,22 @@ def test_generator_setpoint_outside_limits_flagged():
     assert any("p_set" in v for v in validate_case(case))
 
 
+@pytest.mark.parametrize("tap", [0.0, -1.0, float("nan")])
+def test_non_positive_tap_flagged(tap):
+    # a zero tap used to be solved as 1.0, a negative one to end in the NR
+    case = two_bus_case(branches=(Branch(1, 2, z1=0.01 + 0.1j, tap=tap),))
+    assert validate_case(case) == [f"branch 1-2: tap must be positive, got {tap}"]
+
+
+def test_inverted_generator_q_limits_flagged(case9):
+    # with q_min above q_max the PV bus would be clamped far off its setpoint
+    gens = tuple(
+        replace(g, q_min=g.q_max + 10.0) if g.bus == 2 else g for g in case9.generators
+    )
+    (problem,) = validate_case(replace(case9, generators=gens))
+    assert problem.startswith("generator at bus 2: q_min ") and "above q_max" in problem
+
+
 def pv_bus_case(gens):
     """Slack bus 1, PV bus 2 at 1.05 pu with generators ``gens``, and a
     100 + j60 MVA load at bus 3 beyond it."""

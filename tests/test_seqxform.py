@@ -11,10 +11,7 @@ from tdcosim.seqxform import (
     FORTESCUE_INV,
     PhasePowers,
     PhaseVoltages,
-    SequenceVoltages,
     phase_currents_from_power,
-    phase_to_sequence,
-    sequence_to_phase,
 )
 
 from oracles import fortescue_inverse, fortescue_matrix
@@ -36,68 +33,65 @@ def test_matrices_match_independent_construction():
 
 
 def test_balanced_positive_set_maps_to_pure_positive():
-    v = PhaseVoltages(pol(1, 0), pol(1, -120), pol(1, 120))
-    seq = phase_to_sequence(v)
-    assert abs(seq.v0) < 1e-12
-    assert abs(seq.v1 - 1.0) < 1e-12
-    assert abs(seq.v2) < 1e-12
+    v0, v1, v2 = FORTESCUE_INV @ np.array([pol(1, 0), pol(1, -120), pol(1, 120)])
+    assert abs(v0) < 1e-12
+    assert abs(v1 - 1.0) < 1e-12
+    assert abs(v2) < 1e-12
 
 
 def test_common_mode_set_maps_to_pure_zero():
-    v = PhaseVoltages(pol(1, 0), pol(1, 0), pol(1, 0))
-    seq = phase_to_sequence(v)
-    assert abs(seq.v0 - 1.0) < 1e-12
-    assert abs(seq.v1) < 1e-12
-    assert abs(seq.v2) < 1e-12
+    v0, v1, v2 = FORTESCUE_INV @ np.array([pol(1, 0), pol(1, 0), pol(1, 0)])
+    assert abs(v0 - 1.0) < 1e-12
+    assert abs(v1) < 1e-12
+    assert abs(v2) < 1e-12
 
 
 def test_slightly_unbalanced_set_matches_dense_multiply_oracle():
-    v = PhaseVoltages(pol(1.02, 0), pol(0.98, -118), pol(1.00, 121))
-    seq = phase_to_sequence(v)
+    v = np.array([pol(1.02, 0), pol(0.98, -118), pol(1.00, 121)])
+    seq = FORTESCUE_INV @ v
     # frozen from the dense-matrix oracle
-    assert seq.v0 == pytest.approx(0.0149599311865909 - 0.00270711343321223j, abs=1e-12)
-    assert seq.v1 == pytest.approx(0.999750235211702 + 0.0172179710685786j, abs=1e-12)
-    assert seq.v2 == pytest.approx(0.00528983360170718 - 0.0145108576353664j, abs=1e-12)
-    oracle = fortescue_inverse() @ v.as_array()
-    assert np.allclose(seq.as_array(), oracle, atol=1e-14)
+    assert seq[0] == pytest.approx(0.0149599311865909 - 0.00270711343321223j, abs=1e-12)
+    assert seq[1] == pytest.approx(0.999750235211702 + 0.0172179710685786j, abs=1e-12)
+    assert seq[2] == pytest.approx(0.00528983360170718 - 0.0145108576353664j, abs=1e-12)
+    oracle = fortescue_inverse() @ v
+    assert np.allclose(seq, oracle, atol=1e-14)
 
 
 def test_pure_positive_maps_to_balanced_phases():
-    v = sequence_to_phase(SequenceVoltages(0, 1, 0))
-    assert abs(v.va - pol(1, 0)) < 1e-12
-    assert abs(v.vb - pol(1, -120)) < 1e-12
-    assert abs(v.vc - pol(1, 120)) < 1e-12
+    va, vb, vc = FORTESCUE @ np.array([0, 1, 0], dtype=complex)
+    assert abs(va - pol(1, 0)) < 1e-12
+    assert abs(vb - pol(1, -120)) < 1e-12
+    assert abs(vc - pol(1, 120)) < 1e-12
 
 
 def test_zero_maps_to_zero():
-    v = sequence_to_phase(SequenceVoltages(0, 0, 0))
-    assert v.va == 0 and v.vb == 0 and v.vc == 0
+    v = FORTESCUE @ np.zeros(3, dtype=complex)
+    assert np.all(v == 0)
 
 
 @given(triple)
 @settings(max_examples=200)
 def test_round_trip_identity(vals):
-    seq = SequenceVoltages(*vals)
-    back = phase_to_sequence(sequence_to_phase(seq))
-    assert np.max(np.abs(back.as_array() - seq.as_array())) < 1e-12
+    seq = np.array(vals)
+    back = FORTESCUE_INV @ (FORTESCUE @ seq)
+    assert np.max(np.abs(back - seq)) < 1e-12
 
 
 @given(triple)
 @settings(max_examples=200)
 def test_forward_round_trip_identity(vals):
-    v = PhaseVoltages(*vals)
-    back = sequence_to_phase(phase_to_sequence(v))
-    assert np.max(np.abs(back.as_array() - v.as_array())) < 1e-12
+    v = np.array(vals)
+    back = FORTESCUE @ (FORTESCUE_INV @ v)
+    assert np.max(np.abs(back - v)) < 1e-12
 
 
 @given(triple, triple)
 @settings(max_examples=200)
 def test_linearity(x, y):
-    vx = PhaseVoltages(*x)
-    vy = PhaseVoltages(*y)
-    vsum = PhaseVoltages(*(a + b for a, b in zip(x, y)))
-    lhs = phase_to_sequence(vsum).as_array()
-    rhs = phase_to_sequence(vx).as_array() + phase_to_sequence(vy).as_array()
+    vx = np.array(x)
+    vy = np.array(y)
+    lhs = FORTESCUE_INV @ (vx + vy)
+    rhs = FORTESCUE_INV @ vx + FORTESCUE_INV @ vy
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 

@@ -16,7 +16,7 @@ from tdcosim.netmodel import (
     ZeroSeqPath,
     with_dispatch,
 )
-from tdcosim.seqxform import PhasePowers
+from tdcosim.seqxform import FORTESCUE, PhasePowers
 
 from oracles import (
     branchwise_power_balance,
@@ -89,13 +89,13 @@ def test_solves_on_two_networks_do_not_share_state(case9):
     br = case_a.branches[-1]
     case_b = replace(case_a, branches=case_a.branches[:-1] + (replace(br, z0=1.3 * br.z0),))
     m = (51.7 + 12.3j) / 3.0
-    pcc_loads = [(6, PhasePowers(1.15 * m, 0.925 * m, 0.925 * m))]
+    s_pcc = [[1.15 * m, 0.925 * m, 0.925 * m]]
 
     tsolve._sequence_network.cache_clear()
-    sol_a = tsolve.solve_three_sequence(case_a, pcc_loads=pcc_loads)
-    after_a = tsolve.solve_three_sequence(case_b, pcc_loads=pcc_loads)
+    sol_a = tsolve.solve_three_sequence(case_a, [6], s_pcc)
+    after_a = tsolve.solve_three_sequence(case_b, [6], s_pcc)
     tsolve._sequence_network.cache_clear()
-    fresh = tsolve.solve_three_sequence(case_b, pcc_loads=pcc_loads)
+    fresh = tsolve.solve_three_sequence(case_b, [6], s_pcc)
     assert not np.array_equal(sol_a.v0, fresh.v0)
     for got, want in zip((after_a.v0, after_a.v1, after_a.v2), (fresh.v0, fresh.v1, fresh.v2)):
         assert np.array_equal(got, want)
@@ -334,7 +334,6 @@ def untransposed_case():
         z0=0.05 + 0.3j,
         b1_shunt=0.3,
         b0_shunt=0.2,
-        untransposed=True,
         coupling=COUPLING,
     )
 
@@ -446,8 +445,8 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
         loads=(LoadAttachment(3, feeder_id="f"),),
     )
     m = (20.0 + 5.0j) / 3.0
-    s_abc = PhasePowers(1.1 * m, 0.95 * m, 0.95 * m)
-    sol = tsolve.solve_three_sequence(case, pcc_loads=[(3, s_abc)])
+    s_abc = np.array([1.1 * m, 0.95 * m, 0.95 * m])
+    sol = tsolve.solve_three_sequence(case, [3], [s_abc])
 
     # Monolithic oracle: simultaneous phase-frame nodal equations solved by a
     # generic root finder.  The source bus holds its positive-sequence
@@ -467,7 +466,7 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
             blk = np.diag([y_seq[0][i, j], y_seq[1][i, j], y_seq[2][i, j]])
             y_abc[3 * i: 3 * i + 3, 3 * j: 3 * j + 3] = A @ blk @ Ainv
 
-    s_pu = np.asarray(s_abc.as_array()) / (100.0 / 3.0)  # per-phase base S/3
+    s_pu = s_abc / (100.0 / 3.0)  # per-phase base S/3
     balanced = A @ np.array([0.0, 1.0, 0.0])
 
     def unpack(x):
@@ -502,9 +501,30 @@ def test_unbalanced_toy_matches_damped_monolithic_fixed_point():
 
 
 def test_pcc_bus_named_twice_rejected(case9):
-    load = PhasePowers(10.0 + 2.0j, 10.0 + 2.0j, 10.0 + 2.0j)
     with pytest.raises(ValueError, match="more than once"):
-        tsolve.solve_three_sequence(case9, pcc_loads=[(6, load), (5, load), (6, load)])
+        tsolve.solve_three_sequence(case9, [6, 5, 6], np.full((3, 3), 10.0 + 2.0j))
+
+
+@pytest.mark.parametrize("s_pcc", [None, np.ones(3), np.ones((2, 3)), np.ones((1, 2))])
+def test_pcc_powers_not_one_row_per_bus_rejected(case9, s_pcc):
+    with pytest.raises(ValueError, match=r"\(1, 3\)"):
+        tsolve.solve_three_sequence(case9, [6], s_pcc)
+
+
+def test_phase_voltages_follow_the_bus_order(case9):
+    loads = tuple(
+        ld if ld.bus not in (5, 6) else LoadAttachment(ld.bus, feeder_id="f") for ld in case9.loads
+    )
+    m = (51.7 + 12.3j) / 3.0
+    s_pcc = [[1.15 * m, 0.925 * m, 0.925 * m], [0.9 * m, 1.1 * m, m]]
+    sol = tsolve.solve_three_sequence(replace(case9, loads=loads), [6, 5], s_pcc)
+    for buses in ([6, 5], [5, 6, 4]):
+        v = sol.phase_voltages(buses)
+        assert v.shape == (len(buses), 3)
+        for row, bus in zip(v, buses):
+            i = sol.bus_index[bus]
+            assert np.array_equal(row, FORTESCUE @ np.array([sol.v0[i], sol.v1[i], sol.v2[i]]))
+    assert sol.phase_voltages([]).shape == (0, 3)
 
 
 def test_nine_bus_snapshot_load_converges(case9):
@@ -512,8 +532,7 @@ def test_nine_bus_snapshot_load_converges(case9):
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
     case = replace(case9, loads=loads)
-    s = PhasePowers(51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3, 51.7 / 3 + 12.3j / 3)
-    sol = tsolve.solve_three_sequence(case, pcc_loads=[(6, s)])
+    sol = tsolve.solve_three_sequence(case, [6], np.full((1, 3), 51.7 / 3 + 12.3j / 3))
     assert sol.mismatch < tsolve.NR_TOL
 
 
@@ -523,8 +542,7 @@ def test_power_conservation_per_sequence(case9):
     )
     case = replace(case9, loads=loads)
     m = (51.7 + 12.3j) / 3.0
-    s_abc = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
-    sol = tsolve.solve_three_sequence(case, pcc_loads=[(6, s_abc)])
+    sol = tsolve.solve_three_sequence(case, [6], [[1.15 * m, 0.925 * m, 0.925 * m]])
     yb = tsolve.build_sequence_ybus(case)
 
     # positive sequence: scheduled injections (with slack/PV fill-in) must
@@ -553,9 +571,8 @@ def test_sequence_loop_failure_carries_pass_history(case9):
     )
     case = replace(case9, loads=loads)
     m = (51.7 + 12.3j) / 3.0
-    s_abc = PhasePowers(1.15 * m, 0.925 * m, 0.925 * m)
     with pytest.raises(ConvergenceError) as err:
-        tsolve.solve_three_sequence(case, pcc_loads=[(6, s_abc)], max_passes=2)
+        tsolve.solve_three_sequence(case, [6], [[1.15 * m, 0.925 * m, 0.925 * m]], max_passes=2)
     assert len(err.value.history) == 2
     assert err.value.history[-1] > tsolve.SEQ_LOOP_TOL
 
