@@ -281,21 +281,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_feeders=True):
+    def common(p, no_dispatch=False):
         p.add_argument("--case", required=True, help="transmission case file")
-        if needs_feeders:
-            p.add_argument(
-                "--feeder", action="append", type=_parse_feeder_binding, default=[],
-                metavar="PATH@BUS", help="bind a feeder file to a PCC bus",
-            )
+        p.add_argument(
+            "--feeder", action="append", type=_parse_feeder_binding, default=[],
+            metavar="PATH@BUS", help="bind a feeder file to a PCC bus",
+        )
         p.add_argument("--eps", type=float, default=cosim.COUPLING_EPS,
                        help="PCC voltage convergence bound, pu")
         p.add_argument("--max-rounds", type=int, default=cosim.MAX_ROUNDS)
-        p.add_argument("--no-dispatch", action="store_true",
-                       help="keep the case file generator setpoints")
+        if no_dispatch:
+            p.add_argument("--no-dispatch", action="store_true",
+                           help="keep the case file generator setpoints")
 
     p = sub.add_parser("snapshot", help="one coupled solve at a fixed instant")
-    common(p)
+    common(p, no_dispatch=True)
     p.add_argument("--alpha", type=float, default=0.0,
                    help="load unbalance fraction applied to every feeder")
     p.add_argument("--out", default=None, help="artifact directory")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_timeseries)
 
     p = sub.add_parser("sweep-unbalance", help="iteration counts vs load unbalance")
-    common(p)
+    common(p, no_dispatch=True)
     p.add_argument("--alphas", type=_parse_alphas, default=[0.0, 0.05, 0.10, 0.15],
                    metavar="A1,A2,...")
     p.add_argument("--out", default=None)

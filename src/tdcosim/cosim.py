@@ -1,8 +1,8 @@
 """Master algorithm: one time-stepping loop with two PCC boundaries.
 
-The loop steps the clock every power-flow interval, runs a fresh economic
-dispatch on the forecast demand every dispatch interval, applies the
-loadshape multipliers and hands the step to a *boundary*, which returns the
+The loop steps the clock every power-flow interval, applies the loadshape
+multipliers, runs a fresh economic dispatch on that step's demand every
+dispatch interval and hands the step to a *boundary*, which returns the
 step's :class:`CoupledState` and :class:`CouplingTrace`.  The clock only
 advances past a step once its boundary has converged.
 
@@ -216,19 +216,12 @@ def couple_step(
     raise err
 
 
-def _multiplier(load, shapes, t_min: int) -> float:
-    """A load's loadshape multiplier at ``t_min``; 1.0 without a shape."""
-    if shapes and load.loadshape_id:
-        return shapes[load.loadshape_id].multiplier(t_min)
-    return 1.0
-
-
 def _scale_step(case: TransmissionCase, feeders, shapes, t_min: int):
     """The case and the feeders with every load scaled by its loadshape
-    multiplier at ``t_min``."""
+    multiplier at ``t_min``; a load without a loadshape keeps its size."""
     loads, scaled = [], {}
     for ld in case.loads:
-        m = _multiplier(ld, shapes, t_min)
+        m = shapes[ld.loadshape_id].multiplier(t_min) if ld.loadshape_id else 1.0
         if ld.is_feeder:
             scaled[ld.bus] = dsolve.scale_loads(feeders[ld.bus], m)
         elif ld.loadshape_id:
@@ -237,20 +230,12 @@ def _scale_step(case: TransmissionCase, feeders, shapes, t_min: int):
     return replace(case, loads=tuple(loads)), scaled
 
 
-def forecast_demand_mw(case, feeders, shapes=None, t_min: int = 0) -> float:
-    """Active demand the dispatch serves: lumped loads plus feeder aggregates.
-
-    Each load is scaled by its loadshape multiplier at ``t_min``; a load
-    without a loadshape, or a call without ``shapes``, counts at 1.0.
-    """
-    demand = 0.0
-    for ld in case.loads:
-        m = _multiplier(ld, shapes, t_min)
-        if ld.is_feeder:
-            demand += dsolve.aggregate_load(feeders[ld.bus]).total().real * m
-        else:
-            demand += ld.p * m
-    return demand
+def forecast_demand_mw(case, feeders) -> float:
+    """Active demand the dispatch serves: lumped loads plus feeder aggregates."""
+    return sum(
+        dsolve.aggregate_load(feeders[ld.bus]).total().real if ld.is_feeder else ld.p
+        for ld in case.loads
+    )
 
 
 def _check_shape_coverage(case, shapes, start_min, horizon_min):
@@ -265,13 +250,12 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
             )
 
 
-def _aggregate_pq_boundary(case, feeders, dispatch, warm):
+def _aggregate_pq_boundary(case, feeders, warm):
     """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
     The trace carries one round so the result shares the coupled run's
     shape; a :class:`ConvergenceError` carries it too, with no rows.
     """
-    case = with_dispatch(case, dispatch.p_set)
     buses = sorted(feeders)
     s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
     trace = CouplingTrace(overall_iterations=1)
@@ -295,11 +279,12 @@ def _time_loop(
 ) -> CosimResult:
     """The one time-stepping loop behind both runs.
 
-    Each step's ``boundary(step_case, step_feeders, dispatch, warm=)`` gets
-    the case and the feeders with their loads scaled by the loadshapes, the
-    dispatch in force and the last converged step's :class:`CoupledState`;
-    it returns ``(CoupledState, CouplingTrace)`` or raises
-    :class:`ConvergenceError`, whose message becomes the step's ``error``.
+    Each step scales the loads by the loadshapes, and on a dispatch minute
+    sets the generators to a dispatch of that step's demand, which later
+    steps keep.  ``boundary(step_case, step_feeders, warm=)`` gets the step
+    and the last converged step's :class:`CoupledState`; it returns
+    ``(CoupledState, CouplingTrace)`` or raises :class:`ConvergenceError`,
+    whose message becomes the step's ``error``.
     """
     if horizon_min <= 0:
         raise ValueError("horizon must be positive")
@@ -327,14 +312,15 @@ def _time_loop(
 
     for t in range(start_min, start_min + horizon_min, pf_interval_min):
         began = time.perf_counter()
+        step_case, step_feeders = _scale_step(case, feeders, loadshapes, t)
         dispatched = (t - start_min) % ed_interval_min == 0
         if dispatched:
-            demand = forecast_demand_mw(case, feeders, loadshapes, t)
-            dispatch = ed.dispatch(case.generators, demand)
-        step_case, step_feeders = _scale_step(case, feeders, loadshapes, t)
+            dispatch = ed.dispatch(case.generators, forecast_demand_mw(step_case, step_feeders))
+            case = with_dispatch(case, dispatch.p_set)
+            step_case = replace(step_case, generators=case.generators)
         error = None
         try:
-            state, trace = boundary(step_case, step_feeders, dispatch, warm=warm)
+            state, trace = boundary(step_case, step_feeders, warm=warm)
         except ConvergenceError as exc:
             state, trace, error = None, getattr(exc, "trace", CouplingTrace()), str(exc)
         else:

@@ -1,20 +1,20 @@
 """Equal-incremental-cost economic dispatch with capacity limits.
 
-Generators carry quadratic cost curves ``a*P^2 + b*P + c``; the optimum
-loads every unconstrained unit to the same marginal cost (the system lambda)
-while units pinned at a limit satisfy the usual KKT sign conditions.  Lambda
-is located by bisection on the monotone total-output curve
-``sum_i clamp((lambda - b_i) / (2 a_i), p_min_i, p_max_i)``.
+Generators carry costs ``a*P^2 + b*P + c``; ``a = 0`` is a linear unit.  A
+quadratic unit leaves ``p_min`` at the marginal cost ``b + 2*a*p_min`` and
+reaches ``p_max`` at ``b + 2*a*p_max``; a linear unit jumps between the two
+at ``b``.  Between these knots the fleet's output is linear in the system
+lambda, so the dispatch is exact: at the first knot whose output reaches the
+demand, either the linear units priced there cover it, filled in generator
+order, or the quadratic units share the stretch below it in closed form.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .errors import DispatchError
-from .netmodel import Generator
 
 BALANCE_TOL = 1e-6  # MW
-BISECTION_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -27,68 +27,53 @@ class DispatchResult:
         return sum(self.p_set)
 
 
-def _output_at(lam: float, gens) -> list[float]:
-    out = []
-    for g in gens:
-        if g.cost.a > 0:
-            p = (lam - g.cost.b) / (2.0 * g.cost.a)
-        else:
-            p = g.p_max if lam > g.cost.b else g.p_min
-        out.append(min(max(p, g.p_min), g.p_max))
-    return out
-
-
 def dispatch(generators, demand_mw: float) -> DispatchResult:
     """Allocate ``demand_mw`` over the generators at minimum total cost.
 
     Raises :class:`DispatchError` when the demand falls outside the fleet's
     capacity range.  The returned outputs sum to the demand within
     ``BALANCE_TOL``; losses are left for the slack bus at power-flow time.
+    Linear units priced alike are filled in generator order.
     """
-    gens: list[Generator] = list(generators)
+    gens = list(generators)
     if not gens:
         raise ValueError("cannot dispatch an empty generator set")
     p_min_total = sum(g.p_min for g in gens)
     p_max_total = sum(g.p_max for g in gens)
     if not (p_min_total - BALANCE_TOL <= demand_mw <= p_max_total + BALANCE_TOL):
         raise DispatchError(demand_mw, p_min_total, p_max_total)
+    demand = min(max(demand_mw, p_min_total), p_max_total)
 
-    lo = min(g.cost.b for g in gens)
-    hi = max(g.cost.b + 2.0 * g.cost.a * g.p_max for g in gens)
-    # Guaranteed bracket: all units at p_min below lo, at p_max above hi.
-    for _ in range(BISECTION_ITERS):
-        mid = 0.5 * (lo + hi)
-        total = sum(_output_at(mid, gens))
-        if abs(total - demand_mw) <= BALANCE_TOL * 1e-3:
-            lo = hi = mid
-            break
-        if total < demand_mw:
-            lo = mid
-        else:
-            hi = mid
-    lam = 0.5 * (lo + hi)
-    p = _output_at(lam, gens)
-
-    # A flat segment (a == 0 unit at lambda == b) can leave a gap; give the
-    # residual to that unit, clamped to its range.
-    residual = demand_mw - sum(p)
-    if abs(residual) > BALANCE_TOL:
-        for i, g in enumerate(gens):
-            if g.cost.a == 0 and abs(lam - g.cost.b) < 1e-6:
-                p[i] = min(max(p[i] + residual, g.p_min), g.p_max)
-                residual = demand_mw - sum(p)
-                break
-    if abs(residual) > BALANCE_TOL:
-        # Fall back to spreading over interior units (numerically safe).
-        interior = [
-            i for i, g in enumerate(gens) if g.p_min + 1e-12 < p[i] < g.p_max - 1e-12
+    knots = [(g.cost.b + 2.0 * g.cost.a * g.p_min, g.cost.b + 2.0 * g.cost.a * g.p_max)
+             for g in gens]
+    below = None  # the knot before lam
+    for lam in sorted({k for pair in knots for k in pair}):
+        # The upper total at lam: linear units priced at lam run at p_max.
+        p = [
+            g.p_max if hi <= lam else g.p_min if lo >= lam else (lam - g.cost.b) / (2.0 * g.cost.a)
+            for g, (lo, hi) in zip(gens, knots)
         ]
-        for i in interior:
-            p[i] += residual / len(interior)
+        if sum(p) >= demand:
+            break
+        below = lam
+    step = [i for i, (lo, hi) in enumerate(knots) if lo == hi == lam]
+    for i in step:
+        p[i] = gens[i].p_min
+    residual = demand - sum(p)
+    if residual >= 0.0:
+        # The demand falls inside the step of the units priced at lam.
+        for i in step:
+            p[i] = min(gens[i].p_max, gens[i].p_min + residual)
+            residual -= p[i] - gens[i].p_min
+    else:
+        # The demand lies on the linear stretch (below, lam), which the
+        # quadratic units whose knots enclose it share at one lambda.
+        inside = [i for i, (lo, hi) in enumerate(knots) if lo <= below and hi >= lam]
+        fixed = sum(x for i, x in enumerate(p) if i not in inside)
+        w = [0.5 / gens[i].cost.a for i in inside]  # dP/dlambda of each
+        lam = (demand - fixed + sum(wi * gens[i].cost.b for wi, i in zip(w, inside))) / sum(w)
+        for i, wi in zip(inside, w):
+            p[i] = min(max(wi * (lam - gens[i].cost.b), gens[i].p_min), gens[i].p_max)
 
-    binding = frozenset(
-        i
-        for i, g in enumerate(gens)
-        if p[i] <= g.p_min + 1e-9 or p[i] >= g.p_max - 1e-9
-    )
-    return DispatchResult(p_set=tuple(p), lam=float(lam), binding=binding)
+    binding = frozenset(i for i, g in enumerate(gens) if not g.p_min + 1e-9 < p[i] < g.p_max - 1e-9)
+    return DispatchResult(p_set=tuple(map(float, p)), lam=float(lam), binding=binding)

@@ -116,47 +116,16 @@ class TransmissionCase:
 
 def validate_case(case: TransmissionCase) -> list[str]:
     """Check every structural invariant; violations are returned, not raised."""
-    violations: list[str] = []
-    ids = case.bus_ids()
-    id_set = set(ids)
-    if len(ids) != len(id_set):
-        dupes = sorted({i for i in ids if ids.count(i) > 1})
-        violations.append(f"duplicate bus ids: {dupes}")
-
-    slacks = [b.id for b in case.buses if b.kind is BusKind.SLACK]
-    if len(slacks) != 1:
-        violations.append(f"expected exactly one slack bus, found {slacks}")
-
+    violations = network_violations(case.buses, case.branches)
+    id_set = set(case.bus_ids())
     if case.base_mva <= 0:
         violations.append(f"base_mva must be positive, got {case.base_mva}")
 
     gen_buses = {g.bus for g in case.generators}
     for b in case.buses:
-        if b.base_kv <= 0:
-            violations.append(f"bus {b.id}: base_kv must be positive")
-        if b.kind in (BusKind.PV, BusKind.SLACK):
-            if b.v_setpoint is None or b.v_setpoint <= 0:
-                violations.append(f"bus {b.id}: {b.kind.value} bus needs v_setpoint > 0")
         if b.kind is BusKind.PV and b.id not in gen_buses:
             # nothing would limit the Q that holds its voltage
             violations.append(f"bus {b.id}: pv bus has no generator")
-        if b.kind is BusKind.SLACK and b.angle_setpoint is None:
-            violations.append(f"bus {b.id}: slack bus needs angle_setpoint")
-
-    for br in case.branches:
-        tag = f"branch {br.from_bus}-{br.to_bus}"
-        if br.from_bus == br.to_bus:
-            violations.append(f"{tag}: from and to bus coincide")
-        for end in (br.from_bus, br.to_bus):
-            if end not in id_set:
-                violations.append(f"{tag}: references nonexistent bus {end}")
-        for name, z in (("z1", br.z1), ("z2", br.z2_eff), ("z0", br.z0_eff)):
-            if abs(z) == 0.0:
-                violations.append(f"{tag}: |{name}| must be nonzero")
-        if not br.tap > 0:
-            violations.append(f"{tag}: tap must be positive, got {br.tap}")
-        if br.coupling is not None and np.asarray(br.coupling).shape != (3, 3):
-            violations.append(f"{tag}: coupling block must be 3x3")
 
     for g in case.generators:
         if g.bus not in id_set:
@@ -182,29 +151,58 @@ def validate_case(case: TransmissionCase) -> list[str]:
     dupes = sorted({b for b in feeder_buses if feeder_buses.count(b) > 1})
     if dupes:
         violations.append(f"more than one feeder attached at buses {dupes}")
-
-    if id_set and not _connected(case):
-        violations.append("network graph is not connected")
-
     return violations
 
 
-def _connected(case: TransmissionCase) -> bool:
-    ids = set(case.bus_ids())
-    adj: dict[int, list[int]] = {i: [] for i in ids}
-    for br in case.branches:
-        if br.from_bus in ids and br.to_bus in ids:
+def network_violations(buses, branches) -> list[str]:
+    """The bus, branch and connectivity checks that building a Y-bus relies on."""
+    violations: list[str] = []
+    ids = [b.id for b in buses]
+    id_set = set(ids)
+    if len(ids) != len(id_set):
+        dupes = sorted({i for i in ids if ids.count(i) > 1})
+        violations.append(f"duplicate bus ids: {dupes}")
+
+    slacks = [b.id for b in buses if b.kind is BusKind.SLACK]
+    if len(slacks) != 1:
+        violations.append(f"expected exactly one slack bus, found {slacks}")
+
+    for b in buses:
+        if b.base_kv <= 0:
+            violations.append(f"bus {b.id}: base_kv must be positive")
+        if b.kind in (BusKind.PV, BusKind.SLACK):
+            if b.v_setpoint is None or b.v_setpoint <= 0:
+                violations.append(f"bus {b.id}: {b.kind.value} bus needs v_setpoint > 0")
+        if b.kind is BusKind.SLACK and b.angle_setpoint is None:
+            violations.append(f"bus {b.id}: slack bus needs angle_setpoint")
+
+    adj: dict[int, list[int]] = {i: [] for i in id_set}
+    for br in branches:
+        tag = f"branch {br.from_bus}-{br.to_bus}"
+        if br.from_bus == br.to_bus:
+            violations.append(f"{tag}: from and to bus coincide")
+        for end in (br.from_bus, br.to_bus):
+            if end not in id_set:
+                violations.append(f"{tag}: references nonexistent bus {end}")
+        for name, z in (("z1", br.z1), ("z2", br.z2_eff), ("z0", br.z0_eff)):
+            if abs(z) == 0.0:
+                violations.append(f"{tag}: |{name}| must be nonzero")
+        if not br.tap > 0:
+            violations.append(f"{tag}: tap must be positive, got {br.tap}")
+        if br.coupling is not None and np.asarray(br.coupling).shape != (3, 3):
+            violations.append(f"{tag}: coupling block must be 3x3")
+        if br.from_bus in id_set and br.to_bus in id_set:
             adj[br.from_bus].append(br.to_bus)
             adj[br.to_bus].append(br.from_bus)
-    start = next(iter(ids))
-    seen = {start}
-    stack = [start]
+
+    seen, stack = set(ids[:1]), ids[:1]
     while stack:
-        for nxt in adj[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return seen == ids
+        reached = set(adj[stack.pop()]) - seen
+        seen |= reached
+        stack += reached
+    if seen != id_set:
+        violations.append("network graph is not connected")
+    return violations
 
 
 def with_dispatch(case: TransmissionCase, p_set_mw) -> TransmissionCase:

@@ -32,7 +32,7 @@ import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .errors import ConvergenceError, SingularNetworkError
-from .netmodel import BusKind, TransmissionCase, ZeroSeqPath
+from .netmodel import BusKind, TransmissionCase, ZeroSeqPath, network_violations
 from .seqxform import FORTESCUE, FORTESCUE_INV, phase_currents_from_power
 
 NR_TOL = 1e-8
@@ -144,6 +144,9 @@ def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
 # by identity.  Cached networks are immutable, so sharing them is safe.
 @functools.lru_cache(maxsize=8)
 def _sequence_network(buses, branches) -> SequenceYBus:
+    problems = network_violations(buses, branches)
+    if problems:
+        raise ValueError("invalid network: " + "; ".join(problems))
     bus_index = {b.id: i for i, b in enumerate(buses)}
     n = len(bus_index)
     y0, y1, y2 = (sp.lil_matrix((n, n), dtype=complex) for _ in range(3))
@@ -183,8 +186,6 @@ def _sequence_network(buses, branches) -> SequenceYBus:
             mat[t, f] -= ys / tap
 
     slack = [i for i, b in enumerate(buses) if b.kind is BusKind.SLACK]
-    if len(slack) != 1:
-        raise ValueError(f"expected exactly one slack bus, found {len(slack)}")
     y0, y2 = y0.tocsr(), y2.tocsr()
     pv = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PV], dtype=int)
     pq = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PQ], dtype=int)

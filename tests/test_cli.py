@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from tdcosim import cosim, dsolve, io
-from tdcosim.cli import main
+from tdcosim.cli import _attach_feeders, main
 from tdcosim.errors import ConvergenceError
 
 
@@ -111,6 +111,31 @@ def test_jobs_flag_is_gone(paths):
         main(["snapshot", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
               "--jobs", "2"])
     assert err.value.code == 2
+
+
+def test_no_dispatch_is_gone_from_timeseries(paths):
+    with pytest.raises(SystemExit) as err:
+        main(["timeseries", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+              "--loadshape", f"day={paths['flat']}", "--minutes", "1", "--no-dispatch",
+              "--out", paths["out"]])
+    assert err.value.code == 2
+
+
+def test_snapshot_no_dispatch_keeps_the_case_setpoints(paths, tmp_path):
+    args = ["snapshot", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6"]
+    assert main(args + ["--out", str(tmp_path / "ed")]) == 0
+    assert main(args + ["--no-dispatch", "--out", str(tmp_path / "kept")]) == 0
+
+    def lines(run, name):
+        return (tmp_path / run / name).read_text().splitlines()
+
+    assert len(lines("ed", "dispatch.csv")) == 4
+    assert lines("kept", "dispatch.csv") == lines("ed", "dispatch.csv")[:1]  # header only
+    case, feeders = _attach_feeders(io.load_case(paths["case"]).case, [(paths["feeder"], 6)])
+    _, trace = cosim.couple_step(case, feeders)  # at the case file's setpoints
+    v_trans = [row.split(",")[3] for row in lines("kept", "pcc_voltages.csv")[1:]]
+    assert v_trans == [repr(v) for v in trace.rows[-1].v_trans_mag]
+    assert lines("kept", "pcc_voltages.csv") != lines("ed", "pcc_voltages.csv")
 
 
 def test_nonconvergence_exit_1(paths):

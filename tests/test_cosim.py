@@ -209,6 +209,25 @@ def test_ed_cadence_counts(system1, ckt_feeder, day_shape):
     assert res.steps[0].dispatched
 
 
+def test_setpoints_change_only_on_dispatch_minutes(system1, ckt_feeder, day_shape, monkeypatch):
+    applied = []
+    with_dispatch = cosim.with_dispatch
+    monkeypatch.setattr(
+        cosim, "with_dispatch", lambda case, p: applied.append(p) or with_dispatch(case, p)
+    )
+    res = cosim.run_timeseries(
+        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1245, horizon_min=12
+    )
+    dispatched = [s.dispatch.p_set for s in res.steps if s.dispatched]
+    assert applied == dispatched and len(dispatched) == 3
+    # each dispatch serves the demand of its own scaled step
+    for step in res.steps[::5]:
+        m = day_shape.multiplier(step.t_min)
+        feeder = dsolve.aggregate_load(dsolve.scale_loads(ckt_feeder, m)).total().real
+        lumped = sum(ld.p * m for ld in system1.loads if not ld.is_feeder)
+        assert sum(step.dispatch.p_set) == pytest.approx(lumped + feeder, abs=1e-9)
+
+
 def test_run_partitions_and_factorises_y0_y2_once(
     system1, ckt_feeder, day_shape, monkeypatch
 ):

@@ -75,10 +75,32 @@ def test_shipped_nine_bus_fleet_balances(case9):
             assert marginal(g, p) == pytest.approx(res.lam, abs=1e-6)
 
 
+def test_identical_linear_units_fill_in_order():
+    res = dispatch([gen(0.0, 10.0, p_max=100.0), gen(0.0, 10.0, p_max=100.0)], 150.0)
+    assert res.p_set == (100.0, 50.0)
+    assert res.lam == 10.0
+    assert res.binding == frozenset({0})
+
+
+def test_linear_step_shares_lambda_with_a_quadratic_unit():
+    # lambda = 10: the b = 5 linear unit runs flat out, the quadratic unit sits
+    # at 10 = 5 + 0.04 P, and the two b = 10 units fill the rest in file order
+    gens = [
+        gen(0.0, 10.0, 30.0, 100.0),
+        gen(0.0, 10.0, 10.0, 130.0),
+        gen(0.02, 5.0, 5.0, 190.0),
+        gen(0.0, 5.0, 20.0, 200.0),
+    ]
+    res = dispatch(gens, 460.0)
+    assert res.p_set == pytest.approx((100.0, 35.0, 125.0, 200.0), abs=1e-9)
+    assert res.lam == pytest.approx(10.0, abs=1e-12)
+    assert res.binding == frozenset({0, 3})
+
+
 gen_strategy = st.builds(
     gen,
-    a=st.floats(0.001, 0.5),
-    b=st.floats(1.0, 50.0),
+    a=st.one_of(st.just(0.0), st.floats(0.001, 0.5)),
+    b=st.one_of(st.sampled_from((5.0, 10.0)), st.floats(1.0, 50.0)),
     p_min=st.floats(0.0, 50.0),
     p_max=st.floats(60.0, 500.0),
 )

@@ -1,9 +1,10 @@
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tdcosim import tsolve
+from tdcosim import cosim, tsolve
 from tdcosim.errors import ConvergenceError, SingularNetworkError
 from tdcosim.netmodel import (
     Branch,
@@ -79,6 +80,20 @@ def test_network_is_derived_once_per_bus_and_branch_set(case9):
     br = case9.branches[-1]
     other = replace(case9, branches=case9.branches[:-1] + (replace(br, z1=1.1 * br.z1),))
     assert tsolve.build_sequence_ybus(other) is not yb
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"tap": 0.0}, "branch 1-4: tap must be positive, got 0.0"),
+    ({"tap": -1.0}, "branch 1-4: tap must be positive, got -1.0"),
+    ({"to_bus": 42}, "branch 1-42: references nonexistent bus 42"),
+])
+def test_invalid_network_rejected_where_it_is_built(case9, change, message):
+    first = replace(case9.branches[0], **change)
+    bad = replace(case9, branches=(first,) + case9.branches[1:])
+    with pytest.raises(ValueError, match="^invalid network: .*" + re.escape(message)):
+        tsolve.solve_three_sequence(bad)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        cosim.couple_step(bad, {})
 
 
 def test_solves_on_two_networks_do_not_share_state(case9):
