@@ -16,6 +16,16 @@ reported voltages, so the returned state satisfies KCL at every node to
 machine precision regardless of the sweep tolerance.  Solutions, masks and
 line checks are all reported in this numbering.
 
+The numbering is compiled once per topology, by two walks in
+``scipy.sparse.csgraph`` over CSR graphs of the lines.  A breadth-first walk
+from the head gives each node's parent.  The lines are a tree when it
+reaches every node and there is one line fewer than nodes; otherwise the
+first line, in line order, that closes a loop with the lines before it is
+named, or, if there is no loop, the nodes the walk missed.  A depth-first
+walk of the tree's left-child, right-sibling form then numbers the nodes.
+Each structural violation names the line or load at fault, so a parser can
+report it at its row.
+
 Feeders carry per-phase quantities in padded (n, 3) arrays with absent
 phases zero in every result (a sweep's iterates hold a placeholder voltage
 there, which carries no load and no drop); per-unit uses a line-to-neutral
@@ -39,8 +49,11 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import breadth_first_order, depth_first_order
 
 from .errors import ConvergenceError, VoltageCollapseError
 from .seqxform import PhasePowers, PhaseVoltages
@@ -69,6 +82,20 @@ class PhaseLoad:
 
     def total(self) -> complex:
         return sum(self.s.values(), 0j)
+
+
+class FeederProblem(ValueError):
+    """A structural violation and where it is.
+
+    ``record`` is ``"line"`` or ``"load"``, with ``index`` into the feeder's
+    arrays of that record, or the feeder-wide ``"base_kv"`` or ``"base_mva"``.
+    ``field`` is the part of the record at fault: a line's ``"from"`` node or
+    ``"phases"``, a load's ``"node"`` or phase letter; None for all of it.
+    """
+
+    def __init__(self, message: str, record: str, index: int = 0, field: str | None = None):
+        super().__init__(message)
+        self.record, self.index, self.field = record, index, field
 
 
 @dataclass(eq=False)
@@ -235,7 +262,7 @@ class _SweepPlan:
         topo = feeder.topology()
         self.load_at, problems = _place_loads(feeder, topo)  # (m,)
         if problems:
-            raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(problems))
+            raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(map(str, problems)))
         # neg_z_pu[k - 1] is minus the per-unit impedance of the line that
         # feeds node k, so a sweep forms the drops -Z i_line in one product.
         self.neg_z_pu = feeder.line_z[topo.line_index]
@@ -245,105 +272,157 @@ class _SweepPlan:
 
 def _compile_topology(feeder: Feeder) -> _Topology:
     line_from, line_to = feeder.line_from, feeder.line_to
-    ids = {feeder.head: 0}  # each name's number, in order of first mention
-    # Line k's ends are half-edges 2k and 2k + 1; a stable sort of them
-    # reversed groups each name's lines in reverse line order.
-    ends = np.empty(2 * len(line_from), dtype=int)
-    ends[0::2] = [ids.setdefault(name, len(ids)) for name in line_from]
-    ends[1::2] = [ids.setdefault(name, len(ids)) for name in line_to]
-    halves = len(ends) - 1 - np.argsort(ends[::-1], kind="stable")
-    first = np.searchsorted(ends, np.arange(len(ids) + 1), sorter=halves).tolist()
-    ends, halves = ends.tolist(), halves.tolist()
+    n_lines = len(line_from)
+    # Each name's number, in order of first mention.
+    names = list(dict.fromkeys(chain((feeder.head,), line_from, line_to)))
+    ids = dict(zip(names, range(len(names))))
+    n = len(names)
+    # Line k's ends are half-edges 2k and 2k + 1.  A breadth-first walk finds
+    # each node's parent; the lines are a tree when it reaches every node and
+    # there is one line fewer than nodes.
+    ends = np.empty(2 * n_lines, dtype=int)
+    ends[0::2] = list(map(ids.__getitem__, line_from))
+    ends[1::2] = list(map(ids.__getitem__, line_to))
+    graph = _graph(ends, ends[np.arange(2 * n_lines) ^ 1], n)
+    reached, pred = breadth_first_order(graph, 0, directed=True, return_predecessors=True)
+    if len(reached) < n or n_lines > n - 1:
+        raise _not_radial(feeder, ends, pred, names)
 
-    # Depth-first from the head: a name is numbered when it is popped, after
-    # its unseen neighbours were pushed in reverse line order.
-    walk: list[tuple[int, int, int]] = []  # (name id, line it was reached by, parent)
-    seen = [False] * len(ids)
-    seen[0] = True
-    stack = [(0, -1, -1)]
-    while stack:
-        u, via, _ = node = stack.pop()
-        k = len(walk)
-        walk.append(node)
-        for h in halves[first[u]:first[u + 1]]:
-            line = h >> 1
-            if line != via:
-                other = ends[h ^ 1]
-                if seen[other]:
-                    raise ValueError(f"feeder is not radial: line {line_from[line]}-"
-                                     f"{line_to[line]} closes a loop")
-                seen[other] = True
-                stack.append((other, line, k))
+    # Depth-first numbering, children in line order, walks the tree in its
+    # left-child, right-sibling form: from a node to its first child, then to
+    # its next sibling, so no node has more than two edges to try.
+    a, b = ends[0::2], ends[1::2]
+    child = np.where(pred[b] == a, b, a)  # each line's end away from the head
+    kids = child[np.argsort(pred[child], kind="stable")]  # siblings in line order
+    up = pred[kids]
+    eldest = np.ones(n_lines, dtype=bool)
+    eldest[1:] = up[1:] != up[:-1]
+    tree = _graph(np.concatenate([up[eldest], kids[:-1][~eldest[1:]]]),
+                  np.concatenate([kids[eldest], kids[1:][~eldest[1:]]]), n)
+    order = depth_first_order(tree, 0, directed=True, return_predecessors=False)
 
-    if len(walk) < len(ids):
-        unreached = sorted(name for name, i in ids.items() if not seen[i])
-        raise ValueError(f"nodes not reachable from head {feeder.head!r}: {unreached}")
-
-    order, vias, parents = zip(*walk)
-    n = len(order)
+    number = np.empty(n, dtype=int)
+    number[order] = np.arange(n)
+    line_index = np.empty(n_lines, dtype=int)
+    line_index[number[child] - 1] = np.arange(n_lines)
+    parent = number[pred[order[1:]]]
     size = [1] * n
+    parents = parent.tolist()
     for c in range(n - 1, 0, -1):  # children before parents
-        size[parents[c]] += size[c]
+        size[parents[c - 1]] += size[c]
 
-    names = list(ids)
-    node_order = tuple(names[i] for i in order)
+    node_order = tuple(map(names.__getitem__, order.tolist()))
     mask = np.ones((n, 3), dtype=bool)  # the head has every phase
-    mask[1:] = _PHASE_MASKS[[_PHASE_ROW[feeder.line_phases[k]] for k in vias[1:]]]
+    rows = np.array(list(map(_PHASE_ROW.__getitem__, feeder.line_phases)), dtype=int)
+    mask[1:] = _PHASE_MASKS[rows[line_index]]
     return _Topology(
         node_order=node_order,
         node_index=dict(zip(node_order, range(n))),
         mask=mask,
-        parent=np.array(parents[1:], dtype=int),
+        parent=parent,
         end=np.arange(n) + size,
-        line_names=tuple((node_order[p], b) for p, b in zip(parents[1:], node_order[1:])),
-        line_index=np.array(vias[1:], dtype=int),
+        line_names=tuple(zip(map(node_order.__getitem__, parents), node_order[1:])),
+        line_index=line_index,
     )
 
 
-def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[str]]:
+def _graph(src: np.ndarray, dst: np.ndarray, n: int) -> csr_array:
+    """The n-node graph of edges ``src -> dst`` as a float64 CSR that keeps
+    each node's edges in the given order.
+
+    The CSR format does not require sorted indices, and SciPy's
+    ``depth_first_order`` tries a node's edges in the order they are stored;
+    the numbering relies on both, and
+    ``test_nodes_are_numbered_depth_first_in_line_order`` checks it against
+    an independent recursive walk."""
+    first = np.zeros(n + 1, dtype=int)
+    np.cumsum(np.bincount(src, minlength=n), out=first[1:])
+    return csr_array((np.ones(len(src)), dst[np.argsort(src, kind="stable")], first),
+                     shape=(n, n))
+
+
+def _not_radial(feeder: Feeder, ends: np.ndarray, pred: np.ndarray, names) -> FeederProblem:
+    """Why the lines with half-edge ends ``ends`` are not a tree that the
+    walk with predecessors ``pred`` covered from the head: the first line,
+    in file order, whose ends the lines before it already join, or, if no
+    line closes a loop, the unreached nodes, named at the first line that
+    has one."""
+    root = list(range(len(names)))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for k, (a, b) in enumerate(zip(ends[0::2].tolist(), ends[1::2].tolist())):
+        a, b = find(a), find(b)
+        if a == b:
+            return FeederProblem(f"feeder is not radial: line {feeder.line_from[k]}-"
+                                 f"{feeder.line_to[k]} closes a loop", "line", k)
+        root[a] = b
+    reached = pred >= 0
+    reached[0] = True
+    unreached = sorted(name for name, seen in zip(names, reached.tolist()) if not seen)
+    return FeederProblem(f"nodes not reachable from head {feeder.head!r}: {unreached}",
+                         "line", int(np.argmin(reached[ends[0::2]])), "from")
+
+
+def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[FeederProblem]]:
     """Each load's node number (-1 at an unknown node) and the loads' violations."""
     at = np.array([topo.node_index.get(node, -1) for node in feeder.load_nodes], dtype=int)
     absent = feeder.load_phases & ~topo.mask[at] & (at >= 0)[:, None]
-    problems: list[str] = []
-    for k in np.flatnonzero((at < 0) | absent.any(axis=1)):
+    problems: list[FeederProblem] = []
+    for k in np.flatnonzero((at < 0) | absent.any(axis=1)).tolist():
         node = feeder.load_nodes[k]
         if at[k] < 0:
-            problems.append(f"load at unknown node {node!r}")
+            problems.append(FeederProblem(f"load at unknown node {node!r}", "load", k, "node"))
         for ph, bad in zip("abc", absent[k]):
             if bad:
-                problems.append(f"load at {node}: phase {ph} not present there")
+                problems.append(FeederProblem(f"load at {node}: phase {ph} not present there",
+                                              "load", k, ph))
     return at, problems
 
 
-def validate_feeder(feeder: Feeder) -> list[str]:
-    """Structural checks; violations are returned as strings."""
-    violations: list[str] = []
+def feeder_problems(feeder: Feeder) -> list[FeederProblem]:
+    """Structural checks; each violation with the record it is in."""
+    problems: list[FeederProblem] = []
     if feeder.base_kv <= 0:
-        violations.append("base_kv must be positive")
+        problems.append(FeederProblem("base_kv must be positive", "base_kv"))
     if feeder.base_mva <= 0:
-        violations.append("base_mva must be positive")
+        problems.append(FeederProblem("base_mva must be positive", "base_mva"))
     try:
         topo = feeder.topology()
-    except ValueError as exc:
-        violations.append(str(exc))
-        return violations
+    except FeederProblem as problem:
+        return problems + [problem]
 
     # Numeric checks on the pad (zero on absent phases), in depth-first node order.
     z, k = feeder.line_z, topo.line_index
     line_mask = topo.mask[1:]
-    asym = ~np.isclose(z, z.transpose(0, 2, 1)).all(axis=(1, 2))[k]
+    zt = z.transpose(0, 2, 1)
+    asym = (z != zt).any(axis=(1, 2))  # isclose only for the pads not exactly symmetric
+    asym[asym] = ~np.isclose(z[asym], zt[asym]).all(axis=(1, 2))
+    asym = asym[k]
     zero_self = (line_mask & (np.diagonal(z, axis1=1, axis2=2)[k] == 0)).any(axis=1)
     uncovered = (line_mask & ~topo.mask[topo.parent]).any(axis=1)
-    for j in np.flatnonzero(asym | zero_self | uncovered):
-        tag = f"line {feeder.line_from[k[j]]}-{feeder.line_to[k[j]]}"
+    for j in np.flatnonzero(asym | zero_self | uncovered).tolist():
+        line = int(k[j])
+        tag = f"line {feeder.line_from[line]}-{feeder.line_to[line]}"
         if asym[j]:
-            violations.append(f"{tag}: impedance matrix is not symmetric")
+            problems.append(FeederProblem(f"{tag}: impedance matrix is not symmetric",
+                                          "line", line))
         if zero_self[j]:
-            violations.append(f"{tag}: zero self-impedance on a present phase")
+            problems.append(FeederProblem(f"{tag}: zero self-impedance on a present phase",
+                                          "line", line))
         if uncovered[j]:
-            violations.append(f"{tag}: phases {feeder.line_phases[k[j]]!r} not all "
-                              f"present on parent path")
-    return violations + _place_loads(feeder, topo)[1]
+            problems.append(FeederProblem(f"{tag}: phases {feeder.line_phases[line]!r} not "
+                                          f"all present on parent path", "line", line, "phases"))
+    return problems + _place_loads(feeder, topo)[1]
+
+
+def validate_feeder(feeder: Feeder) -> list[str]:
+    """Structural checks; violations are returned as strings."""
+    return [str(problem) for problem in feeder_problems(feeder)]
 
 
 @dataclass

@@ -2,8 +2,16 @@
 
 The text formats are line-oriented: one directive per line, positional
 arguments first, ``key=value`` options after, ``#`` starts a comment.  Every
-parse error carries a 1-based line:column location.  The full schemas are
-documented in ``docs/formats.md``; the header line pins the schema version.
+parse error carries a 1-based line:column location, a feeder's structural
+errors (a loop, an unreachable node, a load off the lines) included.  The
+full schemas are documented in ``docs/formats.md``; the header line pins the
+schema version.
+
+The feeder parser takes each ``line`` and ``load`` row that passes its
+whole-row checks from them, converting each distinct value token once per
+file.  A row that fails them is read token by token, which raises its
+located error; so the checks only ever speed up rows that the token-by-token
+reading accepts, with the same values.
 
 CSV outputs use Python's shortest round-trip float representation so
 repeated runs produce byte-identical files.
@@ -15,6 +23,8 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +40,7 @@ from .netmodel import (
     TransmissionCase,
     ZeroSeqPath,
 )
-from .dsolve import PHASE_INDEX, PHASE_SETS, Feeder, validate_feeder
+from .dsolve import PHASE_INDEX, PHASE_SETS, Feeder, FeederProblem, feeder_problems
 
 CASE_SCHEMA = "1"
 FEEDER_SCHEMA = "1"
@@ -79,14 +89,18 @@ class _Lines:
             if toks:
                 yield lineno, toks
 
-    def error(self, lineno: int, k: int, message: str) -> ParseError:
-        """A ParseError located at token ``k`` of line ``lineno``."""
+    def position(self, lineno: int, k: int) -> tuple[int, int]:
+        """The line and 1-based column of token ``k`` of line ``lineno``."""
         line = self.raw[lineno - 1].partition("#")[0]
         end = 0
         for tok in line.split()[: k + 1]:
             start = line.index(tok, end)
             end = start + len(tok)
-        return ParseError(lineno, start + 1, message)
+        return lineno, start + 1
+
+    def error(self, lineno: int, k: int, message: str) -> ParseError:
+        """A ParseError located at token ``k`` of line ``lineno``."""
+        return ParseError(*self.position(lineno, k), message)
 
 
 # What each number parser expects, and its finiteness test.
@@ -168,6 +182,7 @@ def parse_case(text: str) -> CaseDocument:
         raise lines.error(lineno, 1, f"unsupported case schema version {toks[1]!r}")
 
     base_mva: float | None = None
+    base_mva_line = 0
     buses: list[Bus] = []
     branches: list[Branch] = []
     gens: list[Generator] = []
@@ -185,11 +200,15 @@ def parse_case(text: str) -> CaseDocument:
     for lineno, toks in rows[1:]:
         directive = toks[0]
         if directive == "base_mva":
+            if base_mva_line:
+                raise lines.error(lineno, 0, f"duplicate directive 'base_mva' "
+                                             f"(first on line {base_mva_line})")
             if len(toks) != 2:
                 raise lines.error(lineno, 0, "base_mva takes a single value")
             base_mva = _parse_float(toks[1], lines, lineno, 1, "base_mva")
             if base_mva <= 0:
                 raise lines.error(lineno, 1, "base_mva must be positive")
+            base_mva_line = lineno
         elif directive == "bus":
             kv = _options(lines, lineno, toks, 2, "bus", _BUS_KEYS)
             bus_id = _parse_int(toks[1], lines, lineno, 1, "bus id")
@@ -331,13 +350,112 @@ _Z_SLOTS = {
     for pa, pb in ("aa", "ab", "ac", "bb", "bc", "cc")  # the order they are written in
 }
 _LINE_KEYS = {"phases", *_Z_SLOTS}
-_PHASE_LOAD_KEYS = {"sa", "sb", "sc"}
+
+# By phase set: the impedance keys a line may give, with their slots, and
+# how many of its self impedances are absent, and so zero.
+_LINE_FORMS = {
+    ps: ({key: ij for key, ij in _Z_SLOTS.items() if key[1] in ps and key[2] in ps},
+         3 - len(ps))
+    for ps in PHASE_SETS
+}
+_LOAD_SLOTS = {f"s{ph}": i for ph, i in PHASE_INDEX.items()}
+_PHASE_LOAD_KEYS = set(_LOAD_SLOTS)
+
+
+def _line_values(toks: list[str], values: dict[str, complex]):
+    """A ``line`` row's phase set and row-major 3 x 3 impedances by whole-row
+    checks, or None if the row fails one and is left to ``_line_row``.
+    ``values`` holds each value token converted so far."""
+    try:
+        kv = {key: val for key, _, val in map(str.partition, toks[3:], repeat("="))}
+        phases = kv.pop("phases")
+        slots, absent = _LINE_FORMS[phases]
+        z = [0j] * 9
+        for key, val in kv.items():
+            i, j = slots[key]
+            v = values.get(val)
+            if v is None:
+                v = values[val] = _finite(complex(val))
+            z[i] = z[j] = v
+    except (KeyError, ValueError):
+        return None
+    # A repeated key shortens kv; a missing self impedance adds a zero to the diagonal.
+    if len(kv) != len(toks) - 4 or z[::4].count(0) > absent:
+        return None
+    return phases, z
+
+
+def _load_values(toks: list[str], values: dict[str, complex]):
+    """A ``load`` row's named phases and complex MVA by phase by whole-row
+    checks, or None if the row fails one and is left to ``_load_row``.
+    ``values`` holds each value token converted so far."""
+    s, named = [0j] * 3, [False] * 3
+    try:
+        for key, _, val in map(str.partition, toks[2:], repeat("=")):
+            i = _LOAD_SLOTS[key]
+            if named[i]:
+                return None
+            v = values.get(val)
+            if v is None:
+                v = values[val] = _finite(complex(val))
+            s[i] = v
+            named[i] = True
+    except (KeyError, ValueError):
+        return None
+    return (named, s) if len(toks) > 2 else None
+
+
+def _finite(z: complex) -> complex:
+    if not cmath.isfinite(z):
+        raise ValueError(z)
+    return z
+
+
+def _line_row(lines: _Lines, lineno: int, toks: list[str]) -> tuple[str, list[complex]]:
+    """A ``line`` row read token by token: its phase set and row-major 3 x 3
+    impedances, or the row's located error."""
+    kv = _options(lines, lineno, toks, 2, "line", _LINE_KEYS)
+    if "phases" not in kv:
+        raise lines.error(lineno, 0, "line needs phases=")
+    phases, k = kv.pop("phases")
+    if phases not in PHASE_SETS:
+        raise lines.error(
+            lineno, k, f"phases must be an ordered subset of 'abc', got {phases!r}"
+        )
+    z = [0j] * 9
+    for key, (val, k) in kv.items():
+        if key[1] not in phases or key[2] not in phases:
+            raise lines.error(lineno, k, f"{key} refers to a phase not in {phases!r}")
+        i, j = _Z_SLOTS[key]
+        z[i] = z[j] = _parse_complex(val, lines, lineno, k, key)
+    for p in phases:
+        if z[4 * PHASE_INDEX[p]] == 0:
+            raise lines.error(lineno, 0, f"line needs z{p}{p}= (self impedance)")
+    return phases, z
+
+
+def _load_row(lines: _Lines, lineno: int, toks: list[str]) -> tuple[list[bool], list[complex]]:
+    """A ``load`` row read token by token: its named phases and complex MVA
+    by phase, or the row's located error."""
+    kv = _options(lines, lineno, toks, 1, "load", _PHASE_LOAD_KEYS)
+    if not kv:
+        raise lines.error(lineno, 0, "load needs at least one s<phase>=")
+    s, named = [0j] * 3, [False] * 3
+    for key, (val, k) in kv.items():
+        i = _LOAD_SLOTS[key]
+        s[i] = _parse_complex(val, lines, lineno, k, key)
+        named[i] = True
+    return named, s
 
 
 def parse_feeder(text: str) -> Feeder:
     """Parse a radial feeder file; raises on cycles or dangling references.
 
-    One pass fills the feeder's arrays, a row per line and per load."""
+    One pass fills the feeder's arrays, a row per line and per load.  A row
+    that passes the whole-row checks is taken from them, with each distinct
+    value token read once; any other row is read token by token, which
+    raises its located error.  The structural errors are raised together,
+    in file order, at the row and token of the first."""
     lines = _Lines(text)
     rows = iter(lines)
     lineno, toks = next(rows, (1, None))
@@ -349,52 +467,40 @@ def parse_feeder(text: str) -> Feeder:
         raise lines.error(lineno, 1, f"unsupported feeder schema version {toks[1]!r}")
 
     meta = {"name": "feeder"}  # and base_kv, base_mva, head
+    # Where each record is: the line number of each line and load row, and of
+    # each single-valued directive once it is read.
+    line_rows, load_rows = [], []
+    at = {"line": line_rows, "load": load_rows}
     line_from, line_to, line_phases = [], [], []
     line_z: list[complex] = []  # nine a line, row-major
     load_nodes: list[str] = []
     load_phases, load_s = [], []  # three a load
+    values: dict[str, complex] = {}  # each distinct value token, read once
 
     for lineno, toks in rows:
         directive = toks[0]
         if directive == "line":
-            kv = _options(lines, lineno, toks, 2, "line", _LINE_KEYS)
-            if "phases" not in kv:
-                raise lines.error(lineno, 0, "line needs phases=")
-            phases, k = kv.pop("phases")
-            if phases not in PHASE_SETS:
-                raise lines.error(
-                    lineno, k, f"phases must be an ordered subset of 'abc', got {phases!r}"
-                )
-            z = [0j] * 9
-            for key, (val, k) in kv.items():
-                if key[1] not in phases or key[2] not in phases:
-                    raise lines.error(lineno, k, f"{key} refers to a phase not in {phases!r}")
-                i, j = _Z_SLOTS[key]
-                z[i] = z[j] = _parse_complex(val, lines, lineno, k, key)
-            for p in phases:
-                if z[4 * PHASE_INDEX[p]] == 0:
-                    raise lines.error(lineno, 0, f"line needs z{p}{p}= (self impedance)")
+            row = _line_values(toks, values) or _line_row(lines, lineno, toks)
             line_from.append(toks[1])
             line_to.append(toks[2])
-            line_phases.append(phases)
-            line_z += z
+            line_phases.append(row[0])
+            line_z += row[1]
+            line_rows.append(lineno)
         elif directive == "load":
-            kv = _options(lines, lineno, toks, 1, "load", _PHASE_LOAD_KEYS)
-            if not kv:
-                raise lines.error(lineno, 0, "load needs at least one s<phase>=")
-            s, named = [0j] * 3, [False] * 3
-            for key, (val, k) in kv.items():
-                i = PHASE_INDEX[key[1]]
-                s[i] = _parse_complex(val, lines, lineno, k, key)
-                named[i] = True
+            row = _load_values(toks, values) or _load_row(lines, lineno, toks)
             load_nodes.append(toks[1])
-            load_phases += named
-            load_s += s
+            load_phases += row[0]
+            load_s += row[1]
+            load_rows.append(lineno)
         elif directive in ("name", "base_kv", "base_mva", "head"):
+            if directive in at:
+                raise lines.error(lineno, 0, f"duplicate directive {directive!r} "
+                                             f"(first on line {at[directive]})")
             if len(toks) != 2:
                 raise lines.error(lineno, 0, f"{directive} takes a single value")
             meta[directive] = (toks[1] if directive in ("name", "head")
                                else _parse_float(toks[1], lines, lineno, 1, directive))
+            at[directive] = lineno
         else:
             raise lines.error(lineno, 0, f"unknown directive {directive!r}")
 
@@ -408,10 +514,30 @@ def parse_feeder(text: str) -> Feeder:
         np.array(load_phases, dtype=bool).reshape(-1, 3),
         np.array(load_s, dtype=complex).reshape(-1, 3), meta["name"],
     )
-    problems = validate_feeder(feeder)
+    problems = feeder_problems(feeder)
     if problems:
-        raise ParseError(1, 1, "; ".join(problems))
+        located = sorted(((_position(lines, at, problem), str(problem)) for problem in problems),
+                         key=itemgetter(0))
+        raise ParseError(*located[0][0], "; ".join(message for _, message in located))
     return feeder
+
+
+# The positional token of a record's field; the others are options.
+_POSITIONAL = {None: 0, "from": 1, "node": 1}
+
+
+def _position(lines: _Lines, at: dict, problem: FeederProblem) -> tuple[int, int]:
+    """The line and column of ``problem``: its row, and its field's token there."""
+    if problem.record not in ("line", "load"):  # a directive's value
+        return lines.position(at[problem.record], 1)
+    lineno = at[problem.record][problem.index]
+    k = _POSITIONAL.get(problem.field)
+    if k is None:
+        toks = lines.raw[lineno - 1].partition("#")[0].split()
+        key = problem.field if problem.field == "phases" else f"s{problem.field}"
+        first = 3 if problem.record == "line" else 2
+        k = next(k for k in range(first, len(toks)) if toks[k].partition("=")[0] == key)
+    return lines.position(lineno, k)
 
 
 def serialize_feeder(feeder: Feeder) -> str:

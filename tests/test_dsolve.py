@@ -600,31 +600,89 @@ def test_random_radial_trees_match_oracle_and_line_order(tree):
     assert np.max(np.abs(other.v[at] - sol.v)) <= 1e-12
 
 
+def _depth_first_walk(lines, head):
+    """A recursive depth-first walk from ``head``, children in line order: per
+    node in visit order its name, parent number, subtree end and the index
+    of the line it was reached by."""
+    walk = []
+
+    def visit(node, parent, via):
+        k = len(walk)
+        walk.append([node, parent, None, via])
+        for j, ln in enumerate(lines):
+            ends = (ln.from_node, ln.to_node)
+            if node in ends and j != via:
+                visit(ends[ends[0] == node], k, j)
+        walk[k][2] = len(walk)
+
+    visit(head, -1, -1)
+    return walk
+
+
 @given(radial_trees())
 @settings(max_examples=60, deadline=None)
 def test_nodes_are_numbered_depth_first_in_line_order(tree):
     lines, _, order = tree
-    lines = [lines[k] for k in order]
+    lines = [lines[k] for k in order]  # shuffled; radial_trees also reverses some
     topo = Feeder(12.47, 100.0, "n0", tuple(lines), ()).topology()
+    names, parents, ends, vias = zip(*_depth_first_walk(lines, "n0"))
+    assert topo.node_order == names
+    assert topo.node_index == {name: k for k, name in enumerate(names)}
+    assert topo.parent.tolist() == list(parents[1:])
+    assert topo.end.tolist() == list(ends)
+    assert topo.line_index.tolist() == list(vias[1:])
+    assert topo.line_names == tuple((names[p], b) for p, b in zip(parents[1:], names[1:]))
+    assert topo.mask.tolist() == [[True] * 3] + [
+        [ph in lines[j].phases for ph in "abc"] for j in vias[1:]
+    ]
 
-    def walk(node, parent):
-        yield node, parent
-        for ln in lines:
-            ends = (ln.from_node, ln.to_node)
-            if node in ends and parent not in ends:
-                yield from walk(ends[ends[0] == node], node)
 
-    parent = dict(walk("n0", None))
-    assert topo.node_order == tuple(parent)
+def _closes_a_loop(lines) -> bool:
+    """Whether the last of ``lines`` joins two nodes the others already join."""
+    *rest, last = lines
+    reached, frontier = {last.from_node}, [last.from_node]
+    while frontier:
+        node = frontier.pop()
+        for ln in rest:
+            for a, b in ((ln.from_node, ln.to_node), (ln.to_node, ln.from_node)):
+                if a == node and b not in reached:
+                    reached.add(b)
+                    frontier.append(b)
+    return last.to_node in reached
 
-    def ancestry(node):
-        while node is not None:
-            yield node
-            node = parent[node]
 
-    for k, node in enumerate(topo.node_order):
-        subtree = {other for other in parent if node in ancestry(other)}
-        assert set(topo.node_order[k:topo.end[k]]) == subtree
+@given(radial_trees(), st.sampled_from(["parallel", "back edge", "detached"]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_lines_that_are_not_a_tree_are_rejected(tree, fault, data):
+    """A parallel line, a line back to an ancestor (to itself next to the
+    head) or a detached component, anywhere in the file, is named: a loop at
+    the first line that closes one with the lines before it, detached nodes
+    all at once."""
+    lines, _, order = tree
+    lines = [lines[k] for k in order]
+    names, parents, _, _ = zip(*_depth_first_walk(lines, "n0"))
+    z = np.array([[1.0j]])
+    if fault == "parallel":
+        ln = data.draw(st.sampled_from(lines))
+        extra = [FeederLine(ln.to_node, ln.from_node, "a", z)]
+    elif fault == "back edge":
+        k = data.draw(st.integers(1, len(names) - 1))
+        ancestors = [k]
+        while parents[ancestors[-1]] >= 0:
+            ancestors.append(parents[ancestors[-1]])
+        extra = [FeederLine(names[k], names[data.draw(st.sampled_from(ancestors[2:] or [k]))],
+                            "a", z)]
+    else:
+        extra = [FeederLine("x0", "x1", "a", z), FeederLine("x2", "x1", "a", z)]
+    for ln in extra:
+        lines.insert(data.draw(st.integers(0, len(lines))), ln)
+    problems = validate_feeder(Feeder(12.47, 100.0, "n0", tuple(lines), ()))
+    if fault == "detached":
+        assert problems == ["nodes not reachable from head 'n0': ['x0', 'x1', 'x2']"]
+    else:
+        j = next(j for j in range(len(lines)) if _closes_a_loop(lines[: j + 1]))
+        assert problems == [f"feeder is not radial: line {lines[j].from_node}-"
+                            f"{lines[j].to_node} closes a loop"]
 
 
 def _line_by_line_sweep(feeder, head_v, tol):

@@ -183,18 +183,27 @@ FEEDER_ERRORS = {
                      "feeder file needs base_kv, base_mva and head directives"),
     "two bad lines": (_HEAD + "line h n1 phases=a zaa=x\nline n1 n2 phases=a zaa=y\n", 5, 20,
                       "expected a complex literal for zaa, got 'x'"),
+    "duplicate directive": (_HEAD + "head n1\n", 5, 1,
+                            "duplicate directive 'head' (first on line 4)"),
     "loop": (_HEAD + "line h a phases=a zaa=1j\nline a b phases=a zaa=1j\n"
-             "line b h phases=a zaa=1j\n", 1, 1,
-             "feeder is not radial: line a-b closes a loop"),
-    "unreachable": (_HEAD + _LINE + "line x y phases=a zaa=1j\n", 1, 1,
+             "line b h phases=a zaa=1j\n", 7, 1,
+             "feeder is not radial: line b-h closes a loop"),
+    "unreachable": (_HEAD + _LINE + "line x y phases=a zaa=1j\n", 6, 6,
                     "nodes not reachable from head 'h': ['x', 'y']"),
-    "uncovered phase": (_HEAD + "line h n1 phases=a zaa=1j\nline n1 n2 phases=b zbb=1j\n",
-                        1, 1, "line n1-n2: phases 'b' not all present on parent path"),
-    "load node": (_HEAD + _LINE + "load zz sa=1\n", 1, 1, "load at unknown node 'zz'"),
-    "load phase": (_HEAD + "line h n1 phases=a zaa=1j\nload n1 sb=1\n", 1, 1,
+    "uncovered phase": (_HEAD + "line h n1 phases=a zaa=1j\nline n1 n2 zbb=1j phases=b\n",
+                        6, 19, "line n1-n2: phases 'b' not all present on parent path"),
+    "load node": (_HEAD + _LINE + "load zz sa=1\n", 6, 6, "load at unknown node 'zz'"),
+    "load phase": (_HEAD + "line h n1 phases=a zaa=1j\nload n1 sa=1 sb=1\n", 6, 14,
                    "load at n1: phase b not present there"),
-    "bases": ("tdfeeder 1\nbase_kv -1\nbase_mva 0\nhead h\n" + _LINE, 1, 1,
+    "bases": ("tdfeeder 1\nbase_kv -1\nbase_mva 0\nhead h\n" + _LINE, 2, 9,
               "base_kv must be positive; base_mva must be positive"),
+    "base_mva": ("tdfeeder 1\nbase_kv 12.47\nbase_mva 0\nhead h\n" + _LINE, 3, 10,
+                 "base_mva must be positive"),
+    # Several structural errors are raised together, in file order, at the first.
+    "structure": ("tdfeeder 1\nhead h\nload zz sa=1\nbase_kv 12.47\n" + _LINE
+                  + "load yy sa=1\nbase_mva 0\n", 3, 6,
+                  "load at unknown node 'zz'; load at unknown node 'yy'; "
+                  "base_mva must be positive"),
 }
 
 CASE_ERRORS = {
@@ -213,6 +222,8 @@ CASE_ERRORS = {
     "header": ("tdcase 1 x\n", 1, 1, "header must be exactly 'tdcase <version>'"),
     "version": ("# v\ntdcase 2\n", 2, 8, "unsupported case schema version '2'"),
     "no base": ("tdcase 1\n", 1, 1, "case is missing the base_mva directive"),
+    "duplicate base": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\nbase_mva 10\n", 4, 1,
+                       "duplicate directive 'base_mva' (first on line 2)"),
 }
 
 
@@ -335,6 +346,34 @@ def test_feeder_parser_never_crashes(text):
         io.parse_feeder(text)
     except ParseError:
         pass
+
+
+_OPTION_KEYS = ["phases", "zaa", "zab", "zbb", "zcc", "sa", "sb", "", "zba"]
+_OPTION_VALUES = ["a", "ab", "ba", "1j", "0", "-0j", "2e3-1j", "x", "", "inf"]
+_option_tokens = st.one_of(
+    st.builds("{}={}".format, st.sampled_from(_OPTION_KEYS), st.sampled_from(_OPTION_VALUES)),
+    st.sampled_from(_OPTION_KEYS + _OPTION_VALUES + ["zaa=1j=1j"]),
+)
+
+
+@given(st.sampled_from(["line", "load"]), st.lists(_option_tokens, max_size=8))
+@example("line", ["phases=ab", "zaa=1j", "zbb=1j", "zab=0"])
+@example("line", ["phases=bc", "zbb=1j", "zcc=-0j"])
+@example("line", ["phases=a", "zaa=1j", "zaa=2j"])
+@example("load", ["sa=1j", "sc=-0j"])
+@example("load", ["sa=1j", "sa=1j"])
+@settings(max_examples=400, deadline=None)
+def test_whole_row_checks_agree_with_token_reading(directive, options):
+    """The whole-row checks take exactly the rows that the token-by-token
+    reading takes, with the same bits."""
+    toks = [directive, "n1", "n2"][: 3 if directive == "line" else 2] + options
+    quick = (io._line_values if directive == "line" else io._load_values)(toks, {})
+    try:
+        read = (io._line_row if directive == "line" else io._load_row)(
+            io._Lines(" ".join(toks)), 1, toks)
+    except ParseError:
+        read = None
+    assert repr(quick) == repr(read)
 
 
 @given(st.text(max_size=200))
