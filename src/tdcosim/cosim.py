@@ -10,7 +10,10 @@ advances past a step once its boundary has converged.
   point: the three-sequence solve produces PCC phase voltages, every feeder
   is swept at its commanded head voltage, one after another in PCC order,
   and the per-phase head powers feed the next transmission solve.  The
-  exchange is kept as (k, 3) arrays, one row per PCC in sorted bus order.
+  exchange is kept as (k, 3) arrays, one row per PCC in sorted bus order,
+  down to each sweep's (3,) head voltage and back from its (3,) head power;
+  only the converged :class:`CoupledState` holds records.  The step reads
+  the sequence network and the bus schedule once for all its rounds.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``; the first
   round bootstraps from each feeder's aggregate load.  Each sweep starts
@@ -21,6 +24,9 @@ advances past a step once its boundary has converged.
   its aggregate load, and one transmission solve ends the step with no
   feeder sweep.  :func:`run_decoupled_baseline` runs it on the dispatch
   cadence.
+
+The time loop builds the sequence network once per run and hands it to the
+boundary with each step.
 """
 from __future__ import annotations
 
@@ -99,8 +105,8 @@ class CosimResult:
 
 
 def _sweep_one(bus, feeder, head_v, last):
-    """Sweep one feeder, starting from ``last``, its latest solution, when
-    that was solved on the same topology."""
+    """Sweep one feeder at the (3,) head voltage ``head_v``, starting from
+    ``last``, its latest solution, when that was solved on the same topology."""
     start = last.start_for(feeder) if last is not None else None
     try:
         return dsolve.sweep_solve(feeder, head_v, start=start)
@@ -131,12 +137,15 @@ def couple_step(
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
     warm: CoupledState | None = None,
+    ybus: tsolve.SequenceYBus | None = None,
 ) -> tuple[CoupledState, CouplingTrace]:
     """Iterate one transmission/distribution exchange to convergence.
 
     ``warm``, a previous step's converged state, starts the first
     transmission solve and the first feeder sweeps; later sweeps start
-    from the previous round's feeder solutions.
+    from the previous round's feeder solutions.  ``ybus`` is the case's
+    sequence network (:func:`tsolve.build_sequence_ybus`), which a time
+    loop holds; left out, it is looked up once per call.
 
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
@@ -150,6 +159,9 @@ def couple_step(
 
     if dispatch is not None:
         case = with_dispatch(case, dispatch.p_set)
+    if ybus is None:
+        ybus = tsolve.build_sequence_ybus(case)
+    sched = tsolve.bus_schedule(case, ybus)
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.
@@ -158,7 +170,7 @@ def couple_step(
 
     trace = CouplingTrace()
     mags = None  # the last round's PCC voltage magnitudes
-    since = np.zeros(len(buses), dtype=int)  # round since which each PCC stayed below eps
+    since = [0] * len(buses)  # round since which each PCC stayed below eps
     seq = warm.seq if warm is not None else None
     fsols: dict[int, dsolve.FeederSolution] = {}  # this step's latest sweeps
     last = warm.feeder_solutions if warm is not None else {}
@@ -167,7 +179,9 @@ def couple_step(
         # (i) transmission solve with the most recent PCC powers; on exit the
         # converged transmission model has consumed them verbatim.
         try:
-            seq = tsolve.solve_three_sequence(case, buses, s_pcc, warm=seq)
+            seq = tsolve.solve_three_sequence(
+                case, buses, s_pcc, warm=seq, ybus=ybus, sched=sched
+            )
         except ConvergenceError as exc:
             exc.args = (f"round {k}: {exc.args[0]}",) + exc.args[1:]
             trace.overall_iterations = k
@@ -176,8 +190,8 @@ def couple_step(
         v_pcc = seq.phase_voltages(buses)
         prev, mags = mags, np.abs(v_pcc)
         mismatch = np.full(len(buses), np.inf) if prev is None else np.abs(mags - prev).max(axis=1)
-        below = mismatch < eps
-        since = np.where(below, np.where(since > 0, since, k), 0)
+        below = (mismatch < eps).tolist()
+        since = [(first or k) if ok else 0 for first, ok in zip(since, below)]
         # distribution side: head voltage of the latest feeder solve
         # (one exchange behind the transmission iterate, like Table 1)
         head_mags = np.abs([fsols[b].v[0] for b in buses]) if fsols else mags
@@ -189,15 +203,15 @@ def couple_step(
             trace.overall_iterations = k
             return CoupledState(seq, {}, {}, {}), trace
 
-        if k >= 2 and below.all():
+        if k >= 2 and all(below):
             trace.overall_iterations = k
-            trace.iterations_to_converge = dict(zip(buses, since.tolist()))
+            trace.iterations_to_converge = dict(zip(buses, since))
             return _state(seq, fsols, buses, v_pcc, s_pcc), trace
 
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
             fsols = {
-                bus: _sweep_one(bus, feeders[bus], PhaseVoltages.from_array(v), last.get(bus))
+                bus: _sweep_one(bus, feeders[bus], v, last.get(bus))
                 for bus, v in zip(buses, v_pcc)
             }
         except ConvergenceError as exc:
@@ -205,7 +219,7 @@ def couple_step(
             exc.trace = trace
             raise
         last = fsols
-        s_pcc = np.array([fsols[b].head_power.as_array() for b in buses])
+        s_pcc = np.array([fsols[b].s_head for b in buses])
 
     trace.overall_iterations = max_rounds
     err = ConvergenceError(
@@ -250,8 +264,9 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
             )
 
 
-def _aggregate_pq_boundary(case, feeders, warm):
-    """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
+def _aggregate_pq_boundary(case, feeders, warm, ybus):
+    """Decoupled boundary: feeders as aggregate PQ, one transmission solve
+    on the network ``ybus``.
 
     The trace carries one round so the result shares the coupled run's
     shape; a :class:`ConvergenceError` carries it too, with no rows.
@@ -261,7 +276,7 @@ def _aggregate_pq_boundary(case, feeders, warm):
     trace = CouplingTrace(overall_iterations=1)
     try:
         seq = tsolve.solve_three_sequence(
-            case, buses, s_pcc, warm=warm.seq if warm is not None else None
+            case, buses, s_pcc, warm=warm.seq if warm is not None else None, ybus=ybus
         )
     except ConvergenceError as exc:
         exc.trace = trace
@@ -281,8 +296,10 @@ def _time_loop(
 
     Each step scales the loads by the loadshapes, and on a dispatch minute
     sets the generators to a dispatch of that step's demand, which later
-    steps keep.  ``boundary(step_case, step_feeders, warm=)`` gets the step
-    and the last converged step's :class:`CoupledState`; it returns
+    steps keep.  ``boundary(step_case, step_feeders, warm=, ybus=)`` gets
+    the step, the last converged step's :class:`CoupledState` and the
+    sequence network, built once per run because the steps change loads
+    and dispatch, never buses or branches; it returns
     ``(CoupledState, CouplingTrace)`` or raises :class:`ConvergenceError`,
     whose message becomes the step's ``error``.
     """
@@ -304,6 +321,7 @@ def _time_loop(
         raise ValueError("invalid case: " + "; ".join(problems))
     _check_feeder_binding(case, feeders)
 
+    ybus = tsolve.build_sequence_ybus(case)
     gen_buses = tuple(g.bus for g in case.generators)
     steps: list[StepResult] = []
     dispatch: ed.DispatchResult | None = None
@@ -320,7 +338,7 @@ def _time_loop(
             step_case = replace(step_case, generators=case.generators)
         error = None
         try:
-            state, trace = boundary(step_case, step_feeders, warm=warm)
+            state, trace = boundary(step_case, step_feeders, warm=warm, ybus=ybus)
         except ConvergenceError as exc:
             state, trace, error = None, getattr(exc, "trace", CouplingTrace()), str(exc)
         else:

@@ -43,7 +43,9 @@ on ``load_s``.  The value copies they return share the topology and the
 sweep plan, built at the first sweep: the negated per-unit impedances
 gathered from the pad by node and each load's node.  A sweep then only
 folds ``load_s`` onto the nodes with one ``bincount`` in file order, so
-every sum rounds as a loop over the loads would.
+every sum rounds as a loop over the loads would; the last fold is kept, so
+the rounds of a coupled step that sweep one copy fold once.  Head voltages
+and head powers are (3,) arrays; the records are accepted or built on demand.
 """
 from __future__ import annotations
 
@@ -63,6 +65,7 @@ PHASE_SETS = ("a", "b", "c", "ab", "ac", "bc", "abc")  # a line's ordered phases
 SWEEP_TOL = 1e-6
 SWEEP_MAX_ITER = 100
 COLLAPSE_FLOOR = 0.5
+COLLAPSE_MARGIN = 1e-6  # pu, far wider than the rounding of a sweep's bound on min |V|
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +107,7 @@ class _Shared:
 
     topo: "_Topology | None" = None
     plan: "_SweepPlan | None" = None
+    fold: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_array
 
 
 class Feeder:
@@ -223,6 +227,8 @@ class _Topology:
         self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(len(self.end)), "right")
         # Where the absent phases are in an (n, 3) array seen flat, phase by phase.
         self.absent_at = [np.flatnonzero(~self.mask[:, p]) * 3 + p for p in range(3)]
+        # Added to |v|, this takes a minimum over the present phases only.
+        self.absent_inf = np.where(self.mask, 0.0, np.inf)
 
     def fill_absent(self, x: np.ndarray, values) -> None:
         """Set the absent phases of (n, 3) ``x`` to ``values`` by phase."""
@@ -431,10 +437,15 @@ class FeederSolution:
     v: np.ndarray  # (n, 3) complex pu, absent phases zero
     i_line: np.ndarray  # (L, 3) complex pu, aligned with line_names
     line_names: tuple[tuple[str, str], ...]
-    head_power: PhasePowers  # MVA
+    s_head: np.ndarray  # (3,) complex MVA drawn at the head, per phase
     iterations: int
     mask: np.ndarray
     _feeder: Feeder = field(repr=False)
+
+    @property
+    def head_power(self) -> PhasePowers:
+        """The head power as a record."""
+        return PhasePowers.from_array(self.s_head)
 
     def start_for(self, feeder: Feeder) -> np.ndarray | None:
         """These voltages as a sweep ``start`` for ``feeder``, or None unless
@@ -453,17 +464,27 @@ class FeederSolution:
 
 
 def _load_array(feeder: Feeder) -> np.ndarray:
-    """Per-node per-phase load in pu on the per-phase power base.
+    """Per-node per-phase load in pu on the per-phase power base; read-only.
 
     ``bincount`` adds each slot's terms in load order starting from zero, so
-    every sum rounds as a loop over the loads would.
+    every sum rounds as a loop over the loads would.  The last fold is kept,
+    with the ``load_s`` array it was made from, beside the topology the
+    feeder's value copies share, and is made again when ``load_s`` is
+    another array: a value copy never reuses its parent's, and the rounds of
+    a coupled step that sweep one copy fold once.
     """
+    shared = feeder._shared
+    if shared.fold is not None and shared.fold[0] is feeder.load_s:
+        return shared.fold[1]
     plan = feeder.sweep_plan()
     n = len(feeder.topology().node_order)
     terms = _divide(feeder.load_s, feeder.base_mva / 3.0).view(float).ravel()
     # The slot of each term in the (n, 3) complex result seen as (n, 6) floats.
     slots = (6 * plan.load_at[:, None] + np.arange(6)).ravel()
-    return np.bincount(slots, terms, minlength=6 * n).view(complex).reshape(n, 3)
+    s_pu = np.bincount(slots, terms, minlength=6 * n).view(complex).reshape(n, 3)
+    s_pu.flags.writeable = False
+    shared.fold = (feeder.load_s, s_pu)
+    return s_pu
 
 
 def _divide(z: np.ndarray, x: float) -> np.ndarray:
@@ -487,26 +508,36 @@ def _load_currents(s_pu: np.ndarray, v: np.ndarray, mask: np.ndarray) -> np.ndar
 
 def sweep_solve(
     feeder: Feeder,
-    head_v: PhaseVoltages,
+    head_v: np.ndarray | PhaseVoltages,
     tol: float = SWEEP_TOL,
     max_iter: int = SWEEP_MAX_ITER,
     start: np.ndarray | None = None,
 ) -> FeederSolution:
     """Backward/forward sweep power flow from a fixed head voltage.
 
-    The sweep starts from the head voltage at every node or, given
-    ``start``, from a previous solution's (n, 3) voltages on this topology
-    rescaled per phase by ``head / start[0]``.  While it iterates, absent
-    phases carry no load and no drop, so they keep a nonzero voltage (the
-    head's at the start, then their nearest ancestor's) and the load
-    currents need no mask; they are set to zero once, in the final pass,
-    and a warm start's first change is taken over present phases.
+    ``head_v`` is the (3,) complex per-unit head voltage, or a
+    :class:`PhaseVoltages`.  The sweep starts from the head voltage at every
+    node or, given ``start``, from a previous solution's (n, 3) voltages on
+    this topology rescaled per phase by ``head / start[0]``.  While it
+    iterates, absent phases carry no load and no drop, so they keep a
+    nonzero voltage (the head's at the start, then their nearest
+    ancestor's) and the load currents need no mask; they are set to zero
+    once, in the final pass, and a warm start's first change is taken over
+    present phases.  The smallest present |V| is taken exactly only when a
+    lower bound on it, the last exact minimum less each iteration's change
+    since, does not clear ``COLLAPSE_FLOOR`` by ``COLLAPSE_MARGIN``; a sweep
+    that falls below the floor raises :class:`VoltageCollapseError` at the
+    same iteration as a check of every iteration would.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be at least 1, got {max_iter}")
-    head_arr = head_v.as_array()
+    if isinstance(head_v, PhaseVoltages):
+        head_v = head_v.as_array()
+    head_arr = np.asarray(head_v, dtype=complex)
+    if head_arr.shape != (3,):
+        raise ValueError(f"head voltage has shape {head_arr.shape}, not (3,)")
     head_mag = np.abs(head_arr)
     if not (COLLAPSE_FLOOR < head_mag.min() and head_mag.max() < 1.5):  # NaN fails too
         raise ValueError(
@@ -522,7 +553,6 @@ def sweep_solve(
             raise ValueError(f"start has shape {start.shape}, the feeder {mask.shape}")
         if not start[0].all():  # the head has every phase
             raise ValueError(f"start has a zero head voltage: {start[0]}")
-    absent = np.where(mask, 0.0, np.inf)  # added to |v|: min over present phases
     s_pu = _load_array(feeder)
 
     # Buffers reused by every iteration; b[0] is the head voltage, b[k] minus
@@ -537,6 +567,7 @@ def sweep_solve(
         topo.fill_absent(v, head_arr)
     b[0] = head_arr
     history: list[float] = []
+    low = -np.inf  # a lower bound on the smallest present |v|
     for iterations in range(1, max_iter + 1):
         np.divide(s_pu, v, out=cur)
         topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
@@ -550,13 +581,16 @@ def sweep_solve(
         delta = float(np.abs(cur, out=mag).max())
         history.append(delta)
         v, v_new = v_new, v
-        worst = float(np.add(np.abs(v, out=mag), absent, out=mag).min())
-        if worst < COLLAPSE_FLOOR:
-            raise VoltageCollapseError(
-                f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
-                f"during sweep {iterations}",
-                history,
-            )
+        # No entry moved by more than delta; a NaN bound proves nothing.
+        low -= delta
+        if not low > COLLAPSE_FLOOR + COLLAPSE_MARGIN:
+            low = float(np.add(np.abs(v, out=mag), topo.absent_inf, out=mag).min())
+            if low < COLLAPSE_FLOOR:
+                raise VoltageCollapseError(
+                    f"feeder {feeder.name!r}: voltage collapsed to {low:.3f} pu "
+                    f"during sweep {iterations}",
+                    history,
+                )
         if delta < tol:
             break
     else:
@@ -574,14 +608,13 @@ def sweep_solve(
     np.multiply(v, mask, out=v)
     topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
     s_head_pu = v[0] * np.conj(acc[0])
-    head_power = PhasePowers.from_array(s_head_pu * (feeder.base_mva / 3.0))
 
     return FeederSolution(
         node_order=topo.node_order,
         v=v,
         i_line=acc[1:],
         line_names=topo.line_names,
-        head_power=head_power,
+        s_head=s_head_pu * (feeder.base_mva / 3.0),
         iterations=iterations,
         mask=topo.mask,
         _feeder=feeder,

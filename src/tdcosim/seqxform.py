@@ -105,7 +105,7 @@ def phase_currents_from_power(s: np.ndarray, v: np.ndarray) -> np.ndarray:
     below :data:`VOLTAGE_FLOOR`.
     """
     mags = np.abs(v)
-    if mags.min(initial=VOLTAGE_FLOOR) < VOLTAGE_FLOOR:
+    if np.count_nonzero(mags < VOLTAGE_FLOOR):
         low = np.argwhere(mags < VOLTAGE_FLOOR)[0]
         raise DegenerateVoltageError(PHASES[low[-1]], float(mags[tuple(low)]))
     return np.conj(s / v)

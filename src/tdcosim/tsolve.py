@@ -17,12 +17,17 @@ the bus index, classes and voltage setpoints, the NR's index gathers, the
 stacked coupling blocks, and the ground-tied partition and sparse LU factor
 of Y0 and Y2) is derived once per network by :func:`build_sequence_ybus` and
 shared by every solve on that network, so a run that only changes dispatch,
-loads or PCC powers factorises once.  Cases carry MW/MVAr; each solve reads
-the generators and lumped loads into per-unit arrays by bus once
-(:func:`bus_schedule`), as MATPOWER's ``makeSbus`` does.
+loads or PCC powers factorises once.  Cases carry MW/MVAr; their generators
+and lumped loads are read into per-unit arrays by bus (:func:`bus_schedule`),
+as MATPOWER's ``makeSbus`` does.  A caller that solves one case several
+times, as the coupling rounds of a step do, resolves the network and the
+schedule once and passes both to :func:`solve_three_sequence`; a solve given
+neither looks the network up in a small cache keyed on the bus and branch
+tuples and reads the schedule itself, once per solve.
 """
 from __future__ import annotations
 
+import cmath
 import functools
 from dataclasses import dataclass
 
@@ -30,6 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgesv
 
 from .errors import ConvergenceError, SingularNetworkError
 from .netmodel import BusKind, TransmissionCase, ZeroSeqPath, network_violations
@@ -41,6 +47,7 @@ SEQ_LOOP_TOL = 1e-9
 SEQ_LOOP_MAX_PASSES = 20
 SEQ_LOOP_MEMORY = 5  # passes the sequence loop's Anderson mixing looks back over
 PV_SWITCH_MAX = 5
+PV_Q_TOL = 1e-9  # pu, how far a PV bus's generator Q may leave its limits
 FLOATING_TOL = 1e-12  # pu, the largest injection a bus with no path to ground may take
 
 
@@ -70,7 +77,9 @@ class _BusClasses:
     pq: np.ndarray  # sorted
     at_state: np.ndarray  # each unknown in the (2, n) angles and magnitudes
     at_mismatch: np.ndarray  # each equation in S seen as (n, 2) floats
-    at_jac: np.ndarray  # the Jacobian in (dS/dVa, dS/dVm) seen as (2, n, n, 2) floats
+    # The Jacobian's transpose in (dS/dVa, dS/dVm) seen as (2, n, n, 2) floats,
+    # so the gathered Jacobian is in the column order LAPACK takes.
+    at_jac_t: np.ndarray
 
 
 def _bus_classes(n: int, pv: np.ndarray, pq: np.ndarray) -> _BusClasses:
@@ -82,7 +91,7 @@ def _bus_classes(n: int, pv: np.ndarray, pq: np.ndarray) -> _BusClasses:
         pq=pq,
         at_state=kind * n + pos,
         at_mismatch=2 * pos + kind,
-        at_jac=2 * n * (n * kind + pos[:, None]) + 2 * pos + kind[:, None],
+        at_jac_t=2 * n * (n * kind[:, None] + pos) + 2 * pos[:, None] + kind,
     )
 
 
@@ -135,7 +144,9 @@ def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
 
     Copies of a case made with ``dataclasses.replace`` (dispatch, load
     scaling) keep its ``buses`` and ``branches`` tuples and so share one
-    :class:`SequenceYBus`.
+    :class:`SequenceYBus`, which is looked up in a small cache keyed on
+    them.  The lookup hashes every bus, so callers that solve one network
+    many times hold the result and pass it on instead of asking again.
     """
     return _sequence_network(case.buses, case.branches)
 
@@ -213,16 +224,19 @@ class BusSchedule:
     """A case's generators and lumped loads by bus index, per-unit."""
 
     s: np.ndarray  # (n,) generation minus lumped load
-    q_set: np.ndarray  # (n,) generator Q setpoints, summed
-    q_min: np.ndarray  # (n,) generator Q limits, summed; -inf and +inf
-    q_max: np.ndarray  # at buses without a generator
+    # (5, p) at the network's PV buses: their generators' summed Q setpoint and
+    # limits (-inf and +inf without a generator), q_set, q_min and q_max, then
+    # the limits widened by PV_Q_TOL, q_min - PV_Q_TOL and q_max + PV_Q_TOL
+    pv_q: np.ndarray
 
 
 def bus_schedule(case: TransmissionCase, ybus: SequenceYBus) -> BusSchedule:
     """Read the MW/MVAr case's generators and lumped loads into per-unit arrays.
 
     Each power is taken as ``x * (1.0 / base_mva)`` and summed by bus in
-    case order, generators before loads.
+    case order, generators before loads.  A case's schedule changes with its
+    loads and dispatch, not with the PCC powers, so a caller that solves one
+    case several times reads it once.
     """
     if case.base_mva <= 0:
         raise ValueError(f"base_mva must be positive, got {case.base_mva}")
@@ -243,7 +257,9 @@ def bus_schedule(case: TransmissionCase, ybus: SequenceYBus) -> BusSchedule:
             s[ybus.bus_index[ld.bus]] -= ld.p * to_pu + 1j * (ld.q * to_pu)
     for i in set(range(n)) - gen_buses:  # no generator, no Q limit
         q_min[i], q_max[i] = -np.inf, np.inf
-    return BusSchedule(np.array(s), np.array(q_set), np.array(q_min), np.array(q_max))
+    pv_q = [[q[i] for i in ybus.classes.pv.tolist()] for q in (q_set, q_min, q_max)]
+    pv_q += [[x - PV_Q_TOL for x in pv_q[1]], [x + PV_Q_TOL for x in pv_q[2]]]
+    return BusSchedule(np.array(s), np.array(pv_q))
 
 
 @dataclass(frozen=True)
@@ -270,7 +286,9 @@ def nr_positive_sequence(
     PV reactive limits are enforced by PV->PQ switching after convergence,
     re-solving at most ``PV_SWITCH_MAX`` times: a PV bus whose generators'
     Q (the bus injection plus the bus's loads) leaves their summed limits
-    is held at the limit it crossed.
+    is held at the limit it crossed.  A solve that still finds a PV bus
+    outside its limits after the last re-solve raises
+    :class:`ConvergenceError`.
     """
     y = ybus.y1_dense
     s_spec = sched.s.copy() if extra_s1 is None else sched.s - extra_s1
@@ -284,6 +302,7 @@ def nr_positive_sequence(
     x[0, ybus.slack] = ybus.slack_angle
 
     cls = ybus.classes
+    pv_q = sched.pv_q  # at cls.pv, which shrinks as buses switch
     total_iters = 0
     for _ in range(PV_SWITCH_MAX + 1):
         v, s_calc, iters, mismatch, history = _nr_core(y, s_spec, cls, x)
@@ -295,18 +314,24 @@ def nr_positive_sequence(
                 history,
             )
         pv = cls.pv
-        q_other = s_spec.imag[pv] - sched.q_set[pv]  # the bus's Q besides its generators'
+        q_set, q_min, q_max, q_lo, q_hi = pv_q
+        q_other = s_spec.imag[pv] - q_set  # the bus's Q besides its generators'
         q_gen = s_calc.imag[pv] - q_other
-        over = q_gen > sched.q_max[pv] + 1e-9
-        under = q_gen < sched.q_min[pv] - 1e-9
-        hit = over | under
-        if not hit.any():
-            break
-        q_lim = np.where(over, sched.q_max[pv], sched.q_min[pv])
+        over = q_gen > q_hi
+        hit = over | (q_gen < q_lo)
+        if not np.count_nonzero(hit):
+            return NrResult(v, total_iters, mismatch, tuple(history))
+        q_lim = np.where(over, q_max, q_min)
         switched = pv[hit]
         s_spec[switched] = s_spec[switched].real + 1j * (q_lim[hit] + q_other[hit])
-        cls = _bus_classes(ybus.n, pv[~hit], np.sort(np.concatenate([cls.pq, switched])))
-    return NrResult(v, total_iters, mismatch, tuple(history))
+        keep = ~hit
+        pv_q = pv_q[:, keep]
+        cls = _bus_classes(ybus.n, pv[keep], np.sort(np.concatenate([cls.pq, switched])))
+    raise ConvergenceError(
+        f"PV Q-limit switching did not settle in {PV_SWITCH_MAX} re-solves: bus index "
+        f"{switched.tolist()} still outside its Q limits",
+        history,
+    )
 
 
 def _nr_core(y, s_spec, cls: _BusClasses, x: np.ndarray):
@@ -316,10 +341,12 @@ def _nr_core(y, s_spec, cls: _BusClasses, x: np.ndarray):
     n = x.shape[1]
     va, vm = x
     history: list[float] = []
+    ds = None  # the Jacobian's buffers, made at the first iteration that needs them
     for it in range(NR_MAX_ITER + 1):
         v = vm * np.exp(1j * va)
         i_bus = y @ v
-        s_calc = v * np.conj(i_bus)
+        i_conj = np.conj(i_bus)
+        s_calc = v * i_conj
         rhs = (s_spec - s_calc).view(float)[cls.at_mismatch]
         mismatch = np.abs(rhs).max(initial=0.0)
         history.append(float(mismatch))
@@ -329,19 +356,25 @@ def _nr_core(y, s_spec, cls: _BusClasses, x: np.ndarray):
         # MATPOWER's dSbus_dV with its diagonal matrices as vectors:
         # dS/dVa = j diag(V) conj(diag(I) - Y diag(V)),
         # dS/dVm = diag(V) conj(Y diag(V/|V|)) + conj(diag(I)) diag(V/|V|).
-        # Both are formed at once, as ds = (dS/dVa, dS/dVm).
-        v_norm = v / vm
-        ds = y * np.array([v, v_norm])[:, None, :]
-        diag = ds.reshape(2, -1)[:, :: n + 1]
+        # Both are formed at once in ``ds``, as (dS/dVa, dS/dVm).
+        if ds is None:
+            rows = np.empty((2, n), dtype=complex)  # the row factors
+            ds = np.empty((2, n, n), dtype=complex)
+            diag = ds.reshape(2, -1)[:, :: n + 1]
+        rows[0] = v
+        np.divide(v, vm, out=rows[1])
+        np.multiply(y, rows[:, None, :], out=ds)
         diag[0] -= i_bus
-        np.multiply(np.array([-1j * v, v])[..., None], np.conj(ds, out=ds), out=ds)
-        diag[1] += np.conj(i_bus) * v_norm
-        try:
-            dx = np.linalg.solve(ds.view(float).reshape(-1)[cls.at_jac], rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularNetworkError(
-                f"singular Jacobian at NR iteration {it}"
-            ) from exc
+        diag_vm = i_conj * rows[1]
+        np.multiply(-1j, v, out=rows[0])
+        rows[1] = v
+        np.multiply(rows[..., None], np.conj(ds, out=ds), out=ds)
+        diag[1] += diag_vm
+        # dgesv takes the Jacobian in column order: the gathered transpose.
+        jac = ds.view(float).reshape(-1)[cls.at_jac_t].T
+        dx, info = dgesv(jac, rhs, overwrite_a=True, overwrite_b=True)[2:]
+        if info > 0:
+            raise SingularNetworkError(f"singular Jacobian at NR iteration {it}")
         x.reshape(-1)[cls.at_state] += dx
 
 
@@ -378,7 +411,9 @@ def _factor_grounded(y: sp.csr_matrix, label: str) -> _GroundedFactor:
 
 
 def _solve_linear_sequence(seq: _GroundedFactor, injections: np.ndarray) -> np.ndarray:
-    if not injections.any():
+    # On a few entries count_nonzero and cmath skip most of the cost of the
+    # ndarray.any and np.isfinite calls they stand for.
+    if not np.count_nonzero(injections):
         return np.zeros(len(seq.grounded), dtype=complex)
     if seq.floating.size and not np.abs(injections[seq.floating]).max() <= FLOATING_TOL:
         _reject(seq, injections)
@@ -388,7 +423,7 @@ def _solve_linear_sequence(seq: _GroundedFactor, injections: np.ndarray) -> np.n
         v = np.zeros(len(seq.grounded), dtype=complex)
         if seq.idx.size:
             v[seq.idx] = np.nan if seq.lu is None else seq.lu.solve(injections[seq.idx])
-    if not np.isfinite(v.sum()):  # NaN or inf anywhere
+    if not cmath.isfinite(v.sum()):  # NaN or inf anywhere
         _reject(seq, injections)
     return v
 
@@ -463,12 +498,17 @@ def solve_three_sequence(
     s_pcc=None,
     max_passes: int = SEQ_LOOP_MAX_PASSES,
     warm: SequenceSolution | None = None,
+    ybus: SequenceYBus | None = None,
+    sched: BusSchedule | None = None,
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
 
-    ``case`` is in MW/MVAr and is read into per-unit arrays once.
-    ``pcc_buses`` are distinct PCC bus ids and ``s_pcc`` their (k, 3)
-    per-phase head powers in MVA, one row per bus in that order.  One pass
+    ``case`` is in MW/MVAr.  ``ybus`` and ``sched`` are its network and its
+    per-unit schedule (:func:`build_sequence_ybus`, :func:`bus_schedule`);
+    a caller that solves one case several times passes them, and either one
+    left out is resolved here, once per solve.  ``pcc_buses`` are distinct
+    PCC bus ids and ``s_pcc`` their (k, 3) per-phase head powers in MVA, one
+    row per bus in that order.  One pass
     maps the (3, n) sequence voltages to the next: PCC injections and
     compensation currents (when a branch is untransposed) at those voltages,
     then the positive NR and the negative and zero solves, each called once
@@ -478,8 +518,10 @@ def solve_three_sequence(
     of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
     plain pass result when the change grew.
     """
-    ybus = build_sequence_ybus(case)
-    sched = bus_schedule(case, ybus)
+    if ybus is None:
+        ybus = build_sequence_ybus(case)
+    if sched is None:
+        sched = bus_schedule(case, ybus)
     n = ybus.n
     pcc = np.array([ybus.bus_index[bus_id] for bus_id in pcc_buses], dtype=int)
     if len(set(pcc.tolist())) < len(pcc):

@@ -504,6 +504,104 @@ def test_value_copies_sweep_as_a_rebuilt_feeder(ckt_feeder):
         assert all(map(_same_bits, _solution_bits(a), _solution_bits(b)))
 
 
+def test_value_copies_never_reuse_their_parents_load_fold(ckt_feeder):
+    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
+               ckt_feeder.lines, ckt_feeder.loads)
+    s = dsolve._load_array(f)
+    assert dsolve._load_array(f) is s  # folded once while it is the copy swept
+    assert not s.flags.writeable
+    copies = (scale_loads(f, 1.0), scale_loads(f, 1.7), apply_unbalance(f, 0.0),
+              apply_unbalance(f, 0.3), apply_unbalance(scale_loads(f, 1.7), 0.3))
+    for g in copies:
+        rebuilt = Feeder(f.base_kv, f.base_mva, f.head, f.lines, g.loads)
+        folded = dsolve._load_array(g)
+        assert folded is not s
+        assert dsolve._load_array(g) is folded
+        assert _same_bits(folded, dsolve._load_array(rebuilt))
+        assert _same_bits(dsolve._load_array(f), s)  # and back to the parent's loads
+    # the fold follows the feeder's load array, not the feeder object
+    f.load_s = 2.0 * f.load_s
+    assert _same_bits(dsolve._load_array(f), 2.0 * s)
+
+
+def test_array_head_gives_the_bits_of_a_record_head(ckt_feeder):
+    record = PhaseVoltages(1.01 + 0.02j, -0.49 - 0.87j, -0.52 + 0.86j)
+    f = apply_unbalance(ckt_feeder, 0.2)
+    cold = [sweep_solve(f, head) for head in (record, record.as_array())]
+    start = cold[0].v
+    warm = [sweep_solve(scale_loads(f, 1.1), head, start=start)
+            for head in (record, list(record.as_array()))]
+    for a, b in (cold, warm):
+        assert a.iterations == b.iterations
+        assert all(map(_same_bits, _solution_bits(a), _solution_bits(b)))
+        assert _same_bits(a.s_head, a.head_power.as_array())
+    with pytest.raises(ValueError, match="shape"):
+        sweep_solve(f, record.as_array()[:2])
+
+
+def _sweep_checking_every_iteration(feeder, head, start=None):
+    """``sweep_solve``'s iterations at the default budget, with the smallest
+    present |V| taken at every iteration.  Returns the collapse message, the
+    iteration that converged, or None when the budget ran out, and the
+    change history."""
+    topo, plan = feeder.topology(), feeder.sweep_plan()
+    s_pu = dsolve._load_array(feeder)
+    work = np.empty((len(s_pu) + 1, 3), dtype=complex)
+    if start is None:
+        v = np.empty_like(s_pu)
+        v[:] = head
+    else:
+        v = start * (head / start[0])
+        topo.fill_absent(v, head)
+    history = []
+    for iterations in range(1, dsolve.SWEEP_MAX_ITER + 1):
+        acc = topo.subtree_sums(np.conjugate(s_pu / v), np.empty_like(v), work)
+        b = np.empty_like(v)
+        b[0] = head
+        np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
+        v_new = topo.path_sums(b, np.empty_like(v), work)
+        change = v_new - v
+        if iterations == 1 and start is not None:
+            change = change * topo.mask
+        history.append(float(np.abs(change).max()))
+        v = v_new
+        worst = float(np.abs(v)[topo.mask].min())
+        if worst < dsolve.COLLAPSE_FLOOR:
+            return (f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
+                    f"during sweep {iterations}"), history
+        if history[-1] < dsolve.SWEEP_TOL:
+            return iterations, history
+    return None, history
+
+
+def _assert_sweep_fails_or_converges_as(feeder, head, start=None) -> str:
+    """Run both sweeps and require one outcome; returns its kind."""
+    outcome, history = _sweep_checking_every_iteration(feeder, head, start)
+    try:
+        sol = sweep_solve(feeder, head, start=start)
+    except VoltageCollapseError as exc:
+        assert str(exc) == outcome
+        assert _same_bits(exc.history, history)
+        return "collapse"
+    except ConvergenceError as exc:
+        assert outcome is None
+        assert _same_bits(exc.history, history)
+        return "budget"
+    assert sol.iterations == outcome
+    return "converged"
+
+
+def test_ckt24_near_collapse_raises_where_every_iteration_is_checked(ckt_feeder):
+    head = PhaseVoltages.balanced(1.0, 0.05).as_array()
+    start = sweep_solve(scale_loads(ckt_feeder, 4.0), head).v
+    kinds = []
+    for m in np.arange(5.0, 9.01, 0.125):  # collapse sets in between 5.5 and 5.75
+        g = scale_loads(ckt_feeder, m)
+        kinds.append(_assert_sweep_fails_or_converges_as(g, head))
+        kinds.append(_assert_sweep_fails_or_converges_as(g, 0.98 * head, start))
+    assert kinds.count("converged") >= 8 and kinds.count("collapse") >= 40
+
+
 @given(st.lists(
     st.tuples(
         st.sampled_from(["head", "n1", "n2", "n3"]),
@@ -598,6 +696,17 @@ def test_random_radial_trees_match_oracle_and_line_order(tree):
     other = sweep_solve(shuffled, head, tol=1e-12, max_iter=300)
     at = [other.node_order.index(node) for node in sol.node_order]
     assert np.max(np.abs(other.v[at] - sol.v)) <= 1e-12
+
+
+@given(radial_trees(), st.floats(2.0, 4.5))
+@settings(max_examples=80, deadline=None)
+def test_random_trees_near_collapse_raise_where_every_iteration_is_checked(tree, log_m):
+    lines, loads, _ = tree
+    f = Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads), name="tree")
+    head = PhaseVoltages.balanced(1.0, 0.05).as_array()
+    g = scale_loads(f, 10.0**log_m)
+    _assert_sweep_fails_or_converges_as(g, head)
+    _assert_sweep_fails_or_converges_as(g, head, start=sweep_solve(f, head).v)
 
 
 def _depth_first_walk(lines, head):

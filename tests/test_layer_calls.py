@@ -2,9 +2,11 @@
 
 A wrapper set on ``tsolve.nr_positive_sequence`` or ``dsolve.sweep_solve``
 sees every call the solvers make, as the traced benchmark's spans do, so
-these counts are the ones it reports: one Y-bus lookup per transmission
-solve, one NR and one negative- and zero-sequence solve per pass, and one
-sweep per PCC in each coupling round that sweeps.
+these counts are the ones it reports: one Y-bus lookup per standalone
+transmission solve, per ``couple_step`` call and per time-loop run; one bus
+schedule per standalone solve and per step; one NR and one negative- and
+zero-sequence solve per pass; and one sweep per PCC in each coupling round
+that sweeps.
 """
 from collections import Counter
 
@@ -13,8 +15,8 @@ import pytest
 from tdcosim import cosim, dsolve, tsolve
 
 LAYERS = {
-    tsolve: ("build_sequence_ybus", "solve_three_sequence", "nr_positive_sequence",
-             "solve_negative", "solve_zero"),
+    tsolve: ("build_sequence_ybus", "bus_schedule", "solve_three_sequence",
+             "nr_positive_sequence", "solve_negative", "solve_zero"),
     dsolve: ("sweep_solve",),
 }
 
@@ -47,6 +49,7 @@ def test_each_pass_calls_each_sequence_solve_once(system1, calls):
     assert calls == {
         "solve_three_sequence": 1,
         "build_sequence_ybus": 1,
+        "bus_schedule": 1,
         "nr_positive_sequence": warm.passes,
         "solve_negative": warm.passes,
         "solve_zero": warm.passes,
@@ -57,10 +60,36 @@ def test_couple_step_sweeps_each_pcc_once_per_sweeping_round(system2, feeders3, 
     state, trace = cosim.couple_step(system2, feeders3)
     rounds = trace.overall_iterations
     assert rounds >= 3
-    # every round solves the transmission side; all but the last sweep
-    assert calls["solve_three_sequence"] == calls["build_sequence_ybus"] == rounds
+    # one network and one schedule for the call; every round solves the
+    # transmission side, and all but the last sweep
+    assert calls["build_sequence_ybus"] == calls["bus_schedule"] == 1
+    assert calls["solve_three_sequence"] == rounds
     assert calls["sweep_solve"] == 3 * (rounds - 1)
     for feeder in feeders3.values():
         assert calls[feeder.name] == rounds - 1
     assert calls["nr_positive_sequence"] == calls["solve_negative"] == calls["solve_zero"]
     assert calls["nr_positive_sequence"] >= rounds
+
+
+def test_time_loop_holds_one_network_per_run(system1, ckt_feeder, day_shape, calls):
+    result = cosim.run_timeseries(
+        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
+    )
+    steps = result.steps
+    assert len(steps) == 12 and all(s.converged for s in steps)
+    rounds = sum(s.trace.overall_iterations for s in steps)
+    assert calls["build_sequence_ybus"] == 1
+    assert calls["bus_schedule"] == len(steps)
+    assert calls["solve_three_sequence"] == rounds
+    assert calls["sweep_solve"] == rounds - len(steps)
+    assert calls["nr_positive_sequence"] == calls["solve_negative"] == calls["solve_zero"]
+    assert calls["nr_positive_sequence"] >= rounds
+
+    calls.clear()
+    baseline = cosim.run_decoupled_baseline(
+        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
+    )
+    assert len(baseline.steps) == 3  # the 5-minute dispatch cadence
+    assert calls["build_sequence_ybus"] == 1
+    assert calls["bus_schedule"] == calls["solve_three_sequence"] == 3
+    assert calls["sweep_solve"] == 0

@@ -234,6 +234,33 @@ def test_pv_q_limit_ignores_generator_q_setpoint():
         assert q2 == pytest.approx(47.72, abs=0.01), q_set
 
 
+def test_pv_switching_past_its_budget_raises(monkeypatch):
+    # one switch releases bus 2 (5 MVAr cannot hold 1.05 pu); with no re-solve
+    # left the limit-violating solve must not come back as converged
+    case = pv_bus_case(1.05, [pv_gen(-5.0, 5.0)], load_q=60.0)
+    switched = solve_nr(case)
+    monkeypatch.setattr(tsolve, "PV_SWITCH_MAX", 0)
+    with pytest.raises(ConvergenceError, match=re.escape(
+            "PV Q-limit switching did not settle in 0 re-solves: bus index [1] still")) as info:
+        solve_nr(case)
+    assert info.value.history and info.value.history[-1] < tsolve.NR_TOL
+    with pytest.raises(ConvergenceError, match="PV Q-limit switching"):
+        tsolve.solve_three_sequence(case)
+    monkeypatch.setattr(tsolve, "PV_SWITCH_MAX", 1)
+    again = solve_nr(case)
+    assert again.iterations == switched.iterations and again.history == switched.history
+    assert np.array_equal(again.v1, switched.v1)
+    assert abs(again.v1[1]) < 1.05 - 1e-4
+
+
+def test_singular_jacobian_raises(case9):
+    # with no admittance every Jacobian entry is zero: LAPACK reports a zero pivot
+    yb = tsolve.build_sequence_ybus(case9)
+    dead = replace(yb, y1_dense=np.zeros_like(yb.y1_dense))
+    with pytest.raises(SingularNetworkError, match="singular Jacobian at NR iteration 0"):
+        tsolve.nr_positive_sequence(dead, tsolve.bus_schedule(case9, yb))
+
+
 # -- linear sequence solves -------------------------------------------------
 
 
