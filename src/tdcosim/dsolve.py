@@ -473,9 +473,9 @@ def _load_array(feeder: Feeder) -> np.ndarray:
     another array: a value copy never reuses its parent's, and the rounds of
     a coupled step that sweep one copy fold once.
     """
-    shared = feeder._shared
-    if shared.fold is not None and shared.fold[0] is feeder.load_s:
-        return shared.fold[1]
+    fold = feeder._shared.fold  # read once: another copy may replace it
+    if fold is not None and fold[0] is feeder.load_s:
+        return fold[1]
     plan = feeder.sweep_plan()
     n = len(feeder.topology().node_order)
     terms = _divide(feeder.load_s, feeder.base_mva / 3.0).view(float).ravel()
@@ -483,7 +483,7 @@ def _load_array(feeder: Feeder) -> np.ndarray:
     slots = (6 * plan.load_at[:, None] + np.arange(6)).ravel()
     s_pu = np.bincount(slots, terms, minlength=6 * n).view(complex).reshape(n, 3)
     s_pu.flags.writeable = False
-    shared.fold = (feeder.load_s, s_pu)
+    feeder._shared.fold = (feeder.load_s, s_pu)
     return s_pu
 
 
