@@ -7,7 +7,7 @@ backward/forward sweep over constant-PQ loads (the ladder method).  The
 backward sweep sums the load currents over each subtree as a difference of
 suffix sums; a line carries its child's sum.  The forward sweep subtracts
 the line drops ``Z i_line`` along each path from the head: a prefix sum less
-the terms of subtrees already closed (see ``_Topology``).  Sweeps start
+the terms of subtrees already closed (see ``_SweepPlan``).  Sweeps start
 from the head voltage at every node, or from a previous solution's voltages
 on the same topology rescaled per phase to the new head voltage, and repeat
 until the largest per-phase voltage change falls below tolerance.  After
@@ -26,10 +26,15 @@ walk of the tree's left-child, right-sibling form then numbers the nodes.
 Each structural violation names the line or load at fault, so a parser can
 report it at its row.
 
-Feeders carry per-phase quantities in padded (n, 3) arrays with absent
-phases zero in every result (a sweep's iterates hold a placeholder voltage
-there, which carries no load and no drop); per-unit uses a line-to-neutral
-voltage base and a per-phase power base of ``base_mva / 3``.
+Solutions report per-phase quantities in (n, 3) arrays with absent phases
++0.0; per-unit uses a line-to-neutral voltage base and a per-phase power
+base of ``base_mva / 3``.  A sweep works on three per-phase rows instead,
+each holding only the nodes that have that phase in this numbering, padded
+to a common width (see ``_SweepPlan``), so a one- or two-phase lateral
+costs only its phases.  A row's nodes keep their order, so its subtree and
+path sums add the same nonzero terms in the same order as a sum over all
+nodes with zeros on absent phases would; only the sign of an exact zero
+can differ.
 
 A feeder holds its lines and loads as arrays, one row per ``line`` or
 ``load`` line in file order: ``line_from``/``line_to`` name the ends,
@@ -40,11 +45,11 @@ it names and ``load_nodes`` its node.  ``FeederLine`` and ``PhaseLoad``
 records are converted on construction and rebuilt on demand, never on the
 solve path.  Load scaling, unbalance and aggregation are vector operations
 on ``load_s``.  The value copies they return share the topology and the
-sweep plan, built at the first sweep: the negated per-unit impedances
-gathered from the pad by node and each load's node.  A sweep then only
-folds ``load_s`` onto the nodes with one ``bincount`` in file order, so
-every sum rounds as a loop over the loads would; the last fold is kept, so
-the rounds of a coupled step that sweep one copy fold once.  Head voltages
+sweep plan, built at the first sweep: the row maps, each slot's negated
+per-unit impedance row and each load's node.  A sweep then only folds
+``load_s`` onto the rows with one ``bincount`` in file order, so every sum
+rounds as a loop over the loads would; the last fold is kept, so the
+rounds of a coupled step that sweep one copy fold once.  Head voltages
 and head powers are (3,) arrays; the records are accepted or built on demand.
 """
 from __future__ import annotations
@@ -107,7 +112,8 @@ class _Shared:
 
     topo: "_Topology | None" = None
     plan: "_SweepPlan | None" = None
-    fold: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_array
+    fold: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_fold
+    by_node: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_array
 
 
 class Feeder:
@@ -222,58 +228,88 @@ class _Topology:
     line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, index into the feeder's line arrays
 
-    def __post_init__(self):
-        self.by_end = np.argsort(self.end, kind="stable")  # nodes by subtree end
-        self.n_ended = np.searchsorted(self.end[self.by_end], np.arange(len(self.end)), "right")
-        # Where the absent phases are in an (n, 3) array seen flat, phase by phase.
-        self.absent_at = [np.flatnonzero(~self.mask[:, p]) * 3 + p for p in range(3)]
-        # Added to |v|, this takes a minimum over the present phases only.
-        self.absent_inf = np.where(self.mask, 0.0, np.inf)
-
-    def fill_absent(self, x: np.ndarray, values) -> None:
-        """Set the absent phases of (n, 3) ``x`` to ``values`` by phase."""
-        flat = x.reshape(-1)
-        for at, value in zip(self.absent_at, values):
-            flat[at] = value
-
-    # The gathers below take mode="clip" because their indices are in range
-    # by construction; the default mode copies ``out`` before writing it.
-    # They and the sums are array methods, which skip the np.* wrappers.
-
-    def subtree_sums(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Sums of (n, 3) ``x`` over each subtree into ``out``; on a chain, as a
-        loop from the tail.  ``work`` is (n + 1, 3) scratch."""
-        work[-1] = 0.0
-        x[::-1].cumsum(0, out=work[-2::-1])  # suffix sums
-        work.take(self.end, 0, out, "clip")
-        return np.subtract(work[:-1], out, out=out)
-
-    def path_sums(self, b: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
-        """Sums of (n, 3) ``b`` over each path from the head into ``out``: prefix
-        sums less the terms whose subtree ended at or before the node.
-        ``b`` is overwritten by its prefix sums; ``work`` is (n + 1, 3) scratch."""
-        work[0] = 0.0
-        b.take(self.by_end, 0, work[1:], "clip")
-        work[1:].cumsum(0, out=work[1:])  # terms of ended subtrees
-        b.cumsum(0, out=b)
-        work.take(self.n_ended, 0, out, "clip")
-        return np.subtract(b, out, out=out)
-
 
 class _SweepPlan:
     """The parts of a sweep that depend on the impedances and on where the
-    loads are, not on the load values or the head voltage."""
+    loads are, not on the load values or the head voltage.
+
+    A sweep holds each per-phase quantity as three rows of ``width`` slots,
+    one per phase: row p holds the nodes that have phase p, in node order,
+    then pads up to the longest row.  A pad is a leaf of the head with no
+    line and no load, which a sweep holds at its row's head voltage.
+    ``slot`` is each node's slot per phase in the rows seen flat, or
+    ``3 * width``, one past the rows, on a phase the node does not have,
+    where a sweep keeps a zero.  As for all nodes in ``_Topology``, a slot's
+    subtree runs to the row's slot ``end``, ``by_end`` lists a row's slots
+    by where their subtrees end and ``n_ended`` counts the row's slots whose
+    subtree ended at or before a slot's node; ``by_end`` indexes the rows,
+    the other two a (3, width + 1) work array, all seen flat.
+    """
 
     def __init__(self, feeder: Feeder):
         topo = feeder.topology()
         self.load_at, problems = _place_loads(feeder, topo)  # (m,)
         if problems:
             raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(map(str, problems)))
-        # neg_z_pu[k - 1] is minus the per-unit impedance of the line that
-        # feeds node k, so a sweep forms the drops -Z i_line in one product.
-        self.neg_z_pu = feeder.line_z[topo.line_index]
-        self.neg_z_pu /= feeder.base_kv**2 / feeder.base_mva
-        np.negative(self.neg_z_pu, out=self.neg_z_pu)
+        n = len(topo.node_order)
+        rows = [np.flatnonzero(topo.mask[:, p]) for p in range(3)]
+        w = self.width = max(map(len, rows))
+        node = np.zeros((3, w), dtype=int)
+        self.end, self.by_end, self.n_ended = (np.empty((3, w), dtype=int) for _ in range(3))
+        for p, nodes in enumerate(rows):
+            k = len(nodes)
+            node[p, :k] = nodes
+            # A pad is a leaf of the head that sorts after every node by subtree end.
+            end, key = np.arange(1, w + 1), np.arange(n + 1, n + 1 + w)
+            end[:k] = np.searchsorted(nodes, topo.end[nodes])  # the subtree in the row
+            end[0] = w
+            key[:k] = topo.end[nodes]
+            by_end = np.argsort(key, kind="stable")  # slots by subtree end, as for all nodes
+            self.end[p] = end + p * (w + 1)
+            self.by_end[p] = by_end + p * w
+            self.n_ended[p] = np.searchsorted(key[by_end], node[p], "right") + p * (w + 1)
+        real = np.arange(w) < np.array([[len(nodes)] for nodes in rows])
+        self.pads = np.flatnonzero(~real)
+        self.pad_phase = self.pads // w
+        self.node_at = 3 * node + np.arange(3)[:, None]  # each slot's entry in an (n, 3) array
+        self.slot = np.full((n, 3), 3 * w)
+        self.slot.reshape(-1)[self.node_at[real]] = np.flatnonzero(real)
+        # A slot's drop is its line's impedance row times the line's three
+        # currents, gathered from their slots; the head and the pads have no
+        # line.  Both are (3, 3 * width), by current phase, then slot.
+        fed = real.copy()
+        fed[:, 0] = False
+        drop_at = np.full((3, w, 3), 3 * w)
+        drop_at[fed] = self.slot[node[fed]]
+        self.drop_at = np.ascontiguousarray(drop_at.reshape(3 * w, 3).T)
+        neg_z = np.zeros((3, w, 3), dtype=complex)
+        neg_z[fed] = feeder.line_z[topo.line_index[node[fed] - 1], np.nonzero(fed)[0]]
+        neg_z /= feeder.base_kv**2 / feeder.base_mva
+        self.neg_z = np.ascontiguousarray(np.negative(neg_z, out=neg_z).reshape(3 * w, 3).T)
+
+    # The gathers below take mode="clip" because their indices are in range
+    # by construction; the default mode copies ``out`` before writing it.
+    # They and the sums are array methods, which skip the np.* wrappers.
+
+    def subtree_sums(self, x: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """Sums of rows ``x`` over each subtree into ``out``; on a chain, as a
+        loop from the tail."""
+        work[:, -1] = 0.0
+        x[:, ::-1].cumsum(1, out=work[:, -2::-1])  # suffix sums
+        work.take(self.end, None, out, "clip")
+        return np.subtract(work[:, :-1], out, out=out)
+
+    def path_sums(self, b: np.ndarray, out: np.ndarray, work: np.ndarray,
+                  scratch: np.ndarray) -> np.ndarray:
+        """Sums of rows ``b`` over each path from the head into ``out``: prefix
+        sums less the terms whose subtree ended at or before the node.
+        ``b`` is overwritten by its prefix sums."""
+        work[:, 0] = 0.0
+        b.take(self.by_end, None, scratch, "clip")
+        scratch.cumsum(1, out=work[:, 1:])  # terms of ended subtrees
+        b.cumsum(1, out=b)
+        work.take(self.n_ended, None, out, "clip")
+        return np.subtract(b, out, out=out)
 
 
 def _compile_topology(feeder: Feeder) -> _Topology:
@@ -434,7 +470,7 @@ def validate_feeder(feeder: Feeder) -> list[str]:
 @dataclass
 class FeederSolution:
     node_order: tuple[str, ...]
-    v: np.ndarray  # (n, 3) complex pu, absent phases zero
+    v: np.ndarray  # (n, 3) complex pu, absent phases +0.0
     i_line: np.ndarray  # (L, 3) complex pu, aligned with line_names
     line_names: tuple[tuple[str, str], ...]
     s_head: np.ndarray  # (3,) complex MVA drawn at the head, per phase
@@ -464,7 +500,19 @@ class FeederSolution:
 
 
 def _load_array(feeder: Feeder) -> np.ndarray:
-    """Per-node per-phase load in pu on the per-phase power base; read-only.
+    """Per-node per-phase (n, 3) load in pu on the per-phase power base;
+    read-only, made from the last fold and kept with it."""
+    folded = _load_fold(feeder)
+    by_node = feeder._shared.by_node
+    if by_node is None or by_node[0] is not folded:
+        by_node = feeder._shared.by_node = (folded, folded.take(feeder.sweep_plan().slot))
+        by_node[1].flags.writeable = False
+    return by_node[1]
+
+
+def _load_fold(feeder: Feeder) -> np.ndarray:
+    """The load in pu on the per-phase power base as a sweep's rows seen flat,
+    pads zero, then a zero; read-only.
 
     ``bincount`` adds each slot's terms in load order starting from zero, so
     every sum rounds as a loop over the loads would.  The last fold is kept,
@@ -477,14 +525,15 @@ def _load_array(feeder: Feeder) -> np.ndarray:
     if fold is not None and fold[0] is feeder.load_s:
         return fold[1]
     plan = feeder.sweep_plan()
-    n = len(feeder.topology().node_order)
     terms = _divide(feeder.load_s, feeder.base_mva / 3.0).view(float).ravel()
-    # The slot of each term in the (n, 3) complex result seen as (n, 6) floats.
-    slots = (6 * plan.load_at[:, None] + np.arange(6)).ravel()
-    s_pu = np.bincount(slots, terms, minlength=6 * n).view(complex).reshape(n, 3)
-    s_pu.flags.writeable = False
-    feeder._shared.fold = (feeder.load_s, s_pu)
-    return s_pu
+    # Each term's slot in the rows seen as floats; a phase a load does not
+    # name may be absent at its node, and its zero lands past the rows.
+    slots = (2 * plan.slot[plan.load_at][..., None] + np.arange(2)).ravel()
+    folded = np.bincount(slots, terms, minlength=6 * plan.width + 2).view(complex)
+    folded[-1] = 0.0
+    folded.flags.writeable = False
+    feeder._shared.fold = (feeder.load_s, folded)
+    return folded
 
 
 def _divide(z: np.ndarray, x: float) -> np.ndarray:
@@ -518,16 +567,18 @@ def sweep_solve(
     ``head_v`` is the (3,) complex per-unit head voltage, or a
     :class:`PhaseVoltages`.  The sweep starts from the head voltage at every
     node or, given ``start``, from a previous solution's (n, 3) voltages on
-    this topology rescaled per phase by ``head / start[0]``.  While it
-    iterates, absent phases carry no load and no drop, so they keep a
-    nonzero voltage (the head's at the start, then their nearest
-    ancestor's) and the load currents need no mask; they are set to zero
-    once, in the final pass, and a warm start's first change is taken over
-    present phases.  The smallest present |V| is taken exactly only when a
-    lower bound on it, the last exact minimum less each iteration's change
-    since, does not clear ``COLLAPSE_FLOOR`` by ``COLLAPSE_MARGIN``; a sweep
-    that falls below the floor raises :class:`VoltageCollapseError` at the
-    same iteration as a check of every iteration would.
+    this topology rescaled per phase by ``head / start[0]``.  It iterates on
+    the feeder's per-phase rows (see ``_SweepPlan``), so an absent phase
+    takes no work; a pad holds its row's head voltage, so it carries no
+    current and its change and magnitude are the head's.  The change is
+    taken over present phases.  A non-finite change raises
+    :class:`ConvergenceError` at once.  The smallest present |V| is taken
+    exactly only when a lower bound on it, the last exact minimum less each
+    iteration's change since, does not clear ``COLLAPSE_FLOOR`` by
+    ``COLLAPSE_MARGIN``; a sweep that falls below the floor raises
+    :class:`VoltageCollapseError` at the same iteration as a check of every
+    iteration would.  The rows are read into the (n, 3) and (L, 3) results
+    once, with absent phases +0.0.
     """
     if not 0 < tol < np.inf:
         raise ValueError(f"tol must be finite and positive, got {tol}")
@@ -546,45 +597,75 @@ def sweep_solve(
         )
     topo = feeder.topology()
     plan = feeder.sweep_plan()
-    mask = topo.mask
     if start is not None:
-        start = np.asarray(start)
-        if start.shape != mask.shape:
-            raise ValueError(f"start has shape {start.shape}, the feeder {mask.shape}")
+        start = np.asarray(start, dtype=complex)
+        if start.shape != topo.mask.shape:
+            raise ValueError(f"start has shape {start.shape}, the feeder {topo.mask.shape}")
+        if not np.isfinite(start).all():
+            raise ValueError("start has a voltage that is not finite")
         if not start[0].all():  # the head has every phase
             raise ValueError(f"start has a zero head voltage: {start[0]}")
-    s_pu = _load_array(feeder)
+    v_ext, acc_ext, s_head_pu, iterations = _sweep_rows(feeder, plan, head_arr, start,
+                                                        tol, max_iter)
+    return FeederSolution(
+        node_order=topo.node_order,
+        v=v_ext.take(plan.slot),
+        i_line=acc_ext.take(plan.slot[1:]),
+        line_names=topo.line_names,
+        s_head=s_head_pu * (feeder.base_mva / 3.0),
+        iterations=iterations,
+        mask=topo.mask,
+        _feeder=feeder,
+    )
 
-    # Buffers reused by every iteration; b[0] is the head voltage, b[k] minus
-    # the drop on the line that feeds node k.
-    cur, acc, b, v_new, v = (np.empty_like(s_pu) for _ in range(5))
-    work = np.empty((len(s_pu) + 1, 3), dtype=complex)
-    mag = np.empty(s_pu.shape)
+
+def _sweep_rows(feeder: Feeder, plan: _SweepPlan, head_arr: np.ndarray,
+                start: np.ndarray | None, tol: float, max_iter: int):
+    """The iterations of :func:`sweep_solve` and its final pass, on rows: the
+    voltages and line currents as rows seen flat, each followed by a zero,
+    the per-unit head power and the iteration count."""
+    s_rows = _load_fold(feeder)[:-1].reshape(3, plan.width)
+    # Buffers reused by every iteration; b[:, 0] is the head voltage, b[p, r]
+    # minus the drop on the line that feeds slot r.  The rows of v, v_new
+    # and acc are followed by a zero, an absent phase's value when the drops
+    # gather line currents and when the results are read.
+    ext = np.zeros((3, s_rows.size + 1), dtype=complex)
+    v_ext, new_ext, acc_ext = ext
+    v, v_new, acc = (x[:-1].reshape(s_rows.shape) for x in ext)
+    cur, b = np.empty_like(v), np.empty_like(v)
+    line_i = np.empty(plan.drop_at.shape, dtype=complex)
+    work = np.empty((3, plan.width + 1), dtype=complex)
+    mag = np.empty(v.shape)
+    pad_v = head_arr[plan.pad_phase]
     if start is None:
-        v[:] = head_arr
-    else:
-        np.multiply(start, head_arr / start[0], out=v)
-        topo.fill_absent(v, head_arr)
-    b[0] = head_arr
+        v[:] = head_arr[:, None]
+    else:  # a pad starts where the head does
+        start.take(plan.node_at, None, v, "clip")
+        np.multiply(v, (head_arr / start[0])[:, None], out=v)
     history: list[float] = []
     low = -np.inf  # a lower bound on the smallest present |v|
     for iterations in range(1, max_iter + 1):
-        np.divide(s_pu, v, out=cur)
-        topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
-        np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
-        topo.path_sums(b, v_new, work)
+        np.divide(s_rows, v, out=cur)
+        plan.subtree_sums(np.conjugate(cur, out=cur), acc, work)
+        acc_ext.take(plan.drop_at, None, line_i, "clip")
+        np.einsum("jq,jq->q", plan.neg_z, line_i, out=b.reshape(-1))
+        b[:, 0] = head_arr
+        plan.path_sums(b, v_new, work, cur)
+        v_new.put(plan.pads, pad_v, "clip")
         np.subtract(v_new, v, out=cur)
-        if iterations == 1 and start is not None:
-            # An absent phase moves from the head's voltage to its nearest
-            # ancestor's; later it moves exactly as that ancestor does.
-            np.multiply(cur, mask, out=cur)
         delta = float(np.abs(cur, out=mag).max())
         history.append(delta)
-        v, v_new = v_new, v
-        # No entry moved by more than delta; a NaN bound proves nothing.
+        if not delta < np.inf:
+            raise ConvergenceError(
+                f"feeder {feeder.name!r} sweep change is not finite ({delta}) "
+                f"at iteration {iterations}",
+                history,
+            )
+        v, v_new, v_ext, new_ext = v_new, v, new_ext, v_ext
+        # No entry moved by more than delta.
         low -= delta
         if not low > COLLAPSE_FLOOR + COLLAPSE_MARGIN:
-            low = float(np.add(np.abs(v, out=mag), topo.absent_inf, out=mag).min())
+            low = float(np.abs(v, out=mag).min())
             if low < COLLAPSE_FLOOR:
                 raise VoltageCollapseError(
                     f"feeder {feeder.name!r}: voltage collapsed to {low:.3f} pu "
@@ -601,24 +682,10 @@ def sweep_solve(
         )
 
     # Final consistency pass: currents recomputed at the reported voltages so
-    # KCL holds exactly at every node.  Absent phases carry no load at their
-    # placeholder voltage; their currents and voltages are then set to zero.
-    np.divide(s_pu, v, out=cur)
-    topo.fill_absent(cur, (0.0, 0.0, 0.0))
-    np.multiply(v, mask, out=v)
-    topo.subtree_sums(np.conjugate(cur, out=cur), acc, work)
-    s_head_pu = v[0] * np.conj(acc[0])
-
-    return FeederSolution(
-        node_order=topo.node_order,
-        v=v,
-        i_line=acc[1:],
-        line_names=topo.line_names,
-        s_head=s_head_pu * (feeder.base_mva / 3.0),
-        iterations=iterations,
-        mask=topo.mask,
-        _feeder=feeder,
-    )
+    # KCL holds exactly at every node.
+    np.divide(s_rows, v, out=cur)
+    plan.subtree_sums(np.conjugate(cur, out=cur), acc, work)
+    return v_ext, acc_ext, v[:, 0] * np.conj(acc[:, 0]), iterations
 
 
 def aggregate_load(feeder: Feeder) -> PhasePowers:
@@ -628,8 +695,8 @@ def aggregate_load(feeder: Feeder) -> PhasePowers:
 
 def scale_loads(feeder: Feeder, multiplier: float) -> Feeder:
     """Uniformly scale every load; used to apply loadshape multipliers."""
-    if multiplier < 0:
-        raise ValueError("load multiplier must be non-negative")
+    if not 0 <= multiplier < np.inf:  # NaN fails too
+        raise ValueError(f"load multiplier must be finite and >= 0, got {multiplier}")
     return feeder._copy(feeder._shared, load_s=feeder.load_s * multiplier)
 
 

@@ -265,6 +265,10 @@ def test_warm_start_is_rescaled_to_the_head():
     warm = sweep_solve(f, head, start=start)
     assert warm.iterations == 1
     assert np.max(np.abs(warm.v - sol.v)) < 1e-12
+    # a start of another dtype or layout is read as complex
+    for other in (start.tolist(), np.asfortranarray(start), start.astype(np.complex64)):
+        assert np.max(np.abs(sweep_solve(f, head, start=other).v - sol.v)) < 1e-6
+    assert _same_bits(sweep_solve(f, head, start=np.ones((2, 3))).v, sweep_solve(f, head).v)
 
 
 def test_bad_warm_start_rejected(ckt_feeder):
@@ -276,6 +280,34 @@ def test_bad_warm_start_rejected(ckt_feeder):
     zero_head[0, 1] = 0.0
     with pytest.raises(ValueError, match="zero head"):
         sweep_solve(ckt_feeder, head, start=zero_head)
+
+
+def test_non_finite_start_rejected(ckt_feeder):
+    head = PhaseVoltages.balanced(1.0)
+    v = sweep_solve(ckt_feeder, head).v
+    for at, bad in (((7, 0), complex("nan")), ((0, 2), complex("inf")),
+                    ((~ckt_feeder.topology().mask).nonzero(), complex(0.0, -np.inf))):
+        start = v.copy()
+        start[at] = bad  # on a present phase, at the head, on absent phases
+        with pytest.raises(ValueError, match="not finite"):
+            sweep_solve(ckt_feeder, head, start=start)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(0.0, -np.inf)])
+def test_non_finite_load_stops_at_the_first_iteration(ckt_feeder, bad):
+    f = ckt_feeder
+    load_s = f.load_s.copy()
+    load_s[3, np.flatnonzero(f.load_phases[3])[0]] = bad
+    g = Feeder.from_arrays(f.base_kv, f.base_mva, f.head, f.line_from, f.line_to,
+                           f.line_phases, f.line_z, f.load_nodes, f.load_phases, load_s,
+                           name="bad")
+    for start in (None, sweep_solve(f, PhaseVoltages.balanced(1.0)).v):
+        # NumPy warns of the NaN it makes; the error is what is tested here.
+        with pytest.raises(ConvergenceError, match=r"not finite \(nan\) at iteration 1$") as info, \
+                np.errstate(invalid="ignore"):
+            sweep_solve(g, PhaseVoltages.balanced(1.0), start=start)
+        assert type(info.value) is ConvergenceError
+        assert len(info.value.history) == 1
 
 
 def test_start_only_from_the_same_topology(ckt_feeder):
@@ -539,56 +571,100 @@ def test_array_head_gives_the_bits_of_a_record_head(ckt_feeder):
         sweep_solve(f, record.as_array()[:2])
 
 
-def _sweep_checking_every_iteration(feeder, head, start=None):
-    """``sweep_solve``'s iterations at the default budget, with the smallest
-    present |V| taken at every iteration.  Returns the collapse message, the
-    iteration that converged, or None when the budget ran out, and the
-    change history."""
-    topo, plan = feeder.topology(), feeder.sweep_plan()
-    s_pu = dsolve._load_array(feeder)
-    work = np.empty((len(s_pu) + 1, 3), dtype=complex)
+def _full_layout_sweep(feeder, head, start=None, max_iter=dsolve.SWEEP_MAX_ITER):
+    """The ladder method over the feeder's line and load arrays, every node
+    with all three phases, and the smallest present |V| taken at every
+    iteration.
+
+    Nodes are numbered by ``_depth_first_walk``.  A line's current is its
+    subtree's sum of load currents, a difference of suffix sums, and a
+    node's voltage the sum of the head voltage and the drops along its path,
+    a prefix sum less the terms of subtrees already closed.  An absent phase
+    carries no load and no drop, so it holds its nearest ancestor's voltage
+    (the head's at the start), and a warm start's first change is taken
+    over present phases.  Returns the outcome, one of ``"converged"``,
+    ``"collapse"``, ``"not finite"`` or ``"budget"``, with ``(v, i_line,
+    s_head, iterations)``, the collapse message or None, and the change
+    history.
+    """
+    names, parents, ends, vias = zip(*_depth_first_walk(feeder.lines, feeder.head))
+    n = len(names)
+    end = np.array(ends)
+    by_end = np.argsort(end, kind="stable")
+    n_ended = np.searchsorted(end[by_end], np.arange(n), "right")
+    mask = np.ones((n, 3), dtype=bool)
+    mask[1:] = [[ph in feeder.line_phases[j] for ph in "abc"] for j in vias[1:]]
+    neg_z = -(feeder.line_z[list(vias[1:])] / (feeder.base_kv**2 / feeder.base_mva))
+    s = np.zeros((n, 3), dtype=complex)
+    terms = (np.ascontiguousarray(feeder.load_s).view(float) / (feeder.base_mva / 3.0))
+    np.add.at(s, [names.index(node) for node in feeder.load_nodes], terms.view(complex))
+
+    def line_currents(cur):
+        suffix = np.zeros((n + 1, 3), dtype=complex)
+        suffix[:n] = cur[::-1].cumsum(axis=0)[::-1]
+        return suffix[:n] - suffix[end]
+
     if start is None:
-        v = np.empty_like(s_pu)
+        v = np.empty((n, 3), dtype=complex)
         v[:] = head
     else:
-        v = start * (head / start[0])
-        topo.fill_absent(v, head)
+        v = np.where(mask, start * (head / start[0]), head)
     history = []
-    for iterations in range(1, dsolve.SWEEP_MAX_ITER + 1):
-        acc = topo.subtree_sums(np.conjugate(s_pu / v), np.empty_like(v), work)
-        b = np.empty_like(v)
+    for iterations in range(1, max_iter + 1):
+        acc = line_currents(np.conjugate(s / v))
+        b = np.empty((n, 3), dtype=complex)
         b[0] = head
-        np.einsum("lij,lj->li", plan.neg_z_pu, acc[1:], out=b[1:])
-        v_new = topo.path_sums(b, np.empty_like(v), work)
+        b[1:] = np.einsum("lij,lj->li", neg_z, acc[1:])
+        ended = np.zeros((n + 1, 3), dtype=complex)
+        ended[1:] = b[by_end].cumsum(axis=0)
+        v_new = b.cumsum(axis=0) - ended[n_ended]
         change = v_new - v
         if iterations == 1 and start is not None:
-            change = change * topo.mask
+            change = change * mask
         history.append(float(np.abs(change).max()))
+        if not history[-1] < np.inf:
+            return "not finite", None, history
         v = v_new
-        worst = float(np.abs(v)[topo.mask].min())
+        worst = float(np.abs(v)[mask].min())
         if worst < dsolve.COLLAPSE_FLOOR:
-            return (f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} pu "
-                    f"during sweep {iterations}"), history
+            return "collapse", (f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} "
+                                f"pu during sweep {iterations}"), history
         if history[-1] < dsolve.SWEEP_TOL:
-            return iterations, history
-    return None, history
+            break
+    else:
+        return "budget", None, history
+    acc = line_currents(np.conjugate(np.where(mask, s / v, 0.0)))
+    s_head = v[0] * np.conj(acc[0]) * (feeder.base_mva / 3.0)
+    return "converged", (names, v, acc[1:], s_head, iterations), history
 
 
-def _assert_sweep_fails_or_converges_as(feeder, head, start=None) -> str:
-    """Run both sweeps and require one outcome; returns its kind."""
-    outcome, history = _sweep_checking_every_iteration(feeder, head, start)
+def _assert_sweep_matches_full_layout(feeder, head, start=None, max_iter=dsolve.SWEEP_MAX_ITER):
+    """Run ``sweep_solve`` and ``_full_layout_sweep`` and require the same
+    outcome, the same bits on present phases and exact +0.0 on absent ones;
+    returns the outcome.  Only the sign of an exact zero current may differ:
+    the full layout adds the absent phases' +0.0 terms, which turn a -0.0
+    sum into +0.0."""
+    kind, result, history = _full_layout_sweep(feeder, head, start, max_iter)
     try:
-        sol = sweep_solve(feeder, head, start=start)
+        sol = sweep_solve(feeder, head, start=start, max_iter=max_iter)
     except VoltageCollapseError as exc:
-        assert str(exc) == outcome
+        assert (kind, str(exc)) == ("collapse", result)
         assert _same_bits(exc.history, history)
-        return "collapse"
+        return kind
     except ConvergenceError as exc:
-        assert outcome is None
+        assert kind == ("not finite" if "not finite" in str(exc) else "budget")
         assert _same_bits(exc.history, history)
-        return "budget"
-    assert sol.iterations == outcome
-    return "converged"
+        return kind
+    names, v, i_line, s_head, iterations = result
+    assert kind == "converged" and sol.node_order == names
+    assert sol.iterations == iterations
+    mask = sol.mask
+    assert _same_bits(sol.v[mask], v[mask])
+    assert np.array_equal(sol.i_line[mask[1:]], i_line[mask[1:]])
+    assert np.array_equal(sol.s_head, s_head)
+    absent = np.concatenate([sol.v[~mask], sol.i_line[~mask[1:]]])
+    assert _same_bits(absent, np.zeros_like(absent))
+    return kind
 
 
 def test_ckt24_near_collapse_raises_where_every_iteration_is_checked(ckt_feeder):
@@ -597,8 +673,8 @@ def test_ckt24_near_collapse_raises_where_every_iteration_is_checked(ckt_feeder)
     kinds = []
     for m in np.arange(5.0, 9.01, 0.125):  # collapse sets in between 5.5 and 5.75
         g = scale_loads(ckt_feeder, m)
-        kinds.append(_assert_sweep_fails_or_converges_as(g, head))
-        kinds.append(_assert_sweep_fails_or_converges_as(g, 0.98 * head, start))
+        kinds.append(_assert_sweep_matches_full_layout(g, head))
+        kinds.append(_assert_sweep_matches_full_layout(g, 0.98 * head, start))
     assert kinds.count("converged") >= 8 and kinds.count("collapse") >= 40
 
 
@@ -632,8 +708,9 @@ def test_scale_loads():
     f = simple_feeder({"a": 1.0 + 0.2j, "b": 1.0 + 0.2j, "c": 1.0 + 0.2j})
     g = scale_loads(f, 0.5)
     assert aggregate_load(g).total() == pytest.approx(0.5 * aggregate_load(f).total())
-    with pytest.raises(ValueError):
-        scale_loads(f, -1.0)
+    for bad in (-1.0, float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            scale_loads(f, bad)
 
 
 # -- random radial trees and cancellation pins ---------------------------------
@@ -705,8 +782,55 @@ def test_random_trees_near_collapse_raise_where_every_iteration_is_checked(tree,
     f = Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads), name="tree")
     head = PhaseVoltages.balanced(1.0, 0.05).as_array()
     g = scale_loads(f, 10.0**log_m)
-    _assert_sweep_fails_or_converges_as(g, head)
-    _assert_sweep_fails_or_converges_as(g, head, start=sweep_solve(f, head).v)
+    _assert_sweep_matches_full_layout(g, head)
+    _assert_sweep_matches_full_layout(g, head, start=sweep_solve(f, head).v)
+
+
+@given(radial_trees(), st.floats(0.0, 4.5), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_random_trees_sweep_as_the_full_layout_ladder(tree, log_m, warm):
+    lines, loads, _ = tree
+    f = Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads), name="tree")
+    head = PhaseVoltages.balanced(1.0, 0.05).as_array()
+    start = sweep_solve(f, head).v if warm else None
+    g = scale_loads(f, 10.0**log_m)
+    _assert_sweep_matches_full_layout(g, 1.01 * head, start)
+    _assert_sweep_matches_full_layout(g, head, start, max_iter=2)
+
+
+def _chain_and_wide_pads(shape):
+    """An all-three-phase chain, or a feeder whose phase a reaches 120 more
+    nodes than phases b and c, so most of the sweep's b and c rows are pads."""
+    z = z3(0.02 + 0.04j, 0.005 + 0.01j)
+    if shape == "chain":
+        lines = [FeederLine(f"n{k}", f"n{k + 1}", "abc", z) for k in range(150)]
+    else:
+        lines = [FeederLine("n0", "n1", "abc", z), FeederLine("n1", "n2", "abc", z),
+                 FeederLine("n2", "b1", "b", z[:1, :1]), FeederLine("b1", "b2", "b", z[:1, :1]),
+                 FeederLine("n0", "c1", "bc", z[:2, :2]), FeederLine("c1", "c2", "c", z[:1, :1]),
+                 FeederLine("x1", "n2", "ac", z[:2, :2])]
+        lines += [FeederLine(f"a{k}", f"a{k + 1}", "a", z[:1, :1]) for k in range(120)]
+        lines.insert(3, FeederLine("n1", "a0", "a", z[:1, :1]))
+    loads = [PhaseLoad(ln.to_node, {ph: (0.02 + 0.01j) * (1 + k % 3) for ph in ln.phases})
+             for k, ln in enumerate(lines) if k % 4]
+    return Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads), name=shape)
+
+
+@pytest.mark.parametrize("shape", ["chain", "wide pads"])
+def test_chain_and_wide_pads_sweep_as_the_full_layout_ladder(shape):
+    f = _chain_and_wide_pads(shape)
+    assert validate_feeder(f) == []
+    widths = f.topology().mask.sum(axis=0)
+    assert widths.tolist() == ([151] * 3 if shape == "chain" else [125, 6, 6])
+    head = PhaseVoltages.balanced(1.0, 0.05).as_array()
+    start = sweep_solve(f, head).v
+    kinds = []
+    for m in 2.0 ** np.arange(-2, 5, 0.5):
+        g = scale_loads(f, m)
+        for warm in (None, start):
+            kinds.append(_assert_sweep_matches_full_layout(g, 0.99 * head, warm))
+            kinds.append(_assert_sweep_matches_full_layout(g, head, warm, max_iter=2))
+    assert set(kinds) == {"converged", "collapse", "budget"}
 
 
 def _depth_first_walk(lines, head):
