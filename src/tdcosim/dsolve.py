@@ -113,7 +113,6 @@ class _Shared:
     topo: "_Topology | None" = None
     plan: "_SweepPlan | None" = None
     fold: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_fold
-    by_node: "tuple[np.ndarray, np.ndarray] | None" = None  # see _load_array
 
 
 class Feeder:
@@ -500,14 +499,9 @@ class FeederSolution:
 
 
 def _load_array(feeder: Feeder) -> np.ndarray:
-    """Per-node per-phase (n, 3) load in pu on the per-phase power base;
-    read-only, made from the last fold and kept with it."""
-    folded = _load_fold(feeder)
-    by_node = feeder._shared.by_node
-    if by_node is None or by_node[0] is not folded:
-        by_node = feeder._shared.by_node = (folded, folded.take(feeder.sweep_plan().slot))
-        by_node[1].flags.writeable = False
-    return by_node[1]
+    """Per-node per-phase (n, 3) load in pu on the per-phase power base,
+    gathered from the fold."""
+    return _load_fold(feeder).take(feeder.sweep_plan().slot)
 
 
 def _load_fold(feeder: Feeder) -> np.ndarray:

@@ -10,7 +10,7 @@ other sequences as current injections; because those terms depend on the
 solution voltages, the module iterates the three solves to an internal fixed
 point that is much tighter than the outer coupling tolerance.  One pass of
 that loop is a function of the (3, n) sequence voltages, and the loop
-Anderson-mixes its passes.
+Anderson-mixes every pass from the second on.
 
 Everything that depends only on the buses and branches (the three Y-buses,
 the bus index, classes and voltage setpoints, the NR's index gathers, the
@@ -44,7 +44,7 @@ from .seqxform import FORTESCUE, FORTESCUE_INV, phase_currents_from_power
 NR_TOL = 1e-8
 NR_MAX_ITER = 30
 SEQ_LOOP_TOL = 1e-9
-SEQ_LOOP_MAX_PASSES = 20
+SEQ_LOOP_MAX_PASSES = 50  # the fewest tried at which the map's heavy cells collapse, not run out
 SEQ_LOOP_MEMORY = 5  # passes the sequence loop's Anderson mixing looks back over
 PV_SWITCH_MAX = 5
 PV_Q_TOL = 1e-9  # pu, how far a PV bus's generator Q may leave its limits
@@ -508,16 +508,19 @@ def solve_three_sequence(
     a caller that solves one case several times passes them, and either one
     left out is resolved here, once per solve.  ``pcc_buses`` are distinct
     PCC bus ids and ``s_pcc`` their (k, 3) per-phase head powers in MVA, one
-    row per bus in that order.  One pass
-    maps the (3, n) sequence voltages to the next: PCC injections and
-    compensation currents (when a branch is untransposed) at those voltages,
-    then the positive NR and the negative and zero solves, each called once
-    through this module.  The passes stop when the largest
-    sequence-voltage change of a pass drops below ``SEQ_LOOP_TOL``.  After
-    the second pass and each later one, the next iterate is the Anderson mix
-    of up to ``SEQ_LOOP_MEMORY`` + 1 passes (Walker & Ni, 2011), or the
-    plain pass result when the change grew.
+    row per bus in that order; a non-finite entry, like ``max_passes`` below
+    1, raises ``ValueError``.  One pass maps the (3, n) sequence voltages to
+    the next: PCC injections and compensation currents (when a branch is
+    untransposed) at those voltages, then the positive NR and the negative
+    and zero solves, each called once through this module.  The passes stop
+    when the largest sequence-voltage change of a pass drops below
+    ``SEQ_LOOP_TOL``.  After the second pass and each later one, the next
+    iterate is the Anderson mix of up to ``SEQ_LOOP_MEMORY`` + 1 passes
+    (Walker & Ni, 2011), also after a change that grew: at heavy load the
+    plain pass is unstable.
     """
+    if max_passes < 1:
+        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     if ybus is None:
         ybus = build_sequence_ybus(case)
     if sched is None:
@@ -529,6 +532,9 @@ def solve_three_sequence(
     s_abc = np.array(s_pcc if s_pcc is not None else np.zeros((0, 3)), dtype=complex)
     if s_abc.shape != (len(pcc), 3):
         raise ValueError(f"s_pcc must be shaped ({len(pcc)}, 3), got {s_abc.shape}")
+    if not cmath.isfinite(s_abc.sum()):  # NaN or inf anywhere
+        bad = np.array(list(ybus.bus_index))[pcc[~np.isfinite(s_abc).all(axis=1)]]
+        raise ValueError(f"s_pcc at PCC bus {', '.join(map(str, bad))} is not finite")
     s_abc /= case.base_mva / 3.0
     coupled = len(ybus.coupling_y) > 0
 
@@ -563,7 +569,7 @@ def solve_three_sequence(
                 v0=g[0], v1=g[1], v2=g[2], mismatch=nr.mismatch,
                 iterations=total_iters, passes=pass_no, bus_index=ybus.bus_index,
             )
-        x = mixer.next(x, g, grew=len(history) > 1 and delta > history[-2])
+        x = mixer.next(x, g)
 
     raise ConvergenceError(
         f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {max_passes} passes",
@@ -578,8 +584,9 @@ class _AndersonMixer:
     fit of the residual ``f_k = g_k - x_k`` by the differences ``dF`` of the
     last ``memory`` residuals; ``dG`` holds the differences of their ``g``.
     Complex iterates are fitted on their stacked real and imaginary parts,
-    so ``gamma`` is real.  Mixing needs two residuals; with ``memory`` 0, or
-    when the caller says the change grew, the next iterate is ``g_k``.
+    so ``gamma`` is real.  Mixing needs two residuals; until there are two,
+    the next iterate is ``g_k``, and with ``memory`` 0, which keeps one, it
+    always is: that is the plain iteration.
     """
 
     def __init__(self, memory: int):
@@ -587,12 +594,10 @@ class _AndersonMixer:
         self.f: list[np.ndarray] = []
         self.g: list[np.ndarray] = []
 
-    def next(self, x: np.ndarray, g: np.ndarray, grew: bool) -> np.ndarray:
-        if self.memory == 0:
-            return g
+    def next(self, x: np.ndarray, g: np.ndarray) -> np.ndarray:
         self.f = (self.f + [(g - x).ravel().view(float)])[-self.memory - 1:]
         self.g = (self.g + [g.ravel().view(float)])[-self.memory - 1:]
-        if grew or len(self.f) < 2:
+        if len(self.f) < 2:
             return g
         d_f = np.diff(self.f, axis=0).T
         d_g = np.diff(self.g, axis=0).T

@@ -81,17 +81,18 @@ def test_feeder_collapse_exit_1(paths, heavy_feeder, capsys):
 
 
 def test_transmission_failure_writes_the_partial_trace(paths, tmp_path, capsys):
-    # with 3x load on feeders at buses 5, 6 and 8 and alpha 0.1 the sequence
-    # loop fails in round 4, after three rounds of one trace row per PCC
+    # with 3x load on feeders at buses 5, 6 and 8 and alpha 0.1 the feeder at
+    # bus 5 collapses in the sweeps of round 21, after 21 rounds of one trace
+    # row per PCC; a collapse is a ConvergenceError, so the trace is written
     path = tmp_path / "triple.td"
     path.write_text(io.serialize_feeder(dsolve.scale_loads(io.load_feeder(paths["feeder"]), 3.0)))
     rc = main(["snapshot", "--case", paths["case"], "--feeder", f"{path}@5",
                "--feeder", f"{path}@6", "--feeder", f"{path}@8",
                "--alpha", "0.1", "--out", paths["out"]])
     assert rc == 1
-    assert "round 4: sequence loop did not settle" in capsys.readouterr().err
+    assert "PCC bus 5: feeder 'ckt24_synth': voltage collapsed" in capsys.readouterr().err
     rows = (Path(paths["out"]) / "coupling_trace.csv").read_text().splitlines()[1:]
-    assert len(rows) == 9
+    assert len(rows) == 63
 
 
 def test_timeseries_collapse_continue_exit_1(paths, heavy_feeder):

@@ -12,9 +12,15 @@ rounds per PCC (the overall count is the largest).  A failing point pins the
 error type and the round it failed in (``overall_iterations`` of the trace
 it carries).
 
-The sequence loop's Anderson mixing converges 13 points within its 20-pass
-budget that the plain loop reaches only with up to 77 passes; a second test
-checks that both land on the same fixed point there.
+Every failing point but two fails for a physical reason: a feeder voltage
+falls below the collapse floor.  The two left are ``5-6-8`` reverse flow at
+3x and 4x, alpha 0.5, where the sequence loop does not settle in its 50-pass
+budget (nor in 400 plain passes at 3x).
+
+The sequence loop Anderson-mixes its passes and settles every converged
+point in at most 18 passes.  A plain loop needs 21-33 passes at seven of
+them and 57-77 at six, beyond the budget; a second test checks that both
+land on the same fixed point at all 13.
 """
 import functools
 from dataclasses import replace
@@ -28,7 +34,7 @@ from tdcosim.netmodel import LoadAttachment
 
 SCALES = (1, 2, 3, 4)
 ALPHAS = (0.0, 0.1, 0.25, 0.5)
-SEQ = "ConvergenceError"  # a Newton solve or the sequence loop failed
+SEQ = "ConvergenceError"  # the sequence loop did not settle
 COLLAPSE = "VoltageCollapseError"
 
 # (PCC buses, reverse flow): {load scale: one cell per alpha in ALPHAS}
@@ -42,8 +48,8 @@ CONVERGENCE_MAP = {
     ((5, 6, 8), False): {
         1: [3, 4, 5, 5],
         2: [4, 8, 10, 12],
-        3: [{5: 6, 6: 6, 8: 5}, (SEQ, 4), (SEQ, 2), (SEQ, 1)],
-        4: [(COLLAPSE, 2), (SEQ, 1), (SEQ, 1), (SEQ, 1)],
+        3: [{5: 6, 6: 6, 8: 5}, (COLLAPSE, 21), (COLLAPSE, 8), (COLLAPSE, 1)],
+        4: [(COLLAPSE, 2), (COLLAPSE, 1), (COLLAPSE, 1), (COLLAPSE, 1)],
     },
     ((6,), True): {
         1: [3, 3, 3, 3],
@@ -59,15 +65,17 @@ CONVERGENCE_MAP = {
     },
 }
 
-# Points the plain loop does not converge in 20 passes: (PCC buses, reverse
-# flow, load scale, alpha).
-OPENED_BY_MIXING = [
-    ((6,), False, 2, 0.25), ((6,), False, 2, 0.5),
+# Converged points where a plain loop (no mixing) needs more than 20 passes
+# in a solve: (PCC buses, reverse flow, load scale, alpha).  Mixing opens the
+# first six, where the plain loop needs 57-77 passes, beyond the budget.
+SLOW_WITHOUT_MIXING = [
     ((6,), False, 3, 0.1), ((6,), False, 3, 0.25), ((6,), False, 3, 0.5),
     ((5, 6, 8), False, 2, 0.1), ((5, 6, 8), False, 2, 0.25), ((5, 6, 8), False, 2, 0.5),
+    ((6,), False, 2, 0.25), ((6,), False, 2, 0.5),
     ((5, 6, 8), True, 2, 0.5), ((5, 6, 8), True, 3, 0.25),
     ((5, 6, 8), True, 4, 0.0), ((5, 6, 8), True, 4, 0.1), ((5, 6, 8), True, 4, 0.25),
 ]
+OPENED_BY_MIXING = SLOW_WITHOUT_MIXING[:6]
 
 
 def _id(buses, reverse, scale, alpha):
@@ -124,15 +132,18 @@ def test_convergence_map(case9, ckt_feeder, buses, reverse, scale, alpha, expect
 
 
 @pytest.mark.parametrize("buses, reverse, scale, alpha",
-                         [pytest.param(*point, id=_id(*point)) for point in OPENED_BY_MIXING])
+                         [pytest.param(*point, id=_id(*point)) for point in SLOW_WITHOUT_MIXING])
 def test_mixing_lands_on_the_plain_loops_fixed_point(
     case9, ckt_feeder, monkeypatch, buses, reverse, scale, alpha
 ):
     case, feeders = _point(case9, ckt_feeder, buses, reverse, scale, alpha)
     mixed, mixed_trace = cosim.couple_step(case, feeders)
     monkeypatch.setattr(tsolve, "SEQ_LOOP_MEMORY", 0)
-    with pytest.raises(ConvergenceError, match="sequence loop did not settle"):
-        cosim.couple_step(case, feeders)  # the plain loop within 20 passes
+    if (buses, reverse, scale, alpha) in OPENED_BY_MIXING:
+        with pytest.raises(ConvergenceError, match="sequence loop did not settle"):
+            cosim.couple_step(case, feeders)  # the plain loop within the pass budget
+    else:
+        cosim.couple_step(case, feeders)  # settles within the budget, in more passes
     monkeypatch.setattr(tsolve, "solve_three_sequence",
                         functools.partial(tsolve.solve_three_sequence, max_passes=400))
     plain, plain_trace = cosim.couple_step(case, feeders)

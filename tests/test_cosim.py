@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -417,9 +418,9 @@ def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
 
 
 def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
-    # seven times the feeder's load: the transmission solve fails once the
+    # ten times the feeder's load: the positive-sequence NR diverges once the
     # evening ramp is high enough, and the clock does not advance past it
-    heavy = {6: dsolve.scale_loads(ckt_feeder, 7.0)}
+    heavy = {6: dsolve.scale_loads(ckt_feeder, 10.0)}
     res = cosim.run_decoupled_baseline(
         system1, heavy, {"day": day_shape}, start_min=900, horizon_min=300
     )
@@ -428,9 +429,45 @@ def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
     assert res.steps[-1].state is None
     assert all(s.converged and s.error is None for s in res.steps[:-1])
     # the failed step says why and carries its one round, with no rows
-    assert res.steps[-1].error
+    reason = re.fullmatch(
+        r"positive-sequence NR did not reach 1e-08 pu in 30 iterations \(last mismatch (\S+)\)",
+        res.steps[-1].error,
+    )
+    assert reason and float(reason[1]) > tsolve.NR_TOL
     assert res.steps[-1].trace.overall_iterations == 1
     assert res.steps[-1].trace.rows == []
+
+
+def test_transmission_failure_after_round_one_names_its_round(system1, ckt_feeder, monkeypatch):
+    # heavy loads collapse a feeder before any solve after round 1 fails, so
+    # the second solve is made to fail: the error names its round and
+    # carries the rows of the round before
+    solve, calls = tsolve.solve_three_sequence, []
+
+    def second_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ConvergenceError("sequence loop did not settle", [1.0])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(tsolve, "solve_three_sequence", second_fails)
+    with pytest.raises(ConvergenceError, match="^round 2: sequence loop did not settle$") as err:
+        cosim.couple_step(system1, {6: ckt_feeder})
+    assert err.value.history == [1.0]
+    assert err.value.trace.overall_iterations == 2
+    assert [row.iteration for row in err.value.trace.rows] == [1]
+
+
+def test_baseline_runs_the_whole_window_at_seven_times_the_load(system1, ckt_feeder, day_shape):
+    # the sequence loop mixes through the passes whose change grows at this
+    # load, so no step of the evening ramp runs out of passes
+    heavy = {6: dsolve.scale_loads(ckt_feeder, 7.0)}
+    res = cosim.run_decoupled_baseline(
+        system1, heavy, {"day": day_shape}, start_min=900, horizon_min=300
+    )
+    assert res.aborted_at is None
+    assert len(res.steps) == 60
+    assert all(s.converged and s.error is None for s in res.steps)
 
 
 def test_solves_that_settle_by_pass_two_are_the_plain_loops(

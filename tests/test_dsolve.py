@@ -539,20 +539,24 @@ def test_value_copies_sweep_as_a_rebuilt_feeder(ckt_feeder):
 def test_value_copies_never_reuse_their_parents_load_fold(ckt_feeder):
     f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
                ckt_feeder.lines, ckt_feeder.loads)
-    s = dsolve._load_array(f)
-    assert dsolve._load_array(f) is s  # folded once while it is the copy swept
-    assert not s.flags.writeable
+    fold, s = dsolve._load_fold(f), dsolve._load_array(f)
+    assert dsolve._load_fold(f) is fold  # folded once while it is the copy swept
+    assert not fold.flags.writeable
     copies = (scale_loads(f, 1.0), scale_loads(f, 1.7), apply_unbalance(f, 0.0),
               apply_unbalance(f, 0.3), apply_unbalance(scale_loads(f, 1.7), 0.3))
     for g in copies:
         rebuilt = Feeder(f.base_kv, f.base_mva, f.head, f.lines, g.loads)
-        folded = dsolve._load_array(g)
-        assert folded is not s
-        assert dsolve._load_array(g) is folded
-        assert _same_bits(folded, dsolve._load_array(rebuilt))
-        assert _same_bits(dsolve._load_array(f), s)  # and back to the parent's loads
+        folded = dsolve._load_fold(g)
+        assert folded is not fold
+        assert dsolve._load_fold(g) is folded
+        assert _same_bits(folded, dsolve._load_fold(rebuilt))
+        assert _same_bits(dsolve._load_array(g), dsolve._load_array(rebuilt))
+        # and back to the parent's loads
+        assert _same_bits(dsolve._load_fold(f), fold)
+        assert _same_bits(dsolve._load_array(f), s)
     # the fold follows the feeder's load array, not the feeder object
     f.load_s = 2.0 * f.load_s
+    assert _same_bits(dsolve._load_fold(f), 2.0 * fold)
     assert _same_bits(dsolve._load_array(f), 2.0 * s)
 
 

@@ -553,6 +553,27 @@ def test_pcc_powers_not_one_row_per_bus_rejected(case9, s_pcc):
         tsolve.solve_three_sequence(case9, [6], s_pcc)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_non_finite_pcc_power_rejected_before_the_first_pass(case9, monkeypatch, bad):
+    def no_pass(*args, **kwargs):
+        raise AssertionError("a pass ran")
+
+    monkeypatch.setattr(tsolve, "nr_positive_sequence", no_pass)
+    s_pcc = np.full((3, 3), 10.0 + 2.0j)
+    s_pcc[1, 2] = bad
+    with pytest.raises(ValueError, match=r"^s_pcc at PCC bus 5 is not finite$"):
+        tsolve.solve_three_sequence(case9, [6, 5, 8], s_pcc)
+    s_pcc[2, 0] = bad
+    with pytest.raises(ValueError, match=r"^s_pcc at PCC bus 5, 8 is not finite$"):
+        tsolve.solve_three_sequence(case9, [6, 5, 8], s_pcc)
+
+
+@pytest.mark.parametrize("max_passes", [0, -1])
+def test_pass_budget_below_one_rejected(case9, max_passes):
+    with pytest.raises(ValueError, match=f"max_passes must be at least 1, got {max_passes}"):
+        tsolve.solve_three_sequence(case9, max_passes=max_passes)
+
+
 def test_phase_voltages_follow_the_bus_order(case9):
     loads = tuple(
         ld if ld.bus not in (5, 6) else LoadAttachment(ld.bus, feeder_id="f") for ld in case9.loads
@@ -617,6 +638,29 @@ def test_sequence_loop_failure_carries_pass_history(case9):
         tsolve.solve_three_sequence(case, [6], [[1.15 * m, 0.925 * m, 0.925 * m]], max_passes=2)
     assert len(err.value.history) == 2
     assert err.value.history[-1] > tsolve.SEQ_LOOP_TOL
+
+
+def test_mixing_settles_a_linear_map_whose_plain_iteration_diverges():
+    # x -> a x + b with eigenvalues of modulus 1.74 and 1.17: the plain
+    # iteration's change grows every pass, yet mixing through that growth
+    # lands on the fixed point once it has fitted the map
+    a = np.array([[-1.6, 0.3], [0.2, -1.3]]) + 0.1j * np.eye(2)
+    b = np.array([1 + 0.5j, -0.3 + 0.2j])
+    fixed = np.linalg.solve(np.eye(2) - a, b)
+    changes = {}
+    for memory in (0, tsolve.SEQ_LOOP_MEMORY):
+        mixer, x, changes[memory] = tsolve._AndersonMixer(memory), np.zeros(2, dtype=complex), []
+        for _ in range(20):
+            g = a @ x + b
+            changes[memory].append(np.abs(g - x).max())
+            x = mixer.next(x, g)
+        if memory:
+            assert np.abs(x - fixed).max() < 1e-15
+    plain, mixed = changes[0], changes[tsolve.SEQ_LOOP_MEMORY]
+    assert all(later > earlier for earlier, later in zip(plain, plain[1:]))
+    assert plain[-1] > 1e4
+    assert mixed[1] > mixed[0]  # the change grew, and mixing went on
+    assert max(mixed[5:]) < 1e-15  # from the sixth pass on
 
 
 def test_three_sequence_with_untransposed_branch_converges():
