@@ -516,8 +516,8 @@ def solve_three_sequence(
     when the largest sequence-voltage change of a pass drops below
     ``SEQ_LOOP_TOL``.  After the second pass and each later one, the next
     iterate is the Anderson mix of up to ``SEQ_LOOP_MEMORY`` + 1 passes
-    (Walker & Ni, 2011), also after a change that grew: at heavy load the
-    plain pass is unstable.
+    (Walker & Ni, 2011), also after a change larger than the last: at
+    heavy load the plain pass is unstable.
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
