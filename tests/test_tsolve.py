@@ -655,12 +655,12 @@ def test_mixing_settles_a_linear_map_whose_plain_iteration_diverges():
             changes[memory].append(np.abs(g - x).max())
             x = mixer.next(x, g)
         if memory:
-            assert np.abs(x - fixed).max() < 1e-15
+            assert np.abs(x - fixed).max() < 1e-14
     plain, mixed = changes[0], changes[tsolve.SEQ_LOOP_MEMORY]
     assert all(later > earlier for earlier, later in zip(plain, plain[1:]))
     assert plain[-1] > 1e4
     assert mixed[1] > mixed[0]  # the change grew, and mixing went on
-    assert max(mixed[5:]) < 1e-15  # from the sixth pass on
+    assert max(mixed[5:]) < 1e-14  # from the sixth pass on
 
 
 def test_three_sequence_with_untransposed_branch_converges():
