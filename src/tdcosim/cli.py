@@ -40,11 +40,17 @@ def _parse_shape_binding(arg: str) -> tuple[str, str]:
     return shape_id, path
 
 
-def _parse_alphas(arg: str) -> list[float]:
-    try:
-        return [float(tok) for tok in arg.split(",") if tok.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad alpha list {arg!r}") from None
+def _float_list(what: str):
+    """An argparse type for a comma-separated list of floats, called ``what``
+    in its error."""
+
+    def parse(arg: str) -> list[float]:
+        try:
+            return [float(tok) for tok in arg.split(",") if tok.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} {arg!r}") from None
+
+    return parse
 
 
 def _attach_feeders(
@@ -317,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep-unbalance", help="iteration counts vs load unbalance")
     common(p, no_dispatch=True)
-    p.add_argument("--alphas", type=_parse_alphas, default=[0.0, 0.05, 0.10, 0.15],
+    p.add_argument("--alphas", type=_float_list("alpha list"), default=[0.0, 0.05, 0.10, 0.15],
                    metavar="A1,A2,...")
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_sweep_unbalance)
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q", type=float, required=True, help="total MVAr")
     p.add_argument("--kv", type=float, required=True, help="base kV")
     p.add_argument("--base-mva", type=float, default=100.0)
-    p.add_argument("--mix", type=_parse_alphas, default=[0.6, 0.15, 0.25],
+    p.add_argument("--mix", type=_float_list("phase mix"), default=[0.6, 0.15, 0.25],
                    help="load fractions on 3/2/1-phase leaves")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--name", default="synthetic")

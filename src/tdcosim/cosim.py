@@ -149,7 +149,7 @@ def couple_step(
 
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
-    a feeder sweep fails.
+    a feeder sweep fails; a failed solve or sweep names its round.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -183,9 +183,7 @@ def couple_step(
                 case, buses, s_pcc, warm=seq, ybus=ybus, sched=sched
             )
         except ConvergenceError as exc:
-            exc.args = (f"round {k}: {exc.args[0]}",) + exc.args[1:]
-            trace.overall_iterations = k
-            exc.trace = trace
+            _fail_at(exc, k, trace)
             raise
         v_pcc = seq.phase_voltages(buses)
         prev, mags = mags, np.abs(v_pcc)
@@ -215,8 +213,7 @@ def couple_step(
                 for bus, v in zip(buses, v_pcc)
             }
         except ConvergenceError as exc:
-            trace.overall_iterations = k
-            exc.trace = trace
+            _fail_at(exc, k, trace)
             raise
         last = fsols
         s_pcc = np.array([fsols[b].s_head for b in buses])
@@ -228,6 +225,13 @@ def couple_step(
     )
     err.trace = trace
     raise err
+
+
+def _fail_at(exc: ConvergenceError, k: int, trace: CouplingTrace) -> None:
+    """Name round ``k`` in ``exc`` and attach the trace, which ends there."""
+    exc.args = (f"round {k}: {exc.args[0]}",) + exc.args[1:]
+    trace.overall_iterations = k
+    exc.trace = trace
 
 
 def _scale_step(case: TransmissionCase, feeders, shapes, t_min: int):

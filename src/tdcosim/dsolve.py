@@ -41,16 +41,17 @@ A feeder holds its lines and loads as arrays, one row per ``line`` or
 ``line_phases`` the phase sets and ``line_z`` is the (L, 3, 3) complex ohm
 pad, zero on absent phases; ``load_s`` is the (m, 3) complex MVA, zero on
 phases a load does not name, ``load_phases`` the (m, 3) mask of the phases
-it names and ``load_nodes`` its node.  ``FeederLine`` and ``PhaseLoad``
-records are converted on construction and rebuilt on demand, never on the
-solve path.  Load scaling, unbalance and aggregation are vector operations
+it names and ``load_nodes`` its node.  The constructor is the only place
+that accepts ``FeederLine`` and ``PhaseLoad`` records: it checks them and
+converts them to arrays once, and nothing in the package reads records
+back.  Load scaling, unbalance and aggregation are vector operations
 on ``load_s``.  The value copies they return share the topology and the
 sweep plan, built at the first sweep: the row maps, each slot's negated
 per-unit impedance row and each load's node.  A sweep then only folds
 ``load_s`` onto the rows with one ``bincount`` in file order, so every sum
 rounds as a loop over the loads would; the last fold is kept, so the
 rounds of a coupled step that sweep one copy fold once.  Head voltages
-and head powers are (3,) arrays; the records are accepted or built on demand.
+and head powers are (3,) arrays; a sweep also accepts a ``PhaseVoltages`` head.
 """
 from __future__ import annotations
 
@@ -83,13 +84,10 @@ class FeederLine:
 
 @dataclass(frozen=True)
 class PhaseLoad:
-    """One load line: the record that builds a feeder and that is written back."""
+    """One load line, as the record constructor of :class:`Feeder` takes it."""
 
     node: str
     s: dict[str, complex]  # MVA per present phase
-
-    def total(self) -> complex:
-        return sum(self.s.values(), 0j)
 
 
 class FeederProblem(ValueError):
@@ -118,45 +116,26 @@ class _Shared:
 class Feeder:
     """Radial feeder; treat as immutable, value copies share topology.
 
-    Built from records, or from arrays with :meth:`from_arrays`."""
+    Built from ``FeederLine`` and ``PhaseLoad`` records, which are checked
+    and converted to arrays, or from arrays with :meth:`from_arrays`."""
 
     def __init__(self, base_kv, base_mva, head, lines, loads, name="feeder"):
-        self.base_kv = base_kv
-        self.base_mva = base_mva
-        self.head = head
-        self.name = name
-        self.line_from, self.line_to, self.line_phases, self.line_z = _line_arrays(lines)
-        self.load_nodes, self.load_phases, self.load_s = _load_arrays(loads)
-        self._shared = _Shared()
+        built = Feeder.from_arrays(base_kv, base_mva, head, *_line_arrays(lines),
+                                   *_load_arrays(loads), name)
+        vars(self).update(vars(built))
 
     @classmethod
     def from_arrays(cls, base_kv, base_mva, head, line_from, line_to, line_phases, line_z,
                     load_nodes, load_phases, load_s, name="feeder") -> "Feeder":
         """A feeder that keeps the given arrays as its own, unchecked: each phase
         set must be one of ``PHASE_SETS``, and ``line_z`` zero off it."""
-        feeder = cls(base_kv, base_mva, head, (), (), name)
+        feeder = cls.__new__(cls)
+        feeder.base_kv, feeder.base_mva, feeder.head, feeder.name = base_kv, base_mva, head, name
         feeder.line_from, feeder.line_to, feeder.line_phases = line_from, line_to, line_phases
         feeder.line_z = line_z
         feeder.load_nodes, feeder.load_phases, feeder.load_s = load_nodes, load_phases, load_s
+        feeder._shared = _Shared()
         return feeder
-
-    @property
-    def lines(self) -> tuple[FeederLine, ...]:
-        """The lines as records, rebuilt from the arrays."""
-        return tuple(
-            FeederLine(a, b, ps, z[_PHASE_POSITIONS[ps]][:, _PHASE_POSITIONS[ps]])
-            for a, b, ps, z in zip(self.line_from, self.line_to, self.line_phases, self.line_z)
-        )
-
-    @property
-    def loads(self) -> tuple[PhaseLoad, ...]:
-        """The loads as records, rebuilt from the arrays."""
-        return tuple(
-            PhaseLoad(node, {ph: v for ph, v, on in zip("abc", s, named) if on})
-            for node, s, named in zip(
-                self.load_nodes, self.load_s.tolist(), self.load_phases.tolist()
-            )
-        )
 
     def topology(self) -> "_Topology":
         if self._shared.topo is None:
@@ -461,11 +440,6 @@ def feeder_problems(feeder: Feeder) -> list[FeederProblem]:
     return problems + _place_loads(feeder, topo)[1]
 
 
-def validate_feeder(feeder: Feeder) -> list[str]:
-    """Structural checks; violations are returned as strings."""
-    return [str(problem) for problem in feeder_problems(feeder)]
-
-
 @dataclass
 class FeederSolution:
     node_order: tuple[str, ...]
@@ -476,11 +450,6 @@ class FeederSolution:
     iterations: int
     mask: np.ndarray
     _feeder: Feeder = field(repr=False)
-
-    @property
-    def head_power(self) -> PhasePowers:
-        """The head power as a record."""
-        return PhasePowers.from_array(self.s_head)
 
     def start_for(self, feeder: Feeder) -> np.ndarray | None:
         """These voltages as a sweep ``start`` for ``feeder``, or None unless
@@ -662,7 +631,7 @@ def _sweep_rows(feeder: Feeder, plan: _SweepPlan, head_arr: np.ndarray,
             low = float(np.abs(v, out=mag).min())
             if low < COLLAPSE_FLOOR:
                 raise VoltageCollapseError(
-                    f"feeder {feeder.name!r}: voltage collapsed to {low:.3f} pu "
+                    f"feeder {feeder.name!r}: voltage collapsed to {low!r} pu "
                     f"during sweep {iterations}",
                     history,
                 )
@@ -712,6 +681,7 @@ def apply_unbalance(feeder: Feeder, alpha: float) -> Feeder:
 
 TWO_PHASE_SETS = ("ab", "bc", "ac")
 SINGLE_PHASES = ("a", "b", "c")
+TARGET_DROP = 0.04  # the full-load voltage drop synth_feeder aims for, pu
 
 
 def synth_feeder(
@@ -723,14 +693,13 @@ def synth_feeder(
     phase_mix: tuple[float, float, float] = (0.6, 0.15, 0.25),
     seed: int = 0,
     name: str = "synthetic",
-    target_drop: float = 0.04,
 ) -> Feeder:
     """Deterministic synthetic radial feeder with the requested aggregates.
 
     ``phase_mix`` splits the total demand over three-, two- and single-phase
     leaves; categories without leaves fold into the widest available one.
     Impedances are rescaled so the full-load head voltage drop lands between
-    2 and 6 percent.
+    2.5 and 5.5 percent.  Node k is ``n<k>``, and line k - 1 feeds it.
     """
     if nodes < 2:
         raise ValueError("a feeder needs at least two nodes")
@@ -738,6 +707,8 @@ def synth_feeder(
     if total.real <= 0:
         raise ValueError("total active demand must be positive")
     mix = np.asarray(phase_mix, dtype=float)
+    if mix.shape != (3,):
+        raise ValueError(f"phase mix needs three fractions, got {list(phase_mix)}")
     if np.any(mix < 0) or mix.sum() <= 0:
         raise ValueError("phase mix fractions must be non-negative, not all zero")
     mix = mix / mix.sum()
@@ -747,28 +718,29 @@ def synth_feeder(
     backbone_len = min(30, max(1, n_other // 4 if n_other >= 4 else n_other))
 
     names = ["head"] + [f"n{i}" for i in range(1, nodes)]
-    lines: list[FeederLine] = []
-    node_phase = {"head": "abc"}
+    line_from: list[str] = []  # line k runs to names[k + 1]
+    line_phases: list[str] = []
+    z_self: list[complex] = []
 
     # Ohm scale chosen so the trunk drop at full load starts near the target
     # band; the calibration loop below trims the remainder.
-    trunk_ohm = target_drop * base_kv**2 / abs(total) / backbone_len
+    trunk_ohm = TARGET_DROP * base_kv**2 / abs(total) / backbone_len
 
-    def z_matrix(phases: str, scale: float) -> np.ndarray:
-        k = len(phases)
-        length = rng.uniform(0.5, 1.5)
-        z_self = trunk_ohm * (0.45 + 0.9j) * scale * length
-        z_mut = 0.25 * z_self
-        z = np.full((k, k), z_mut, dtype=complex)
-        np.fill_diagonal(z, z_self)
-        return z
+    def draw_z(scale: float) -> complex:
+        """A line's self-impedance; its mutual impedances are a quarter of it."""
+        return trunk_ohm * (0.45 + 0.9j) * scale * rng.uniform(0.5, 1.5)
 
-    backbone = ["head"]
-    for i in range(backbone_len):
-        child = names[1 + i]
-        lines.append(FeederLine(backbone[-1], child, "abc", z_matrix("abc", 1.0)))
-        node_phase[child] = "abc"
-        backbone.append(child)
+    def grow(parent: str, phases: str, zs: list[complex]) -> str:
+        """A chain of new nodes from ``parent``, one line per impedance; its leaf."""
+        for z in zs:
+            line_from.append(parent)
+            line_phases.append(phases)
+            z_self.append(z)
+            parent = names[len(line_from)]
+        return parent
+
+    grow("head", "abc", [draw_z(1.0) for _ in range(backbone_len)])
+    backbone = names[:backbone_len + 1]
 
     # Laterals hang off random backbone nodes.  Single- and two-phase
     # laterals are generated as phase-rotated triples sharing one impedance
@@ -776,37 +748,20 @@ def synth_feeder(
     # though individual customers are not three-phase (Table-1 behaviour:
     # near-identical phase voltages before unbalance is applied).
     leaf_groups: list[tuple[int, list[str]]] = []  # (category, leaf of each chain)
-    next_i = 1 + backbone_len
-    while next_i < nodes:
+    while len(line_from) < n_other:
         anchor = backbone[int(rng.integers(0, len(backbone)))]
         cat = int(rng.choice(3, p=[0.5, 0.2, 0.3]))
         chain_len = int(rng.integers(1, 4))
-        left = nodes - next_i
+        left = n_other - len(line_from)
         if cat != 0 and 3 * chain_len > left:
             cat = 0  # no room for a symmetric triple; fall back to three-phase
         if cat == 0:
-            parent = anchor
-            for _ in range(min(chain_len, left)):
-                child = names[next_i]
-                next_i += 1
-                lines.append(FeederLine(parent, child, "abc", z_matrix("abc", 2.0)))
-                node_phase[child] = "abc"
-                parent = child
-            leaf_groups.append((0, [parent]))
+            leaves = [grow(anchor, "abc", [draw_z(2.0) for _ in range(min(chain_len, left))])]
         else:
-            phase_sets = TWO_PHASE_SETS if cat == 1 else SINGLE_PHASES
-            z_draws = [z_matrix(phase_sets[0], 2.0) for _ in range(chain_len)]
-            leaves: list[str] = []
-            for phases in phase_sets:
-                parent = anchor
-                for z in z_draws:
-                    child = names[next_i]
-                    next_i += 1
-                    lines.append(FeederLine(parent, child, phases, z))
-                    node_phase[child] = phases
-                    parent = child
-                leaves.append(parent)
-            leaf_groups.append((cat, leaves))
+            z_draws = [draw_z(2.0) for _ in range(chain_len)]
+            leaves = [grow(anchor, phases, z_draws)
+                      for phases in (TWO_PHASE_SETS if cat == 1 else SINGLE_PHASES)]
+        leaf_groups.append((cat, leaves))
     if not leaf_groups:
         leaf_groups.append((0, [backbone[-1]]))
 
@@ -821,7 +776,9 @@ def synth_feeder(
             shares[fold] += shares[cat]
             shares[cat] = 0
 
-    loads: list[PhaseLoad] = []
+    node_phases = dict(zip(names, ["abc"] + line_phases))
+    load_nodes: list[str] = []
+    load_s: list[list[complex]] = []
     for cat, groups in by_cat.items():
         if not groups or shares[cat] == 0:
             continue
@@ -830,25 +787,30 @@ def synth_feeder(
         for leaves, wi in zip(groups, w):
             s_group = shares[cat] * wi
             for leaf in leaves:
-                phases = node_phase[leaf]
+                phases = node_phases[leaf]
                 s_leaf = s_group / len(leaves)
-                loads.append(
-                    PhaseLoad(leaf, {ph: s_leaf / len(phases) for ph in phases})
-                )
+                load_nodes.append(leaf)
+                load_s.append([s_leaf / len(phases) if ph in phases else 0j for ph in "abc"])
+    load_phases = _PHASE_MASKS[[_PHASE_ROW[node_phases[node]] for node in load_nodes]]
+    s_arr = np.array(load_s, dtype=complex)
 
-    # Close the floating-point gap so aggregates equal the spec exactly.
-    widest = max(range(len(loads)), key=lambda j: len(loads[j].s))
+    # Close the floating-point gap so aggregates equal the spec exactly.  The
+    # sums run over NumPy scalars, so the residual divides as NumPy does.
+    widest = int(np.argmax(load_phases.sum(axis=1)))
+    named = load_phases[widest]
     for _ in range(3):
-        residual = total - sum(ld.total() for ld in loads)
+        residual = total - sum(map(sum, s_arr))
         if residual == 0:
             break
-        ld = loads[widest]
-        k = len(ld.s)
-        loads[widest] = PhaseLoad(
-            ld.node, {ph: val + residual / k for ph, val in ld.s.items()}
-        )
+        s_arr[widest, named] += residual / int(named.sum())
 
-    feeder = Feeder(base_kv, base_mva, "head", tuple(lines), loads, name)
+    on = _PHASE_MASKS[[_PHASE_ROW[ps] for ps in line_phases]]
+    z = np.array(z_self, dtype=complex)
+    line_z = np.where(on[:, :, None] & on[:, None, :], (0.25 * z)[:, None, None], 0j)
+    line_z[:, [0, 1, 2], [0, 1, 2]] = np.where(on, z[:, None], 0j)
+    feeder = Feeder.from_arrays(base_kv, base_mva, "head", tuple(line_from), tuple(names[1:]),
+                                tuple(line_phases), line_z, tuple(load_nodes), load_phases,
+                                s_arr, name)
 
     # Rescale impedances so the full-load drop hits the target band.
     for _ in range(6):
@@ -860,6 +822,6 @@ def synth_feeder(
             drop = 1.0 - float(np.min(np.abs(sol.v[sol.mask])))
             if 0.025 <= drop <= 0.055:
                 break
-            factor = target_drop / max(drop, 1e-9)
+            factor = TARGET_DROP / max(drop, 1e-9)
         feeder = feeder._copy(_Shared(feeder.topology()), line_z=feeder.line_z * factor)
     return feeder

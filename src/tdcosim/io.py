@@ -23,7 +23,7 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
+from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
 
@@ -541,6 +541,15 @@ def _position(lines: _Lines, at: dict, problem: FeederProblem) -> tuple[int, int
 
 
 def serialize_feeder(feeder: Feeder) -> str:
+    """The feeder as a ``tdfeeder`` file that parses back to the same arrays.
+
+    Raises ``ValueError`` for a name, head or node that would not read back
+    as one token: empty, or with whitespace or ``#`` in it."""
+    for kind, names in (("name", (feeder.name,)), ("head", (feeder.head,)),
+                        ("node", chain(feeder.line_from, feeder.line_to, feeder.load_nodes))):
+        bad = next((x for x in names if "#" in x or x.split() != [x]), None)
+        if bad is not None:
+            raise ValueError(f"feeder {kind} {bad!r} would not read back as one token")
     out = [
         f"tdfeeder {FEEDER_SCHEMA}",
         f"name {feeder.name}",
@@ -554,9 +563,11 @@ def serialize_feeder(feeder: Feeder) -> str:
             f"{key}={_fmt_complex(z[i])}" for key, (i, _) in _Z_SLOTS.items()
             if key[1] in phases and key[2] in phases and (key[1] == key[2] or z[i] != 0)
         ]))
-    for ld in feeder.loads:
-        out.append(" ".join([f"load {ld.node}"]
-                            + [f"s{ph}={_fmt_complex(v)}" for ph, v in ld.s.items()]))
+    for node, named, s in zip(feeder.load_nodes, feeder.load_phases.tolist(),
+                              feeder.load_s.tolist()):
+        out.append(" ".join([f"load {node}"] + [
+            f"s{ph}={_fmt_complex(v)}" for ph, on, v in zip("abc", named, s) if on
+        ]))
     return "\n".join(out) + "\n"
 
 

@@ -11,8 +11,24 @@ import cmath
 import numpy as np
 import scipy.optimize
 
-from tdcosim.dsolve import PHASE_INDEX
+from tdcosim.dsolve import PHASE_INDEX, FeederLine, PhaseLoad
 from tdcosim.netmodel import BusKind, ZeroSeqPath
+
+
+def feeder_records(feeder) -> tuple[tuple[FeederLine, ...], tuple[PhaseLoad, ...]]:
+    """A feeder's lines and loads read from its arrays into the records its
+    constructor takes: each line's impedance on its own phases, each load's
+    MVA on the phases it names, both in file order."""
+    lines = []
+    for a, b, ps, z in zip(feeder.line_from, feeder.line_to, feeder.line_phases, feeder.line_z):
+        idx = [PHASE_INDEX[ph] for ph in ps]
+        lines.append(FeederLine(a, b, ps, z[np.ix_(idx, idx)]))
+    loads = [
+        PhaseLoad(node, {ph: v for ph, v, on in zip("abc", s, named) if on})
+        for node, s, named in zip(feeder.load_nodes, feeder.load_s.tolist(),
+                                  feeder.load_phases.tolist())
+    ]
+    return tuple(lines), tuple(loads)
 
 
 def fortescue_matrix() -> np.ndarray:
@@ -122,9 +138,8 @@ def feeder_nodal_newton_oracle(feeder, head_v, tol: float = 1e-12) -> np.ndarray
     z_base = feeder.base_kv**2 / feeder.base_mva
 
     big = np.zeros((3 * n, 3 * n), dtype=complex)
-    lines_by_pair = {
-        frozenset((ln.from_node, ln.to_node)): ln for ln in feeder.lines
-    }
+    lines, loads = feeder_records(feeder)
+    lines_by_pair = {frozenset((ln.from_node, ln.to_node)): ln for ln in lines}
     for pair, ln in sorted(lines_by_pair.items(), key=lambda kv: (kv[1].from_node, kv[1].to_node)):
         fi = topo.node_index[ln.from_node]
         ti = topo.node_index[ln.to_node]
@@ -138,7 +153,7 @@ def feeder_nodal_newton_oracle(feeder, head_v, tol: float = 1e-12) -> np.ndarray
         big[np.ix_(gt, gf)] -= yk
 
     s_pu = np.zeros((n, 3), dtype=complex)
-    for ld in feeder.loads:
+    for ld in loads:
         i = topo.node_index[ld.node]
         for ph, val in ld.s.items():
             s_pu[i, PHASE_INDEX[ph]] += val / (feeder.base_mva / 3.0)

@@ -13,7 +13,12 @@ from tdcosim.errors import ParseError
 from tdcosim.netmodel import CostCurve, Generator
 from tdcosim.seqxform import FORTESCUE, FORTESCUE_INV, PhaseVoltages
 
-from oracles import coupled_sequence_direct_2bus, feeder_nodal_newton_oracle, nr_oracle
+from oracles import (
+    coupled_sequence_direct_2bus,
+    feeder_nodal_newton_oracle,
+    feeder_records,
+    nr_oracle,
+)
 
 
 def _dispatch(case, feeders):
@@ -254,7 +259,7 @@ def test_criterion_9_decoupled_baseline(system1, ckt_feeder, day_shape):
     assert max_diff > 0.0
 
     empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-                         ckt_feeder.lines, ())
+                         feeder_records(ckt_feeder)[0], ())
     c0 = cosim.run_timeseries(system1, {6: empty}, shapes, start_min=1245, horizon_min=5)
     b0 = cosim.run_decoupled_baseline(
         system1, {6: empty}, shapes, start_min=1245, horizon_min=5

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -90,7 +91,11 @@ def test_transmission_failure_writes_the_partial_trace(paths, tmp_path, capsys):
                "--feeder", f"{path}@6", "--feeder", f"{path}@8",
                "--alpha", "0.1", "--out", paths["out"]])
     assert rc == 1
-    assert "PCC bus 5: feeder 'ckt24_synth': voltage collapsed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    match = re.fullmatch(r"error: round 21: PCC bus 5: feeder 'ckt24_synth': voltage "
+                         r"collapsed to (\S+) pu during sweep 20\n", err)
+    assert match, err
+    assert float(match[1]) < dsolve.COLLAPSE_FLOOR  # the minimum itself, not rounded to 0.500
     rows = (Path(paths["out"]) / "coupling_trace.csv").read_text().splitlines()[1:]
     assert len(rows) == 63
 
@@ -279,6 +284,43 @@ def test_make_feeder_seed_determinism(tmp_path, capsys):
     main(["make-feeder", "--nodes", "60", "--p", "10", "--q", "2",
           "--kv", "12.47", "--seed", "8", "--out", str(c)])
     assert c.read_bytes() != a.read_bytes()
+
+
+def test_make_feeder_reproduces_the_packaged_ckt24_synth(paths, tmp_path):
+    out = tmp_path / "ckt24.td"
+    rc = main(["make-feeder", "--nodes", "240", "--p", "52.1", "--q", "11.7", "--kv", "34.5",
+               "--seed", "24", "--name", "ckt24_synth", "--out", str(out)])
+    assert rc == 0
+    assert out.read_bytes() == Path(paths["feeder"]).read_bytes()
+
+
+@pytest.mark.parametrize("name", ["my feeder", "a#b", "", "tab\there", "new\nline"])
+def test_make_feeder_refuses_a_name_it_cannot_write_back(tmp_path, capsys, name):
+    out = tmp_path / "f.td"
+    rc = main(["make-feeder", "--nodes", "5", "--p", "1", "--q", "0.2", "--kv", "12.47",
+               "--name", name, "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"error: feeder name {name!r} would not read back as one token\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mix, message", [
+    ("x", "argument --mix: bad phase mix 'x'"),
+    ("0.5,0.5", "error: phase mix needs three fractions, got [0.5, 0.5]"),
+    ("0.2,0.2,0.3,0.3", "error: phase mix needs three fractions, got [0.2, 0.2, 0.3, 0.3]"),
+])
+def test_make_feeder_names_a_bad_mix(tmp_path, capsys, mix, message):
+    out = tmp_path / "f.td"
+    argv = ["make-feeder", "--nodes", "5", "--p", "1", "--q", "0.2", "--kv", "12.47",
+            "--mix", mix, "--out", str(out)]
+    try:
+        rc = main(argv)
+    except SystemExit as exc:  # argparse rejects what it cannot read
+        rc = exc.code
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):

@@ -8,6 +8,8 @@ from tdcosim import cosim, dsolve, ed, tsolve
 from tdcosim.errors import ConvergenceError, TdcosimError, VoltageCollapseError
 from tdcosim.seqxform import FORTESCUE
 
+from oracles import feeder_records
+
 
 def dispatch_for(case, feeders):
     return ed.dispatch(case.generators, cosim.forecast_demand_mw(case, feeders))
@@ -64,8 +66,7 @@ def test_converged_transmission_consumed_head_powers_verbatim(states, request):
     state, trace = request.getfixturevalue(states)
     assert list(state.pcc_voltages) == list(state.pcc_powers) == sorted(state.feeder_solutions)
     for bus, fsol in state.feeder_solutions.items():
-        head = fsol.head_power
-        assert state.pcc_powers[bus].as_array() == pytest.approx(head.as_array(), abs=0)
+        assert state.pcc_powers[bus].as_array() == pytest.approx(fsol.s_head, abs=0)
         i = state.seq.bus_index[bus]
         v012 = np.array([state.seq.v0[i], state.seq.v1[i], state.seq.v2[i]])
         v_abc = FORTESCUE @ v012
@@ -91,12 +92,14 @@ def test_inner_failure_names_the_pcc(system1):
     )
     with pytest.raises(TdcosimError) as err:
         cosim.couple_step(system1, {6: sick}, eps=1e-4)
-    assert "PCC bus 6" in str(err.value)
+    # a sweep's failure names its round, as a transmission solve's does
+    assert str(err.value).startswith("round 1: PCC bus 6: feeder 'sick': ")
+    assert err.value.trace.overall_iterations == 1
 
 
 def test_zero_load_feeder_two_rounds(system1, ckt_feeder):
     empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-                         ckt_feeder.lines, ())
+                         feeder_records(ckt_feeder)[0], ())
     state, trace = cosim.couple_step(system1, {6: empty}, eps=1e-4)
     assert trace.overall_iterations == 2
     # PCC voltage equals the no-load transmission solution
@@ -353,7 +356,7 @@ def test_decoupled_baseline_differs_for_lossy_feeder(system1, ckt_feeder, day_sh
 
 def test_decoupled_baseline_equals_coupled_for_zero_load(system1, ckt_feeder, flat_shape):
     empty = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-                         ckt_feeder.lines, ())
+                         feeder_records(ckt_feeder)[0], ())
     shapes = {"day": flat_shape}
     coupled = cosim.run_timeseries(
         system1, {6: empty}, shapes, start_min=0, horizon_min=5

@@ -11,14 +11,14 @@ from tdcosim.dsolve import (
     aggregate_load,
     apply_unbalance,
     scale_loads,
+    feeder_problems,
     sweep_solve,
     synth_feeder,
-    validate_feeder,
 )
 from tdcosim.errors import ConvergenceError, VoltageCollapseError
 from tdcosim.seqxform import PhaseVoltages
 
-from oracles import feeder_nodal_newton_oracle
+from oracles import feeder_nodal_newton_oracle, feeder_records
 
 
 def z3(self_z, mutual=0.0):
@@ -36,6 +36,10 @@ def simple_feeder(load=None):
     )
 
 
+def validate(feeder):
+    return [str(problem) for problem in feeder_problems(feeder)]
+
+
 # -- structural validation ----------------------------------------------------
 
 
@@ -49,7 +53,7 @@ def test_cycle_is_rejected():
         ),
         (),
     )
-    problems = validate_feeder(f)
+    problems = validate(f)
     assert any("not radial" in p for p in problems)
 
 
@@ -62,7 +66,7 @@ def test_unreachable_node_is_rejected():
         ),
         (),
     )
-    assert any("not reachable" in p for p in validate_feeder(f))
+    assert any("not reachable" in p for p in validate(f))
 
 
 def test_child_phases_must_be_subset_of_parent():
@@ -74,7 +78,7 @@ def test_child_phases_must_be_subset_of_parent():
         ),
         (),
     )
-    assert any("not all present on" in p for p in validate_feeder(f))
+    assert any("not all present on" in p for p in validate(f))
 
 
 def test_load_on_absent_phase_is_rejected():
@@ -83,14 +87,14 @@ def test_load_on_absent_phase_is_rejected():
         (FeederLine("head", "a", "ab", np.array([[1.0j, 0], [0, 1.0j]])),),
         (PhaseLoad("a", {"c": 1.0 + 0j}),),
     )
-    assert any("phase c not present" in p for p in validate_feeder(f))
+    assert any("phase c not present" in p for p in validate(f))
 
 
 def test_asymmetric_impedance_is_rejected():
     z = z3(1.0j)
     z[0, 1] = 0.5j
     f = Feeder(12.47, 100.0, "head", (FeederLine("head", "a", "abc", z),), ())
-    assert any("not symmetric" in p for p in validate_feeder(f))
+    assert any("not symmetric" in p for p in validate(f))
 
 
 def test_malformed_lines_raise_at_construction():
@@ -111,7 +115,7 @@ def test_malformed_lines_raise_at_construction():
 def test_sweep_rejects_a_load_off_the_lines(load, message):
     f = Feeder(12.47, 100.0, "head",
                (FeederLine("head", "n1", "a", np.array([[0.5 + 1.0j]])),), (load,))
-    assert validate_feeder(f) == [message]
+    assert validate(f) == [message]
     with pytest.raises(ValueError) as err:
         sweep_solve(f, PhaseVoltages.balanced(1.0))
     assert str(err.value) == f"feeder 'feeder': {message}"
@@ -130,7 +134,7 @@ def test_line_checks_report_in_topology_order():
         ),
         (),
     )
-    assert validate_feeder(f) == [  # depth-first: head-n1, n1-n2, head-n3
+    assert validate(f) == [  # depth-first: head-n1, n1-n2, head-n3
         "line head-n1: zero self-impedance on a present phase",
         "line n1-n2: phases 'c' not all present on parent path",
         "line head-n3: impedance matrix is not symmetric",
@@ -146,7 +150,7 @@ def test_zero_load_equals_head_everywhere():
     head = PhaseVoltages.balanced(1.02, 0.1)
     sol = sweep_solve(f, head)
     assert np.array_equal(sol.v[1], head.as_array())
-    assert sol.head_power.total() == 0
+    assert sol.s_head.sum() == 0
     assert sol.iterations == 1
 
 
@@ -168,7 +172,7 @@ def test_two_node_matches_scalar_fixed_point():
 
 def test_small_corpus_matches_dense_newton_oracle(small_feeders):
     for f in small_feeders:
-        assert validate_feeder(f) == []
+        assert validate(f) == []
         head = PhaseVoltages.balanced(1.01, -0.02)
         sol = sweep_solve(f, head, tol=1e-12, max_iter=300)
         oracle = feeder_nodal_newton_oracle(f, head)
@@ -205,7 +209,7 @@ def test_head_only_feeder_sweeps_once():
     sol = sweep_solve(f, head)
     assert sol.iterations == 1
     assert np.array_equal(sol.v, head.as_array()[None, :])
-    assert sol.head_power.as_array() == pytest.approx([load[p] for p in "abc"], abs=1e-12)
+    assert sol.s_head == pytest.approx([load[p] for p in "abc"], abs=1e-12)
     assert sol.i_line.shape == (0, 3)
     assert sol.line_names == ()
 
@@ -314,7 +318,7 @@ def test_start_only_from_the_same_topology(ckt_feeder):
     sol = sweep_solve(ckt_feeder, PhaseVoltages.balanced(1.0))
     assert sol.start_for(scale_loads(ckt_feeder, 1.1)) is sol.v
     rebuilt = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-                     ckt_feeder.lines, ckt_feeder.loads)
+                     *feeder_records(ckt_feeder))
     assert sol.start_for(rebuilt) is None
 
 
@@ -344,7 +348,7 @@ def test_lossless_head_power_equals_load_sum():
         (PhaseLoad("n1", {p: (52.1 + 11.7j) / 3 for p in "abc"}),),
     )
     sol = sweep_solve(f, PhaseVoltages.balanced(1.0), tol=1e-12)
-    assert sol.head_power.total() == pytest.approx(52.1 + 11.7j, abs=1e-6)
+    assert sol.s_head.sum() == pytest.approx(52.1 + 11.7j, abs=1e-6)
 
 
 def test_lossy_head_power_is_load_plus_i2r(small_feeders):
@@ -354,7 +358,7 @@ def test_lossy_head_power_is_load_plus_i2r(small_feeders):
     per_phase_base = f.base_mva / 3.0
 
     loads_pu = aggregate_load(f).total() / per_phase_base
-    lines_by_pair = {frozenset((ln.from_node, ln.to_node)): ln for ln in f.lines}
+    lines_by_pair = {frozenset((ln.from_node, ln.to_node)): ln for ln in feeder_records(f)[0]}
     loss = 0j
     for (a, b), i_line in zip(sol.line_names, sol.i_line):
         ln = lines_by_pair[frozenset((a, b))]
@@ -363,7 +367,7 @@ def test_lossy_head_power_is_load_plus_i2r(small_feeders):
         z = np.asarray(ln.z_abc) / z_base
         dv = z @ i_vec
         loss += np.sum(dv * np.conj(i_vec))
-    head_pu = sol.head_power.total() / per_phase_base
+    head_pu = sol.s_head.sum() / per_phase_base
     assert head_pu.real > loads_pu.real
     assert head_pu == pytest.approx(loads_pu + loss, abs=1e-8)
 
@@ -374,13 +378,13 @@ def test_lossy_head_power_is_load_plus_i2r(small_feeders):
 def test_alpha_zero_is_identity():
     f = simple_feeder({"a": 1.0 + 0.3j, "b": 1.0 + 0.3j, "c": 1.0 + 0.3j})
     g = apply_unbalance(f, 0.0)
-    assert g.loads[0].s == f.loads[0].s
+    assert feeder_records(g)[1][0].s == feeder_records(f)[1][0].s
 
 
 def test_alpha_15_percent_reshape():
     f = simple_feeder({"a": 0.003 + 0j, "b": 0.003 + 0j, "c": 0.003 + 0j})
     g = apply_unbalance(f, 0.15)
-    s = g.loads[0].s
+    s = feeder_records(g)[1][0].s
     assert s["a"] == pytest.approx(0.00345, abs=1e-15)
     assert s["b"] == pytest.approx(0.002775, abs=1e-15)
     assert s["c"] == pytest.approx(0.002775, abs=1e-15)
@@ -393,7 +397,7 @@ def test_single_phase_loads_untouched():
         (PhaseLoad("n1", {"b": 0.7 + 0.2j}),),
     )
     g = apply_unbalance(f, 0.2)
-    assert g.loads[0].s == {"b": 0.7 + 0.2j}
+    assert feeder_records(g)[1][0].s == {"b": 0.7 + 0.2j}
 
 
 def test_alpha_out_of_range():
@@ -425,8 +429,8 @@ def test_unbalance_preserves_totals(raw, alpha):
     ]
     f = Feeder(12.47, 100.0, "head", tuple(lines), tuple(loads))
     g = apply_unbalance(f, alpha)
-    for before, after in zip(f.loads, g.loads):
-        assert after.total() == pytest.approx(before.total(), abs=1e-12)
+    for before, after in zip(feeder_records(f)[1], feeder_records(g)[1]):
+        assert sum(after.s.values()) == pytest.approx(sum(before.s.values()), abs=1e-12)
     assert aggregate_load(g).total() == pytest.approx(
         aggregate_load(f).total(), abs=1e-12
     )
@@ -437,8 +441,8 @@ def test_unbalance_preserves_totals(raw, alpha):
 
 def test_smallest_synthetic_feeder():
     f = synth_feeder(nodes=2, total_p_mw=1.0, total_q_mvar=0.2, base_kv=12.47, seed=1)
-    assert len(f.lines) == 1
-    assert len(f.loads) == 1
+    assert len(f.line_from) == 1
+    assert len(f.load_nodes) == 1
     assert aggregate_load(f).total() == pytest.approx(1.0 + 0.2j, abs=1e-12)
 
 
@@ -450,25 +454,26 @@ def test_ckt24_scale_aggregates_and_drop(ckt_feeder):
     drop = 1.0 - np.min(np.abs(sol.v[sol.mask]))
     assert 0.02 <= drop <= 0.06
     # solved head power within 5 percent of the load spec (difference = losses)
-    assert abs(sol.head_power.total() - (52.1 + 11.7j)) / abs(52.1 + 11.7j) < 0.05
+    assert abs(sol.s_head.sum() - (52.1 + 11.7j)) / abs(52.1 + 11.7j) < 0.05
 
 
 def test_same_seed_same_feeder():
     a = synth_feeder(nodes=120, total_p_mw=10.0, total_q_mvar=3.0, base_kv=12.47, seed=9)
     b = synth_feeder(nodes=120, total_p_mw=10.0, total_q_mvar=3.0, base_kv=12.47, seed=9)
-    assert len(a.lines) == len(b.lines)
-    for la, lb in zip(a.lines, b.lines):
+    (a_lines, a_loads), (b_lines, b_loads) = feeder_records(a), feeder_records(b)
+    assert len(a_lines) == len(b_lines)
+    for la, lb in zip(a_lines, b_lines):
         assert la.from_node == lb.from_node and la.to_node == lb.to_node
         assert la.phases == lb.phases
         assert np.array_equal(la.z_abc, lb.z_abc)
-    assert all(x.node == y.node and x.s == y.s for x, y in zip(a.loads, b.loads))
+    assert all(x.node == y.node and x.s == y.s for x, y in zip(a_loads, b_loads))
 
 
 def test_synthetic_feeder_is_balanced_before_unbalance(ckt_feeder):
     per_phase = aggregate_load(ckt_feeder).as_array()
     assert np.max(np.abs(per_phase - per_phase[0])) < 1e-9
     sol = sweep_solve(ckt_feeder, PhaseVoltages.balanced(1.0), tol=1e-10)
-    head = np.asarray(sol.head_power.as_array())
+    head = sol.s_head
     assert np.max(np.abs(head - head[0])) < 1e-6
 
 
@@ -484,7 +489,7 @@ def test_synthetic_feeder_bad_specs_rejected():
 
 def test_value_copies_share_topology(ckt_feeder):
     f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-               ckt_feeder.lines, ckt_feeder.loads)
+               *feeder_records(ckt_feeder))
     scaled = scale_loads(f, 0.5)
     shifted = apply_unbalance(f, 0.1)
     assert scaled.topology() is f.topology()
@@ -507,10 +512,11 @@ def test_load_array_folds_repeated_and_zero_phase_loads():
         np.array([0.3 + 0.1j, 0.6, 0.2j]) * 3 / 100.0)
     # the named zero phase keeps the load three-phase, so alpha reshapes it
     g = apply_unbalance(f, 0.3)
-    assert set(g.loads[0].s) == {"a", "b", "c"}
-    assert g.loads[0].s["b"] == pytest.approx(0.85 * f.loads[0].total() / 3)
-    assert g.loads[0].total() == pytest.approx(f.loads[0].total())
-    assert g.loads[1].s == f.loads[1].s
+    before, after = feeder_records(f)[1], feeder_records(g)[1]
+    assert set(after[0].s) == {"a", "b", "c"}
+    assert after[0].s["b"] == pytest.approx(0.85 * sum(before[0].s.values()) / 3)
+    assert sum(after[0].s.values()) == pytest.approx(sum(before[0].s.values()))
+    assert after[1].s == before[1].s
 
 
 def _same_bits(a, b):
@@ -519,17 +525,17 @@ def _same_bits(a, b):
 
 
 def _solution_bits(sol):
-    return sol.v, sol.i_line, sol.head_power.as_array()
+    return sol.v, sol.i_line, sol.s_head
 
 
 def test_value_copies_sweep_as_a_rebuilt_feeder(ckt_feeder):
-    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-               ckt_feeder.lines, ckt_feeder.loads)
+    lines, loads = feeder_records(ckt_feeder)
+    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head, lines, loads)
     head = PhaseVoltages.balanced(1.01, -0.03)
     sweep_solve(f, head)  # builds the plan the copies share
     for g in (scale_loads(f, 0.97), apply_unbalance(scale_loads(f, 0.97), 0.15)):
         assert g.sweep_plan() is f.sweep_plan()
-        rebuilt = Feeder(f.base_kv, f.base_mva, f.head, f.lines, g.loads)
+        rebuilt = Feeder(f.base_kv, f.base_mva, f.head, lines, feeder_records(g)[1])
         assert rebuilt.sweep_plan() is not f.sweep_plan()
         a, b = sweep_solve(g, head), sweep_solve(rebuilt, head)
         assert a.iterations == b.iterations
@@ -537,15 +543,15 @@ def test_value_copies_sweep_as_a_rebuilt_feeder(ckt_feeder):
 
 
 def test_value_copies_never_reuse_their_parents_load_fold(ckt_feeder):
-    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
-               ckt_feeder.lines, ckt_feeder.loads)
+    lines, loads = feeder_records(ckt_feeder)
+    f = Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head, lines, loads)
     fold, s = dsolve._load_fold(f), dsolve._load_array(f)
     assert dsolve._load_fold(f) is fold  # folded once while it is the copy swept
     assert not fold.flags.writeable
     copies = (scale_loads(f, 1.0), scale_loads(f, 1.7), apply_unbalance(f, 0.0),
               apply_unbalance(f, 0.3), apply_unbalance(scale_loads(f, 1.7), 0.3))
     for g in copies:
-        rebuilt = Feeder(f.base_kv, f.base_mva, f.head, f.lines, g.loads)
+        rebuilt = Feeder(f.base_kv, f.base_mva, f.head, lines, feeder_records(g)[1])
         folded = dsolve._load_fold(g)
         assert folded is not fold
         assert dsolve._load_fold(g) is folded
@@ -570,7 +576,6 @@ def test_array_head_gives_the_bits_of_a_record_head(ckt_feeder):
     for a, b in (cold, warm):
         assert a.iterations == b.iterations
         assert all(map(_same_bits, _solution_bits(a), _solution_bits(b)))
-        assert _same_bits(a.s_head, a.head_power.as_array())
     with pytest.raises(ValueError, match="shape"):
         sweep_solve(f, record.as_array()[:2])
 
@@ -591,7 +596,7 @@ def _full_layout_sweep(feeder, head, start=None, max_iter=dsolve.SWEEP_MAX_ITER)
     s_head, iterations)``, the collapse message or None, and the change
     history.
     """
-    names, parents, ends, vias = zip(*_depth_first_walk(feeder.lines, feeder.head))
+    names, parents, ends, vias = zip(*_depth_first_walk(feeder_records(feeder)[0], feeder.head))
     n = len(names)
     end = np.array(ends)
     by_end = np.argsort(end, kind="stable")
@@ -631,7 +636,7 @@ def _full_layout_sweep(feeder, head, start=None, max_iter=dsolve.SWEEP_MAX_ITER)
         v = v_new
         worst = float(np.abs(v)[mask].min())
         if worst < dsolve.COLLAPSE_FLOOR:
-            return "collapse", (f"feeder {feeder.name!r}: voltage collapsed to {worst:.3f} "
+            return "collapse", (f"feeder {feeder.name!r}: voltage collapsed to {worst!r} "
                                 f"pu during sweep {iterations}"), history
         if history[-1] < dsolve.SWEEP_TOL:
             break
@@ -768,7 +773,7 @@ def test_random_radial_trees_match_oracle_and_line_order(tree):
     lines, loads, order = tree
     f = Feeder(12.47, 100.0, "n0", tuple(lines), tuple(loads))
     shuffled = Feeder(12.47, 100.0, "n0", tuple(lines[k] for k in order), tuple(loads))
-    assert validate_feeder(f) == []
+    assert validate(f) == []
     head = PhaseVoltages.balanced(1.02, 0.1)
     sol = sweep_solve(f, head, tol=1e-12, max_iter=300)
     oracle = feeder_nodal_newton_oracle(f, head)
@@ -823,7 +828,7 @@ def _chain_and_wide_pads(shape):
 @pytest.mark.parametrize("shape", ["chain", "wide pads"])
 def test_chain_and_wide_pads_sweep_as_the_full_layout_ladder(shape):
     f = _chain_and_wide_pads(shape)
-    assert validate_feeder(f) == []
+    assert validate(f) == []
     widths = f.topology().mask.sum(axis=0)
     assert widths.tolist() == ([151] * 3 if shape == "chain" else [125, 6, 6])
     head = PhaseVoltages.balanced(1.0, 0.05).as_array()
@@ -913,7 +918,7 @@ def test_lines_that_are_not_a_tree_are_rejected(tree, fault, data):
         extra = [FeederLine("x0", "x1", "a", z), FeederLine("x2", "x1", "a", z)]
     for ln in extra:
         lines.insert(data.draw(st.integers(0, len(lines))), ln)
-    problems = validate_feeder(Feeder(12.47, 100.0, "n0", tuple(lines), ()))
+    problems = validate(Feeder(12.47, 100.0, "n0", tuple(lines), ()))
     if fault == "detached":
         assert problems == ["nodes not reachable from head 'n0': ['x0', 'x1', 'x2']"]
     else:
@@ -926,18 +931,19 @@ def _line_by_line_sweep(feeder, head_v, tol):
     """The ladder method one line at a time; lines listed parent before child."""
     head = head_v.as_array()
     z_base = feeder.base_kv**2 / feeder.base_mva
-    nodes = [feeder.head] + [ln.to_node for ln in feeder.lines]
+    lines, loads = feeder_records(feeder)
+    nodes = [feeder.head] + [ln.to_node for ln in lines]
     s = {node: np.zeros(3, dtype=complex) for node in nodes}
-    for ld in feeder.loads:
+    for ld in loads:
         for ph, val in ld.s.items():
             s[ld.node][dsolve.PHASE_INDEX[ph]] += val / (feeder.base_mva / 3.0)
     v = {node: head for node in nodes}
     for iterations in range(1, dsolve.SWEEP_MAX_ITER + 1):
         acc = {node: np.conj(s[node] / v[node]) for node in nodes}
-        for ln in reversed(feeder.lines):
+        for ln in reversed(lines):
             acc[ln.from_node] = acc[ln.from_node] + acc[ln.to_node]
         new = {feeder.head: head}
-        for ln in feeder.lines:
+        for ln in lines:
             new[ln.to_node] = new[ln.from_node] - (ln.z_abc / z_base) @ acc[ln.to_node]
         delta = max(np.max(np.abs(new[node] - v[node])) for node in nodes)
         v = new

@@ -113,9 +113,9 @@ FEEDER_2NODE = (
 
 def test_two_node_feeder_file():
     f = io.parse_feeder(FEEDER_2NODE)
-    assert len(f.lines) == 1
+    assert len(f.line_from) == 1
     assert f.head == "src"
-    assert f.lines[0].z_abc[0, 1] == 0.1 + 0.2j
+    assert f.line_z[0, 0, 1] == 0.1 + 0.2j
     assert dsolve.aggregate_load(f).total() == pytest.approx(3.0 + 0.6j)
 
 
@@ -249,9 +249,27 @@ def test_feeder_round_trip(ckt_feeder):
     text = io.serialize_feeder(ckt_feeder)
     again = io.parse_feeder(text)
     assert io.serialize_feeder(again) == text
-    assert [ln.phases for ln in again.lines] == [ln.phases for ln in ckt_feeder.lines]
-    for a, b in zip(again.lines, ckt_feeder.lines):
-        assert np.array_equal(a.z_abc, b.z_abc)
+    assert again.line_phases == ckt_feeder.line_phases
+    assert np.array_equal(again.line_z, ckt_feeder.line_z)
+
+
+@pytest.mark.parametrize("kind, bad, head, node, load_node", [
+    ("name", "two words", "h", "n1", "n1"),
+    ("head", "", "", "n1", "n1"),
+    ("head", "h#1", "h#1", "n1", "n1"),
+    ("node", "n\xa01", "h", "n\xa01", "h"),
+    ("node", "n1 ", "h", "n1 ", "h"),
+    ("node", "x\ny", "h", "n1", "x\ny"),
+])
+def test_serialize_refuses_a_token_that_would_not_read_back(kind, bad, head, node, load_node):
+    """A name, head or node that is empty or holds whitespace or '#' would
+    parse back as another token, or as none."""
+    name = bad if kind == "name" else "f"
+    f = dsolve.Feeder(12.47, 100.0, head, [dsolve.FeederLine(head, node, "a", np.array([[1j]]))],
+                      [dsolve.PhaseLoad(load_node, {"a": 0.1 + 0j})], name=name)
+    with pytest.raises(ValueError) as err:
+        io.serialize_feeder(f)
+    assert str(err.value) == f"feeder {kind} {bad!r} would not read back as one token"
 
 
 _SPACES = [" ", "\t", "   ", " \t "]
