@@ -778,7 +778,7 @@ def synth_feeder(
 
     node_phases = dict(zip(names, ["abc"] + line_phases))
     load_nodes: list[str] = []
-    load_s: list[list[complex]] = []
+    load_rows: list[list[complex]] = []
     for cat, groups in by_cat.items():
         if not groups or shares[cat] == 0:
             continue
@@ -790,19 +790,19 @@ def synth_feeder(
                 phases = node_phases[leaf]
                 s_leaf = s_group / len(leaves)
                 load_nodes.append(leaf)
-                load_s.append([s_leaf / len(phases) if ph in phases else 0j for ph in "abc"])
+                load_rows.append([s_leaf / len(phases) if ph in phases else 0j for ph in "abc"])
     load_phases = _PHASE_MASKS[[_PHASE_ROW[node_phases[node]] for node in load_nodes]]
-    s_arr = np.array(load_s, dtype=complex)
+    load_s = np.array(load_rows, dtype=complex)
 
     # Close the floating-point gap so aggregates equal the spec exactly.  The
     # sums run over NumPy scalars, so the residual divides as NumPy does.
     widest = int(np.argmax(load_phases.sum(axis=1)))
     named = load_phases[widest]
     for _ in range(3):
-        residual = total - sum(map(sum, s_arr))
+        residual = total - sum(map(sum, load_s))
         if residual == 0:
             break
-        s_arr[widest, named] += residual / int(named.sum())
+        load_s[widest, named] += residual / int(named.sum())
 
     on = _PHASE_MASKS[[_PHASE_ROW[ps] for ps in line_phases]]
     z = np.array(z_self, dtype=complex)
@@ -810,7 +810,7 @@ def synth_feeder(
     line_z[:, [0, 1, 2], [0, 1, 2]] = np.where(on, z[:, None], 0j)
     feeder = Feeder.from_arrays(base_kv, base_mva, "head", tuple(line_from), tuple(names[1:]),
                                 tuple(line_phases), line_z, tuple(load_nodes), load_phases,
-                                s_arr, name)
+                                load_s, name)
 
     # Rescale impedances so the full-load drop hits the target band.
     for _ in range(6):
