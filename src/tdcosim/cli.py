@@ -187,22 +187,19 @@ def cmd_timeseries(args) -> int:
 
 def _write_comparison(coupled, baseline, outdir) -> None:
     """Per-phase |V| of both runs at the instants both solved (Fig-6 data)."""
-    import csv
-
     by_t = {s.t_min: s for s in baseline.steps if s.converged}
-    path = Path(outdir) / "pcc_compare.csv"
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["time_min", "pcc_bus", "phase", "v_coupled_pu", "v_decoupled_pu"])
-        for step in coupled.steps:
-            if not step.converged or step.t_min not in by_t:
-                continue
-            base = by_t[step.t_min]
-            for bus in sorted(step.state.pcc_voltages):
-                vc = step.state.pcc_voltages[bus].magnitudes()
-                vd = base.state.pcc_voltages[bus].magnitudes()
-                for p, phase in enumerate("abc"):
-                    w.writerow([step.t_min, bus, phase, repr(float(vc[p])), repr(float(vd[p]))])
+    rows = []
+    for step in coupled.steps:
+        if not step.converged or step.t_min not in by_t:
+            continue
+        base = by_t[step.t_min]
+        for bus in sorted(step.state.pcc_voltages):
+            vc = step.state.pcc_voltages[bus].magnitudes()
+            vd = base.state.pcc_voltages[bus].magnitudes()
+            for p, phase in enumerate("abc"):
+                rows.append([step.t_min, bus, phase, repr(float(vc[p])), repr(float(vd[p]))])
+    header = ["time_min", "pcc_bus", "phase", "v_coupled_pu", "v_decoupled_pu"]
+    io._write_csv(Path(outdir) / "pcc_compare.csv", header, rows)
 
 
 def cmd_sweep_unbalance(args) -> int:

@@ -13,7 +13,8 @@ advances past a step once its boundary has converged.
   exchange is kept as (k, 3) arrays, one row per PCC in sorted bus order,
   down to each sweep's (3,) head voltage and back from its (3,) head power;
   only the converged :class:`CoupledState` holds records.  The step reads
-  the sequence network and the bus schedule once for all its rounds.
+  the bus schedule, with the sequence network the case holds, once for all
+  its rounds.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``; the first
   round bootstraps from each feeder's aggregate load.  Each sweep starts
@@ -25,8 +26,8 @@ advances past a step once its boundary has converged.
   feeder sweep.  :func:`run_decoupled_baseline` runs it on the dispatch
   cadence.
 
-The time loop builds the sequence network once per run and hands it to the
-boundary with each step.
+The steps of a run are copies of its case, which share the sequence
+network that the case holds, so a run derives it once.
 """
 from __future__ import annotations
 
@@ -137,15 +138,14 @@ def couple_step(
     eps: float = COUPLING_EPS,
     max_rounds: int = MAX_ROUNDS,
     warm: CoupledState | None = None,
-    ybus: tsolve.SequenceYBus | None = None,
 ) -> tuple[CoupledState, CouplingTrace]:
     """Iterate one transmission/distribution exchange to convergence.
 
     ``warm``, a previous step's converged state, starts the first
     transmission solve and the first feeder sweeps; later sweeps start
-    from the previous round's feeder solutions.  ``ybus`` is the case's
-    sequence network (:func:`tsolve.build_sequence_ybus`), which a time
-    loop holds; left out, it is looked up once per call.
+    from the previous round's feeder solutions.  The bus schedule is read
+    once per call, on the sequence network the case holds
+    (:func:`tsolve.build_sequence_ybus`).
 
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
@@ -159,9 +159,7 @@ def couple_step(
 
     if dispatch is not None:
         case = with_dispatch(case, dispatch.p_set)
-    if ybus is None:
-        ybus = tsolve.build_sequence_ybus(case)
-    sched = tsolve.bus_schedule(case, ybus)
+    sched = tsolve.bus_schedule(case)
 
     # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
     # starting point the decoupled model uses.
@@ -179,9 +177,7 @@ def couple_step(
         # (i) transmission solve with the most recent PCC powers; on exit the
         # converged transmission model has consumed them verbatim.
         try:
-            seq = tsolve.solve_three_sequence(
-                case, buses, s_pcc, warm=seq, ybus=ybus, sched=sched
-            )
+            seq = tsolve.solve_three_sequence(case, buses, s_pcc, warm=seq, sched=sched)
         except ConvergenceError as exc:
             _fail_at(exc, k, trace)
             raise
@@ -268,9 +264,8 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
             )
 
 
-def _aggregate_pq_boundary(case, feeders, warm, ybus):
-    """Decoupled boundary: feeders as aggregate PQ, one transmission solve
-    on the network ``ybus``.
+def _aggregate_pq_boundary(case, feeders, warm):
+    """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
     The trace carries one round so the result shares the coupled run's
     shape; a :class:`ConvergenceError` carries it too, with no rows.
@@ -280,7 +275,7 @@ def _aggregate_pq_boundary(case, feeders, warm, ybus):
     trace = CouplingTrace(overall_iterations=1)
     try:
         seq = tsolve.solve_three_sequence(
-            case, buses, s_pcc, warm=warm.seq if warm is not None else None, ybus=ybus
+            case, buses, s_pcc, warm=warm.seq if warm is not None else None
         )
     except ConvergenceError as exc:
         exc.trace = trace
@@ -300,10 +295,8 @@ def _time_loop(
 
     Each step scales the loads by the loadshapes, and on a dispatch minute
     sets the generators to a dispatch of that step's demand, which later
-    steps keep.  ``boundary(step_case, step_feeders, warm=, ybus=)`` gets
-    the step, the last converged step's :class:`CoupledState` and the
-    sequence network, built once per run because the steps change loads
-    and dispatch, never buses or branches; it returns
+    steps keep.  ``boundary(step_case, step_feeders, warm=)`` gets the step
+    and the last converged step's :class:`CoupledState`; it returns
     ``(CoupledState, CouplingTrace)`` or raises :class:`ConvergenceError`,
     whose message becomes the step's ``error``.
     """
@@ -325,7 +318,6 @@ def _time_loop(
         raise ValueError("invalid case: " + "; ".join(problems))
     _check_feeder_binding(case, feeders)
 
-    ybus = tsolve.build_sequence_ybus(case)
     gen_buses = tuple(g.bus for g in case.generators)
     steps: list[StepResult] = []
     dispatch: ed.DispatchResult | None = None
@@ -342,7 +334,7 @@ def _time_loop(
             step_case = replace(step_case, generators=case.generators)
         error = None
         try:
-            state, trace = boundary(step_case, step_feeders, warm=warm, ybus=ybus)
+            state, trace = boundary(step_case, step_feeders, warm=warm)
         except ConvergenceError as exc:
             state, trace, error = None, getattr(exc, "trace", CouplingTrace()), str(exc)
         else:

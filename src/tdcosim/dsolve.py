@@ -703,7 +703,14 @@ def synth_feeder(
     """
     if nodes < 2:
         raise ValueError("a feeder needs at least two nodes")
+    for label, base in (("base_kv", base_kv), ("base_mva", base_mva)):
+        if not 0 < base < np.inf:  # NaN fails too
+            raise ValueError(f"{label} must be finite and positive, got {base}")
     total = complex(total_p_mw, total_q_mvar)
+    if not np.isfinite(total):
+        raise ValueError(
+            f"total demand must be finite, got {total_p_mw} MW and {total_q_mvar} MVAr"
+        )
     if total.real <= 0:
         raise ValueError("total active demand must be positive")
     mix = np.asarray(phase_mix, dtype=float)

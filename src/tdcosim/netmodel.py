@@ -8,7 +8,7 @@ system MVA base.  Generator cost coefficients are on a $/MWh basis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -106,6 +106,9 @@ class TransmissionCase:
     branches: tuple[Branch, ...]
     generators: tuple[Generator, ...]
     loads: tuple[LoadAttachment, ...]
+    # The sequence network of ``buses`` and ``branches``, held by
+    # ``tsolve.build_sequence_ybus``; ``replace`` copies share the holder.
+    _network: list = field(default_factory=list, compare=False, repr=False)
 
     def bus_ids(self) -> list[int]:
         return [b.id for b in self.buses]

@@ -15,20 +15,19 @@ Anderson-mixes every pass from the second on.
 Everything that depends only on the buses and branches (the three Y-buses,
 the bus index, classes and voltage setpoints, the NR's index gathers, the
 stacked coupling blocks, and the ground-tied partition and sparse LU factor
-of Y0 and Y2) is derived once per network by :func:`build_sequence_ybus` and
-shared by every solve on that network, so a run that only changes dispatch,
-loads or PCC powers factorises once.  Cases carry MW/MVAr; their generators
-and lumped loads are read into per-unit arrays by bus (:func:`bus_schedule`),
-as MATPOWER's ``makeSbus`` does.  A caller that solves one case several
-times, as the coupling rounds of a step do, resolves the network and the
-schedule once and passes both to :func:`solve_three_sequence`; a solve given
-neither looks the network up in a small cache keyed on the bus and branch
-tuples and reads the schedule itself, once per solve.
+of Y0 and Y2) is derived once per network by :func:`build_sequence_ybus`,
+held on the case and shared by every copy of it, so a run that only changes
+dispatch, loads or PCC powers factorises once.  Cases carry MW/MVAr; their
+generators and lumped loads are read into per-unit arrays by bus
+(:func:`bus_schedule`), as MATPOWER's ``makeSbus`` does, into a schedule
+that carries the network it indexes.  A caller that solves one case several
+times, as the coupling rounds of a step do, reads the schedule once and
+passes it to :func:`solve_three_sequence`; a solve given none reads it
+itself, once per solve.
 """
 from __future__ import annotations
 
 import cmath
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,18 +141,18 @@ class SequenceSolution:
 def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
     """The sequence network of a validated case, derived once per network.
 
-    Copies of a case made with ``dataclasses.replace`` (dispatch, load
-    scaling) keep its ``buses`` and ``branches`` tuples and so share one
-    :class:`SequenceYBus`, which is looked up in a small cache keyed on
-    them.  The lookup hashes every bus, so callers that solve one network
-    many times hold the result and pass it on instead of asking again.
+    The case holds it.  Copies made with ``dataclasses.replace`` (dispatch,
+    load scaling, feeder binding) share the holder and keep the ``buses``
+    and ``branches`` tuples, so they share one immutable
+    :class:`SequenceYBus`.  A copy with a tuple of its own derives its
+    network again and holds that one instead.
     """
-    return _sequence_network(case.buses, case.branches)
+    held = case._network
+    if not held or held[0] is not case.buses or held[1] is not case.branches:
+        held[:] = case.buses, case.branches, _sequence_network(case.buses, case.branches)
+    return held[2]
 
 
-# Keyed on the two tuples: buses compare by value, branches (``eq=False``)
-# by identity.  Cached networks are immutable, so sharing them is safe.
-@functools.lru_cache(maxsize=8)
 def _sequence_network(buses, branches) -> SequenceYBus:
     problems = network_violations(buses, branches)
     if problems:
@@ -223,6 +222,7 @@ def _sequence_network(buses, branches) -> SequenceYBus:
 class BusSchedule:
     """A case's generators and lumped loads by bus index, per-unit."""
 
+    network: SequenceYBus  # the case's, whose bus index the arrays follow
     s: np.ndarray  # (n,) generation minus lumped load
     # (5, p) at the network's PV buses: their generators' summed Q setpoint and
     # limits (-inf and +inf without a generator), q_set, q_min and q_max, then
@@ -230,14 +230,16 @@ class BusSchedule:
     pv_q: np.ndarray
 
 
-def bus_schedule(case: TransmissionCase, ybus: SequenceYBus) -> BusSchedule:
+def bus_schedule(case: TransmissionCase) -> BusSchedule:
     """Read the MW/MVAr case's generators and lumped loads into per-unit arrays.
 
-    Each power is taken as ``x * (1.0 / base_mva)`` and summed by bus in
-    case order, generators before loads.  A case's schedule changes with its
-    loads and dispatch, not with the PCC powers, so a caller that solves one
-    case several times reads it once.
+    Each power is taken as ``x * (1.0 / base_mva)`` and summed by bus of the
+    case's network, which the schedule carries, in case order, generators
+    before loads; one at a bus the network lacks raises ``ValueError``.  A
+    case's schedule changes with its loads and dispatch, not with the PCC
+    powers, so a caller that solves one case several times reads it once.
     """
+    ybus = build_sequence_ybus(case)
     if case.base_mva <= 0:
         raise ValueError(f"base_mva must be positive, got {case.base_mva}")
     to_pu = 1.0 / case.base_mva
@@ -245,21 +247,27 @@ def bus_schedule(case: TransmissionCase, ybus: SequenceYBus) -> BusSchedule:
     s = [0j] * n
     q_set, q_min, q_max = [0.0] * n, [0.0] * n, [0.0] * n
     gen_buses = set()
-    for g in case.generators:
-        i = ybus.bus_index[g.bus]
-        s[i] += g.p_set * to_pu + 1j * (g.q_set * to_pu)
-        q_set[i] += g.q_set * to_pu
-        q_min[i] += g.q_min * to_pu
-        q_max[i] += g.q_max * to_pu
-        gen_buses.add(i)
-    for ld in case.loads:
-        if not ld.is_feeder:
-            s[ybus.bus_index[ld.bus]] -= ld.p * to_pu + 1j * (ld.q * to_pu)
+    try:
+        for g in case.generators:
+            i = ybus.bus_index[g.bus]
+            s[i] += g.p_set * to_pu + 1j * (g.q_set * to_pu)
+            q_set[i] += g.q_set * to_pu
+            q_min[i] += g.q_min * to_pu
+            q_max[i] += g.q_max * to_pu
+            gen_buses.add(i)
+    except KeyError:
+        raise ValueError(f"generator at nonexistent bus {g.bus}") from None
+    try:
+        for ld in case.loads:
+            if not ld.is_feeder:
+                s[ybus.bus_index[ld.bus]] -= ld.p * to_pu + 1j * (ld.q * to_pu)
+    except KeyError:
+        raise ValueError(f"load at nonexistent bus {ld.bus}") from None
     for i in set(range(n)) - gen_buses:  # no generator, no Q limit
         q_min[i], q_max[i] = -np.inf, np.inf
     pv_q = [[q[i] for i in ybus.classes.pv.tolist()] for q in (q_set, q_min, q_max)]
     pv_q += [[x - PV_Q_TOL for x in pv_q[1]], [x + PV_Q_TOL for x in pv_q[2]]]
-    return BusSchedule(np.array(s), np.array(pv_q))
+    return BusSchedule(ybus, np.array(s), np.array(pv_q))
 
 
 @dataclass(frozen=True)
@@ -271,15 +279,14 @@ class NrResult:
 
 
 def nr_positive_sequence(
-    ybus: SequenceYBus,
     sched: BusSchedule,
     extra_s1: np.ndarray | None = None,
     v_init: np.ndarray | None = None,
 ) -> NrResult:
     """Polar Newton-Raphson on the positive-sequence network.
 
-    ``sched`` holds the case's per-unit injections and generator Q limits
-    (:func:`bus_schedule`).  ``extra_s1`` adds PQ loads (pu, consumption
+    ``sched`` holds the case's network, per-unit injections and generator Q
+    limits (:func:`bus_schedule`).  ``extra_s1`` adds PQ loads (pu, consumption
     positive) on top of the case's lumped loads: an (n,) array by bus index,
     None for none.
 
@@ -290,6 +297,7 @@ def nr_positive_sequence(
     outside its limits after the last re-solve raises
     :class:`ConvergenceError`.
     """
+    ybus = sched.network
     y = ybus.y1_dense
     s_spec = sched.s.copy() if extra_s1 is None else sched.s - extra_s1
     x = np.empty((2, ybus.n))  # angles and magnitudes
@@ -498,17 +506,16 @@ def solve_three_sequence(
     s_pcc=None,
     max_passes: int = SEQ_LOOP_MAX_PASSES,
     warm: SequenceSolution | None = None,
-    ybus: SequenceYBus | None = None,
     sched: BusSchedule | None = None,
 ) -> SequenceSolution:
     """Full three-sequence solve with PCC loads and compensation currents.
 
-    ``case`` is in MW/MVAr.  ``ybus`` and ``sched`` are its network and its
-    per-unit schedule (:func:`build_sequence_ybus`, :func:`bus_schedule`);
-    a caller that solves one case several times passes them, and either one
-    left out is resolved here, once per solve.  ``pcc_buses`` are distinct
-    PCC bus ids and ``s_pcc`` their (k, 3) per-phase head powers in MVA, one
-    row per bus in that order; a non-finite entry, like ``max_passes`` below
+    ``case`` is in MW/MVAr.  ``sched`` is its per-unit schedule, which
+    carries its network (:func:`bus_schedule`); a caller that solves one
+    case several times passes it, and left out it is read here, once per
+    solve.  ``pcc_buses`` are distinct PCC bus ids and ``s_pcc`` their
+    (k, 3) per-phase head powers in MVA, one row per bus in that order; a
+    bus the network lacks or a non-finite entry, like ``max_passes`` below
     1, raises ``ValueError``.  One pass maps the (3, n) sequence voltages to
     the next: PCC injections and compensation currents (when a branch is
     untransposed) at those voltages, then the positive NR and the negative
@@ -521,12 +528,14 @@ def solve_three_sequence(
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
-    if ybus is None:
-        ybus = build_sequence_ybus(case)
     if sched is None:
-        sched = bus_schedule(case, ybus)
+        sched = bus_schedule(case)
+    ybus = sched.network
     n = ybus.n
-    pcc = np.array([ybus.bus_index[bus_id] for bus_id in pcc_buses], dtype=int)
+    try:
+        pcc = np.array([ybus.bus_index[bus_id] for bus_id in pcc_buses], dtype=int)
+    except KeyError as exc:
+        raise ValueError(f"PCC at nonexistent bus {exc.args[0]}") from None
     if len(set(pcc.tolist())) < len(pcc):
         raise ValueError("pcc_buses names a bus more than once")
     s_abc = np.array(s_pcc if s_pcc is not None else np.zeros((0, 3)), dtype=complex)
@@ -546,7 +555,7 @@ def solve_three_sequence(
             # Positive-sequence compensation enters NR as an equivalent PQ load.
             inj[1] -= x[1] * np.conj(corr[1])
             inj[0::2] += corr[0::2]
-        nr = nr_positive_sequence(ybus, sched, inj[1], v_init=x[1])
+        nr = nr_positive_sequence(sched, inj[1], v_init=x[1])
         v2 = solve_negative(ybus, inj[2])
         v0 = solve_zero(ybus, inj[0])
         return np.array([v0, nr.v1, v2]), nr

@@ -323,6 +323,28 @@ def test_make_feeder_names_a_bad_mix(tmp_path, capsys, mix, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--kv", "0", "base_kv must be finite and positive, got 0.0"),
+    ("--kv", "-5", "base_kv must be finite and positive, got -5.0"),
+    ("--kv", "nan", "base_kv must be finite and positive, got nan"),
+    ("--kv", "inf", "base_kv must be finite and positive, got inf"),
+    ("--base-mva", "0", "base_mva must be finite and positive, got 0.0"),
+    ("--base-mva", "-100", "base_mva must be finite and positive, got -100.0"),
+    ("--p", "inf", "total demand must be finite, got inf MW and 0.2 MVAr"),
+    ("--q", "nan", "total demand must be finite, got 1.0 MW and nan MVAr"),
+])
+def test_make_feeder_refuses_a_base_or_demand_it_cannot_build(
+    tmp_path, capsys, flag, value, message
+):
+    out = tmp_path / "f.td"
+    opts = {"--nodes": "5", "--p": "1", "--q": "0.2", "--kv": "12.47", "--out": str(out)}
+    opts[flag] = value
+    rc = main(["make-feeder", *(tok for pair in opts.items() for tok in pair)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):
     # the feeder round is serial in PCC order, so the artifacts must not
     # depend on the order in which the feeders are bound

@@ -241,9 +241,9 @@ def test_run_partitions_and_factorises_y0_y2_once(
         tsolve, "_grounded_partition", lambda y: partitioned.append(y) or partition(y)
     )
     monkeypatch.setattr(tsolve.spla, "splu", lambda a: factorised.append(a) or splu(a))
-    tsolve._sequence_network.cache_clear()
-    res = cosim.run_timeseries(
-        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=600, horizon_min=60
+    res = cosim.run_timeseries(  # a fresh holder: the session's case may hold its network
+        replace(system1, _network=[]), {6: ckt_feeder}, {"day": day_shape},
+        start_min=600, horizon_min=60,
     )
     assert len(res.steps) == 60 and all(s.converged for s in res.steps)
     assert len(partitioned) == 2  # Y0 and Y2

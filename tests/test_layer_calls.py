@@ -2,13 +2,13 @@
 
 A wrapper set on ``tsolve.nr_positive_sequence`` or ``dsolve.sweep_solve``
 sees every call the solvers make, as the traced benchmark's spans do, so
-these counts are the ones it reports: one Y-bus lookup per standalone
-transmission solve, per ``couple_step`` call and per time-loop run; one bus
-schedule per standalone solve and per step; one NR and one negative- and
-zero-sequence solve per pass; and one sweep per PCC in each coupling round
-that sweeps.
+these counts are the ones it reports: one bus schedule, and with it one
+lookup of the network the case holds, per standalone transmission solve and
+per step; one NR and one negative- and zero-sequence solve per pass; and one
+sweep per PCC in each coupling round that sweeps.
 """
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -71,15 +71,20 @@ def test_couple_step_sweeps_each_pcc_once_per_sweeping_round(system2, feeders3, 
     assert calls["nr_positive_sequence"] >= rounds
 
 
-def test_time_loop_holds_one_network_per_run(system1, ckt_feeder, day_shape, calls):
+def test_time_loop_holds_one_network_per_run(
+    system1, ckt_feeder, day_shape, calls, monkeypatch
+):
+    derived = []
+    derive = tsolve._sequence_network
+    monkeypatch.setattr(tsolve, "_sequence_network", lambda *a: derived.append(a) or derive(*a))
+    case = replace(system1, _network=[])  # the session's case may hold its network
     result = cosim.run_timeseries(
-        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
+        case, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
     )
     steps = result.steps
     assert len(steps) == 12 and all(s.converged for s in steps)
     rounds = sum(s.trace.overall_iterations for s in steps)
-    assert calls["build_sequence_ybus"] == 1
-    assert calls["bus_schedule"] == len(steps)
+    assert calls["build_sequence_ybus"] == calls["bus_schedule"] == len(steps)
     assert calls["solve_three_sequence"] == rounds
     assert calls["sweep_solve"] == rounds - len(steps)
     assert calls["nr_positive_sequence"] == calls["solve_negative"] == calls["solve_zero"]
@@ -87,9 +92,10 @@ def test_time_loop_holds_one_network_per_run(system1, ckt_feeder, day_shape, cal
 
     calls.clear()
     baseline = cosim.run_decoupled_baseline(
-        system1, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
+        case, {6: ckt_feeder}, {"day": day_shape}, start_min=1020, horizon_min=12
     )
     assert len(baseline.steps) == 3  # the 5-minute dispatch cadence
-    assert calls["build_sequence_ybus"] == 1
-    assert calls["bus_schedule"] == calls["solve_three_sequence"] == 3
+    assert calls["build_sequence_ybus"] == calls["bus_schedule"] == 3
+    assert calls["solve_three_sequence"] == 3
     assert calls["sweep_solve"] == 0
+    assert len(derived) == 1  # both runs' steps share the case's network

@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -38,8 +40,7 @@ def two_bus_case(load_p=100.0, load_q=0.0, z1=0.1j, **branch_kw):
 
 
 def solve_nr(case):
-    yb = tsolve.build_sequence_ybus(case)
-    return tsolve.nr_positive_sequence(yb, tsolve.bus_schedule(case, yb))
+    return tsolve.nr_positive_sequence(tsolve.bus_schedule(case))
 
 
 # -- Y-bus assembly ---------------------------------------------------------
@@ -82,6 +83,47 @@ def test_network_is_derived_once_per_bus_and_branch_set(case9):
     assert tsolve.build_sequence_ybus(other) is not yb
 
 
+def test_copy_with_new_buses_derives_its_own_network(case9):
+    yb = tsolve.build_sequence_ybus(case9)
+    slack = case9.buses[0]
+    raised = (replace(slack, v_setpoint=1.05),) + case9.buses[1:]
+    own = tsolve.build_sequence_ybus(replace(case9, buses=raised))
+    assert own is not yb and own.bus_index == yb.bus_index
+    assert own.v_held[0] == 1.05 and yb.v_held[0] == slack.v_setpoint
+
+
+def test_a_dropped_case_frees_its_network():
+    case = two_bus_case()
+    copies = [with_dispatch(case, [50.0]), replace(case, loads=())]
+    for copy in copies:
+        tsolve.solve_three_sequence(copy)
+    network = weakref.ref(tsolve.build_sequence_ybus(case))
+    assert all(tsolve.build_sequence_ybus(copy) is network() for copy in copies)
+    del case, copies, copy
+    gc.collect()
+    assert network() is None
+
+
+MISSING_BUS_RECORDS = {
+    "generator at nonexistent bus 99":
+        lambda c: replace(c, generators=c.generators + (replace(c.generators[0], bus=99),)),
+    "load at nonexistent bus 99":
+        lambda c: replace(c, loads=c.loads + (LoadAttachment(99, p=10.0, q=2.0),)),
+    "PCC at nonexistent bus 99":
+        lambda c: replace(c, loads=c.loads + (LoadAttachment(99, feeder_id="f"),)),
+}
+
+
+@pytest.mark.parametrize("message", list(MISSING_BUS_RECORDS))
+def test_a_record_at_a_bus_missing_from_the_network_is_named(case9, ckt_feeder, message):
+    case = MISSING_BUS_RECORDS[message](case9)
+    pcc = case.pcc_buses()
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tsolve.solve_three_sequence(case, pcc, np.ones((len(pcc), 3)))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cosim.couple_step(case, dict.fromkeys(pcc, ckt_feeder))
+
+
 @pytest.mark.parametrize("change, message", [
     ({"tap": 0.0}, "branch 1-4: tap must be positive, got 0.0"),
     ({"tap": -1.0}, "branch 1-4: tap must be positive, got -1.0"),
@@ -106,11 +148,9 @@ def test_solves_on_two_networks_do_not_share_state(case9):
     m = (51.7 + 12.3j) / 3.0
     s_pcc = [[1.15 * m, 0.925 * m, 0.925 * m]]
 
-    tsolve._sequence_network.cache_clear()
     sol_a = tsolve.solve_three_sequence(case_a, [6], s_pcc)
     after_a = tsolve.solve_three_sequence(case_b, [6], s_pcc)
-    tsolve._sequence_network.cache_clear()
-    fresh = tsolve.solve_three_sequence(case_b, [6], s_pcc)
+    fresh = tsolve.solve_three_sequence(replace(case_b, _network=[]), [6], s_pcc)
     assert not np.array_equal(sol_a.v0, fresh.v0)
     for got, want in zip((after_a.v0, after_a.v1, after_a.v2), (fresh.v0, fresh.v1, fresh.v2)):
         assert np.array_equal(got, want)
@@ -167,11 +207,11 @@ def test_divergence_raises_with_history():
 
 
 def test_nan_mismatch_is_not_converged(case9):
-    yb = tsolve.build_sequence_ybus(case9)
-    extra = np.zeros(yb.n, dtype=complex)
+    sched = tsolve.bus_schedule(case9)
+    extra = np.zeros(sched.network.n, dtype=complex)
     extra[4] = np.nan
     with pytest.raises(ConvergenceError) as err:
-        tsolve.nr_positive_sequence(yb, tsolve.bus_schedule(case9, yb), extra)
+        tsolve.nr_positive_sequence(sched, extra)
     assert np.isnan(err.value.history[-1])
 
 
@@ -255,10 +295,11 @@ def test_pv_switching_past_its_budget_raises(monkeypatch):
 
 def test_singular_jacobian_raises(case9):
     # with no admittance every Jacobian entry is zero: LAPACK reports a zero pivot
-    yb = tsolve.build_sequence_ybus(case9)
-    dead = replace(yb, y1_dense=np.zeros_like(yb.y1_dense))
+    sched = tsolve.bus_schedule(case9)
+    yb = sched.network
+    dead = replace(sched, network=replace(yb, y1_dense=np.zeros_like(yb.y1_dense)))
     with pytest.raises(SingularNetworkError, match="singular Jacobian at NR iteration 0"):
-        tsolve.nr_positive_sequence(dead, tsolve.bus_schedule(case9, yb))
+        tsolve.nr_positive_sequence(dead)
 
 
 # -- linear sequence solves -------------------------------------------------
