@@ -16,11 +16,15 @@ advances past a step once its boundary has converged.
   the bus schedule, with the sequence network the case holds, once for all
   its rounds.
   Convergence is declared when, for every PCC and phase, successive
-  transmission-side voltage magnitudes differ by less than ``eps``; the first
-  round bootstraps from each feeder's aggregate load.  Each sweep starts
+  transmission-side voltage magnitudes differ by less than ``eps``.  The
+  loop hands each step the last converged state.  From it the first round
+  predicts each feeder's head power: this step's aggregate load plus the
+  last step's losses grown with the square of the load.  With no such state
+  (a snapshot, an unbalance sweep, the first step) the first round starts
+  from the aggregate loads, as the decoupled model does.  Each sweep starts
   from the latest solution of its feeder: the previous round's, or for the
-  first round the previous step's, which the loop hands over with the whole
-  converged state.  A feeder solved on another topology starts flat.
+  first round the previous step's.  A feeder solved on another topology
+  starts flat, and its head power from its aggregate load.
 * The aggregate-PQ boundary is the decoupled model: each feeder enters as
   its aggregate load, and one transmission solve ends the step with no
   feeder sweep.  :func:`run_decoupled_baseline` runs it on the dispatch
@@ -142,8 +146,10 @@ def couple_step(
     """Iterate one transmission/distribution exchange to convergence.
 
     ``warm``, a previous step's converged state, starts the first
-    transmission solve and the first feeder sweeps; later sweeps start
-    from the previous round's feeder solutions.  The bus schedule is read
+    transmission solve and the first feeder sweeps, and predicts the PCC
+    powers of the first round (:func:`_round_one_powers`); without it they
+    are the feeders' aggregate loads.  Later sweeps start from the previous
+    round's feeder solutions.  The bus schedule is read
     once per call, on the sequence network the case holds
     (:func:`tsolve.build_sequence_ybus`).
 
@@ -161,10 +167,9 @@ def couple_step(
         case = with_dispatch(case, dispatch.p_set)
     sched = tsolve.bus_schedule(case)
 
-    # Round-1 bootstrap: feeders enter as their aggregate PQ, the same
-    # starting point the decoupled model uses.
     buses = sorted(feeders)
-    s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
+    agg = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
+    s_pcc = _round_one_powers(agg, buses, feeders, warm)
 
     trace = CouplingTrace()
     mags = None  # the last round's PCC voltage magnitudes
@@ -221,6 +226,26 @@ def couple_step(
     )
     err.trace = trace
     raise err
+
+
+def _round_one_powers(agg, buses, feeders, warm):
+    """Round 1's (k, 3) PCC powers, given each feeder's aggregate load ``agg``.
+
+    Cold, the feeders enter as ``agg``, the decoupled model's starting point.
+    When ``warm`` holds a solution of every feeder's topology, each head
+    power is predicted from the warm step's: its losses (head power less
+    aggregate load) grow with the square of the load, per phase,
+    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``; a phase whose warm
+    aggregate is zero enters as its aggregate.
+    """
+    sols = warm.feeder_solutions if warm is not None else {}
+    agg_w = [sols[b].load_for(feeders[b]) if b in sols else None for b in buses]
+    if not agg_w or any(a is None for a in agg_w):
+        return agg
+    agg_w = np.array(agg_w)
+    heads_w = np.array([sols[b].s_head for b in buses])
+    growth = np.divide(agg, agg_w, out=np.zeros_like(agg), where=agg_w != 0)
+    return agg + (heads_w - agg_w) * np.abs(growth) ** 2
 
 
 def _fail_at(exc: ConvergenceError, k: int, trace: CouplingTrace) -> None:

@@ -456,6 +456,13 @@ class FeederSolution:
         they were solved on the same topology object."""
         return self.v if self._feeder.topology() is feeder.topology() else None
 
+    def load_for(self, feeder: Feeder) -> np.ndarray | None:
+        """The (3,) aggregate load (MVA) this solution was solved at, or None
+        unless it was solved on the same topology object as ``feeder``."""
+        if self._feeder.topology() is not feeder.topology():
+            return None
+        return self._feeder.load_s.sum(axis=0)
+
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
         topo = self._feeder.topology()

@@ -121,8 +121,8 @@ def validate_case(case: TransmissionCase) -> list[str]:
     """Check every structural invariant; violations are returned, not raised."""
     violations = network_violations(case.buses, case.branches)
     id_set = set(case.bus_ids())
-    if case.base_mva <= 0:
-        violations.append(f"base_mva must be positive, got {case.base_mva}")
+    if not 0 < case.base_mva < np.inf:  # NaN fails too
+        violations.append(f"base_mva must be finite and positive, got {case.base_mva}")
 
     gen_buses = {g.bus for g in case.generators}
     for b in case.buses:

@@ -145,10 +145,13 @@ def build_sequence_ybus(case: TransmissionCase) -> SequenceYBus:
     load scaling, feeder binding) share the holder and keep the ``buses``
     and ``branches`` tuples, so they share one immutable
     :class:`SequenceYBus`.  A copy with a tuple of its own derives its
-    network again and holds that one instead.
+    network again into a holder of its own, and leaves the shared one alone.
     """
     held = case._network
-    if not held or held[0] is not case.buses or held[1] is not case.branches:
+    if held and (held[0] is not case.buses or held[1] is not case.branches):
+        held = []
+        object.__setattr__(case, "_network", held)  # a cache, outside eq and repr
+    if not held:
         held[:] = case.buses, case.branches, _sequence_network(case.buses, case.branches)
     return held[2]
 
@@ -240,8 +243,8 @@ def bus_schedule(case: TransmissionCase) -> BusSchedule:
     powers, so a caller that solves one case several times reads it once.
     """
     ybus = build_sequence_ybus(case)
-    if case.base_mva <= 0:
-        raise ValueError(f"base_mva must be positive, got {case.base_mva}")
+    if not 0 < case.base_mva < np.inf:  # NaN fails too
+        raise ValueError(f"base_mva must be finite and positive, got {case.base_mva}")
     to_pu = 1.0 / case.base_mva
     n = ybus.n
     s = [0j] * n

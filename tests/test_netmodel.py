@@ -123,6 +123,17 @@ def test_zero_base_rejected():
             tsolve.solve_three_sequence(case)
 
 
+@pytest.mark.parametrize("base_mva", [float("inf"), float("-inf"), float("nan")])
+def test_non_finite_base_rejected(base_mva):
+    # an infinite base would solve with every power at zero, a NaN one fail
+    # as a non-convergence
+    case = two_bus_case(base_mva=base_mva)
+    message = f"base_mva must be finite and positive, got {base_mva}"
+    assert message in validate_case(case)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tsolve.solve_three_sequence(case)
+
+
 def test_with_dispatch_replaces_setpoints():
     case = two_bus_case()
     updated = with_dispatch(case, [123.0])

@@ -92,6 +92,20 @@ def test_copy_with_new_buses_derives_its_own_network(case9):
     assert own.v_held[0] == 1.05 and yb.v_held[0] == slack.v_setpoint
 
 
+def test_alternating_copies_derive_one_network_each(case9, monkeypatch):
+    # a copy with a branch tuple of its own does not take over the holder it
+    # shares with its parent, so lookups that alternate between them hit
+    derived = []
+    derive = tsolve._sequence_network
+    monkeypatch.setattr(tsolve, "_sequence_network", lambda *a: derived.append(a) or derive(*a))
+    case = replace(case9, _network=[])
+    other = replace(case, branches=case.branches[:-1] + (replace(case.branches[-1]),))
+    networks = [tsolve.build_sequence_ybus(c) for c in (case, other) * 3]
+    assert len(derived) == 2
+    assert all(n is networks[k % 2] for k, n in enumerate(networks))
+    assert networks[0] is not networks[1]
+
+
 def test_a_dropped_case_frees_its_network():
     case = two_bus_case()
     copies = [with_dispatch(case, [50.0]), replace(case, loads=())]
