@@ -10,6 +10,8 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
 from . import cosim, dsolve, ed, io
 from .errors import ConvergenceError, ParseError, TdcosimError
 from .netmodel import LoadAttachment, TransmissionCase, validate_case
@@ -92,18 +94,13 @@ def _dispatch(args, case, feeders) -> ed.DispatchResult | None:
 
 
 def _print_snapshot_table(trace: cosim.CouplingTrace, eps: float) -> None:
-    buses = sorted({r.pcc_bus for r in trace.rows})
-    for bus in buses:
-        rows = trace.rows_for(bus)
-        iters = [r.iteration for r in rows]
+    for i, bus in enumerate(trace.pcc_buses):
         print(f"Voltage convergence at T&D PCC (bus {bus}), eps={eps:g} pu")
-        header = f"  {'network':<14}{'phase':<7}" + "".join(
-            f"it{k:<8}" for k in iters
-        )
-        print(header)
-        for side, attr in (("transmission", "v_trans_mag"), ("distribution", "v_dist_mag")):
+        rounds = "".join(f"it{k:<8}" for k in range(1, len(trace.v_trans) + 1))
+        print(f"  {'network':<14}{'phase':<7}{rounds}")
+        for side, mags in (("transmission", trace.v_trans), ("distribution", trace.v_dist)):
             for p, phase in enumerate("abc"):
-                vals = "".join(f"{getattr(r, attr)[p]:<10.4f}" for r in rows)
+                vals = "".join(f"{m[i, p]:<10.4f}" for m in mags)
                 print(f"  {side:<14}{phase:<7}{vals}")
         print(f"  N (bus {bus}) = {trace.iterations_to_converge.get(bus, '-')}")
     print(f"  overall N = {trace.overall_iterations}")
@@ -192,12 +189,11 @@ def _write_comparison(coupled, baseline, outdir) -> None:
     for step in coupled.steps:
         if not step.converged or step.t_min not in by_t:
             continue
-        base = by_t[step.t_min]
-        for bus in sorted(step.state.pcc_voltages):
-            vc = step.state.pcc_voltages[bus].magnitudes()
-            vd = base.state.pcc_voltages[bus].magnitudes()
-            for p, phase in enumerate("abc"):
-                rows.append([step.t_min, bus, phase, repr(float(vc[p])), repr(float(vd[p]))])
+        vc = np.abs(step.state.v_pcc).tolist()
+        vd = np.abs(by_t[step.t_min].state.v_pcc).tolist()
+        for bus, coupled_v, decoupled_v in zip(step.state.pcc_buses, vc, vd):
+            for phase, c, d in zip("abc", coupled_v, decoupled_v):
+                rows.append([step.t_min, bus, phase, repr(c), repr(d)])
     header = ["time_min", "pcc_bus", "phase", "v_coupled_pu", "v_decoupled_pu"]
     io._write_csv(Path(outdir) / "pcc_compare.csv", header, rows)
 

@@ -11,10 +11,10 @@ advances past a step once its boundary has converged.
   is swept at its commanded head voltage, one after another in PCC order,
   and the per-phase head powers feed the next transmission solve.  The
   exchange is kept as (k, 3) arrays, one row per PCC in sorted bus order,
-  down to each sweep's (3,) head voltage and back from its (3,) head power;
-  only the converged :class:`CoupledState` holds records.  The step reads
-  the bus schedule, with the sequence network the case holds, once for all
-  its rounds.
+  down to each sweep's (3,) head voltage and back from its (3,) head power,
+  and so are the step's trace and converged state.  The step reads the bus
+  schedule, with the sequence network the case holds, once for all its
+  rounds.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``.  The
   loop hands each step the last converged state.  From it the first round
@@ -44,29 +44,29 @@ import numpy as np
 from . import dsolve, ed, tsolve
 from .errors import ConvergenceError, TdcosimError
 from .netmodel import TransmissionCase, validate_case, with_dispatch
-from .seqxform import PhasePowers, PhaseVoltages
+from .seqxform import PhaseVoltages
 
 COUPLING_EPS = 1e-4
 MAX_ROUNDS = 50
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    pcc_bus: int
-    iteration: int
-    v_trans_mag: tuple[float, float, float]
-    v_dist_mag: tuple[float, float, float]
-    mismatch: float  # max per-phase |V| change vs previous iteration
-
-
 @dataclass
 class CouplingTrace:
-    rows: list[TraceRow] = field(default_factory=list)
+    """Each round of a step's PCC exchange: the (k, 3) transmission- and
+    distribution-side |V| and the (k,) mismatch, the largest per-phase |V|
+    change since the round before, one row per PCC in ``pcc_buses`` order."""
+
+    pcc_buses: tuple[int, ...] = ()
+    v_trans: list[np.ndarray] = field(default_factory=list)
+    v_dist: list[np.ndarray] = field(default_factory=list)
+    mismatch: list[np.ndarray] = field(default_factory=list)
     iterations_to_converge: dict[int, int] = field(default_factory=dict)
     overall_iterations: int = 0
 
-    def rows_for(self, pcc_bus: int) -> list[TraceRow]:
-        return [r for r in self.rows if r.pcc_bus == pcc_bus]
+    def add_round(self, v_trans, v_dist, mismatch) -> None:
+        self.v_trans.append(v_trans)
+        self.v_dist.append(v_dist)
+        self.mismatch.append(mismatch)
 
 
 @dataclass
@@ -75,18 +75,15 @@ class CoupledState:
 
     seq: tsolve.SequenceSolution
     feeder_solutions: dict[int, dsolve.FeederSolution]
-    pcc_voltages: dict[int, PhaseVoltages]  # keyed in PCC order
-    pcc_powers: dict[int, PhasePowers]
+    pcc_buses: tuple[int, ...]
+    v_pcc: np.ndarray  # (k, 3) complex pu, one row per PCC in pcc_buses order
+    s_pcc: np.ndarray  # (k, 3) complex MVA the last transmission solve consumed
 
-
-def _state(seq, fsols, buses, v_pcc, s_pcc) -> CoupledState:
-    """The records of an exchange held as (k, 3) arrays in ``buses`` order."""
-    return CoupledState(
-        seq,
-        fsols,
-        {bus: PhaseVoltages.from_array(v) for bus, v in zip(buses, v_pcc)},
-        {bus: PhasePowers.from_array(s) for bus, s in zip(buses, s_pcc)},
-    )
+    @property
+    def pcc_voltages(self) -> dict[int, PhaseVoltages]:
+        """``v_pcc`` as ``{bus: PhaseVoltages}``, a view that exists only for
+        the benchmark's reference check (``bench/workloads.py``)."""
+        return {bus: PhaseVoltages.from_array(v) for bus, v in zip(self.pcc_buses, self.v_pcc)}
 
 
 @dataclass
@@ -153,9 +150,13 @@ def couple_step(
     once per call, on the sequence network the case holds
     (:func:`tsolve.build_sequence_ybus`).
 
+    Round 1 enters the trace with an ``inf`` mismatch and, no feeder being
+    swept yet, its transmission |V| on both sides.
+
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
-    a feeder sweep fails; a failed solve or sweep names its round.
+    a feeder sweep fails; a failed solve or sweep names its round, and the
+    trace of a failed solve ends with the round before it.
     """
     if not 0 < eps < np.inf:
         raise ValueError(f"eps must be finite and positive, got {eps}")
@@ -167,11 +168,11 @@ def couple_step(
         case = with_dispatch(case, dispatch.p_set)
     sched = tsolve.bus_schedule(case)
 
-    buses = sorted(feeders)
+    buses = tuple(sorted(feeders))
     agg = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
     s_pcc = _round_one_powers(agg, buses, feeders, warm)
 
-    trace = CouplingTrace()
+    trace = CouplingTrace(buses)
     mags = None  # the last round's PCC voltage magnitudes
     since = [0] * len(buses)  # round since which each PCC stayed below eps
     seq = warm.seq if warm is not None else None
@@ -194,18 +195,17 @@ def couple_step(
         # distribution side: head voltage of the latest feeder solve
         # (one exchange behind the transmission iterate, like Table 1)
         head_mags = np.abs([fsols[b].v[0] for b in buses]) if fsols else mags
-        rows = zip(buses, mags.tolist(), head_mags.tolist(), mismatch.tolist())
-        trace.rows += [TraceRow(b, k, tuple(vt), tuple(vd), dv) for b, vt, vd, dv in rows]
+        trace.add_round(mags, head_mags, mismatch)
 
         if not feeders:
             # Degenerate but legal: nothing to couple, one solve suffices.
             trace.overall_iterations = k
-            return CoupledState(seq, {}, {}, {}), trace
+            return CoupledState(seq, {}, buses, v_pcc, s_pcc), trace
 
         if k >= 2 and all(below):
             trace.overall_iterations = k
             trace.iterations_to_converge = dict(zip(buses, since))
-            return _state(seq, fsols, buses, v_pcc, s_pcc), trace
+            return CoupledState(seq, fsols, buses, v_pcc, s_pcc), trace
 
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
@@ -220,9 +220,10 @@ def couple_step(
         s_pcc = np.array([fsols[b].s_head for b in buses])
 
     trace.overall_iterations = max_rounds
+    mismatch = np.concatenate(trace.mismatch)  # round-major
     err = ConvergenceError(
         f"PCC coupling did not converge within {max_rounds} rounds at eps={eps:g}",
-        [r.mismatch for r in trace.rows if np.isfinite(r.mismatch)],
+        mismatch[np.isfinite(mismatch)].tolist(),
     )
     err.trace = trace
     raise err
@@ -235,17 +236,19 @@ def _round_one_powers(agg, buses, feeders, warm):
     When ``warm`` holds a solution of every feeder's topology, each head
     power is predicted from the warm step's: its losses (head power less
     aggregate load) grow with the square of the load, per phase,
-    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``; a phase whose warm
-    aggregate is zero enters as its aggregate.
+    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``, where ``heads_w`` is the
+    warm ``s_pcc``, the sweeps' head powers; a phase whose warm aggregate is
+    zero enters as its aggregate.
     """
-    sols = warm.feeder_solutions if warm is not None else {}
+    if warm is None or warm.pcc_buses != buses:
+        return agg
+    sols = warm.feeder_solutions
     agg_w = [sols[b].load_for(feeders[b]) if b in sols else None for b in buses]
     if not agg_w or any(a is None for a in agg_w):
         return agg
     agg_w = np.array(agg_w)
-    heads_w = np.array([sols[b].s_head for b in buses])
-    growth = np.divide(agg, agg_w, out=np.zeros_like(agg), where=agg_w != 0)
-    return agg + (heads_w - agg_w) * np.abs(growth) ** 2
+    growth = agg / np.where(agg_w != 0, agg_w, np.inf)
+    return agg + (warm.s_pcc - agg_w) * np.abs(growth) ** 2
 
 
 def _fail_at(exc: ConvergenceError, k: int, trace: CouplingTrace) -> None:
@@ -292,12 +295,12 @@ def _check_shape_coverage(case, shapes, start_min, horizon_min):
 def _aggregate_pq_boundary(case, feeders, warm):
     """Decoupled boundary: feeders as aggregate PQ, one transmission solve.
 
-    The trace carries one round so the result shares the coupled run's
-    shape; a :class:`ConvergenceError` carries it too, with no rows.
+    The trace carries one round (mismatch 0.0) so the result shares the
+    coupled run's shape; a :class:`ConvergenceError` carries it too, empty.
     """
-    buses = sorted(feeders)
+    buses = tuple(sorted(feeders))
     s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
-    trace = CouplingTrace(overall_iterations=1)
+    trace = CouplingTrace(buses, overall_iterations=1)
     try:
         seq = tsolve.solve_three_sequence(
             case, buses, s_pcc, warm=warm.seq if warm is not None else None
@@ -306,10 +309,10 @@ def _aggregate_pq_boundary(case, feeders, warm):
         exc.trace = trace
         raise
     v_pcc = seq.phase_voltages(buses)
-    for bus, mags in zip(buses, np.abs(v_pcc).tolist()):
-        trace.rows.append(TraceRow(bus, 1, tuple(mags), tuple(mags), 0.0))
-        trace.iterations_to_converge[bus] = 1
-    return _state(seq, {}, buses, v_pcc, s_pcc), trace
+    mags = np.abs(v_pcc)
+    trace.add_round(mags, mags, np.zeros(len(buses)))
+    trace.iterations_to_converge = dict.fromkeys(buses, 1)
+    return CoupledState(seq, {}, buses, v_pcc, s_pcc), trace
 
 
 def _time_loop(

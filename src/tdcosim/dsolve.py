@@ -221,14 +221,16 @@ class _SweepPlan:
     subtree runs to the row's slot ``end``, ``by_end`` lists a row's slots
     by where their subtrees end and ``n_ended`` counts the row's slots whose
     subtree ended at or before a slot's node; ``by_end`` indexes the rows,
-    the other two a (3, width + 1) work array, all seen flat.
+    the other two a (3, width + 1) work array, all seen flat.  A feeder that
+    fails :func:`feeder_problems`, however it was built, gets no plan.
     """
 
     def __init__(self, feeder: Feeder):
         topo = feeder.topology()
-        self.load_at, problems = _place_loads(feeder, topo)  # (m,)
+        problems = feeder_problems(feeder)
         if problems:
             raise ValueError(f"feeder {feeder.name!r}: " + "; ".join(map(str, problems)))
+        self.load_at = _place_loads(feeder, topo)[0]  # (m,)
         n = len(topo.node_order)
         rows = [np.flatnonzero(topo.mask[:, p]) for p in range(3)]
         w = self.width = max(map(len, rows))
@@ -407,9 +409,9 @@ def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[Feed
 def feeder_problems(feeder: Feeder) -> list[FeederProblem]:
     """Structural checks; each violation with the record it is in."""
     problems: list[FeederProblem] = []
-    if feeder.base_kv <= 0:
+    if not 0 < feeder.base_kv < np.inf:
         problems.append(FeederProblem("base_kv must be positive", "base_kv"))
-    if feeder.base_mva <= 0:
+    if not 0 < feeder.base_mva < np.inf:
         problems.append(FeederProblem("base_mva must be positive", "base_mva"))
     try:
         topo = feeder.topology()

@@ -645,19 +645,21 @@ def write_results(result, outdir) -> list[Path]:
 
     rows = []
     for step in result.steps:
-        for row in step.trace.rows:
-            if row.iteration != step.trace.overall_iterations:
-                continue
-            for phase, vt, vd in zip("abc", row.v_trans_mag, row.v_dist_mag):
-                rows.append([step.t_min, row.pcc_bus, phase, repr(vt), repr(vd)])
+        trace = step.trace
+        if trace.v_trans and len(trace.v_trans) == trace.overall_iterations:  # last round solved
+            last = zip(trace.pcc_buses, trace.v_trans[-1].tolist(), trace.v_dist[-1].tolist())
+            for bus, v_trans, v_dist in last:
+                for phase, vt, vd in zip("abc", v_trans, v_dist):
+                    rows.append([step.t_min, bus, phase, repr(vt), repr(vd)])
     path = outdir / "pcc_voltages.csv"
     _write_csv(path, ["time_min", "pcc_bus", "phase", "v_trans_pu", "v_dist_pu"], rows)
     written.append(path)
 
     rows = []
     for step in result.steps:
-        for row in step.trace.rows:
-            rows.append([step.t_min, row.pcc_bus, row.iteration, repr(row.mismatch)])
+        for k, mismatch in enumerate(step.trace.mismatch, 1):
+            for bus, dv in zip(step.trace.pcc_buses, mismatch.tolist()):
+                rows.append([step.t_min, bus, k, repr(dv)])
     path = outdir / "coupling_trace.csv"
     _write_csv(path, ["time_min", "pcc_bus", "iteration", "mismatch_pu"], rows)
     written.append(path)

@@ -89,10 +89,6 @@ class PhasePowers:
     def from_array(cls, s: np.ndarray) -> "PhasePowers":
         return cls(complex(s[0]), complex(s[1]), complex(s[2]))
 
-    @classmethod
-    def zero(cls) -> "PhasePowers":
-        return cls(0j, 0j, 0j)
-
     def total(self) -> complex:
         return self.sa + self.sb + self.sc
 

@@ -76,10 +76,9 @@ def test_criterion_3_table1_structure(system1, ckt_feeder):
     state, trace = cosim.couple_step(
         system1, feeders, dispatch=_dispatch(system1, feeders), eps=eps
     )
-    final = [r for r in trace.rows if r.iteration == trace.overall_iterations]
-    for row in final:
-        both = np.abs(np.array(row.v_trans_mag) - np.array(row.v_dist_mag))
-        assert np.max(both) < eps
+    final = trace.overall_iterations - 1
+    both = np.abs(trace.v_trans[final] - trace.v_dist[final])
+    assert np.max(both) < eps
     mags = state.pcc_voltages[6].magnitudes()
     assert mags.max() - mags.min() < 1e-6
     print(

@@ -140,7 +140,8 @@ def test_snapshot_no_dispatch_keeps_the_case_setpoints(paths, tmp_path):
     case, feeders = _attach_feeders(io.load_case(paths["case"]).case, [(paths["feeder"], 6)])
     _, trace = cosim.couple_step(case, feeders)  # at the case file's setpoints
     v_trans = [row.split(",")[3] for row in lines("kept", "pcc_voltages.csv")[1:]]
-    assert v_trans == [repr(v) for v in trace.rows[-1].v_trans_mag]
+    (last,) = trace.v_trans[-1].tolist()  # the one PCC's final round
+    assert v_trans == [repr(v) for v in last]
     assert lines("kept", "pcc_voltages.csv") != lines("ed", "pcc_voltages.csv")
 
 

@@ -16,6 +16,14 @@ def dispatch_for(case, feeders):
     return ed.dispatch(case.generators, cosim.forecast_demand_mw(case, feeders))
 
 
+def assert_same_trace(a, b):
+    """The two traces hold the same rounds, bit for bit, and the same counts."""
+    assert (a.pcc_buses, a.iterations_to_converge, a.overall_iterations) == (
+        b.pcc_buses, b.iterations_to_converge, b.overall_iterations)
+    for name in ("v_trans", "v_dist", "mismatch"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
 @pytest.fixture(scope="module")
 def sys1_state(system1, ckt_feeder):
     feeders = {6: ckt_feeder}
@@ -35,15 +43,14 @@ def test_system1_balanced_converges_quickly(sys1_state):
 
 def test_final_round_mismatch_below_eps(sys1_state):
     _, trace = sys1_state
-    last = [r for r in trace.rows if r.iteration == trace.overall_iterations]
-    assert all(r.mismatch < 1e-4 for r in last)
+    last = trace.mismatch[trace.overall_iterations - 1]
+    assert (last < 1e-4).all()
 
 
 def test_both_sides_agree_at_final_iteration(sys1_state):
     state, trace = sys1_state
-    for row in trace.rows:
-        if row.iteration == trace.overall_iterations:
-            assert np.allclose(row.v_trans_mag, row.v_dist_mag, atol=1e-4)
+    final = trace.overall_iterations - 1
+    assert np.allclose(trace.v_trans[final], trace.v_dist[final], atol=1e-4)
     # the feeder solutions are one exchange behind the final transmission
     # iterate, so their head voltage agrees with the PCC voltage within eps
     for bus, fsol in state.feeder_solutions.items():
@@ -65,14 +72,25 @@ def sys2_state(system2, feeders3):
 @pytest.mark.parametrize("states", ["sys1_state", "sys2_state"])
 def test_converged_transmission_consumed_head_powers_verbatim(states, request):
     state, trace = request.getfixturevalue(states)
-    assert list(state.pcc_voltages) == list(state.pcc_powers) == sorted(state.feeder_solutions)
-    for bus, fsol in state.feeder_solutions.items():
-        assert state.pcc_powers[bus].as_array() == pytest.approx(fsol.s_head, abs=0)
+    buses = state.pcc_buses
+    assert buses == trace.pcc_buses == tuple(sorted(state.feeder_solutions))
+    assert state.v_pcc.shape == state.s_pcc.shape == trace.v_trans[-1].shape == (len(buses), 3)
+    assert trace.mismatch[-1].shape == (len(buses),)
+    for row, bus in enumerate(buses):
+        assert np.array_equal(state.s_pcc[row], state.feeder_solutions[bus].s_head)
         i = state.seq.bus_index[bus]
         v012 = np.array([state.seq.v0[i], state.seq.v1[i], state.seq.v2[i]])
         v_abc = FORTESCUE @ v012
-        assert np.array_equal(state.pcc_voltages[bus].as_array(), v_abc)
-        assert trace.rows_for(bus)[-1].v_trans_mag == tuple(np.abs(v_abc).tolist())
+        assert np.array_equal(state.v_pcc[row], v_abc)
+        assert np.array_equal(trace.v_trans[-1][row], np.abs(v_abc))
+
+
+def test_pcc_voltages_view_reads_the_arrays(sys2_state):
+    state, _ = sys2_state
+    view = state.pcc_voltages
+    assert tuple(view) == state.pcc_buses
+    for v, row in zip(view.values(), state.v_pcc, strict=True):
+        assert np.array_equal(v.as_array(), row)
 
 
 def test_balanced_phases_agree(sys1_state):
@@ -107,7 +125,7 @@ def test_zero_load_feeder_two_rounds(system1, ckt_feeder):
     sol = tsolve.solve_three_sequence(system1)
     expected = abs(sol.v1[sol.bus_index[6]])
     assert state.pcc_voltages[6].magnitudes() == pytest.approx(expected, abs=1e-9)
-    assert state.pcc_powers[6].total() == 0
+    assert state.s_pcc.sum() == 0
 
 
 def test_multi_feeder_overall_is_max(system2, feeders3):
@@ -151,8 +169,9 @@ def test_runs_check_the_feeder_binding(system1, ckt_feeder, day_shape, run, buse
 def test_nonconvergence_carries_trace(system1, ckt_feeder):
     with pytest.raises(ConvergenceError) as err:
         cosim.couple_step(system1, {6: ckt_feeder}, eps=1e-12, max_rounds=3)
-    assert err.value.trace.overall_iterations == 3
-    assert len(err.value.trace.rows) == 3
+    trace = err.value.trace
+    assert trace.overall_iterations == 3
+    assert len(trace.v_trans) == len(trace.v_dist) == len(trace.mismatch) == 3
 
 
 def test_feeder_collapse_is_unconverged_with_trace(system1, ckt_feeder):
@@ -164,7 +183,7 @@ def test_feeder_collapse_is_unconverged_with_trace(system1, ckt_feeder):
     assert err.value.history
     trace = err.value.trace
     k = trace.overall_iterations
-    assert [r.iteration for r in trace.rows] == list(range(1, k + 1))
+    assert len(trace.v_trans) == len(trace.mismatch) == k  # rounds 1 to k
 
 
 def test_determinism_across_jobs(system2, feeders3):
@@ -175,10 +194,9 @@ def test_determinism_across_jobs(system2, feeders3):
     state1, trace1 = cosim.couple_step(system2, feeders3, dispatch=disp)
     state2, trace2 = cosim.couple_step(system2, reordered, dispatch=disp)
     assert trace1.overall_iterations == trace2.overall_iterations
-    assert len(trace1.rows) == len(trace2.rows)
-    for r1, r2 in zip(trace1.rows, trace2.rows):
-        assert r1.pcc_bus == r2.pcc_bus and r1.iteration == r2.iteration
-        assert r1.v_trans_mag == r2.v_trans_mag
+    assert trace1.pcc_buses == trace2.pcc_buses
+    assert len(trace1.v_trans) == len(trace2.v_trans)
+    np.testing.assert_array_equal(trace1.v_trans, trace2.v_trans)
     for bus in feeders3:
         assert np.array_equal(
             state1.feeder_solutions[bus].v, state2.feeder_solutions[bus].v
@@ -307,8 +325,7 @@ def test_each_sweep_starts_from_the_last_solution(system1, ckt_feeder, flat_shap
     cold = sweeps[0][1].iterations
     assert all(sol.iterations < cold for _, sol in sweeps[1:])
     # a warm minute still reports the transmission magnitudes in round 1
-    assert all(r.v_dist_mag == r.v_trans_mag
-               for s in res.steps for r in s.trace.rows if r.iteration == 1)
+    assert all(np.array_equal(s.trace.v_dist[0], s.trace.v_trans[0]) for s in res.steps)
     # alpha rows of an unbalance sweep stay independent
     sweeps.clear()
     sweep = cosim.sweep_unbalance(system1, {6: ckt_feeder}, [0.0, 0.1])
@@ -326,7 +343,8 @@ def test_timeseries_is_repeatable_and_free_of_feeder_order(system2, feeders3, da
     reordered = {bus: feeders3[bus] for bus in sorted(feeders3, reverse=True)}
     for other in (run(feeders3), run(reordered)):
         for a, b in zip(first.steps, other.steps, strict=True):
-            assert a.converged and a.trace == b.trace
+            assert a.converged
+            assert_same_trace(a.trace, b.trace)
             for bus in feeders3:
                 fa, fb = a.state.feeder_solutions[bus], b.state.feeder_solutions[bus]
                 assert fa.iterations == fb.iterations
@@ -412,13 +430,14 @@ def test_baseline_trace_and_aggregate_powers(system1, ckt_feeder, day_shape):
         trace = step.trace
         assert trace.overall_iterations == 1
         assert trace.iterations_to_converge == {6: 1}
-        (row,) = trace.rows
-        assert (row.pcc_bus, row.iteration, row.mismatch) == (6, 1, 0.0)
-        assert row.v_dist_mag == row.v_trans_mag
-        assert row.v_trans_mag == tuple(step.state.pcc_voltages[6].magnitudes())
+        assert trace.pcc_buses == step.state.pcc_buses == (6,)
+        (v_trans,), (v_dist,), (mismatch,) = trace.v_trans, trace.v_dist, trace.mismatch
+        assert mismatch.tolist() == [0.0]
+        assert np.array_equal(v_dist, v_trans)
+        assert np.array_equal(v_trans, np.abs(step.state.v_pcc))
         assert step.state.feeder_solutions == {}
         scaled = dsolve.scale_loads(ckt_feeder, day_shape.multiplier(step.t_min))
-        assert step.state.pcc_powers[6] == dsolve.aggregate_load(scaled)
+        assert np.array_equal(step.state.s_pcc, [dsolve.aggregate_load(scaled).as_array()])
 
 
 def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
@@ -432,20 +451,21 @@ def test_baseline_stops_at_unconverged_step(system1, ckt_feeder, day_shape):
     assert not res.steps[-1].converged
     assert res.steps[-1].state is None
     assert all(s.converged and s.error is None for s in res.steps[:-1])
-    # the failed step says why and carries its one round, with no rows
+    # the failed step says why and carries its one round, with no arrays
     reason = re.fullmatch(
         r"positive-sequence NR did not reach 1e-08 pu in 30 iterations \(last mismatch (\S+)\)",
         res.steps[-1].error,
     )
     assert reason and float(reason[1]) > tsolve.NR_TOL
     assert res.steps[-1].trace.overall_iterations == 1
-    assert res.steps[-1].trace.rows == []
+    trace = res.steps[-1].trace
+    assert trace.v_trans == trace.v_dist == trace.mismatch == []
 
 
 def test_transmission_failure_after_round_one_names_its_round(system1, ckt_feeder, monkeypatch):
     # heavy loads collapse a feeder before any solve after round 1 fails, so
     # the second solve is made to fail: the error names its round and
-    # carries the rows of the round before
+    # carries the arrays of the round before
     solve, calls = tsolve.solve_three_sequence, []
 
     def second_fails(*args, **kwargs):
@@ -459,7 +479,7 @@ def test_transmission_failure_after_round_one_names_its_round(system1, ckt_feede
         cosim.couple_step(system1, {6: ckt_feeder})
     assert err.value.history == [1.0]
     assert err.value.trace.overall_iterations == 2
-    assert [row.iteration for row in err.value.trace.rows] == [1]
+    assert len(err.value.trace.v_trans) == len(err.value.trace.mismatch) == 1
 
 
 def test_baseline_runs_the_whole_window_at_seven_times_the_load(system1, ckt_feeder, day_shape):
@@ -518,7 +538,7 @@ def noisy_day(day_shape):
     return {"day": replace(day_shape, multipliers=tuple(day_shape.multipliers * noise))}
 
 
-def _record_pcc_powers(monkeypatch):
+def _record_s_pcc(monkeypatch):
     """Record the PCC powers that every transmission solve consumes."""
     seen = []
     solve = tsolve.solve_three_sequence
@@ -553,8 +573,7 @@ def test_warm_steps_take_two_rounds_near_the_tight_exchange(
     )
     assert [s.trace.overall_iterations for s in res.steps] == [3] + [2] * 59
     gap = np.array([
-        max(np.abs(s.state.pcc_voltages[b].as_array() - t.state.pcc_voltages[b].as_array()).max()
-            for b in buses)
+        np.abs(s.state.v_pcc - t.state.v_pcc).max()
         for s, t in zip(res.steps, tight.steps, strict=True)
     ])
     # measured: 4.2e-8 and 7.8e-9 (1 PCC), 6.9e-8 and 1.4e-8 (3 PCCs)
@@ -567,7 +586,7 @@ def test_warm_start_predicts_the_head_powers(system1, ckt_feeder, monkeypatch):
     feeders = {6: ckt_feeder}
     warm, _ = cosim.couple_step(system1, feeders)
     grown = {6: dsolve.scale_loads(ckt_feeder, 1.1)}
-    seen = _record_pcc_powers(monkeypatch)
+    seen = _record_s_pcc(monkeypatch)
     _, trace = cosim.couple_step(system1, grown, warm=warm)
     assert trace.overall_iterations == 2
     # the warm losses grow with the square of the load
@@ -576,10 +595,10 @@ def test_warm_start_predicts_the_head_powers(system1, ckt_feeder, monkeypatch):
     assert seen[0][0] == pytest.approx(1.1 * agg_w + 1.21 * losses, rel=1e-12)
 
 
-@pytest.mark.parametrize("which", ["decoupled", "another feeder", "zero multiplier",
-                                   "zero warm aggregate"])
+@pytest.mark.parametrize("which", ["decoupled", "another feeder", "other PCCs",
+                                   "zero multiplier", "zero warm aggregate"])
 def test_warm_start_falls_back_to_the_aggregate(
-    system1, ckt_feeder, flat_shape, monkeypatch, which
+    system1, system2, ckt_feeder, flat_shape, monkeypatch, which
 ):
     feeders = {6: ckt_feeder}
     idle = {6: dsolve.scale_loads(ckt_feeder, 0.0)}
@@ -590,11 +609,13 @@ def test_warm_start_falls_back_to_the_aggregate(
         rebuilt = dsolve.Feeder(ckt_feeder.base_kv, ckt_feeder.base_mva, ckt_feeder.head,
                                 *feeder_records(ckt_feeder))
         warm = cosim.couple_step(system1, {6: rebuilt})[0]
+    elif which == "other PCCs":  # bus 6 solved on this topology, beside buses 5 and 8
+        warm = cosim.couple_step(system2, dict.fromkeys((5, 6, 8), ckt_feeder))[0]
     elif which == "zero multiplier":  # this step has no load
         warm, feeders = cosim.couple_step(system1, feeders)[0], idle
     else:  # the warm step had none
         warm = cosim.couple_step(system1, idle)[0]
-    seen = _record_pcc_powers(monkeypatch)
+    seen = _record_s_pcc(monkeypatch)
     _, trace = cosim.couple_step(system1, feeders, warm=warm)
     assert np.array_equal(seen[0], _aggregates(feeders))
     assert trace.overall_iterations >= 2
@@ -615,7 +636,7 @@ def test_warm_start_falls_back_per_phase(system1, monkeypatch):
     warm, _ = cosim.couple_step(system1, {6: lopsided})
     assert warm.feeder_solutions[6].load_for(lopsided)[2] == 0
     even = {6: dsolve.apply_unbalance(lopsided, 0.0)}
-    seen = _record_pcc_powers(monkeypatch)
+    seen = _record_s_pcc(monkeypatch)
     _, trace = cosim.couple_step(system1, even, warm=warm)
     agg = _aggregates(even)[0]
     assert agg[2] != 0 and seen[0][0][2] == agg[2]
@@ -642,11 +663,10 @@ def test_snapshots_and_sweeps_start_cold(system2, feeders3, data_dir, monkeypatc
     for args, kwargs, (state, trace) in calls:
         assert kwargs.get("warm") is None
         cold_state, cold_trace = couple(*args, **{**kwargs, "warm": None})
-        assert cold_trace == trace
-        for bus, v in state.pcc_voltages.items():
-            assert np.array_equal(v.as_array(), cold_state.pcc_voltages[bus].as_array())
-            assert np.array_equal(state.pcc_powers[bus].as_array(),
-                                  cold_state.pcc_powers[bus].as_array())
+        assert_same_trace(cold_trace, trace)
+        assert state.pcc_buses == cold_state.pcc_buses
+        assert np.array_equal(state.v_pcc, cold_state.v_pcc)
+        assert np.array_equal(state.s_pcc, cold_state.s_pcc)
 
 
 # -- unbalance sweep ----------------------------------------------------------

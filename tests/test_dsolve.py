@@ -121,6 +121,50 @@ def test_sweep_rejects_a_load_off_the_lines(load, message):
     assert str(err.value) == f"feeder 'feeder': {message}"
 
 
+def _zero_b(z):
+    z[1, 1] = 0.0
+    return z
+
+
+def _lopsided(z):
+    z[0, 1] = 0.1j
+    return z
+
+
+@pytest.mark.parametrize("lines, message", [
+    ((FeederLine("head", "n1", "a", np.array([[0.5 + 1.0j]])),
+      FeederLine("n1", "n2", "abc", z3(0.5 + 1.0j))),
+     "line n1-n2: phases 'abc' not all present on parent path"),
+    ((FeederLine("head", "n1", "abc", _zero_b(z3(0.5 + 1.0j))),),
+     "line head-n1: zero self-impedance on a present phase"),
+    ((FeederLine("head", "n1", "abc", _lopsided(z3(0.5 + 1.0j))),),
+     "line head-n1: impedance matrix is not symmetric"),
+], ids=["uncovered phase", "zero self-impedance", "asymmetric pad"])
+def test_sweep_rejects_a_line_the_checks_reject(lines, message):
+    # A feeder built from records is checked at its first sweep, not only
+    # when it is parsed: 1 MVA per phase at the end of the lines.
+    load = PhaseLoad(lines[-1].to_node, dict.fromkeys("abc", 1.0 + 0j))
+    f = Feeder(12.47, 100.0, "head", lines, (load,))
+    assert validate(f) == [message]
+    with pytest.raises(ValueError) as err:
+        sweep_solve(f, PhaseVoltages.balanced(1.0))
+    assert str(err.value) == f"feeder 'feeder': {message}"
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 0.0])
+@pytest.mark.parametrize("base", ["base_kv", "base_mva"])
+def test_feeder_bases_must_be_finite_and_positive(base, value):
+    f = simple_feeder(dict.fromkeys("abc", 1.0 + 0j))
+    bases = {"base_kv": f.base_kv, "base_mva": f.base_mva, base: value}
+    g = Feeder.from_arrays(bases["base_kv"], bases["base_mva"], f.head, f.line_from,
+                           f.line_to, f.line_phases, f.line_z, f.load_nodes, f.load_phases,
+                           f.load_s, name="bad")
+    assert validate(g) == [f"{base} must be positive"]
+    with pytest.raises(ValueError) as err:
+        sweep_solve(g, PhaseVoltages.balanced(1.0))
+    assert str(err.value) == f"feeder 'bad': {base} must be positive"
+
+
 def test_line_checks_report_in_topology_order():
     lopsided = z3(1.0j)
     lopsided[0, 1] = 0.5j

@@ -418,7 +418,7 @@ def _tiny_run(system1, ckt_feeder, flat_shape, tmp_path, sub):
 
 def test_written_files_and_shapes(system1, ckt_feeder, flat_shape, tmp_path):
     res, out = _tiny_run(system1, ckt_feeder, flat_shape, tmp_path, "a")
-    trace_rows = sum(len(s.trace.rows) for s in res.steps)
+    trace_rows = sum(m.size for s in res.steps for m in s.trace.mismatch)
     lines = (out / "coupling_trace.csv").read_text().splitlines()
     assert len(lines) == trace_rows + 1  # header + one row per PCC iteration
     v_lines = (out / "pcc_voltages.csv").read_text().splitlines()

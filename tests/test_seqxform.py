@@ -117,7 +117,7 @@ def test_unity_voltage_currents():
 
 def test_zero_power_zero_currents():
     i = phase_currents_from_power(
-        PhasePowers.zero().as_array(), PhaseVoltages.balanced(1.0).as_array()
+        np.zeros(3, dtype=complex), PhaseVoltages.balanced(1.0).as_array()
     )
     assert np.all(i == 0)
 

@@ -510,7 +510,7 @@ def test_unbalanced_pcc_load_matches_hand_transform():
 
 
 def test_zero_power_zero_injection():
-    i0, s1, i2 = pcc_injection(PhasePowers.zero())
+    i0, s1, i2 = pcc_injection(PhasePowers(0j, 0j, 0j))
     assert s1 == 0 and i2 == 0 and i0 == 0
 
 
