@@ -5,12 +5,13 @@ node's children in line order, so every subtree is a range of nodes and a
 sweep is a few O(n) prefix sums at any depth.  The solver is a
 backward/forward sweep over constant-PQ loads (the ladder method).  The
 backward sweep sums the load currents over each subtree as a difference of
-suffix sums; a line carries its child's sum.  The forward sweep subtracts
-the line drops ``Z i_line`` along each path from the head: a prefix sum less
-the terms of subtrees already closed (see ``_SweepPlan``).  Sweeps start
-from the head voltage at every node, or from a previous solution's voltages
-on the same topology rescaled per phase to the new head voltage, and repeat
-until the largest per-phase voltage change falls below tolerance.  After
+suffix sums; a line carries its child's sum.  The forward sweep takes the
+line drops ``Z i_line`` as one sparse matrix-vector product and subtracts
+them along each path from the head: a prefix sum less the terms of subtrees
+already closed (see ``_SweepPlan``).  Sweeps start from the head voltage at
+every node, or from a previous solution's voltages on the same topology
+rescaled per phase to the new head voltage, and repeat until the largest
+per-phase voltage change falls below tolerance.  After
 convergence one extra backward sweep recomputes all branch currents at the
 reported voltages, so the returned state satisfies KCL at every node to
 machine precision regardless of the sweep tolerance.  Solutions, masks and
@@ -46,12 +47,13 @@ that accepts ``FeederLine`` and ``PhaseLoad`` records: it checks them and
 converts them to arrays once, and nothing in the package reads records
 back.  Load scaling, unbalance and aggregation are vector operations
 on ``load_s``.  The value copies they return share the topology and the
-sweep plan, built at the first sweep: the row maps, each slot's negated
-per-unit impedance row and each load's node.  A sweep then only folds
-``load_s`` onto the rows with one ``bincount`` in file order, so every sum
-rounds as a loop over the loads would; the last fold is kept, so the
-rounds of a coupled step that sweep one copy fold once.  Head voltages
-and head powers are (3,) arrays; a sweep also accepts a ``PhaseVoltages`` head.
+sweep plan, built at the first sweep: the row maps, the sparse matrix that
+takes the line currents to each slot's line drop, and each load's node.  A
+sweep then only folds ``load_s`` onto the rows with one ``bincount`` in file
+order, so every sum rounds as a loop over the loads would; the last fold is
+kept, so the rounds of a coupled step that sweep one copy fold once.  Head
+voltages and head powers are (3,) arrays; a sweep also accepts a
+``PhaseVoltages`` head.
 """
 from __future__ import annotations
 
@@ -221,8 +223,14 @@ class _SweepPlan:
     subtree runs to the row's slot ``end``, ``by_end`` lists a row's slots
     by where their subtrees end and ``n_ended`` counts the row's slots whose
     subtree ended at or before a slot's node; ``by_end`` indexes the rows,
-    the other two a (3, width + 1) work array, all seen flat.  A feeder that
-    fails :func:`feeder_problems`, however it was built, gets no plan.
+    the other two a (3, width + 1) work array, all seen flat.  ``drop`` is
+    a (3 * width, 3 * width + 1) CSR matrix that takes the line currents,
+    as rows seen flat and followed by a zero, to minus each slot's line
+    drop: row r holds the negated per-unit impedance row of slot r's line
+    and phase in current-phase order, explicit zeros included, so each row
+    sums its three terms from zero in that order, and the head and the pads
+    sum three zeros.  A feeder that fails :func:`feeder_problems`, however
+    it was built, gets no plan.
     """
 
     def __init__(self, feeder: Feeder):
@@ -254,18 +262,20 @@ class _SweepPlan:
         self.node_at = 3 * node + np.arange(3)[:, None]  # each slot's entry in an (n, 3) array
         self.slot = np.full((n, 3), 3 * w)
         self.slot.reshape(-1)[self.node_at[real]] = np.flatnonzero(real)
-        # A slot's drop is its line's impedance row times the line's three
-        # currents, gathered from their slots; the head and the pads have no
-        # line.  Both are (3, 3 * width), by current phase, then slot.
+        # Slot r's drop is its line's negated per-unit impedance row times the
+        # line's three currents: row r of ``drop`` holds that row in current
+        # phase order, at the currents' slots in the line currents seen flat
+        # and followed by a zero.  The head and the pads have no line; their
+        # rows hold three explicit zeros at that zero.
         fed = real.copy()
         fed[:, 0] = False
-        drop_at = np.full((3, w, 3), 3 * w)
-        drop_at[fed] = self.slot[node[fed]]
-        self.drop_at = np.ascontiguousarray(drop_at.reshape(3 * w, 3).T)
+        cols = np.full((3, w, 3), 3 * w)
+        cols[fed] = self.slot[node[fed]]
         neg_z = np.zeros((3, w, 3), dtype=complex)
         neg_z[fed] = feeder.line_z[topo.line_index[node[fed] - 1], np.nonzero(fed)[0]]
         neg_z /= feeder.base_kv**2 / feeder.base_mva
-        self.neg_z = np.ascontiguousarray(np.negative(neg_z, out=neg_z).reshape(3 * w, 3).T)
+        self.drop = csr_array((np.negative(neg_z, out=neg_z).reshape(-1), cols.reshape(-1),
+                               np.arange(0, 9 * w + 1, 3)), shape=(3 * w, 3 * w + 1))
 
     # The gathers below take mode="clip" because their indices are in range
     # by construction; the default mode copies ``out`` before writing it.
@@ -409,10 +419,11 @@ def _place_loads(feeder: Feeder, topo: _Topology) -> tuple[np.ndarray, list[Feed
 def feeder_problems(feeder: Feeder) -> list[FeederProblem]:
     """Structural checks; each violation with the record it is in."""
     problems: list[FeederProblem] = []
-    if not 0 < feeder.base_kv < np.inf:
-        problems.append(FeederProblem("base_kv must be positive", "base_kv"))
-    if not 0 < feeder.base_mva < np.inf:
-        problems.append(FeederProblem("base_mva must be positive", "base_mva"))
+    for label in ("base_kv", "base_mva"):
+        base = getattr(feeder, label)
+        if not 0 < base < np.inf:  # NaN fails too
+            problems.append(FeederProblem(f"{label} must be finite and positive, got {base}",
+                                          label))
     try:
         topo = feeder.topology()
     except FeederProblem as problem:
@@ -597,15 +608,15 @@ def _sweep_rows(feeder: Feeder, plan: _SweepPlan, head_arr: np.ndarray,
     voltages and line currents as rows seen flat, each followed by a zero,
     the per-unit head power and the iteration count."""
     s_rows = _load_fold(feeder)[:-1].reshape(3, plan.width)
-    # Buffers reused by every iteration; b[:, 0] is the head voltage, b[p, r]
-    # minus the drop on the line that feeds slot r.  The rows of v, v_new
-    # and acc are followed by a zero, an absent phase's value when the drops
-    # gather line currents and when the results are read.
+    # Buffers reused by every iteration.  The rows of v, v_new and acc are
+    # followed by a zero, an absent phase's value when the drop product reads
+    # line currents and when the results are read.  Each iteration's b holds
+    # the head voltage at b[:, 0] and, at b[p, r], minus the drop on the line
+    # that feeds slot r.
     ext = np.zeros((3, s_rows.size + 1), dtype=complex)
     v_ext, new_ext, acc_ext = ext
     v, v_new, acc = (x[:-1].reshape(s_rows.shape) for x in ext)
-    cur, b = np.empty_like(v), np.empty_like(v)
-    line_i = np.empty(plan.drop_at.shape, dtype=complex)
+    cur = np.empty_like(v)
     work = np.empty((3, plan.width + 1), dtype=complex)
     mag = np.empty(v.shape)
     pad_v = head_arr[plan.pad_phase]
@@ -619,8 +630,7 @@ def _sweep_rows(feeder: Feeder, plan: _SweepPlan, head_arr: np.ndarray,
     for iterations in range(1, max_iter + 1):
         np.divide(s_rows, v, out=cur)
         plan.subtree_sums(np.conjugate(cur, out=cur), acc, work)
-        acc_ext.take(plan.drop_at, None, line_i, "clip")
-        np.einsum("jq,jq->q", plan.neg_z, line_i, out=b.reshape(-1))
+        b = (plan.drop @ acc_ext).reshape(v.shape)
         b[:, 0] = head_arr
         plan.path_sums(b, v_new, work, cur)
         v_new.put(plan.pads, pad_v, "clip")

@@ -577,39 +577,48 @@ def serialize_feeder(feeder: Feeder) -> str:
 
 
 def parse_loadshape(text: str, shape_id: str = "shape") -> LoadshapeSeries:
-    """Parse a two-column minute,multiplier CSV (header optional)."""
+    """Parse a two-column minute,multiplier CSV (header optional).
+
+    Blank rows are skipped.  An error is located at the file line and column
+    where the field at fault starts: the multiplier's, or the row's start."""
+    lines = text.splitlines()
+    reader = csv.reader(lines)
+    rows = []  # (first line, fields)
+    last = 0  # the last line read
     try:
-        rows = [
-            r for r in csv.reader(text.splitlines()) if r and any(c.strip() for c in r)
-        ]
+        for row in reader:
+            if row and any(c.strip() for c in row):
+                rows.append((last + 1, row))
+            last = reader.line_num
     except csv.Error as exc:
-        raise ParseError(1, 1, f"malformed CSV: {exc}") from None
+        raise ParseError(reader.line_num, 1, f"malformed CSV: {exc}") from None
     if not rows:
         raise ParseError(1, 1, "empty loadshape")
     start = 0
-    first = rows[0]
     try:
-        int(first[0])
+        int(rows[0][1][0])
     except ValueError:
         start = 1  # header row
     minutes: list[int] = []
     values: list[float] = []
-    for rowno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) < 2:
-            raise ParseError(rowno, 1, "loadshape rows need minute,multiplier")
+            raise ParseError(lineno, 1, "loadshape rows need minute,multiplier")
         try:
             minute = int(row[0])
         except ValueError:
-            raise ParseError(rowno, 1, f"bad minute value {row[0]!r}") from None
+            raise ParseError(lineno, 1, f"bad minute value {row[0]!r}") from None
         try:
             mult = float(row[1])
         except ValueError:
-            raise ParseError(rowno, 2, f"bad multiplier value {row[1]!r}") from None
+            raise ParseError(*_second_field(lines, lineno),
+                             f"bad multiplier value {row[1]!r}") from None
         if not math.isfinite(mult) or mult < 0:
-            raise ParseError(rowno, 2, f"multiplier must be finite and >= 0, got {row[1]}")
+            raise ParseError(*_second_field(lines, lineno),
+                             f"multiplier must be finite and >= 0, got {row[1]}")
         if minutes and minute != minutes[-1] + 1:
             raise ParseError(
-                rowno, 1,
+                lineno, 1,
                 f"loadshape minutes must be contiguous; expected {minutes[-1] + 1}, "
                 f"got {minute}",
             )
@@ -618,6 +627,20 @@ def parse_loadshape(text: str, shape_id: str = "shape") -> LoadshapeSeries:
     if not minutes:
         raise ParseError(1, 1, "loadshape has no samples")
     return LoadshapeSeries(id=shape_id, start_min=minutes[0], multipliers=tuple(values))
+
+
+def _second_field(lines: list[str], lineno: int) -> tuple[int, int]:
+    """The 1-based line and column at which the second field of the CSV row
+    that starts on line ``lineno`` starts: after its first comma outside
+    double quotes, which open a field only at its start, as ``csv`` reads."""
+    quoted = False
+    for k, line in enumerate(lines[lineno - 1:], lineno):
+        for col, ch in enumerate(line, 1):
+            if ch == "," and not quoted:
+                return k, col + 1
+            if ch == '"' and (quoted or (k, col) == (lineno, 1)):
+                quoted = not quoted
+    return lineno, 1  # not reached: the reader found a second field
 
 
 # ---------------------------------------------------------------------------

@@ -170,14 +170,17 @@ def network_violations(buses, branches) -> list[str]:
     if len(slacks) != 1:
         violations.append(f"expected exactly one slack bus, found {slacks}")
 
-    for b in buses:
-        if b.base_kv <= 0:
-            violations.append(f"bus {b.id}: base_kv must be positive")
+    for b in buses:  # NaN fails each test
+        if not 0 < b.base_kv < np.inf:
+            violations.append(f"bus {b.id}: base_kv must be finite and positive, got {b.base_kv}")
         if b.kind in (BusKind.PV, BusKind.SLACK):
-            if b.v_setpoint is None or b.v_setpoint <= 0:
-                violations.append(f"bus {b.id}: {b.kind.value} bus needs v_setpoint > 0")
-        if b.kind is BusKind.SLACK and b.angle_setpoint is None:
-            violations.append(f"bus {b.id}: slack bus needs angle_setpoint")
+            if b.v_setpoint is None or not 0 < b.v_setpoint < np.inf:
+                violations.append(f"bus {b.id}: {b.kind.value} bus needs a finite "
+                                  f"v_setpoint > 0, got {b.v_setpoint}")
+        if b.kind is BusKind.SLACK and (b.angle_setpoint is None
+                                        or not -np.inf < b.angle_setpoint < np.inf):
+            violations.append(f"bus {b.id}: slack bus needs a finite angle_setpoint, "
+                              f"got {b.angle_setpoint}")
 
     adj: dict[int, list[int]] = {i: [] for i in id_set}
     for br in branches:

@@ -10,7 +10,11 @@ other sequences as current injections; because those terms depend on the
 solution voltages, the module iterates the three solves to an internal fixed
 point that is much tighter than the outer coupling tolerance.  One pass of
 that loop is a function of the (3, n) sequence voltages, and the loop
-Anderson-mixes every pass from the second on.
+Anderson-mixes every pass from the second on.  It stops when a pass moves no
+sequence voltage by ``SEQ_LOOP_TOL``, or after its first pass when a bound
+on the injections the second pass would take proves that it would not:
+the mixer's second iterate is the first pass's result, so the bound covers
+exactly the pass it skips (see :func:`solve_three_sequence`).
 
 Everything that depends only on the buses and branches (the three Y-buses,
 the bus index, classes and voltage setpoints, the NR's index gathers, the
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,6 +64,23 @@ class _GroundedFactor:
     idx: np.ndarray  # indices of the ground-tied buses
     floating: np.ndarray  # indices of the others
     lu: spla.SuperLU | None  # None when that block is exactly singular
+
+    @cached_property
+    def z_norm(self) -> float:
+        """The largest row sum of |Z|, Z the inverse of the ground-tied block:
+        the most a solve's voltages move per pu of change in its injections.
+        0.0 without ground-tied buses, inf when their block is singular.
+        Taken from the factor at the first solve that asks, by columns."""
+        m = self.idx.size
+        if self.lu is None:
+            return np.inf if m else 0.0
+        rows = np.zeros(m)
+        for first in range(0, m, 256):  # at most 256 columns of Z in memory
+            cols = np.arange(first, min(first + 256, m))
+            unit = np.zeros((m, cols.size), dtype=complex)
+            unit[cols, np.arange(cols.size)] = 1.0
+            rows += np.abs(self.lu.solve(unit)).sum(axis=1)
+        return float(rows.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,6 +124,10 @@ class SequenceYBus:
     y1: sp.csr_matrix
     y2: sp.csr_matrix
     y1_dense: np.ndarray  # the NR's Y1, densified once
+    # (2k + 20) eps ||Y1||inf, with k the most entries in a row of Y1; times
+    # max|V|^2, it bounds the rounding of two NR mismatch evaluations at a
+    # point and at its polar round trip (see solve_three_sequence)
+    y1_round_off: float
     # One coupling per untransposed branch: its full 3x3 series admittance
     # with the diagonal zeroed, rows and columns ordered (0, 1, 2).
     coupling_ends: np.ndarray  # (2c,) from and to bus of each coupling in turn
@@ -114,6 +140,9 @@ class SequenceYBus:
     classes: _BusClasses  # before any PV bus is switched to PQ
     zero: _GroundedFactor
     negative: _GroundedFactor
+    # the buses with no path to ground as entries of a (3, n) array: in row
+    # 0 for the zero sequence, in row 2 for the negative
+    floating_at: np.ndarray
 
     @property
     def n(self) -> int:
@@ -203,11 +232,17 @@ def _sequence_network(buses, branches) -> SequenceYBus:
     pv = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PV], dtype=int)
     pq = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PQ], dtype=int)
     held = np.concatenate([slack, pv])
+    zero, negative = _factor_grounded(y0, "zero"), _factor_grounded(y2, "negative")
+    y1 = y1.tocsr()
+    y1_dense = y1.toarray()
+    row_nnz = np.diff(y1.indptr).max(initial=0)
+    y1_norm = np.abs(y1_dense).sum(axis=1).max(initial=0.0)
     return SequenceYBus(
         y0=y0,
-        y1=y1.tocsr(),
+        y1=y1,
         y2=y2,
-        y1_dense=y1.toarray(),
+        y1_dense=y1_dense,
+        y1_round_off=float((2 * row_nnz + 20) * np.finfo(float).eps * y1_norm),
         coupling_ends=np.array(coupling_ends, dtype=int),
         coupling_y=np.array(coupling_y, dtype=complex).reshape(-1, 3, 3),
         bus_index=bus_index,
@@ -216,8 +251,9 @@ def _sequence_network(buses, branches) -> SequenceYBus:
         v_held=np.array([buses[i].v_setpoint or 1.0 for i in held]),
         slack_angle=buses[slack[0]].angle_setpoint or 0.0,
         classes=_bus_classes(n, pv, pq),
-        zero=_factor_grounded(y0, "zero"),
-        negative=_factor_grounded(y2, "negative"),
+        zero=zero,
+        negative=negative,
+        floating_at=np.concatenate([zero.floating, 2 * n + negative.floating]),
     )
 
 
@@ -279,6 +315,10 @@ class NrResult:
     iterations: int
     mismatch: float
     history: tuple[float, ...]  # mismatch per iteration of the final solve
+    switched: int  # PV buses switched to PQ
+    # pu, how far inside its widened limits (see BusSchedule.pv_q) the PV
+    # generator Q nearest to one lies at v1; inf without a limited PV bus
+    q_slack: float
 
 
 def nr_positive_sequence(
@@ -314,7 +354,7 @@ def nr_positive_sequence(
 
     cls = ybus.classes
     pv_q = sched.pv_q  # at cls.pv, which shrinks as buses switch
-    total_iters = 0
+    total_iters = switched_count = 0
     for _ in range(PV_SWITCH_MAX + 1):
         v, s_calc, iters, mismatch, history = _nr_core(y, s_spec, cls, x)
         total_iters += iters
@@ -328,12 +368,16 @@ def nr_positive_sequence(
         q_set, q_min, q_max, q_lo, q_hi = pv_q
         q_other = s_spec.imag[pv] - q_set  # the bus's Q besides its generators'
         q_gen = s_calc.imag[pv] - q_other
-        over = q_gen > q_hi
-        hit = over | (q_gen < q_lo)
+        # Below zero exactly off the widened limits: for floats, a - b < 0
+        # if and only if a < b.
+        slack = np.minimum(q_hi - q_gen, q_gen - q_lo)
+        hit = slack < 0
         if not np.count_nonzero(hit):
-            return NrResult(v, total_iters, mismatch, tuple(history))
-        q_lim = np.where(over, q_max, q_min)
+            return NrResult(v, total_iters, mismatch, tuple(history), switched_count,
+                            slack.min(initial=np.inf))
+        q_lim = np.where(q_gen > q_hi, q_max, q_min)
         switched = pv[hit]
+        switched_count += len(switched)
         s_spec[switched] = s_spec[switched].real + 1j * (q_lim[hit] + q_other[hit])
         keep = ~hit
         pv_q = pv_q[:, keep]
@@ -528,6 +572,31 @@ def solve_three_sequence(
     iterate is the Anderson mix of up to ``SEQ_LOOP_MEMORY`` + 1 passes
     (Walker & Ni, 2011), also after a change larger than the last: at
     heavy load the plain pass is unstable.
+
+    Pass 2 starts from pass 1's result ``g1`` with the injections at ``g1``.
+    With ``d_s`` the largest change of sequence ``s``'s injections from
+    pass 1's, the loop returns ``g1`` after one pass, when the budget allows
+    a second, if that pass provably moves no sequence voltage by
+    ``SEQ_LOOP_TOL``:
+
+    - pass 1's NR switched no PV bus, so pass 2's NR has the same bus
+      classes;
+    - ``nr.mismatch + d_1 + r < NR_TOL``, so pass 2's NR stops at its first
+      mismatch, at the polar round trip of ``g1[1]``.  That round trip
+      moves each V_i by at most 8 eps |V_i|, so S by at most
+      ``16 eps ||Y1||inf max|V|^2``, and each of the two evaluations of S
+      rounds within ``(k + 2) eps ||Y1||inf max|V|^2``, with k the most
+      entries in a row of Y1: ``r = (2k + 20) eps ||Y1||inf max|V|^2``;
+    - every PV generator's Q lies inside its widened limits by more than
+      ``d_1 + r``, so no bus switches;
+    - ``||Z||inf d_s < SEQ_LOOP_TOL`` for the zero and negative sequences,
+      with ``||Z||inf`` the largest row sum of the inverse of the
+      ground-tied block, up to the rounding of the linear solves, which the
+      bound leaves out;
+    - every injection at a floating bus is finite and at most
+      ``FLOATING_TOL``, so the pass would not raise.
+
+    Only pass 1 is certified: from pass 2 on the next iterate is mixed.
     """
     if max_passes < 1:
         raise ValueError(f"max_passes must be at least 1, got {max_passes}")
@@ -548,45 +617,76 @@ def solve_three_sequence(
         bad = np.array(list(ybus.bus_index))[pcc[~np.isfinite(s_abc).all(axis=1)]]
         raise ValueError(f"s_pcc at PCC bus {', '.join(map(str, bad))} is not finite")
     s_abc /= case.base_mva / 3.0
-    coupled = len(ybus.coupling_y) > 0
-
-    def sequence_pass(x: np.ndarray) -> tuple[np.ndarray, NrResult]:
-        inj = np.zeros((3, n), dtype=complex)
-        inj[:, pcc] += pcc_injections(s_abc, x[:, pcc])
-        if coupled:
-            corr = compensation_currents(ybus, x)
-            # Positive-sequence compensation enters NR as an equivalent PQ load.
-            inj[1] -= x[1] * np.conj(corr[1])
-            inj[0::2] += corr[0::2]
-        nr = nr_positive_sequence(sched, inj[1], v_init=x[1])
-        v2 = solve_negative(ybus, inj[2])
-        v0 = solve_zero(ybus, inj[0])
-        return np.array([v0, nr.v1, v2]), nr
 
     if warm is not None:
         x = np.array([warm.v0, warm.v1, warm.v2])
     else:  # flat: balanced 1 pu
         x = np.zeros((3, n), dtype=complex)
         x[1] = 1.0
+    inj = _pass_injections(ybus, pcc, s_abc, x)
     mixer = _AndersonMixer(SEQ_LOOP_MEMORY)
     total_iters = 0
     history: list[float] = []
     for pass_no in range(1, max_passes + 1):
-        g, nr = sequence_pass(x)
+        nr = nr_positive_sequence(sched, inj[1], v_init=x[1])
+        v2 = solve_negative(ybus, inj[2])
+        g = np.array([solve_zero(ybus, inj[0]), nr.v1, v2])
         total_iters += nr.iterations
         delta = np.inf if warm is None and pass_no == 1 else float(np.abs(g - x).max())
         history.append(delta)
-        if delta < SEQ_LOOP_TOL:
+        settled = delta < SEQ_LOOP_TOL
+        if not settled and pass_no < max_passes:
+            x = mixer.next(x, g)  # g itself after pass 1
+            inj, last = _pass_injections(ybus, pcc, s_abc, x), inj
+            settled = pass_no == 1 and _second_pass_settles(ybus, nr, g, last, inj)
+        if settled:
             return SequenceSolution(
                 v0=g[0], v1=g[1], v2=g[2], mismatch=nr.mismatch,
                 iterations=total_iters, passes=pass_no, bus_index=ybus.bus_index,
             )
-        x = mixer.next(x, g)
 
     raise ConvergenceError(
         f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {max_passes} passes",
         history,
     )
+
+
+def _pass_injections(ybus: SequenceYBus, pcc: np.ndarray, s_abc: np.ndarray,
+                     x: np.ndarray) -> np.ndarray:
+    """What a pass from the (3, n) sequence voltages ``x`` solves for: the
+    zero- and negative-sequence injections in rows 0 and 2 and the
+    positive-sequence PQ load (consumption positive) in row 1, of the PCC
+    loads ``s_abc`` at bus indices ``pcc`` and, when a branch is
+    untransposed, of the compensation currents."""
+    inj = np.zeros(x.shape, dtype=complex)
+    inj[:, pcc] += pcc_injections(s_abc, x[:, pcc])
+    if len(ybus.coupling_y):
+        corr = compensation_currents(ybus, x)
+        # Positive-sequence compensation enters NR as an equivalent PQ load.
+        inj[1] -= x[1] * np.conj(corr[1])
+        inj[0::2] += corr[0::2]
+    return inj
+
+
+def _second_pass_settles(ybus: SequenceYBus, nr: NrResult, g: np.ndarray,
+                         inj: np.ndarray, inj_next: np.ndarray) -> bool:
+    """Whether a pass from ``g`` with ``inj_next``, after a pass that took
+    ``inj`` to ``g`` through ``nr``, provably moves no sequence voltage by
+    ``SEQ_LOOP_TOL``; see :func:`solve_three_sequence`."""
+    # With inj_next finite, no change is inf - inf; one from a non-finite
+    # entry of inj is inf or NaN, and fails every test below.
+    if nr.switched or not cmath.isfinite(inj_next.sum()):
+        return False
+    d0, d1, d2 = np.abs(inj_next - inj).max(axis=1).tolist()
+    v_max = float(np.abs(g[1]).max())
+    margin = d1 + ybus.y1_round_off * v_max * v_max
+    if not (nr.mismatch + margin < NR_TOL and nr.q_slack > margin):
+        return False
+    if not np.abs(inj_next.take(ybus.floating_at)).max(initial=0.0) <= FLOATING_TOL:
+        return False  # the pass would reject it
+    # A singular block's infinite norm never meets a zero change.
+    return all(seq.z_norm < np.inf and seq.z_norm * d < SEQ_LOOP_TOL
+               for seq, d in ((ybus.zero, d0), (ybus.negative, d2)))
 
 
 class _AndersonMixer:

@@ -159,10 +159,11 @@ def test_feeder_bases_must_be_finite_and_positive(base, value):
     g = Feeder.from_arrays(bases["base_kv"], bases["base_mva"], f.head, f.line_from,
                            f.line_to, f.line_phases, f.line_z, f.load_nodes, f.load_phases,
                            f.load_s, name="bad")
-    assert validate(g) == [f"{base} must be positive"]
+    message = f"{base} must be finite and positive, got {value}"
+    assert validate(g) == [message]
     with pytest.raises(ValueError) as err:
         sweep_solve(g, PhaseVoltages.balanced(1.0))
-    assert str(err.value) == f"feeder 'bad': {base} must be positive"
+    assert str(err.value) == f"feeder 'bad': {message}"
 
 
 def test_line_checks_report_in_topology_order():

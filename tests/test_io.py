@@ -196,14 +196,15 @@ FEEDER_ERRORS = {
     "load phase": (_HEAD + "line h n1 phases=a zaa=1j\nload n1 sa=1 sb=1\n", 6, 14,
                    "load at n1: phase b not present there"),
     "bases": ("tdfeeder 1\nbase_kv -1\nbase_mva 0\nhead h\n" + _LINE, 2, 9,
-              "base_kv must be positive; base_mva must be positive"),
+              "base_kv must be finite and positive, got -1.0; "
+              "base_mva must be finite and positive, got 0.0"),
     "base_mva": ("tdfeeder 1\nbase_kv 12.47\nbase_mva 0\nhead h\n" + _LINE, 3, 10,
-                 "base_mva must be positive"),
+                 "base_mva must be finite and positive, got 0.0"),
     # Several structural errors are raised together, in file order, at the first.
     "structure": ("tdfeeder 1\nhead h\nload zz sa=1\nbase_kv 12.47\n" + _LINE
                   + "load yy sa=1\nbase_mva 0\n", 3, 6,
                   "load at unknown node 'zz'; load at unknown node 'yy'; "
-                  "base_mva must be positive"),
+                  "base_mva must be finite and positive, got 0.0"),
 }
 
 CASE_ERRORS = {
@@ -335,6 +336,26 @@ def test_gap_rejected():
 def test_negative_multiplier_rejected():
     with pytest.raises(ParseError):
         io.parse_loadshape("0,1.0\n1,-0.5\n")
+
+
+LOADSHAPE_ERRORS = {  # text, line, column, message; blank lines count
+    "minute": ("minute,multiplier\n\n\n0,1\nx,2\n", 5, 1, "bad minute value 'x'"),
+    "multiplier": ("0,1\n\n1, abc\n", 3, 3, "bad multiplier value ' abc'"),
+    "negative": ("minute,multiplier\n0,1.0\n 1,-0.5\n", 3, 4,
+                 "multiplier must be finite and >= 0, got -0.5"),
+    "gap": ("0,1\n\n\n3,1\n", 4, 1, "loadshape minutes must be contiguous; expected 1, got 3"),
+    "quoted comma": ('0,1\n"1","a,b"\n', 2, 5, "bad multiplier value 'a,b'"),
+    "two-line row": ('0,1\n"1\n",x\n', 3, 3, "bad multiplier value 'x'"),
+}
+
+
+@pytest.mark.parametrize("name", list(LOADSHAPE_ERRORS))
+def test_loadshape_errors_name_their_file_line_and_column(name):
+    text, line, col, message = LOADSHAPE_ERRORS[name]
+    with pytest.raises(ParseError) as err:
+        io.parse_loadshape(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{line}:{col}: {message}"
 
 
 def test_header_optional():

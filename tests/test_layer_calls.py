@@ -56,6 +56,23 @@ def test_each_pass_calls_each_sequence_solve_once(system1, calls):
     }
 
 
+def test_a_certified_pass_calls_each_sequence_solve_once(system1, calls):
+    # a balanced PCC load: pass 1 is certified, and no second pass runs
+    m = (51.7 + 12.3j) / 3.0
+    cold = tsolve.solve_three_sequence(system1, [6], [[m, m, m]])
+    calls.clear()
+    warm = tsolve.solve_three_sequence(system1, [6], [[1.01 * m] * 3], warm=cold)
+    assert cold.passes == warm.passes == 1
+    assert calls == {
+        "solve_three_sequence": 1,
+        "build_sequence_ybus": 1,
+        "bus_schedule": 1,
+        "nr_positive_sequence": 1,
+        "solve_negative": 1,
+        "solve_zero": 1,
+    }
+
+
 def test_couple_step_sweeps_each_pcc_once_per_sweeping_round(system2, feeders3, calls):
     state, trace = cosim.couple_step(system2, feeders3)
     rounds = trace.overall_iterations

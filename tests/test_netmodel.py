@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import pytest
@@ -131,6 +132,28 @@ def test_non_finite_base_rejected(base_mva):
     message = f"base_mva must be finite and positive, got {base_mva}"
     assert message in validate_case(case)
     with pytest.raises(ValueError, match=f"^{message}$"):
+        tsolve.solve_three_sequence(case)
+
+
+BUS_FIELDS = {  # case9's bus index and field, and the violation
+    "base_kv": (3, "base_kv", "bus 4: base_kv must be finite and positive, got {}"),
+    "pv v": (1, "v_setpoint", "bus 2: pv bus needs a finite v_setpoint > 0, got {}"),
+    "slack v": (0, "v_setpoint", "bus 1: slack bus needs a finite v_setpoint > 0, got {}"),
+    "angle": (0, "angle_setpoint", "bus 1: slack bus needs a finite angle_setpoint, got {}"),
+}
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("name", list(BUS_FIELDS))
+def test_non_finite_bus_fields_rejected(case9, name, value):
+    # a NaN setpoint would validate clean, then fail as a non-convergence
+    bus, field, message = BUS_FIELDS[name]
+    buses = list(case9.buses)
+    buses[bus] = replace(buses[bus], **{field: value})
+    case = replace(case9, buses=tuple(buses))
+    message = message.format(value)
+    assert message in validate_case(case)
+    with pytest.raises(ValueError, match=re.escape(message)):
         tsolve.solve_three_sequence(case)
 
 

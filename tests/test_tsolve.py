@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdcosim import cosim, tsolve
 from tdcosim.errors import ConvergenceError, SingularNetworkError
@@ -724,3 +726,121 @@ def test_three_sequence_with_untransposed_branch_converges():
     # coupling drags nonzero negative/zero voltages out of the balanced load
     assert np.max(np.abs(sol.v2)) > 1e-6
     assert sol.mismatch < tsolve.NR_TOL
+
+
+# -- certified first pass ---------------------------------------------------
+
+
+def one_plain_pass(case, buses, s_pcc, sol):
+    """One pass of the sequence loop from ``sol``, put together from the
+    module's public pass functions; the case has no untransposed branch."""
+    yb = tsolve.build_sequence_ybus(case)
+    x = np.array([sol.v0, sol.v1, sol.v2])
+    pcc = [yb.bus_index[b] for b in buses]
+    inj = np.zeros_like(x)
+    inj[:, pcc] = tsolve.pcc_injections(np.array(s_pcc) / (case.base_mva / 3.0), x[:, pcc])
+    nr = tsolve.nr_positive_sequence(tsolve.bus_schedule(case), inj[1], v_init=x[1])
+    return np.array([tsolve.solve_zero(yb, inj[0]), nr.v1, tsolve.solve_negative(yb, inj[2])])
+
+
+def pcc_loads(scales, alphas, phases):
+    """(k, 3) MVA: each PCC's 40 + 10j MVA times its scale, shifted by its
+    alpha toward its phase as ``dsolve.apply_unbalance`` shifts a load."""
+    rows = []
+    for scale, alpha, phase in zip(scales, alphas, phases):
+        row = np.full(3, 1.0 - alpha / 2.0)
+        row[phase] = 1.0 + alpha
+        rows.append(row * scale * (40.0 + 10.0j) / 3.0)
+    return np.array(rows)
+
+
+_UNBALANCE = st.one_of(st.just(0.0), st.floats(1e-12, 1e-6), st.floats(0.0, 0.5))
+
+
+@given(st.sampled_from([(6,), (5, 8), (5, 6, 8)]), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_solve_in_one_pass_is_settled(case9, buses, data):
+    """Whenever a solve stops after one pass, one more plain pass moves no
+    sequence voltage by SEQ_LOOP_TOL, from a flat start or a warm one."""
+    k = len(buses)
+    draw = data.draw
+    alphas = draw(st.lists(_UNBALANCE, min_size=k, max_size=k))
+    phases = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    s_pcc = pcc_loads(draw(st.lists(st.floats(0.2, 2.0), min_size=k, max_size=k)),
+                      alphas, phases)
+    warm = None
+    if draw(st.booleans()):
+        moved = draw(st.lists(st.floats(0.8, 1.2), min_size=k, max_size=k))
+        warm = tsolve.solve_three_sequence(case9, buses, s_pcc * np.array(moved)[:, None])
+    sol = tsolve.solve_three_sequence(case9, buses, s_pcc, warm=warm)
+    if sol.passes == 1:
+        after = one_plain_pass(case9, buses, s_pcc, sol)
+        assert np.abs(after - np.array([sol.v0, sol.v1, sol.v2])).max() < tsolve.SEQ_LOOP_TOL
+
+
+@pytest.mark.parametrize("buses", [(6,), (5, 6, 8)])
+def test_balanced_solves_stop_after_one_pass(case9, buses):
+    # balanced PCC loads see balanced voltages, so their injections hardly
+    # move between passes: every pass 1 is certified, cold and warm
+    s_pcc = pcc_loads([1.0] * len(buses), [0.0] * len(buses), [0] * len(buses))
+    cold = tsolve.solve_three_sequence(case9, buses, s_pcc)
+    warm = tsolve.solve_three_sequence(case9, buses, 1.1 * s_pcc, warm=cold)
+    assert cold.passes == warm.passes == 1
+    for sol, s in ((cold, s_pcc), (warm, 1.1 * s_pcc)):
+        after = one_plain_pass(case9, buses, s, sol)
+        assert np.abs(after - np.array([sol.v0, sol.v1, sol.v2])).max() < 1e-15
+
+
+def test_an_unbalanced_pcc_load_runs_pass_two(case9):
+    s_pcc = pcc_loads([1.0], [0.15], [0])
+    cold = tsolve.solve_three_sequence(case9, [6], s_pcc)
+    warm = tsolve.solve_three_sequence(case9, [6], 1.01 * s_pcc, warm=cold)
+    assert cold.passes >= 2 and warm.passes >= 2
+
+
+def test_a_pv_switch_in_pass_one_runs_pass_two(monkeypatch):
+    # no PCC, so pass 2 would take the same injections; but it restarts from
+    # the unswitched bus classes, and switches bus 2 again
+    results = []
+    nr = tsolve.nr_positive_sequence
+    monkeypatch.setattr(tsolve, "nr_positive_sequence",
+                        lambda *a, **kw: results.append(nr(*a, **kw)) or results[-1])
+    sol = tsolve.solve_three_sequence(pv_bus_case(1.05, [pv_gen(-5.0, 5.0)], load_q=60.0))
+    assert results[0].switched == 1
+    assert sol.passes == len(results) == 2
+
+
+@pytest.mark.parametrize("extra, raises", [(5e-13, False), (5e-12, True)])
+def test_a_floating_injection_over_tolerance_runs_pass_two(case9, monkeypatch, extra, raises):
+    # bus 2 has no zero-sequence path to ground; from pass 2 on, its
+    # balanced PCC load injects ``extra`` pu there
+    inject = tsolve.pcc_injections
+    calls = []
+
+    def shifted(s_abc, v012):
+        inj = inject(s_abc, v012)
+        inj[0] += extra if calls else 0.0
+        calls.append(None)
+        return inj
+
+    monkeypatch.setattr(tsolve, "pcc_injections", shifted)
+    s_pcc = pcc_loads([0.25], [0.0], [0])
+    if not raises:
+        assert tsolve.solve_three_sequence(case9, [2], s_pcc).passes == 1
+        return
+    with pytest.raises(SingularNetworkError, match=re.escape(
+            "zero-sequence injection at bus index [1] has no path to ground")):
+        tsolve.solve_three_sequence(case9, [2], s_pcc)
+    assert len(calls) == 2
+
+
+def test_a_load_that_unbalances_a_floating_bus_raises_in_pass_two(case9):
+    # a negative-sequence pattern of powers draws no zero-sequence current
+    # at balanced voltages, but does at the unbalanced ones pass 1 leaves
+    a = np.exp(2j * np.pi / 3)
+    s_pcc = [[0.01, 0.01 * a, 0.01 * a * a]]
+    with pytest.raises(ConvergenceError, match="in 1 passes"):
+        tsolve.solve_three_sequence(case9, [2], s_pcc, max_passes=1)
+    with pytest.raises(SingularNetworkError, match=re.escape(
+            "zero-sequence injection at bus index [1] has no path to ground")):
+        tsolve.solve_three_sequence(case9, [2], s_pcc)
