@@ -195,7 +195,7 @@ def _write_comparison(coupled, baseline, outdir) -> None:
             for phase, c, d in zip("abc", coupled_v, decoupled_v):
                 rows.append([step.t_min, bus, phase, repr(c), repr(d)])
     header = ["time_min", "pcc_bus", "phase", "v_coupled_pu", "v_decoupled_pu"]
-    io._write_csv(Path(outdir) / "pcc_compare.csv", header, rows)
+    io.write_csv(Path(outdir) / "pcc_compare.csv", header, rows)
 
 
 def cmd_sweep_unbalance(args) -> int:
@@ -263,8 +263,7 @@ def cmd_make_feeder(args) -> int:
         seed=args.seed,
         name=args.name,
     )
-    text = io.serialize_feeder(feeder)
-    Path(args.out).write_text(text)
+    io.write_text(args.out, io.serialize_feeder(feeder))
     agg = dsolve.aggregate_load(feeder)
     print(
         f"wrote {args.out}: {len(feeder.nodes())} nodes, "

@@ -23,9 +23,6 @@ class DispatchResult:
     lam: float  # $/MWh system marginal cost
     binding: frozenset[int]  # generator indices at a limit
 
-    def total(self) -> float:
-        return sum(self.p_set)
-
 
 def dispatch(generators, demand_mw: float) -> DispatchResult:
     """Allocate ``demand_mw`` over the generators at minimum total cost.

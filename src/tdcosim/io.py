@@ -21,8 +21,10 @@ from __future__ import annotations
 import cmath
 import csv
 import math
+import os
 from dataclasses import dataclass
 from functools import partial
+from io import StringIO
 from itertools import chain, repeat
 from operator import itemgetter
 from pathlib import Path
@@ -207,7 +209,8 @@ def parse_case(text: str) -> CaseDocument:
                 raise lines.error(lineno, 0, "base_mva takes a single value")
             base_mva = _parse_float(toks[1], lines, lineno, 1, "base_mva")
             if base_mva <= 0:
-                raise lines.error(lineno, 1, "base_mva must be positive")
+                raise lines.error(lineno, 1,
+                                  f"base_mva must be finite and positive, got {base_mva}")
             base_mva_line = lineno
         elif directive == "bus":
             kv = _options(lines, lineno, toks, 2, "bus", _BUS_KEYS)
@@ -648,12 +651,31 @@ def _second_field(lines: list[str], lineno: int) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for row in rows:
-            w.writerow(row)
+def _keep_contents(path, flags: int) -> int:
+    """``open``'s file opener, without ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
+def write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``open(path, "w", newline="")`` would:
+    the same bytes, and a new file's mode from the umask.
+
+    An existing file is overwritten in place and then cut to the written
+    length, not truncated to zero first: closing a file that was truncated
+    to zero makes some file systems (ext4's ``auto_da_alloc``) write it back
+    at once, which costs several times the write itself."""
+    with open(path, "w", newline="", opener=_keep_contents) as fh:
+        fh.write(text)
+        fh.truncate()
+
+
+def write_csv(path, header: list[str], rows) -> None:
+    """``header`` and ``rows`` written by ``csv.writer`` through :func:`write_text`."""
+    buf = StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    write_text(path, buf.getvalue())
 
 
 def write_results(result, outdir) -> list[Path]:
@@ -675,7 +697,7 @@ def write_results(result, outdir) -> list[Path]:
                 for phase, vt, vd in zip("abc", v_trans, v_dist):
                     rows.append([step.t_min, bus, phase, repr(vt), repr(vd)])
     path = outdir / "pcc_voltages.csv"
-    _write_csv(path, ["time_min", "pcc_bus", "phase", "v_trans_pu", "v_dist_pu"], rows)
+    write_csv(path, ["time_min", "pcc_bus", "phase", "v_trans_pu", "v_dist_pu"], rows)
     written.append(path)
 
     rows = []
@@ -684,7 +706,7 @@ def write_results(result, outdir) -> list[Path]:
             for bus, dv in zip(step.trace.pcc_buses, mismatch.tolist()):
                 rows.append([step.t_min, bus, k, repr(dv)])
     path = outdir / "coupling_trace.csv"
-    _write_csv(path, ["time_min", "pcc_bus", "iteration", "mismatch_pu"], rows)
+    write_csv(path, ["time_min", "pcc_bus", "iteration", "mismatch_pu"], rows)
     written.append(path)
 
     rows = []
@@ -693,7 +715,7 @@ def write_results(result, outdir) -> list[Path]:
             for bus, p in zip(step.gen_buses, step.dispatch.p_set):
                 rows.append([step.t_min, bus, repr(p), repr(step.dispatch.lam)])
     path = outdir / "dispatch.csv"
-    _write_csv(path, ["time_min", "gen_bus", "p_set_mw", "lambda_usd_per_mwh"], rows)
+    write_csv(path, ["time_min", "gen_bus", "p_set_mw", "lambda_usd_per_mwh"], rows)
     written.append(path)
     return written
 
@@ -712,7 +734,7 @@ def write_convergence_table(sweep, outdir) -> Path:
         row.append(entry.overall_n if entry.converged else "failed")
         rows.append(row)
     path = outdir / "convergence_table.csv"
-    _write_csv(path, header, rows)
+    write_csv(path, header, rows)
     return path
 
 

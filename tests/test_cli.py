@@ -247,6 +247,38 @@ def test_timeseries_run_and_artifacts(paths):
     assert (root / "decoupled" / "pcc_voltages.csv").exists()
 
 
+def test_a_shorter_timeseries_over_a_longer_one_reads_as_a_fresh_one(paths, tmp_path):
+    def run(minutes, out):
+        assert main(["timeseries", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+                     "--loadshape", f"day={paths['day']}", "--start", "1245",
+                     "--minutes", str(minutes), "--decoupled", "--out", str(out)]) == 0
+
+    run(10, tmp_path / "ts")
+    longer = {p: p.read_bytes() for p in (tmp_path / "ts").rglob("*.csv")}
+    run(3, tmp_path / "ts")
+    run(3, tmp_path / "ts3")
+    names = sorted(p.relative_to(tmp_path / "ts3") for p in (tmp_path / "ts3").rglob("*.csv"))
+    assert [str(n) for n in names] == [
+        "coupling_trace.csv", "decoupled/coupling_trace.csv", "decoupled/dispatch.csv",
+        "decoupled/pcc_voltages.csv", "dispatch.csv", "pcc_compare.csv", "pcc_voltages.csv"]
+    for name in names:
+        assert len((tmp_path / "ts" / name).read_bytes()) < len(longer[tmp_path / "ts" / name])
+        assert (tmp_path / "ts" / name).read_bytes() == (tmp_path / "ts3" / name).read_bytes()
+
+
+def test_coupled_abort_exit_1(paths, heavy_feeder, capsys):
+    rc = main(["timeseries", "--case", paths["case"], "--feeder", heavy_feeder,
+               "--loadshape", f"day={paths['flat']}", "--minutes", "2", "--out", paths["out"]])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"aborted at minute 0 \(coupling failure\): round 4: PCC bus 6: "
+                        r"feeder 'ckt24_synth': voltage collapsed to \S+ pu during sweep 1\n",
+                        err), err
+    # the clock stops at the failed step
+    rows = (Path(paths["out"]) / "pcc_voltages.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["0"] * 3
+
+
 def test_timeseries_decoupled_failure_exit_1(paths, monkeypatch, capsys):
     def fail(*args, **kwargs):
         raise ConvergenceError("forced transmission failure", [])
@@ -344,6 +376,24 @@ def test_make_feeder_refuses_a_base_or_demand_it_cannot_build(
     assert rc == 2
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
+
+
+def test_a_refused_make_feeder_leaves_the_old_file(tmp_path, capsys):
+    out = tmp_path / "f.td"
+    out.write_bytes(b"kept\r\n")
+    rc = main(["make-feeder", "--nodes", "5", "--p", "1", "--q", "0.2", "--kv", "0",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: base_kv must be finite and positive, got 0.0\n"
+    assert out.read_bytes() == b"kept\r\n"
+
+
+def test_make_feeder_over_a_longer_file_writes_the_fresh_bytes(tmp_path):
+    argv = ["make-feeder", "--nodes", "60", "--p", "10", "--q", "2", "--kv", "12.47"]
+    assert main([*argv, "--nodes", "400", "--out", str(tmp_path / "over.td")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "over.td")]) == 0
+    assert main([*argv, "--out", str(tmp_path / "fresh.td")]) == 0
+    assert (tmp_path / "over.td").read_bytes() == (tmp_path / "fresh.td").read_bytes()
 
 
 def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):

@@ -155,6 +155,15 @@ def test_missing_feeder_for_attachment(system1):
         cosim.couple_step(system1, {})
 
 
+def test_a_case_without_feeders_is_one_transmission_solve(case9):
+    state, trace = cosim.couple_step(case9, {})
+    assert trace.overall_iterations == 1 and trace.pcc_buses == ()
+    assert state.feeder_solutions == {} and state.v_pcc.shape == (0, 3)
+    alone = tsolve.solve_three_sequence(case9)
+    for seq in ("v0", "v1", "v2"):
+        assert np.array_equal(getattr(state.seq, seq), getattr(alone, seq))
+
+
 @pytest.mark.parametrize("run", [cosim.run_timeseries, cosim.run_decoupled_baseline])
 @pytest.mark.parametrize("buses, message", [
     ((), r"case expects feeders at buses \[6\]"),

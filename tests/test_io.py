@@ -1,3 +1,5 @@
+import csv
+import os
 import random
 
 import numpy as np
@@ -225,6 +227,13 @@ CASE_ERRORS = {
     "no base": ("tdcase 1\n", 1, 1, "case is missing the base_mva directive"),
     "duplicate base": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\nbase_mva 10\n", 4, 1,
                        "duplicate directive 'base_mva' (first on line 2)"),
+    "zero base": ("tdcase 1\nbase_mva 0\n", 2, 10, "base_mva must be finite and positive, got 0.0"),
+    "negative base": ("tdcase 1\nbase_mva  -5\n", 2, 11,
+                      "base_mva must be finite and positive, got -5.0"),
+    # the number parser refuses a non-finite base before its sign is tested
+    "nan base": ("tdcase 1\nbase_mva nan\n", 2, 10, "base_mva must be finite, got 'nan'"),
+    "feeder id": ("tdcase 1\nbase_mva 100.0\nbus 1 slack base_kv=1\nfeeder 1 shape=day\n", 4, 1,
+                  "feeder at bus 1 needs id="),
 }
 
 
@@ -346,6 +355,8 @@ LOADSHAPE_ERRORS = {  # text, line, column, message; blank lines count
     "gap": ("0,1\n\n\n3,1\n", 4, 1, "loadshape minutes must be contiguous; expected 1, got 3"),
     "quoted comma": ('0,1\n"1","a,b"\n', 2, 5, "bad multiplier value 'a,b'"),
     "two-line row": ('0,1\n"1\n",x\n', 3, 3, "bad multiplier value 'x'"),
+    "csv error": ("0,1\n\n1," + "x" * (csv.field_size_limit() + 1) + "\n", 3, 1,
+                  f"malformed CSV: field larger than field limit ({csv.field_size_limit()})"),
 }
 
 
@@ -356,6 +367,12 @@ def test_loadshape_errors_name_their_file_line_and_column(name):
         io.parse_loadshape(text)
     assert (err.value.line, err.value.col) == (line, col)
     assert str(err.value) == f"{line}:{col}: {message}"
+
+
+@pytest.mark.parametrize("minute", [-1, 1440])
+def test_a_minute_without_a_sample_is_named(flat_shape, minute):
+    with pytest.raises(KeyError, match=f"^\"loadshape 'day' has no sample for minute {minute}\"$"):
+        flat_shape.multiplier(minute)
 
 
 def test_header_optional():
@@ -464,3 +481,44 @@ def test_convergence_table_shape(system2, feeders3, tmp_path):
     assert lines[0] == "alpha,n_bus5,n_bus6,n_bus8,overall_n"
     assert len(lines) == 5  # header + 4 alphas
     assert all(len(line.split(",")) == 5 for line in lines)
+
+
+def _old_write_csv(path, header, rows):
+    """The writer's reference: a truncating ``open`` and ``csv.writer``."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        for row in rows:
+            w.writerow(row)
+
+
+ROWS = [[0, 6, "a", repr(0.1 + 0.2), ""], [1, 6, "b", "x,y", 'say "hi"'], [2, 6, "c", "\n", -0.0]]
+
+
+def test_write_csv_gives_the_reference_bytes(tmp_path):
+    io.write_csv(tmp_path / "new.csv", ["t", "bus", "phase", "v", "note"], ROWS)
+    _old_write_csv(tmp_path / "ref.csv", ["t", "bus", "phase", "v", "note"], ROWS)
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert b"\r\n" in (tmp_path / "new.csv").read_bytes()
+
+
+@pytest.mark.parametrize("before", [ROWS * 40, ROWS[:1], []], ids=["longer", "shorter", "empty"])
+def test_an_overwritten_csv_reads_as_a_fresh_one(tmp_path, before):
+    # an existing file is written over in place, so a longer one must lose its tail
+    over = tmp_path / "over.csv"
+    _old_write_csv(over, ["t"] * 5, before)
+    io.write_csv(over, ["t", "bus", "phase", "v", "note"], ROWS)
+    io.write_csv(tmp_path / "fresh.csv", ["t", "bus", "phase", "v", "note"], ROWS)
+    assert over.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+def test_a_new_file_gets_the_mode_open_gives(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        io.write_text(tmp_path / "new.td", "tdfeeder 1\n")
+        with open(tmp_path / "ref.td", "w"):
+            pass
+    finally:
+        os.umask(old)
+    assert os.stat(tmp_path / "new.td").st_mode == os.stat(tmp_path / "ref.td").st_mode

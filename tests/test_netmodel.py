@@ -1,9 +1,10 @@
 import re
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from tdcosim import tsolve
+from tdcosim import cosim, tsolve
 from tdcosim.netmodel import (
     Branch,
     Bus,
@@ -155,6 +156,34 @@ def test_non_finite_bus_fields_rejected(case9, name, value):
     assert message in validate_case(case)
     with pytest.raises(ValueError, match=re.escape(message)):
         tsolve.solve_three_sequence(case)
+
+
+def _unit(bus, cost_a=0.01):
+    return Generator(bus, 0.0, 500.0, -300.0, 300.0, CostCurve(cost_a, 10.0, 0.0))
+
+
+STRUCTURE_FAULTS = {  # two_bus_case's overrides, and the one violation
+    "gen bus": ({"generators": (_unit(1), _unit(99))}, "generator at nonexistent bus 99"),
+    "load bus": ({"loads": (LoadAttachment(99, p=1.0),)}, "load at nonexistent bus 99"),
+    "duplicate bus": ({"buses": (Bus(1, BusKind.SLACK, 230.0, 1.0, 0.0), Bus(2, BusKind.PQ, 230.0),
+                                 Bus(2, BusKind.PQ, 230.0))}, "duplicate bus ids: [2]"),
+    "self loop": ({"branches": (Branch(1, 2, z1=0.01 + 0.1j), Branch(2, 2, z1=0.1j))},
+                  "branch 2-2: from and to bus coincide"),
+    "zero z": ({"branches": (Branch(1, 2, z1=0.01 + 0.1j, z0=0j),)},
+               "branch 1-2: |z0| must be nonzero"),
+    "coupling shape": ({"branches": (Branch(1, 2, z1=0.01 + 0.1j, coupling=np.zeros((2, 2))),)},
+                       "branch 1-2: coupling block must be 3x3"),
+    "cost": ({"generators": (_unit(1, cost_a=-0.01),)}, "generator at bus 1: cost a must be >= 0"),
+}
+
+
+@pytest.mark.parametrize("name", list(STRUCTURE_FAULTS))
+def test_structure_faults_are_named(name):
+    overrides, message = STRUCTURE_FAULTS[name]
+    case = two_bus_case(**overrides)
+    assert validate_case(case) == [message]
+    with pytest.raises(ValueError, match=f"^invalid case: {re.escape(message)}$"):
+        cosim.run_timeseries(case, {}, None, start_min=0, horizon_min=1)
 
 
 def test_with_dispatch_replaces_setpoints():
