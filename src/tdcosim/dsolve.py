@@ -718,7 +718,9 @@ def synth_feeder(
     ``phase_mix`` splits the total demand over three-, two- and single-phase
     leaves; categories without leaves fold into the widest available one.
     Impedances are rescaled so the full-load head voltage drop lands between
-    2.5 and 5.5 percent.  Node k is ``n<k>``, and line k - 1 feeds it.
+    2.5 and 5.5 percent; a demand that six tries cannot bring into that band,
+    such as a strongly leading one, raises ``ValueError``.  Node k is
+    ``n<k>``, and line k - 1 feeds it.
     """
     if nodes < 2:
         raise ValueError("a feeder needs at least two nodes")
@@ -847,7 +849,10 @@ def synth_feeder(
         else:
             drop = 1.0 - float(np.min(np.abs(sol.v[sol.mask])))
             if 0.025 <= drop <= 0.055:
-                break
+                return feeder
             factor = TARGET_DROP / max(drop, 1e-9)
         feeder = feeder._copy(_Shared(feeder.topology()), line_z=feeder.line_z * factor)
-    return feeder
+    raise ValueError(
+        f"cannot calibrate a feeder for {total_p_mw} MW and {total_q_mvar} MVAr: "
+        f"no full-load voltage drop in 2.5-5.5 % after 6 tries"
+    )

@@ -2,44 +2,43 @@
 
 The positive-sequence network is solved with a full-Jacobian polar
 Newton-Raphson; the negative- and zero-sequence networks are linear solves
-against current injections.  Off-diagonal sequence coupling of untransposed
-lines is split off the branch admittance and re-injected as compensation
-currents, so the three networks stay independent within a pass.  Unbalanced
-PCC loads enter the positive sequence as a PQ load ``v1*conj(i1)`` and the
-other sequences as current injections; because those terms depend on the
-solution voltages, the module iterates the three solves to an internal fixed
-point that is much tighter than the outer coupling tolerance.  One pass of
-that loop is a function of the (3, n) sequence voltages, and the loop
-Anderson-mixes every pass from the second on.  It stops when a pass moves no
-sequence voltage by ``SEQ_LOOP_TOL``, or after its first pass when a bound
-on the injections the second pass would take proves that it would not:
-the mixer's second iterate is the first pass's result, so the bound covers
-exactly the pass it skips (see :func:`solve_three_sequence`).
+against current injections, each one product with the network's Z-bus.
+Off-diagonal sequence coupling of untransposed lines is split off the branch
+admittance and re-injected as compensation currents, so the three networks
+stay independent within a pass.  Unbalanced PCC loads enter the positive
+sequence as a PQ load ``v1*conj(i1)`` and the other sequences as current
+injections; because those terms depend on the solution voltages, the module
+iterates the three solves to an internal fixed point that is much tighter
+than the outer coupling tolerance.  One pass of that loop is a function of
+the (3, n) sequence voltages, and the loop Anderson-mixes every pass from
+the second on.  It stops when a pass moves no sequence voltage by
+``SEQ_LOOP_TOL``, or after its first pass when a bound on the injections the
+second pass would take proves that it would not: the mixer's second iterate
+is the first pass's result, so the bound covers exactly the pass it skips
+(see :func:`solve_three_sequence`).
 
-Everything that depends only on the buses and branches (the three Y-buses,
-the bus index, classes and voltage setpoints, the NR's index gathers, the
-stacked coupling blocks, and the ground-tied partition and sparse LU factor
-of Y0 and Y2) is derived once per network by :func:`build_sequence_ybus`,
-held on the case and shared by every copy of it, so a run that only changes
-dispatch, loads or PCC powers factorises once.  Cases carry MW/MVAr; their
-generators and lumped loads are read into per-unit arrays by bus
-(:func:`bus_schedule`), as MATPOWER's ``makeSbus`` does, into a schedule
-that carries the network it indexes.  A caller that solves one case several
-times, as the coupling rounds of a step do, reads the schedule once and
-passes it to :func:`solve_three_sequence`; a solve given none reads it
-itself, once per solve.
+Everything that depends only on the buses and branches (the three dense
+Y-buses, the bus index, classes and voltage setpoints, the NR's index
+gathers, the stamped coupling matrix, and the ground-tied partition and
+Z-bus of Y0 and Y2, the inverse of the ground-tied block (Grainger &
+Stevenson, *Power System Analysis*, 1994)) is derived once per network by
+:func:`build_sequence_ybus`, held on the case and shared by every copy of
+it, so a run that only changes dispatch, loads or PCC powers inverts once.
+Cases carry MW/MVAr; their generators and lumped loads are read into
+per-unit arrays by bus (:func:`bus_schedule`), as MATPOWER's ``makeSbus``
+does, into a schedule that carries the network it indexes.  A caller that
+solves one case several times, as the coupling rounds of a step do, reads
+the schedule once and passes it to :func:`solve_three_sequence`; a solve
+given none reads it itself, once per solve.
 """
 from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgesv
+from scipy.sparse.csgraph import connected_components
 
 from .errors import ConvergenceError, SingularNetworkError
 from .netmodel import BusKind, TransmissionCase, ZeroSeqPath, network_violations
@@ -57,30 +56,16 @@ FLOATING_TOL = 1e-12  # pu, the largest injection a bus with no path to ground m
 
 @dataclass(frozen=True, eq=False)
 class _GroundedFactor:
-    """Y0 or Y2 reduced to its ground-tied buses and factorised once."""
+    """Y0 or Y2 as its Z-bus, the inverse of its ground-tied block."""
 
     label: str
-    grounded: np.ndarray  # (n,) bool
-    idx: np.ndarray  # indices of the ground-tied buses
-    floating: np.ndarray  # indices of the others
-    lu: spla.SuperLU | None  # None when that block is exactly singular
-
-    @cached_property
-    def z_norm(self) -> float:
-        """The largest row sum of |Z|, Z the inverse of the ground-tied block:
-        the most a solve's voltages move per pu of change in its injections.
-        0.0 without ground-tied buses, inf when their block is singular.
-        Taken from the factor at the first solve that asks, by columns."""
-        m = self.idx.size
-        if self.lu is None:
-            return np.inf if m else 0.0
-        rows = np.zeros(m)
-        for first in range(0, m, 256):  # at most 256 columns of Z in memory
-            cols = np.arange(first, min(first + 256, m))
-            unit = np.zeros((m, cols.size), dtype=complex)
-            unit[cols, np.arange(cols.size)] = 1.0
-            rows += np.abs(self.lu.solve(unit)).sum(axis=1)
-        return float(rows.max())
+    floating: np.ndarray  # indices of the buses with no path to ground
+    # (n, n), zero in the rows and columns of floating buses; None when the
+    # ground-tied block is exactly singular
+    z: np.ndarray | None
+    # the largest row sum of |Z|, the most a solve's voltages move per pu of
+    # change in its injections: 0.0 without ground-tied buses, inf if singular
+    z_norm: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,18 +105,17 @@ def _bus_classes(n: int, pv: np.ndarray, pq: np.ndarray) -> _BusClasses:
 class SequenceYBus:
     """The sequence network of one bus/branch set; shared, never mutated."""
 
-    y0: sp.csr_matrix
-    y1: sp.csr_matrix
-    y2: sp.csr_matrix
-    y1_dense: np.ndarray  # the NR's Y1, densified once
+    y0: np.ndarray  # (n, n) each, dense
+    y1: np.ndarray
+    y2: np.ndarray
     # (2k + 20) eps ||Y1||inf, with k the most entries in a row of Y1; times
     # max|V|^2, it bounds the rounding of two NR mismatch evaluations at a
     # point and at its polar round trip (see solve_three_sequence)
     y1_round_off: float
-    # One coupling per untransposed branch: its full 3x3 series admittance
-    # with the diagonal zeroed, rows and columns ordered (0, 1, 2).
-    coupling_ends: np.ndarray  # (2c,) from and to bus of each coupling in turn
-    coupling_y: np.ndarray  # (c, 3, 3) their off-diagonal blocks, stacked
+    # (3n, 3n) over the flattened (3, n) sequence voltages: each untransposed
+    # branch's 3x3 series admittance with its diagonal zeroed, stamped as a
+    # series element; None when every branch is transposed
+    y_cross: np.ndarray | None
     bus_index: dict[int, int]
     slack: int
     held: np.ndarray  # the slack and PV buses, whose |V| the NR holds
@@ -191,9 +175,9 @@ def _sequence_network(buses, branches) -> SequenceYBus:
         raise ValueError("invalid network: " + "; ".join(problems))
     bus_index = {b.id: i for i, b in enumerate(buses)}
     n = len(bus_index)
-    y0, y1, y2 = (sp.lil_matrix((n, n), dtype=complex) for _ in range(3))
-    coupling_ends: list[int] = []
-    coupling_y: list[np.ndarray] = []
+    y0, y1, y2 = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    y_cross = None
+    seq_rows = n * np.arange(3)  # a bus's rows in the flattened (3, n) voltages
 
     for br in branches:
         f = bus_index[br.from_bus]
@@ -202,14 +186,15 @@ def _sequence_network(buses, branches) -> SequenceYBus:
 
         if br.coupling is not None:
             # Full series impedance, inverted once; diagonal admittances are
-            # stamped, the rest becomes the compensation block.
-            z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + np.asarray(
-                br.coupling, dtype=complex
-            )
+            # stamped, the rest into the compensation matrix.
+            z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + np.asarray(br.coupling, dtype=complex)
             y_full = np.linalg.inv(z_full)
             series = np.diag(y_full)
-            coupling_ends += (f, t)
-            coupling_y.append(y_full - np.diag(series))
+            y_off = y_full - np.diag(series)
+            if y_cross is None:
+                y_cross = np.zeros((3 * n, 3 * n), dtype=complex)
+            for a, b, sign in ((f, f, 1.0), (f, t, -1.0), (t, f, -1.0), (t, t, 1.0)):
+                y_cross[np.ix_(a + seq_rows, b + seq_rows)] += sign * y_off
         else:
             series = (1.0 / br.z0_eff, 1.0 / br.z1, 1.0 / br.z2_eff)
 
@@ -228,23 +213,18 @@ def _sequence_network(buses, branches) -> SequenceYBus:
             mat[t, f] -= ys / tap
 
     slack = [i for i, b in enumerate(buses) if b.kind is BusKind.SLACK]
-    y0, y2 = y0.tocsr(), y2.tocsr()
     pv = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PV], dtype=int)
     pq = np.array([i for i, b in enumerate(buses) if b.kind is BusKind.PQ], dtype=int)
     held = np.concatenate([slack, pv])
     zero, negative = _factor_grounded(y0, "zero"), _factor_grounded(y2, "negative")
-    y1 = y1.tocsr()
-    y1_dense = y1.toarray()
-    row_nnz = np.diff(y1.indptr).max(initial=0)
-    y1_norm = np.abs(y1_dense).sum(axis=1).max(initial=0.0)
+    row_nnz = np.count_nonzero(y1, axis=1).max(initial=0)
+    y1_norm = np.abs(y1).sum(axis=1).max(initial=0.0)
     return SequenceYBus(
         y0=y0,
         y1=y1,
         y2=y2,
-        y1_dense=y1_dense,
         y1_round_off=float((2 * row_nnz + 20) * np.finfo(float).eps * y1_norm),
-        coupling_ends=np.array(coupling_ends, dtype=int),
-        coupling_y=np.array(coupling_y, dtype=complex).reshape(-1, 3, 3),
+        y_cross=y_cross,
         bus_index=bus_index,
         slack=slack[0],
         held=held,
@@ -341,7 +321,7 @@ def nr_positive_sequence(
     :class:`ConvergenceError`.
     """
     ybus = sched.network
-    y = ybus.y1_dense
+    y = ybus.y1
     s_spec = sched.s.copy() if extra_s1 is None else sched.s - extra_s1
     x = np.empty((2, ybus.n))  # angles and magnitudes
     if v_init is None:
@@ -433,59 +413,50 @@ def _nr_core(y, s_spec, cls: _BusClasses, x: np.ndarray):
         x.reshape(-1)[cls.at_state] += dx
 
 
-def _grounded_partition(y: sp.csr_matrix):
+def _grounded_partition(y: np.ndarray):
     """Split buses into ground-tied components and floating ones.
 
     A component is ground-tied when its admittance rows do not sum to zero
     (some shunt path exists); floating components are solvable only for zero
     injection, in which case their voltages are zero by construction.
     """
-    n = y.shape[0]
-    structure = sp.csr_matrix((np.abs(y.data) > 0.0, y.indices, y.indptr), shape=y.shape)
-    ncomp, labels = csgraph.connected_components(structure, directed=False)
-    row_residual = np.abs(y @ np.ones(n))
-    grounded = np.zeros(n, dtype=bool)
+    ncomp, labels = connected_components(y != 0, directed=False)
+    row_residual = np.abs(y.sum(axis=1))
+    has_diagonal = np.diag(y) != 0
+    grounded = np.zeros(len(y), dtype=bool)
     for comp in range(ncomp):
         members = labels == comp
-        has_any = bool(np.any(np.abs(y.diagonal()[members]) > 0.0))
-        if has_any and np.max(row_residual[members]) > 1e-12:
+        if has_diagonal[members].any() and row_residual[members].max() > 1e-12:
             grounded |= members
     return grounded
 
 
-def _factor_grounded(y: sp.csr_matrix, label: str) -> _GroundedFactor:
+def _factor_grounded(y: np.ndarray, label: str) -> _GroundedFactor:
     grounded = _grounded_partition(y)
-    idx = np.nonzero(grounded)[0]
-    lu = None
-    if idx.size:
-        try:
-            lu = spla.splu(y[np.ix_(idx, idx)].tocsc())
-        except RuntimeError:  # exactly singular
-            pass
-    return _GroundedFactor(label, grounded, idx, np.nonzero(~grounded)[0], lu)
+    floating = np.flatnonzero(~grounded)
+    tied = np.ix_(grounded, grounded)
+    z = np.zeros_like(y)
+    try:
+        z[tied] = np.linalg.inv(y[tied])
+    except np.linalg.LinAlgError:  # exactly singular
+        return _GroundedFactor(label, floating, None, np.inf)
+    return _GroundedFactor(label, floating, z, float(np.abs(z).sum(axis=1).max()))
 
 
 def _solve_linear_sequence(seq: _GroundedFactor, injections: np.ndarray) -> np.ndarray:
     # On a few entries count_nonzero and cmath skip most of the cost of the
     # ndarray.any and np.isfinite calls they stand for.
     if not np.count_nonzero(injections):
-        return np.zeros(len(seq.grounded), dtype=complex)
-    if seq.floating.size and not np.abs(injections[seq.floating]).max() <= FLOATING_TOL:
+        return np.zeros(len(injections), dtype=complex)
+    if (seq.z is None or not cmath.isfinite(injections.sum())  # NaN or inf anywhere
+            or seq.floating.size and not np.abs(injections[seq.floating]).max() <= FLOATING_TOL):
         _reject(seq, injections)
-    if not seq.floating.size and seq.lu is not None:  # every bus ground-tied
-        v = seq.lu.solve(injections)
-    else:
-        v = np.zeros(len(seq.grounded), dtype=complex)
-        if seq.idx.size:
-            v[seq.idx] = np.nan if seq.lu is None else seq.lu.solve(injections[seq.idx])
-    if not cmath.isfinite(v.sum()):  # NaN or inf anywhere
-        _reject(seq, injections)
-    return v
+    return seq.z @ injections  # zero at floating buses, whatever their injections
 
 
 def _reject(seq: _GroundedFactor, injections: np.ndarray):
-    """Raise for a linear solve that cannot be done or failed: ``ValueError``
-    for a non-finite injection, else ``SingularNetworkError``."""
+    """Raise for a linear solve that cannot be done: ``ValueError`` for a
+    non-finite injection, else ``SingularNetworkError``."""
     bad = np.flatnonzero(~np.isfinite(injections))
     if bad.size:
         raise ValueError(
@@ -516,17 +487,13 @@ def compensation_currents(ybus: SequenceYBus, x: np.ndarray) -> np.ndarray:
     For each untransposed branch the cross-sequence current
     ``y_off @ (v_f - v_t)`` at the (3, n) sequence voltages ``x`` is moved to
     the right-hand side: subtracted at the from bus, added at the to bus.
-    One gather of the branch-end voltages, one scatter of the currents, in
-    coupling order.  Returns the (3, n) injections, zero when every branch
-    is transposed.
+    That is the product of the stamped ``y_cross`` with the flattened
+    voltages, negated.  Returns the (3, n) injections, zero when every
+    branch is transposed.
     """
-    ends, y_off = ybus.coupling_ends, ybus.coupling_y
-    corr = np.zeros(x.shape, dtype=complex)
-    if len(y_off):
-        v_ends = x[:, ends].reshape(3, -1, 2)  # (3, c, from/to)
-        i_cross = (y_off @ (v_ends[..., 0] - v_ends[..., 1]).T[..., None])[..., 0]  # (c, 3)
-        np.add.at(corr, (slice(None), ends), np.stack([-i_cross, i_cross], axis=1).reshape(-1, 3).T)
-    return corr
+    if ybus.y_cross is None:
+        return np.zeros(x.shape, dtype=complex)
+    return -(ybus.y_cross @ x.ravel()).reshape(x.shape)
 
 
 def pcc_injections(s_abc: np.ndarray, v012: np.ndarray) -> np.ndarray:
@@ -551,7 +518,6 @@ def solve_three_sequence(
     case: TransmissionCase,
     pcc_buses=(),
     s_pcc=None,
-    max_passes: int = SEQ_LOOP_MAX_PASSES,
     warm: SequenceSolution | None = None,
     sched: BusSchedule | None = None,
 ) -> SequenceSolution:
@@ -562,16 +528,17 @@ def solve_three_sequence(
     case several times passes it, and left out it is read here, once per
     solve.  ``pcc_buses`` are distinct PCC bus ids and ``s_pcc`` their
     (k, 3) per-phase head powers in MVA, one row per bus in that order; a
-    bus the network lacks or a non-finite entry, like ``max_passes`` below
-    1, raises ``ValueError``.  One pass maps the (3, n) sequence voltages to
-    the next: PCC injections and compensation currents (when a branch is
-    untransposed) at those voltages, then the positive NR and the negative
-    and zero solves, each called once through this module.  The passes stop
-    when the largest sequence-voltage change of a pass drops below
-    ``SEQ_LOOP_TOL``.  After the second pass and each later one, the next
-    iterate is the Anderson mix of up to ``SEQ_LOOP_MEMORY`` + 1 passes
-    (Walker & Ni, 2011), also after a change larger than the last: at
-    heavy load the plain pass is unstable.
+    bus the network lacks or a non-finite entry raises ``ValueError``.  One
+    pass maps the (3, n) sequence voltages to the next: PCC injections and
+    compensation currents (when a branch is untransposed) at those voltages,
+    then the positive NR and the negative and zero solves, each called once
+    through this module.  The passes stop when the largest sequence-voltage
+    change of a pass drops below ``SEQ_LOOP_TOL``; after
+    ``SEQ_LOOP_MAX_PASSES`` passes that did not, the solve raises
+    :class:`ConvergenceError`.  After the second pass and each later one,
+    the next iterate is the Anderson mix of up to ``SEQ_LOOP_MEMORY`` + 1
+    passes (Walker & Ni, 2011), also after a change larger than the last:
+    at heavy load the plain pass is unstable.
 
     Pass 2 starts from pass 1's result ``g1`` with the injections at ``g1``.
     With ``d_s`` the largest change of sequence ``s``'s injections from
@@ -590,16 +557,13 @@ def solve_three_sequence(
     - every PV generator's Q lies inside its widened limits by more than
       ``d_1 + r``, so no bus switches;
     - ``||Z||inf d_s < SEQ_LOOP_TOL`` for the zero and negative sequences,
-      with ``||Z||inf`` the largest row sum of the inverse of the
-      ground-tied block, up to the rounding of the linear solves, which the
-      bound leaves out;
+      with ``||Z||inf`` the largest row sum of the Z-bus, up to the rounding
+      of the linear solves, which the bound leaves out;
     - every injection at a floating bus is finite and at most
       ``FLOATING_TOL``, so the pass would not raise.
 
     Only pass 1 is certified: from pass 2 on the next iterate is mixed.
     """
-    if max_passes < 1:
-        raise ValueError(f"max_passes must be at least 1, got {max_passes}")
     if sched is None:
         sched = bus_schedule(case)
     ybus = sched.network
@@ -627,7 +591,7 @@ def solve_three_sequence(
     mixer = _AndersonMixer(SEQ_LOOP_MEMORY)
     total_iters = 0
     history: list[float] = []
-    for pass_no in range(1, max_passes + 1):
+    for pass_no in range(1, SEQ_LOOP_MAX_PASSES + 1):
         nr = nr_positive_sequence(sched, inj[1], v_init=x[1])
         v2 = solve_negative(ybus, inj[2])
         g = np.array([solve_zero(ybus, inj[0]), nr.v1, v2])
@@ -635,7 +599,7 @@ def solve_three_sequence(
         delta = np.inf if warm is None and pass_no == 1 else float(np.abs(g - x).max())
         history.append(delta)
         settled = delta < SEQ_LOOP_TOL
-        if not settled and pass_no < max_passes:
+        if not settled and pass_no < SEQ_LOOP_MAX_PASSES:
             x = mixer.next(x, g)  # g itself after pass 1
             inj, last = _pass_injections(ybus, pcc, s_abc, x), inj
             settled = pass_no == 1 and _second_pass_settles(ybus, nr, g, last, inj)
@@ -646,7 +610,7 @@ def solve_three_sequence(
             )
 
     raise ConvergenceError(
-        f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {max_passes} passes",
+        f"sequence loop did not settle below {SEQ_LOOP_TOL:g} pu in {SEQ_LOOP_MAX_PASSES} passes",
         history,
     )
 
@@ -660,7 +624,7 @@ def _pass_injections(ybus: SequenceYBus, pcc: np.ndarray, s_abc: np.ndarray,
     untransposed, of the compensation currents."""
     inj = np.zeros(x.shape, dtype=complex)
     inj[:, pcc] += pcc_injections(s_abc, x[:, pcc])
-    if len(ybus.coupling_y):
+    if ybus.y_cross is not None:
         corr = compensation_currents(ybus, x)
         # Positive-sequence compensation enters NR as an equivalent PQ load.
         inj[1] -= x[1] * np.conj(corr[1])

@@ -117,7 +117,7 @@ def test_criterion_5_compensation_oracle():
     z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + COUPLING
     direct = coupled_sequence_direct_2bus(z_full, br.b0_shunt, br.b1_shunt, inj)
 
-    mats = [yb.y0.toarray(), yb.y1.toarray(), yb.y2.toarray()]
+    mats = [yb.y0, yb.y1, yb.y2]
     v = np.zeros((2, 3), dtype=complex)
     for _ in range(300):
         corr = tsolve.compensation_currents(yb, v.T)

@@ -365,6 +365,8 @@ def test_make_feeder_names_a_bad_mix(tmp_path, capsys, mix, message):
     ("--base-mva", "-100", "base_mva must be finite and positive, got -100.0"),
     ("--p", "inf", "total demand must be finite, got inf MW and 0.2 MVAr"),
     ("--q", "nan", "total demand must be finite, got 1.0 MW and nan MVAr"),
+    ("--q", "-3", "cannot calibrate a feeder for 1.0 MW and -3.0 MVAr: no full-load voltage "
+                  "drop in 2.5-5.5 % after 6 tries"),
 ])
 def test_make_feeder_refuses_a_base_or_demand_it_cannot_build(
     tmp_path, capsys, flag, value, message

@@ -22,7 +22,6 @@ point in at most 18 passes.  A plain loop needs 21-33 passes at seven of
 them and 57-77 at six, beyond the budget; a second test checks that both
 land on the same fixed point at all 13.
 """
-import functools
 from dataclasses import replace
 
 import numpy as np
@@ -144,8 +143,7 @@ def test_mixing_lands_on_the_plain_loops_fixed_point(
             cosim.couple_step(case, feeders)  # the plain loop within the pass budget
     else:
         cosim.couple_step(case, feeders)  # settles within the budget, in more passes
-    monkeypatch.setattr(tsolve, "solve_three_sequence",
-                        functools.partial(tsolve.solve_three_sequence, max_passes=400))
+    monkeypatch.setattr(tsolve, "SEQ_LOOP_MAX_PASSES", 400)
     plain, plain_trace = cosim.couple_step(case, feeders)
     assert mixed_trace.iterations_to_converge == plain_trace.iterations_to_converge
     assert mixed_trace.overall_iterations == plain_trace.overall_iterations

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -530,6 +532,41 @@ def test_synthetic_feeder_bad_specs_rejected():
     with pytest.raises(ValueError):
         synth_feeder(nodes=10, total_p_mw=1.0, total_q_mvar=0.0, base_kv=12.47,
                      phase_mix=(-0.1, 0.5, 0.6))
+
+
+@pytest.mark.parametrize("nodes, q", [(50, -200.0), (50, -30.0)])
+def test_a_demand_it_cannot_calibrate_is_refused(monkeypatch, nodes, q):
+    # a leading demand lifts the nodes to the head's voltage or above, so the
+    # drop the rescale aims from is about zero and the next sweeps fail
+    failed = []
+    sweep = dsolve.sweep_solve
+
+    def counted(*args, **kwargs):
+        try:
+            return sweep(*args, **kwargs)
+        except ConvergenceError:
+            failed.append(None)
+            raise
+
+    monkeypatch.setattr(dsolve, "sweep_solve", counted)
+    with pytest.raises(ValueError, match=re.escape(
+            f"cannot calibrate a feeder for 52.1 MW and {q} MVAr: no full-load voltage "
+            f"drop in 2.5-5.5 % after 6 tries")):
+        synth_feeder(nodes=nodes, total_p_mw=52.1, total_q_mvar=q, base_kv=34.5)
+    assert failed  # a failed sweep was retried at a quarter of the impedances
+
+
+@given(st.integers(2, 300), st.floats(0.5, 60.0), st.floats(-0.6, 0.6), st.integers(0, 99))
+@settings(max_examples=25, deadline=None)
+def test_a_synthetic_feeder_is_returned_only_calibrated(nodes, p, q_ratio, seed):
+    try:
+        f = synth_feeder(nodes=nodes, total_p_mw=p, total_q_mvar=q_ratio * p, base_kv=12.47,
+                         seed=seed)
+    except ValueError as exc:
+        assert str(exc).startswith("cannot calibrate a feeder for ")
+        return
+    sol = sweep_solve(f, PhaseVoltages.balanced(1.0), tol=1e-8, max_iter=200)
+    assert 0.025 <= 1.0 - np.min(np.abs(sol.v[sol.mask])) <= 0.055
 
 
 def test_value_copies_share_topology(ckt_feeder):

@@ -50,7 +50,7 @@ def solve_nr(case):
 
 def test_single_line_offdiagonal():
     yb = tsolve.build_sequence_ybus(two_bus_case())
-    y1 = yb.y1.toarray()
+    y1 = yb.y1
     assert y1[0, 1] == pytest.approx(-1.0 / 0.1j, abs=1e-14)
     assert y1[0, 1] == pytest.approx(10j, abs=1e-14)
 
@@ -59,18 +59,18 @@ def test_nine_bus_matches_stamping_oracle(case9):
     yb = tsolve.build_sequence_ybus(case9)
     for seq, mat in ((0, yb.y0), (1, yb.y1), (2, yb.y2)):
         oracle = stamp_ybus_dense(case9, seq)
-        assert np.allclose(mat.toarray(), oracle, atol=1e-13), f"sequence {seq}"
+        assert np.allclose(mat, oracle, atol=1e-13), f"sequence {seq}"
 
 
 def test_open_zero_sequence_path_leaves_no_terms():
     case = two_bus_case(zero_seq_path=ZeroSeqPath.OPEN)
-    y0 = tsolve.build_sequence_ybus(case).y0.toarray()
+    y0 = tsolve.build_sequence_ybus(case).y0
     assert np.all(y0 == 0)
 
 
 def test_grounded_zero_sequence_is_shunt_at_to_bus():
     case = two_bus_case(z0=0.2j, zero_seq_path=ZeroSeqPath.GROUNDED)
-    y0 = tsolve.build_sequence_ybus(case).y0.toarray()
+    y0 = tsolve.build_sequence_ybus(case).y0
     assert y0[0, 0] == 0 and y0[0, 1] == 0 and y0[1, 0] == 0
     assert y0[1, 1] == pytest.approx(1.0 / 0.2j, abs=1e-14)
 
@@ -254,7 +254,7 @@ def pv_gen(q_min, q_max, p_set=50.0, q_set=0.0):
 def pv_bus_state(case):
     """|V| and generator MVAr at PV bus 2, which carries no load."""
     nr = solve_nr(case)
-    y1 = tsolve.build_sequence_ybus(case).y1_dense
+    y1 = tsolve.build_sequence_ybus(case).y1
     return abs(nr.v1[1]), (nr.v1 * np.conj(y1 @ nr.v1))[1].imag * case.base_mva
 
 
@@ -313,7 +313,7 @@ def test_singular_jacobian_raises(case9):
     # with no admittance every Jacobian entry is zero: LAPACK reports a zero pivot
     sched = tsolve.bus_schedule(case9)
     yb = sched.network
-    dead = replace(sched, network=replace(yb, y1_dense=np.zeros_like(yb.y1_dense)))
+    dead = replace(sched, network=replace(yb, y1=np.zeros_like(yb.y1)))
     with pytest.raises(SingularNetworkError, match="singular Jacobian at NR iteration 0"):
         tsolve.nr_positive_sequence(dead)
 
@@ -333,7 +333,7 @@ def test_two_bus_negative_solve_matches_dense():
     yb = tsolve.build_sequence_ybus(case)
     inj = np.array([0.0, 0.1 - 0.05j])
     v = tsolve.solve_negative(yb, inj)
-    expected = np.linalg.solve(yb.y2.toarray(), inj)
+    expected = np.linalg.solve(yb.y2, inj)
     assert np.allclose(v, expected, atol=1e-12)
 
 
@@ -344,7 +344,7 @@ def test_nine_bus_linear_solves_match_dense_lu(case9):
     inj[idx6] = 0.05 - 0.02j
 
     v2 = tsolve.solve_negative(yb, inj)
-    dense2 = np.linalg.solve(yb.y2.toarray(), inj)
+    dense2 = np.linalg.solve(yb.y2, inj)
     assert np.max(np.abs(v2 - dense2)) < 1e-10
     assert np.max(np.abs(yb.y2 @ v2 - inj)) < 1e-10
 
@@ -354,12 +354,14 @@ def test_nine_bus_linear_solves_match_dense_lu(case9):
     for bus in (1, 2, 3):
         assert v0[yb.bus_index[bus]] == 0
     live = [yb.bus_index[b] for b in (4, 5, 6, 7, 8, 9)]
-    dense0 = np.linalg.solve(yb.y0.toarray()[np.ix_(live, live)], inj[live])
+    dense0 = np.linalg.solve(yb.y0[np.ix_(live, live)], inj[live])
     assert np.max(np.abs(v0[live] - dense0)) < 1e-10
 
 
-def test_injection_behind_open_transformer():
-    case = TransmissionCase(
+def open_transformer_case():
+    """Slack bus 1 behind a zero-sequence open branch to bus 2, then a line
+    with zero-sequence charging to bus 3."""
+    return TransmissionCase(
         base_mva=100.0,
         buses=(
             Bus(1, BusKind.SLACK, 230.0, 1.0, 0.0),
@@ -373,7 +375,10 @@ def test_injection_behind_open_transformer():
         generators=(Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),),
         loads=(),
     )
-    yb = tsolve.build_sequence_ybus(case)
+
+
+def test_injection_behind_open_transformer():
+    yb = tsolve.build_sequence_ybus(open_transformer_case())
     inj = np.zeros(3, dtype=complex)
     inj[yb.bus_index[3]] = 0.02j
     v0 = tsolve.solve_zero(yb, inj)
@@ -406,12 +411,57 @@ def test_exactly_singular_sequence_network():
     # 10j series with 0.4 pu charging: Y0 = 0.1j * [[1, 1], [1, 1]], tied to
     # ground by its charging but singular
     yb = tsolve.build_sequence_ybus(two_bus_case(z0=10j, b0_shunt=0.4))
-    assert yb.zero.grounded.all()
+    assert yb.zero.floating.size == 0 and yb.zero.z is None and yb.zero.z_norm == np.inf
     inj = np.zeros(2, dtype=complex)
     inj[1] = 0.01
     with pytest.raises(SingularNetworkError, match="zero-sequence network is singular"):
         tsolve.solve_zero(yb, inj)
     assert np.all(tsolve.solve_zero(yb, np.zeros(2)) == 0)
+
+
+# -- Z-bus ------------------------------------------------------------------
+
+# A case, then the ids of its buses with no path to ground in Y0 and in Y2.
+Z_BUS_CASES = {
+    "case9": (lambda case9: case9, {1, 2, 3}, set()),
+    # no shunt in either Y2: all its buses float
+    "open transformer": (lambda _: open_transformer_case(), {1}, {1, 2, 3}),
+    # Y0 tied to ground only at the wye side, bus 2
+    "grounded wye": (lambda _: two_bus_case(z0=0.2j, zero_seq_path=ZeroSeqPath.GROUNDED),
+                     {1}, {1, 2}),
+    "untransposed": (lambda _: untransposed_case(), set(), set()),
+}
+
+
+@pytest.mark.parametrize("name", list(Z_BUS_CASES))
+def test_each_z_bus_inverts_the_ground_tied_block_of_the_stamped_network(case9, name):
+    make, floating0, floating2 = Z_BUS_CASES[name]
+    case = make(case9)
+    yb = tsolve.build_sequence_ybus(case)
+    for seq, net, floating in ((0, yb.zero, floating0), (2, yb.negative, floating2)):
+        y = stamp_ybus_dense(case, seq)
+        off = np.array([b.id in floating for b in case.buses])
+        assert net.floating.tolist() == np.flatnonzero(off).tolist()
+        z = np.zeros_like(y)
+        tied = np.ix_(~off, ~off)
+        z[tied] = np.linalg.solve(y[tied], np.eye(np.count_nonzero(~off)))
+        assert np.abs(net.z - z).max() <= 1e-12 * np.abs(z).max(initial=1.0), seq
+        assert not net.z[off].any() and not net.z[:, off].any()
+        assert net.z_norm == pytest.approx(np.abs(z).sum(axis=1).max(), rel=1e-12, abs=0.0)
+
+
+def test_floating_buses_read_positive_zero(case9):
+    # buses 1-3 have no zero-sequence path; a tolerated injection at bus 2
+    # reaches no voltage
+    yb = tsolve.build_sequence_ybus(case9)
+    inj = np.zeros(yb.n, dtype=complex)
+    inj[yb.bus_index[6]] = -0.05 + 0.02j
+    v0 = tsolve.solve_zero(yb, inj)
+    inj[yb.bus_index[2]] = -0.5 * tsolve.FLOATING_TOL
+    assert np.array_equal(tsolve.solve_zero(yb, inj), v0)
+    for bus in (1, 2, 3):
+        v = v0[yb.bus_index[bus]]
+        assert v == 0 and not np.signbit(v.real) and not np.signbit(v.imag), bus
 
 
 # -- compensation currents --------------------------------------------------
@@ -437,16 +487,49 @@ def untransposed_case():
     )
 
 
+def coupled_chain_case():
+    """Buses 1-2-3 joined by two untransposed lines of unlike coupling, so
+    bus 2 takes the cross-sequence currents of both."""
+    line = dict(z1=0.02 + 0.1j, z2=0.02 + 0.1j, z0=0.05 + 0.3j, b1_shunt=0.3, b0_shunt=0.2)
+    return TransmissionCase(
+        base_mva=100.0,
+        buses=(Bus(1, BusKind.SLACK, 230.0, 1.0, 0.0), Bus(2, BusKind.PQ, 230.0),
+               Bus(3, BusKind.PQ, 230.0)),
+        branches=(Branch(1, 2, coupling=COUPLING, **line),
+                  Branch(2, 3, coupling=0.7 * COUPLING.T, **line)),
+        generators=(Generator(1, 0.0, 500.0, -500.0, 500.0, CostCurve(0.01, 10.0, 0.0)),),
+        loads=(),
+    )
+
+
+@pytest.mark.parametrize("make", [untransposed_case, coupled_chain_case])
+def test_compensation_currents_follow_each_branch(make):
+    # -y_off (v_f - v_t) at the from bus and +y_off (v_f - v_t) at the to
+    # bus, y_off the branch's full series admittance with its diagonal zeroed
+    case = make()
+    yb = tsolve.build_sequence_ybus(case)
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(3, yb.n)) + 1j * rng.normal(size=(3, yb.n))
+    expected = np.zeros_like(x)
+    for br in case.branches:
+        y_full = np.linalg.inv(np.diag([br.z0_eff, br.z1, br.z2_eff]) + br.coupling)
+        f, t = yb.bus_index[br.from_bus], yb.bus_index[br.to_bus]
+        i_cross = (y_full - np.diag(np.diag(y_full))) @ (x[:, f] - x[:, t])
+        expected[:, f] -= i_cross
+        expected[:, t] += i_cross
+    assert np.abs(tsolve.compensation_currents(yb, x) - expected).max() < 1e-13
+
+
 def test_transposed_case_has_no_corrections(case9):
     yb = tsolve.build_sequence_ybus(case9)
-    assert yb.coupling_y.shape == (0, 3, 3)
+    assert yb.y_cross is None
     assert np.all(tsolve.compensation_currents(yb, np.ones((3, yb.n), dtype=complex)) == 0)
 
 
 def test_corrections_linear_in_coupling_block():
     yb = tsolve.build_sequence_ybus(untransposed_case())
-    assert len(yb.coupling_y) == 1
-    doubled = replace(yb, coupling_y=2.0 * yb.coupling_y)
+    assert yb.y_cross.shape == (6, 6)
+    doubled = replace(yb, y_cross=2.0 * yb.y_cross)
     rng = np.random.default_rng(3)
     x = np.array([rng.normal(size=2) + 1j * rng.normal(size=2) for _ in range(3)])
     base = tsolve.compensation_currents(yb, x)
@@ -469,7 +552,7 @@ def test_decoupled_fixed_point_matches_coupled_direct_solve():
     z_full = np.diag([br.z0_eff, br.z1, br.z2_eff]) + COUPLING
     direct = coupled_sequence_direct_2bus(z_full, br.b0_shunt, br.b1_shunt, inj)
 
-    mats = [yb.y0.toarray(), yb.y1.toarray(), yb.y2.toarray()]
+    mats = [yb.y0, yb.y1, yb.y2]
     v = np.zeros((2, 3), dtype=complex)
     for _ in range(200):
         corr = tsolve.compensation_currents(yb, v.T)
@@ -625,12 +708,6 @@ def test_non_finite_pcc_power_rejected_before_the_first_pass(case9, monkeypatch,
         tsolve.solve_three_sequence(case9, [6, 5, 8], s_pcc)
 
 
-@pytest.mark.parametrize("max_passes", [0, -1])
-def test_pass_budget_below_one_rejected(case9, max_passes):
-    with pytest.raises(ValueError, match=f"max_passes must be at least 1, got {max_passes}"):
-        tsolve.solve_three_sequence(case9, max_passes=max_passes)
-
-
 def test_phase_voltages_follow_the_bus_order(case9):
     loads = tuple(
         ld if ld.bus not in (5, 6) else LoadAttachment(ld.bus, feeder_id="f") for ld in case9.loads
@@ -685,14 +762,15 @@ def test_nr_mismatch_tail_strictly_decreasing(case9):
     assert tail[0] > tail[1] > tail[2]
 
 
-def test_sequence_loop_failure_carries_pass_history(case9):
+def test_sequence_loop_failure_carries_pass_history(case9, monkeypatch):
     loads = tuple(
         ld if ld.bus != 6 else LoadAttachment(6, feeder_id="ckt") for ld in case9.loads
     )
     case = replace(case9, loads=loads)
     m = (51.7 + 12.3j) / 3.0
+    monkeypatch.setattr(tsolve, "SEQ_LOOP_MAX_PASSES", 2)
     with pytest.raises(ConvergenceError) as err:
-        tsolve.solve_three_sequence(case, [6], [[1.15 * m, 0.925 * m, 0.925 * m]], max_passes=2)
+        tsolve.solve_three_sequence(case, [6], [[1.15 * m, 0.925 * m, 0.925 * m]])
     assert len(err.value.history) == 2
     assert err.value.history[-1] > tsolve.SEQ_LOOP_TOL
 
@@ -834,13 +912,15 @@ def test_a_floating_injection_over_tolerance_runs_pass_two(case9, monkeypatch, e
     assert len(calls) == 2
 
 
-def test_a_load_that_unbalances_a_floating_bus_raises_in_pass_two(case9):
+def test_a_load_that_unbalances_a_floating_bus_raises_in_pass_two(case9, monkeypatch):
     # a negative-sequence pattern of powers draws no zero-sequence current
     # at balanced voltages, but does at the unbalanced ones pass 1 leaves
     a = np.exp(2j * np.pi / 3)
     s_pcc = [[0.01, 0.01 * a, 0.01 * a * a]]
-    with pytest.raises(ConvergenceError, match="in 1 passes"):
-        tsolve.solve_three_sequence(case9, [2], s_pcc, max_passes=1)
+    with monkeypatch.context() as budget:
+        budget.setattr(tsolve, "SEQ_LOOP_MAX_PASSES", 1)
+        with pytest.raises(ConvergenceError, match="in 1 passes"):
+            tsolve.solve_three_sequence(case9, [2], s_pcc)
     with pytest.raises(SingularNetworkError, match=re.escape(
             "zero-sequence injection at bus index [1] has no path to ground")):
         tsolve.solve_three_sequence(case9, [2], s_pcc)
