@@ -43,14 +43,17 @@ def _parse_shape_binding(arg: str) -> tuple[str, str]:
 
 
 def _float_list(what: str):
-    """An argparse type for a comma-separated list of floats, called ``what``
-    in its error."""
+    """An argparse type for a comma-separated list of at least one float,
+    called ``what`` in its error."""
 
     def parse(arg: str) -> list[float]:
         try:
-            return [float(tok) for tok in arg.split(",") if tok.strip()]
+            values = [float(tok) for tok in arg.split(",") if tok.strip()]
         except ValueError:
-            raise argparse.ArgumentTypeError(f"bad {what} {arg!r}") from None
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"bad {what} {arg!r}")
+        return values
 
     return parse
 
@@ -351,9 +354,6 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ConvergenceError as exc:
-        print(f"did not converge: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except (ValueError, TdcosimError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -52,21 +52,23 @@ MAX_ROUNDS = 50
 
 @dataclass
 class CouplingTrace:
-    """Each round of a step's PCC exchange: the (k, 3) transmission- and
-    distribution-side |V| and the (k,) mismatch, the largest per-phase |V|
-    change since the round before, one row per PCC in ``pcc_buses`` order."""
+    """Each round of a step's PCC exchange: the (k, 3) transmission-side |V|
+    and the (k,) mismatch, the largest per-phase |V| change since the round
+    before, one row per PCC in ``pcc_buses`` order."""
 
     pcc_buses: tuple[int, ...] = ()
     v_trans: list[np.ndarray] = field(default_factory=list)
-    v_dist: list[np.ndarray] = field(default_factory=list)
     mismatch: list[np.ndarray] = field(default_factory=list)
     iterations_to_converge: dict[int, int] = field(default_factory=dict)
     overall_iterations: int = 0
 
-    def add_round(self, v_trans, v_dist, mismatch) -> None:
-        self.v_trans.append(v_trans)
-        self.v_dist.append(v_dist)
-        self.mismatch.append(mismatch)
+    @property
+    def v_dist(self) -> list[np.ndarray]:
+        """Each round's distribution-side |V|: the head |V| the feeders were
+        last swept at, which a sweep holds at its commanded voltage, so the
+        round before's ``v_trans`` (one exchange behind, like Table 1); in
+        round 1, no feeder being swept yet, its own."""
+        return self.v_trans[:1] + self.v_trans[:-1]
 
 
 @dataclass
@@ -78,6 +80,7 @@ class CoupledState:
     pcc_buses: tuple[int, ...]
     v_pcc: np.ndarray  # (k, 3) complex pu, one row per PCC in pcc_buses order
     s_pcc: np.ndarray  # (k, 3) complex MVA the last transmission solve consumed
+    agg: np.ndarray  # (k, 3) complex MVA, each feeder's aggregate load at this step
 
     @property
     def pcc_voltages(self) -> dict[int, PhaseVoltages]:
@@ -150,8 +153,7 @@ def couple_step(
     once per call, on the sequence network the case holds
     (:func:`tsolve.build_sequence_ybus`).
 
-    Round 1 enters the trace with an ``inf`` mismatch and, no feeder being
-    swept yet, its transmission |V| on both sides.
+    Round 1 enters the trace with an ``inf`` mismatch.
 
     Raises :class:`ConvergenceError` (with the trace so far attached as
     ``exc.trace``) if ``max_rounds`` is exhausted or a transmission solve or
@@ -169,12 +171,10 @@ def couple_step(
     sched = tsolve.bus_schedule(case)
 
     buses = tuple(sorted(feeders))
-    agg = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
+    agg = _aggregates(feeders, buses)
     s_pcc = _round_one_powers(agg, buses, feeders, warm)
 
     trace = CouplingTrace(buses)
-    mags = None  # the last round's PCC voltage magnitudes
-    since = [0] * len(buses)  # round since which each PCC stayed below eps
     seq = warm.seq if warm is not None else None
     fsols: dict[int, dsolve.FeederSolution] = {}  # this step's latest sweeps
     last = warm.feeder_solutions if warm is not None else {}
@@ -188,24 +188,22 @@ def couple_step(
             _fail_at(exc, k, trace)
             raise
         v_pcc = seq.phase_voltages(buses)
-        prev, mags = mags, np.abs(v_pcc)
-        mismatch = np.full(len(buses), np.inf) if prev is None else np.abs(mags - prev).max(axis=1)
-        below = (mismatch < eps).tolist()
-        since = [(first or k) if ok else 0 for first, ok in zip(since, below)]
-        # distribution side: head voltage of the latest feeder solve
-        # (one exchange behind the transmission iterate, like Table 1)
-        head_mags = np.abs([fsols[b].v[0] for b in buses]) if fsols else mags
-        trace.add_round(mags, head_mags, mismatch)
+        mags = np.abs(v_pcc)
+        trace.mismatch.append(np.abs(mags - trace.v_trans[-1]).max(axis=1) if trace.v_trans
+                              else np.full(len(buses), np.inf))
+        trace.v_trans.append(mags)
 
         if not feeders:
             # Degenerate but legal: nothing to couple, one solve suffices.
             trace.overall_iterations = k
-            return CoupledState(seq, {}, buses, v_pcc, s_pcc), trace
+            return CoupledState(seq, {}, buses, v_pcc, s_pcc, agg), trace
 
-        if k >= 2 and all(below):
+        if k >= 2 and (trace.mismatch[-1] < eps).all():
+            # Each PCC converged in the round after its last one at or above eps.
+            above = np.where(np.array(trace.mismatch) < eps, 0, np.arange(1, k + 1)[:, None])
             trace.overall_iterations = k
-            trace.iterations_to_converge = dict(zip(buses, since))
-            return CoupledState(seq, fsols, buses, v_pcc, s_pcc), trace
+            trace.iterations_to_converge = dict(zip(buses, (above.max(axis=0) + 1).tolist()))
+            return CoupledState(seq, fsols, buses, v_pcc, s_pcc, agg), trace
 
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
@@ -236,19 +234,21 @@ def _round_one_powers(agg, buses, feeders, warm):
     When ``warm`` holds a solution of every feeder's topology, each head
     power is predicted from the warm step's: its losses (head power less
     aggregate load) grow with the square of the load, per phase,
-    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``, where ``heads_w`` is the
-    warm ``s_pcc``, the sweeps' head powers; a phase whose warm aggregate is
-    zero enters as its aggregate.
+    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``, where ``heads_w`` and
+    ``agg_w`` are the warm ``s_pcc``, the sweeps' head powers, and ``agg``;
+    a phase whose warm aggregate is zero enters as its aggregate.
     """
     if warm is None or warm.pcc_buses != buses:
         return agg
     sols = warm.feeder_solutions
-    agg_w = [sols[b].load_for(feeders[b]) if b in sols else None for b in buses]
-    if not agg_w or any(a is None for a in agg_w):
+    if any(b not in sols or sols[b].start_for(feeders[b]) is None for b in buses):
         return agg
-    agg_w = np.array(agg_w)
-    growth = agg / np.where(agg_w != 0, agg_w, np.inf)
-    return agg + (warm.s_pcc - agg_w) * np.abs(growth) ** 2
+    growth = agg / np.where(warm.agg != 0, warm.agg, np.inf)
+    return agg + (warm.s_pcc - warm.agg) * np.abs(growth) ** 2
+
+
+def _aggregates(feeders, buses) -> np.ndarray:  # (k, 3) MVA, one row per bus
+    return np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
 
 
 def _fail_at(exc: ConvergenceError, k: int, trace: CouplingTrace) -> None:
@@ -299,7 +299,7 @@ def _aggregate_pq_boundary(case, feeders, warm):
     coupled run's shape; a :class:`ConvergenceError` carries it too, empty.
     """
     buses = tuple(sorted(feeders))
-    s_pcc = np.array([dsolve.aggregate_load(feeders[b]).as_array() for b in buses]).reshape(-1, 3)
+    s_pcc = _aggregates(feeders, buses)
     trace = CouplingTrace(buses, overall_iterations=1)
     try:
         seq = tsolve.solve_three_sequence(
@@ -309,10 +309,10 @@ def _aggregate_pq_boundary(case, feeders, warm):
         exc.trace = trace
         raise
     v_pcc = seq.phase_voltages(buses)
-    mags = np.abs(v_pcc)
-    trace.add_round(mags, mags, np.zeros(len(buses)))
+    trace.v_trans.append(np.abs(v_pcc))
+    trace.mismatch.append(np.zeros(len(buses)))
     trace.iterations_to_converge = dict.fromkeys(buses, 1)
-    return CoupledState(seq, {}, buses, v_pcc, s_pcc), trace
+    return CoupledState(seq, {}, buses, v_pcc, s_pcc, s_pcc), trace
 
 
 def _time_loop(

@@ -205,7 +205,6 @@ class _Topology:
     mask: np.ndarray  # (n, 3) bool, phases present at each node
     parent: np.ndarray  # (L,) int, line j runs from node parent[j] to node j + 1
     end: np.ndarray  # (n,) int, the subtree at node k is [k, end[k])
-    line_names: tuple[tuple[str, str], ...]
     line_index: np.ndarray  # (L,) int, index into the feeder's line arrays
 
 
@@ -353,7 +352,6 @@ def _compile_topology(feeder: Feeder) -> _Topology:
         mask=mask,
         parent=parent,
         end=np.arange(n) + size,
-        line_names=tuple(zip(map(node_order.__getitem__, parents), node_order[1:])),
         line_index=line_index,
     )
 
@@ -458,7 +456,6 @@ class FeederSolution:
     node_order: tuple[str, ...]
     v: np.ndarray  # (n, 3) complex pu, absent phases +0.0
     i_line: np.ndarray  # (L, 3) complex pu, aligned with line_names
-    line_names: tuple[tuple[str, str], ...]
     s_head: np.ndarray  # (3,) complex MVA drawn at the head, per phase
     iterations: int
     mask: np.ndarray
@@ -469,12 +466,12 @@ class FeederSolution:
         they were solved on the same topology object."""
         return self.v if self._feeder.topology() is feeder.topology() else None
 
-    def load_for(self, feeder: Feeder) -> np.ndarray | None:
-        """The (3,) aggregate load (MVA) this solution was solved at, or None
-        unless it was solved on the same topology object as ``feeder``."""
-        if self._feeder.topology() is not feeder.topology():
-            return None
-        return self._feeder.load_s.sum(axis=0)
+    @property
+    def line_names(self) -> tuple[tuple[str, str], ...]:
+        """Each line's (from, to) node names, parent first, in node order."""
+        names = self.node_order
+        return tuple(zip(map(names.__getitem__, self._feeder.topology().parent.tolist()),
+                         names[1:]))
 
     def kcl_residuals(self) -> np.ndarray:
         """Per node/phase current balance at the reported state (pu)."""
@@ -594,7 +591,6 @@ def sweep_solve(
         node_order=topo.node_order,
         v=v_ext.take(plan.slot),
         i_line=acc_ext.take(plan.slot[1:]),
-        line_names=topo.line_names,
         s_head=s_head_pu * (feeder.base_mva / 3.0),
         iterations=iterations,
         mask=topo.mask,

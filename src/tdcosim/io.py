@@ -601,7 +601,10 @@ def parse_loadshape(text: str, shape_id: str = "shape") -> LoadshapeSeries:
     try:
         int(rows[0][1][0])
     except ValueError:
-        start = 1  # header row
+        try:
+            float((rows[0][1] + [""])[1])
+        except ValueError:
+            start = 1  # a header: neither the minute nor the multiplier is a number
     minutes: list[int] = []
     values: list[float] = []
     for lineno, row in rows[start:]:

@@ -69,9 +69,6 @@ class PhaseVoltages:
         va = magnitude * cmath.exp(1j * angle)
         return cls(va, va * ALPHA**2, va * ALPHA)
 
-    def magnitudes(self) -> np.ndarray:
-        return np.abs(self.as_array())
-
 
 @dataclass(frozen=True)
 class PhasePowers:

@@ -233,6 +233,16 @@ def test_sweep_unbalance_table(paths, capsys):
         assert n6 == overall
 
 
+@pytest.mark.parametrize("alphas", ["", ","])
+def test_sweep_unbalance_refuses_an_empty_alpha_list(paths, capsys, alphas):
+    with pytest.raises(SystemExit) as err:
+        main(["sweep-unbalance", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
+              "--alphas", alphas, "--out", paths["out"]])
+    assert err.value.code == 2
+    assert f"argument --alphas: bad alpha list {alphas!r}" in capsys.readouterr().err
+    assert not Path(paths["out"]).exists()
+
+
 def test_timeseries_run_and_artifacts(paths):
     rc = main(
         ["timeseries", "--case", paths["case"], "--feeder", f"{paths['feeder']}@6",
@@ -340,6 +350,7 @@ def test_make_feeder_refuses_a_name_it_cannot_write_back(tmp_path, capsys, name)
 
 @pytest.mark.parametrize("mix, message", [
     ("x", "argument --mix: bad phase mix 'x'"),
+    ("", "argument --mix: bad phase mix ''"),
     ("0.5,0.5", "error: phase mix needs three fractions, got [0.5, 0.5]"),
     ("0.2,0.2,0.3,0.3", "error: phase mix needs three fractions, got [0.2, 0.2, 0.3, 0.3]"),
 ])

@@ -7,7 +7,7 @@ import pytest
 from tdcosim import cosim, dsolve, ed, tsolve
 from tdcosim.cli import main
 from tdcosim.errors import ConvergenceError, TdcosimError, VoltageCollapseError
-from tdcosim.seqxform import FORTESCUE
+from tdcosim.seqxform import ALPHA, FORTESCUE
 
 from oracles import feeder_records
 
@@ -53,10 +53,10 @@ def test_both_sides_agree_at_final_iteration(sys1_state):
     assert np.allclose(trace.v_trans[final], trace.v_dist[final], atol=1e-4)
     # the feeder solutions are one exchange behind the final transmission
     # iterate, so their head voltage agrees with the PCC voltage within eps
-    for bus, fsol in state.feeder_solutions.items():
+    for bus, v in zip(state.pcc_buses, state.v_pcc, strict=True):
         assert np.allclose(
-            np.abs(fsol.v[0]),
-            state.pcc_voltages[bus].magnitudes(),
+            np.abs(state.feeder_solutions[bus].v[0]),
+            np.abs(v),
             atol=1e-4,
         )
 
@@ -95,7 +95,7 @@ def test_pcc_voltages_view_reads_the_arrays(sys2_state):
 
 def test_balanced_phases_agree(sys1_state):
     state, trace = sys1_state
-    mags = state.pcc_voltages[6].magnitudes()
+    (mags,) = np.abs(state.v_pcc)  # the one PCC, bus 6
     assert mags.max() - mags.min() < 1e-6
 
 
@@ -124,7 +124,7 @@ def test_zero_load_feeder_two_rounds(system1, ckt_feeder):
     # PCC voltage equals the no-load transmission solution
     sol = tsolve.solve_three_sequence(system1)
     expected = abs(sol.v1[sol.bus_index[6]])
-    assert state.pcc_voltages[6].magnitudes() == pytest.approx(expected, abs=1e-9)
+    assert np.abs(state.v_pcc[0]) == pytest.approx(expected, abs=1e-9)
     assert state.s_pcc.sum() == 0
 
 
@@ -212,6 +212,87 @@ def test_determinism_across_jobs(system2, feeders3):
         )
 
 
+def _record_sweeps(monkeypatch):
+    """Record every feeder sweep's commanded head voltage and its solution."""
+    sweeps = []
+    sweep_solve = dsolve.sweep_solve
+
+    def spy(feeder, head_v, **kwargs):
+        sol = sweep_solve(feeder, head_v, **kwargs)
+        sweeps.append((np.array(head_v), sol))
+        return sol
+
+    monkeypatch.setattr(dsolve, "sweep_solve", spy)
+    return sweeps
+
+
+@pytest.mark.parametrize("run", ["snapshot", "collapse", "warm series"])
+def test_the_sweeps_measure_the_round_befores_transmission_side(
+    system2, feeders3, ckt_feeder, day_shape, monkeypatch, run
+):
+    sweeps = _record_sweeps(monkeypatch)
+    if run == "snapshot":
+        traces = [cosim.couple_step(system2, feeders3,
+                                    dispatch=dispatch_for(system2, feeders3))[1]]
+    elif run == "collapse":
+        # ckt24_synth at 3x load and alpha 0.1 at buses 5, 6 and 8: the feeder
+        # at bus 5 collapses in the sweeps of round 21
+        triple = dsolve.apply_unbalance(dsolve.scale_loads(ckt_feeder, 3.0), 0.1)
+        feeders = dict.fromkeys((5, 6, 8), triple)
+        with pytest.raises(VoltageCollapseError) as err:
+            cosim.couple_step(system2, feeders, dispatch=dispatch_for(system2, feeders))
+        assert err.value.pcc_bus == 5 and err.value.trace.overall_iterations == 21
+        traces = [err.value.trace]
+    else:
+        res = cosim.run_timeseries(system2, feeders3, {"day": day_shape}, start_min=1020,
+                                   horizon_min=10)
+        assert [s.trace.overall_iterations for s in res.steps] == [3] + [2] * 9
+        traces = [s.trace for s in res.steps]
+    for trace in traces:
+        k, rounds = len(trace.pcc_buses), len(trace.v_trans)
+        # every round but the last sweeps each PCC's feeder once, in PCC order
+        step, sweeps = sweeps[:k * (rounds - 1)], sweeps[k * (rounds - 1):]
+        assert len(step) == k * (rounds - 1)
+        for head, sol in step:
+            assert sol.v[0].tobytes() == head.tobytes()  # the head is held bit for bit
+        heads = np.abs([sol.v[0] for _, sol in step]).reshape(rounds - 1, k, 3)
+        # round r's distribution side is the head |V| of round r - 1's sweeps,
+        # which is round r - 1's transmission side; round 1 has no sweep before it
+        np.testing.assert_array_equal(heads, trace.v_trans[:-1])
+        np.testing.assert_array_equal(trace.v_dist, trace.v_trans[:1] + list(heads))
+        # each PCC converged where its last streak of mismatches below eps began
+        streak = np.zeros(k, dtype=int)
+        for mismatch in trace.mismatch:
+            streak = np.where(mismatch < cosim.COUPLING_EPS, streak + 1, 0)
+        expected = dict(zip(trace.pcc_buses, (rounds + 1 - streak).tolist()))
+        assert trace.iterations_to_converge == ({} if run == "collapse" else expected)
+    assert sweeps == []
+
+
+def test_each_pcc_converges_after_its_last_round_at_or_above_eps(
+    system2, feeders3, monkeypatch
+):
+    # Scripted transmission |V| per round, balanced: the bus-5 mismatch dips
+    # below eps in round 2 and rises above it in round 3.
+    script = iter(np.outer(m, [1.0, ALPHA**2, ALPHA]) for m in (
+        [1.0, 1.0, 1.0], [1.00005, 1.01, 1.01], [1.001, 1.01001, 1.01], [1.00101, 1.01002, 1.01],
+    ))
+
+    class Scripted:
+        def __init__(self):
+            self.v_pcc = next(script)
+
+        def phase_voltages(self, buses):
+            return self.v_pcc
+
+    monkeypatch.setattr(tsolve, "solve_three_sequence", lambda *args, **kwargs: Scripted())
+    _, trace = cosim.couple_step(system2, feeders3, eps=1e-4)
+    assert [(m < 1e-4).tolist() for m in trace.mismatch] == [
+        [False] * 3, [True, False, False], [False, True, True], [True] * 3]
+    assert trace.overall_iterations == 4
+    assert trace.iterations_to_converge == {5: 4, 6: 3, 8: 3}
+
+
 def test_sweep_row_for_collapse_did_not_converge(system1, ckt_feeder):
     heavy = dsolve.scale_loads(ckt_feeder, 4.0)
     sweep = cosim.sweep_unbalance(system1, {6: heavy}, [0.0])
@@ -227,9 +308,9 @@ def test_flat_loadshape_time_invariance(system1, ckt_feeder, flat_shape):
         system1, {6: ckt_feeder}, {"day": flat_shape}, start_min=0, horizon_min=10
     )
     assert len(res.steps) == 10
-    ref = res.steps[0].state.pcc_voltages[6].magnitudes()
+    ref = np.abs(res.steps[0].state.v_pcc[0])
     for step in res.steps[1:]:
-        assert np.allclose(step.state.pcc_voltages[6].magnitudes(), ref, atol=1e-9)
+        assert np.allclose(np.abs(step.state.v_pcc[0]), ref, atol=1e-9)
 
 
 def test_ed_cadence_counts(system1, ckt_feeder, day_shape):
@@ -376,8 +457,8 @@ def test_decoupled_baseline_differs_for_lossy_feeder(system1, ckt_feeder, day_sh
     diffs = []
     for step in coupled.steps:
         if step.t_min in by_t:
-            vc = step.state.pcc_voltages[6].magnitudes()
-            vd = by_t[step.t_min].state.pcc_voltages[6].magnitudes()
+            vc = np.abs(step.state.v_pcc[0])
+            vd = np.abs(by_t[step.t_min].state.v_pcc[0])
             diffs.append(np.max(np.abs(vc - vd)))
     assert max(diffs) > 0  # the losses the decoupled model cannot see
 
@@ -392,8 +473,8 @@ def test_decoupled_baseline_equals_coupled_for_zero_load(system1, ckt_feeder, fl
     baseline = cosim.run_decoupled_baseline(
         system1, {6: empty}, shapes, start_min=0, horizon_min=5
     )
-    vc = coupled.steps[0].state.pcc_voltages[6].magnitudes()
-    vd = baseline.steps[0].state.pcc_voltages[6].magnitudes()
+    vc = np.abs(coupled.steps[0].state.v_pcc[0])
+    vd = np.abs(baseline.steps[0].state.v_pcc[0])
     assert np.max(np.abs(vc - vd)) < 1e-4
 
 
@@ -643,7 +724,7 @@ def test_warm_start_falls_back_per_phase(system1, monkeypatch):
         name="lopsided",
     )
     warm, _ = cosim.couple_step(system1, {6: lopsided})
-    assert warm.feeder_solutions[6].load_for(lopsided)[2] == 0
+    assert warm.agg[0][2] == 0
     even = {6: dsolve.apply_unbalance(lopsided, 0.0)}
     seen = _record_s_pcc(monkeypatch)
     _, trace = cosim.couple_step(system1, even, warm=warm)

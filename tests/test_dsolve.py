@@ -948,14 +948,16 @@ def _depth_first_walk(lines, head):
 def test_nodes_are_numbered_depth_first_in_line_order(tree):
     lines, _, order = tree
     lines = [lines[k] for k in order]  # shuffled; radial_trees also reverses some
-    topo = Feeder(12.47, 100.0, "n0", tuple(lines), ()).topology()
+    feeder = Feeder(12.47, 100.0, "n0", tuple(lines), ())
+    topo = feeder.topology()
     names, parents, ends, vias = zip(*_depth_first_walk(lines, "n0"))
     assert topo.node_order == names
     assert topo.node_index == {name: k for k, name in enumerate(names)}
     assert topo.parent.tolist() == list(parents[1:])
     assert topo.end.tolist() == list(ends)
     assert topo.line_index.tolist() == list(vias[1:])
-    assert topo.line_names == tuple((names[p], b) for p, b in zip(parents[1:], names[1:]))
+    sol = sweep_solve(feeder, PhaseVoltages.balanced(1.0))
+    assert sol.line_names == tuple((names[p], b) for p, b in zip(parents[1:], names[1:]))
     assert topo.mask.tolist() == [[True] * 3] + [
         [ph in lines[j].phases for ph in "abc"] for j in vias[1:]
     ]

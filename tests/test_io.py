@@ -353,6 +353,9 @@ LOADSHAPE_ERRORS = {  # text, line, column, message; blank lines count
     "negative": ("minute,multiplier\n0,1.0\n 1,-0.5\n", 3, 4,
                  "multiplier must be finite and >= 0, got -0.5"),
     "gap": ("0,1\n\n\n3,1\n", 4, 1, "loadshape minutes must be contiguous; expected 1, got 3"),
+    # a first row whose multiplier reads as a number is a sample, not a header
+    "float minute": ("0.0,1.0\n1,1.0", 1, 1, "bad minute value '0.0'"),
+    "letter minute": ("O,1.0\n1,1.0\n2,0.9", 1, 1, "bad minute value 'O'"),
     "quoted comma": ('0,1\n"1","a,b"\n', 2, 5, "bad multiplier value 'a,b'"),
     "two-line row": ('0,1\n"1\n",x\n', 3, 3, "bad multiplier value 'x'"),
     "csv error": ("0,1\n\n1," + "x" * (csv.field_size_limit() + 1) + "\n", 3, 1,
