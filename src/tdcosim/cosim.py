@@ -17,14 +17,14 @@ advances past a step once its boundary has converged.
   rounds.
   Convergence is declared when, for every PCC and phase, successive
   transmission-side voltage magnitudes differ by less than ``eps``.  The
-  loop hands each step the last converged state.  From it the first round
-  predicts each feeder's head power: this step's aggregate load plus the
-  last step's losses grown with the square of the load.  With no such state
-  (a snapshot, an unbalance sweep, the first step) the first round starts
-  from the aggregate loads, as the decoupled model does.  Each sweep starts
-  from the latest solution of its feeder: the previous round's, or for the
-  first round the previous step's.  A feeder solved on another topology
-  starts flat, and its head power from its aggregate load.
+  loop hands each step the last converged state, and the step decides once
+  what its first round reuses of it (:func:`_warm_start`): a PCC whose
+  feeder was last solved on the same topology starts its sweep from those
+  voltages, and each of its phases from a predicted head power wherever the
+  prediction is finite; every other PCC starts flat and every other phase
+  from its aggregate load, as the decoupled model does, and so does every
+  PCC of a snapshot, an unbalance sweep or a first step.  Later rounds start
+  each sweep from the round before's.
 * The aggregate-PQ boundary is the decoupled model: each feeder enters as
   its aggregate load, and one transmission solve ends the step with no
   feeder sweep.  :func:`run_decoupled_baseline` runs it on the dispatch
@@ -109,10 +109,8 @@ class CosimResult:
     aborted_at: int | None = None
 
 
-def _sweep_one(bus, feeder, head_v, last):
-    """Sweep one feeder at the (3,) head voltage ``head_v``, starting from
-    ``last``, its latest solution, when that was solved on the same topology."""
-    start = last.start_for(feeder) if last is not None else None
+def _sweep_one(bus, feeder, head_v, start):
+    """Sweep one feeder at the (3,) head voltage ``head_v`` from ``start``."""
     try:
         return dsolve.sweep_solve(feeder, head_v, start=start)
     except TdcosimError as exc:
@@ -146,10 +144,10 @@ def couple_step(
     """Iterate one transmission/distribution exchange to convergence.
 
     ``warm``, a previous step's converged state, starts the first
-    transmission solve and the first feeder sweeps, and predicts the PCC
-    powers of the first round (:func:`_round_one_powers`); without it they
-    are the feeders' aggregate loads.  Later sweeps start from the previous
-    round's feeder solutions.  The bus schedule is read
+    transmission solve, and per PCC and phase the first feeder sweeps and
+    the PCC powers of the first round (:func:`_warm_start`); without it the
+    sweeps start flat from the feeders' aggregate loads.  Later sweeps start
+    from the previous round's feeder solutions.  The bus schedule is read
     once per call, on the sequence network the case holds
     (:func:`tsolve.build_sequence_ybus`).
 
@@ -172,12 +170,10 @@ def couple_step(
 
     buses = tuple(sorted(feeders))
     agg = _aggregates(feeders, buses)
-    s_pcc = _round_one_powers(agg, buses, feeders, warm)
+    seq, starts, s_pcc = _warm_start(warm, feeders, buses, agg)
 
     trace = CouplingTrace(buses)
-    seq = warm.seq if warm is not None else None
     fsols: dict[int, dsolve.FeederSolution] = {}  # this step's latest sweeps
-    last = warm.feeder_solutions if warm is not None else {}
 
     for k in range(1, max_rounds + 1):
         # (i) transmission solve with the most recent PCC powers; on exit the
@@ -208,13 +204,13 @@ def couple_step(
         # (ii)-(iv) send voltages down, sweep every feeder, feed powers back.
         try:
             fsols = {
-                bus: _sweep_one(bus, feeders[bus], v, last.get(bus))
-                for bus, v in zip(buses, v_pcc)
+                bus: _sweep_one(bus, feeders[bus], v, start)
+                for bus, v, start in zip(buses, v_pcc, starts)
             }
         except ConvergenceError as exc:
             _fail_at(exc, k, trace)
             raise
-        last = fsols
+        starts = [fsols[b].v for b in buses]
         s_pcc = np.array([fsols[b].s_head for b in buses])
 
     trace.overall_iterations = max_rounds
@@ -227,24 +223,26 @@ def couple_step(
     raise err
 
 
-def _round_one_powers(agg, buses, feeders, warm):
-    """Round 1's (k, 3) PCC powers, given each feeder's aggregate load ``agg``.
+def _warm_start(warm, feeders, buses, agg):
+    """What round 1 reuses of ``warm``: its sequence solution, per PCC a
+    sweep start and per phase a power, given this step's (k, 3) loads ``agg``.
 
-    Cold, the feeders enter as ``agg``, the decoupled model's starting point.
-    When ``warm`` holds a solution of every feeder's topology, each head
-    power is predicted from the warm step's: its losses (head power less
-    aggregate load) grow with the square of the load, per phase,
-    ``agg + (heads_w - agg_w) * |agg / agg_w|**2``, where ``heads_w`` and
-    ``agg_w`` are the warm ``s_pcc``, the sweeps' head powers, and ``agg``;
-    a phase whose warm aggregate is zero enters as its aggregate.
+    A PCC whose warm feeder solution has its feeder's topology starts its
+    sweep from those voltages, and, when ``warm`` has this step's PCCs, each
+    of its phases takes the warm losses grown with the square of the load,
+    ``agg + (s_pcc_w - agg_w) * |agg / agg_w|**2``, wherever that is finite.
+    Every other PCC starts flat, and every other phase takes ``agg``.
     """
-    if warm is None or warm.pcc_buses != buses:
-        return agg
+    if warm is None:
+        return None, [None] * len(buses), agg
     sols = warm.feeder_solutions
-    if any(b not in sols or sols[b].start_for(feeders[b]) is None for b in buses):
-        return agg
-    growth = agg / np.where(warm.agg != 0, warm.agg, np.inf)
-    return agg + (warm.s_pcc - warm.agg) * np.abs(growth) ** 2
+    starts = [sols[b].start_for(feeders[b]) if b in sols else None for b in buses]
+    if warm.pcc_buses != buses:
+        return warm.seq, starts, agg
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        guess = agg + (warm.s_pcc - warm.agg) * np.abs(agg / warm.agg) ** 2
+    ok = np.isfinite(guess) & np.array([s is not None for s in starts])[:, None]
+    return warm.seq, starts, np.where(ok, guess, agg)
 
 
 def _aggregates(feeders, buses) -> np.ndarray:  # (k, 3) MVA, one row per bus

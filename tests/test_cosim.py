@@ -375,6 +375,20 @@ def test_interval_divisibility_enforced(system1, ckt_feeder, flat_shape):
         )
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"horizon_min": 0}, "horizon must be positive"),
+    ({"on_fail": "skip"}, "on_fail must be 'abort' or 'continue'"),
+    ({"shape_id": "night"}, "case references unknown loadshape 'day'"),
+])
+def test_run_timeseries_rejects_an_unusable_run(system1, ckt_feeder, flat_shape, change,
+                                                message):
+    kwargs = {"horizon_min": 5, **change}
+    shapes = {kwargs.pop("shape_id", "day"): flat_shape}
+    with pytest.raises(ValueError) as err:
+        cosim.run_timeseries(system1, {6: ckt_feeder}, shapes, **kwargs)
+    assert str(err.value) == message
+
+
 def test_abort_policy_stops_at_failure(system1, ckt_feeder, flat_shape):
     res = cosim.run_timeseries(
         system1, {6: ckt_feeder}, {"day": flat_shape},
@@ -731,6 +745,59 @@ def test_warm_start_falls_back_per_phase(system1, monkeypatch):
     agg = _aggregates(even)[0]
     assert agg[2] != 0 and seen[0][0][2] == agg[2]
     assert np.all(seen[0][0][:2] != agg[:2])
+    assert trace.overall_iterations >= 2
+
+
+def test_warm_start_falls_back_where_the_growth_overflows(system1, monkeypatch):
+    # Phase a of the warm step carried 1e-300 of the load it carries now, so
+    # |agg / agg_w|**2 overflows there: phase a starts from its aggregate
+    # with no warning, phases b and c from the prediction.
+    z = np.full((3, 3), 0.1 + 0.3j, dtype=complex)
+    np.fill_diagonal(z, 0.4 + 1.2j)
+    line = dsolve.FeederLine("head", "n1", "abc", z)
+    tiny_a = dsolve.Feeder(
+        34.5, 100.0, "head", (line,),
+        (dsolve.PhaseLoad("n1", {"a": 8e-300 + 2e-300j, "b": 8.0 + 2.0j, "c": 8.0 + 2.0j}),),
+        name="tiny_a",
+    )
+    warm, _ = cosim.couple_step(system1, {6: tiny_a})
+    even = {6: dsolve.apply_unbalance(tiny_a, 0.0)}
+    seen = _record_s_pcc(monkeypatch)
+    _, trace = cosim.couple_step(system1, even, warm=warm)
+    agg = _aggregates(even)[0]
+    losses = warm.s_pcc[0] - warm.agg[0]
+    assert seen[0][0][0] == agg[0]
+    growth = np.abs(agg[1:] / warm.agg[0][1:]) ** 2
+    assert np.array_equal(seen[0][0][1:], agg[1:] + losses[1:] * growth)
+    assert np.all(seen[0][0][1:] != agg[1:])
+    assert trace.overall_iterations >= 2
+
+
+def test_warm_start_falls_back_per_pcc(system2, feeders3, monkeypatch):
+    # Three PCCs; the feeder at bus 8 is rebuilt on another topology since
+    # the warm step: bus 8 starts flat from its aggregate, and buses 5 and 6
+    # start from their warm sweeps and their predicted head powers.
+    warm, _ = cosim.couple_step(system2, feeders3)
+    grown = {b: dsolve.scale_loads(f, 1.1) for b, f in feeders3.items()}
+    grown[8] = dsolve.Feeder(grown[8].base_kv, grown[8].base_mva, grown[8].head,
+                             *feeder_records(grown[8]), name=grown[8].name)
+    starts = {}  # each feeder's first sweep start
+    sweep_solve = dsolve.sweep_solve
+
+    def spy(feeder, head_v, start=None):
+        starts.setdefault(feeder.name, start)
+        return sweep_solve(feeder, head_v, start=start)
+
+    monkeypatch.setattr(dsolve, "sweep_solve", spy)
+    seen = _record_s_pcc(monkeypatch)
+    _, trace = cosim.couple_step(system2, grown, warm=warm)
+    agg = _aggregates(grown)
+    assert np.array_equal(seen[0][2], agg[2])
+    predicted = agg[:2] + (warm.s_pcc[:2] - warm.agg[:2]) * 1.21
+    np.testing.assert_allclose(seen[0][:2], predicted, rtol=1e-12)
+    assert starts["ckt24_8"] is None
+    assert starts["ckt24_5"] is warm.feeder_solutions[5].v
+    assert starts["ckt24_6"] is warm.feeder_solutions[6].v
     assert trace.overall_iterations >= 2
 
 
