@@ -231,18 +231,17 @@ def cmd_validate(args) -> int:
     status = EXIT_OK
     for path in args.paths:
         try:
-            text = Path(path).read_text()
+            header = next((toks[0] for _, toks in io._Lines(Path(path).read_text())), "")
         except OSError as exc:
             print(f"{path}: {exc}", file=sys.stderr)
             status = EXIT_INPUT
             continue
-        header = next((toks[0] for _, toks in io._Lines(text)), "")
         try:
             if header == "tdfeeder":
-                io.parse_feeder(text)  # raises on any problem
+                io.load_feeder(path)  # raises on any problem
                 problems = []
             else:
-                problems = validate_case(io.parse_case(text).case)
+                problems = validate_case(io.load_case(path).case)
             if problems:
                 for p in problems:
                     print(f"{path}: {p}")
@@ -250,7 +249,7 @@ def cmd_validate(args) -> int:
             else:
                 print(f"{path}: ok")
         except ParseError as exc:
-            print(f"{path}:{exc}", file=sys.stderr)
+            print(exc, file=sys.stderr)
             status = EXIT_INPUT
     return status
 

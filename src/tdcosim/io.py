@@ -741,14 +741,23 @@ def write_convergence_table(sweep, outdir) -> Path:
     return path
 
 
+def _parse_file(parse, path, *args):
+    """``parse`` of the text of ``path``; a ParseError reads ``PATH:LINE:COL: ...``."""
+    text = Path(path).read_text()
+    try:
+        return parse(text, *args)
+    except ParseError as exc:
+        exc.args = (f"{path}:{exc}",)
+        raise
+
+
 def load_case(path) -> CaseDocument:
-    return parse_case(Path(path).read_text())
+    return _parse_file(parse_case, path)
 
 
 def load_feeder(path) -> Feeder:
-    return parse_feeder(Path(path).read_text())
+    return _parse_file(parse_feeder, path)
 
 
 def load_loadshape(path, shape_id: str | None = None) -> LoadshapeSeries:
-    p = Path(path)
-    return parse_loadshape(p.read_text(), shape_id or p.stem)
+    return _parse_file(parse_loadshape, path, shape_id or Path(path).stem)

@@ -426,3 +426,110 @@ def test_snapshot_artifacts_identical_across_jobs(paths, tmp_path):
     assert "pcc_voltages.csv" in names
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# -- parse errors name their file ----------------------------------------------
+
+
+@pytest.fixture()
+def corrupt(tmp_path):
+    """A corrupt case, feeder and loadshape file, each with its error line."""
+    case = tmp_path / "bad_case.td"
+    case.write_text("tdcase 1\nbase_mva 100.0\nbus 1 slack\n")
+    feeder = tmp_path / "bad_feeder.td"
+    feeder.write_text("tdfeeder 1\nbase_kv 34.5\nbase_mva 100.0\nhead h\n"
+                      "line h n1 phases=a zaa=1+\n")
+    shape = tmp_path / "bad_shape.csv"
+    shape.write_text("0.0,1.0\n1,1.0\n")
+    return {
+        "case": (case, "3:1: bus 1 needs base_kv="),
+        "feeder": (feeder, "5:20: expected a complex literal for zaa, got '1+'"),
+        "loadshape": (shape, "1:1: bad minute value '0.0'"),
+    }
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("snapshot", "case"), ("snapshot", "feeder"),
+    ("sweep-unbalance", "case"), ("sweep-unbalance", "feeder"),
+    ("timeseries", "case"), ("timeseries", "feeder"), ("timeseries", "loadshape"),
+])
+def test_a_parse_error_names_its_file(paths, corrupt, capsys, command, bad):
+    files = {"case": paths["case"], "feeder": paths["feeder"], "loadshape": paths["flat"]}
+    path, where = corrupt[bad]
+    files[bad] = str(path)
+    argv = [command, "--case", files["case"], "--feeder", f"{files['feeder']}@6"]
+    if command == "timeseries":
+        argv += ["--loadshape", f"day={files['loadshape']}", "--minutes", "1",
+                 "--out", paths["out"]]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"parse error: {path}:{where}\n"
+
+
+def test_validate_prints_a_parse_error_as_the_loaders_raise_it(corrupt, capsys):
+    (case, case_at), (feeder, feeder_at) = corrupt["case"], corrupt["feeder"]
+    assert main(["validate", str(case), str(feeder)]) == 2
+    assert capsys.readouterr().err == f"{case}:{case_at}\n{feeder}:{feeder_at}\n"
+
+
+# -- rejected command lines ------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["snapshot", "sweep-unbalance"])
+def test_a_coupled_command_needs_a_feeder(paths, capsys, command):
+    assert main([command, "--case", paths["case"]]) == 2
+    assert capsys.readouterr().err == f"{command} needs at least one --feeder PATH@BUS\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--feeder", "feeder.td", "argument --feeder: feeder binding must look like PATH@BUS, "
+                              "got 'feeder.td'"),
+    ("--feeder", "feeder.td@six", "argument --feeder: bad bus id in feeder binding "
+                                  "'feeder.td@six'"),
+    ("--loadshape", "day.csv", "argument --loadshape: loadshape binding must look like "
+                               "ID=PATH, got 'day.csv'"),
+])
+def test_a_malformed_binding_is_a_usage_error(paths, capsys, flag, value, message):
+    with pytest.raises(SystemExit) as err:
+        main(["timeseries", "--case", paths["case"], flag, value, "--minutes", "1",
+              "--out", paths["out"]])
+    assert err.value.code == 2
+    assert capsys.readouterr().err.endswith(f"error: {message}\n")
+
+
+@pytest.mark.parametrize("buses, message", [
+    ((6, 6), "more than one feeder bound to bus 6"),
+    ((12,), "load at nonexistent bus 12"),
+])
+def test_a_feeder_bound_where_it_cannot_sit_is_an_input_error(paths, capsys, buses, message):
+    argv = ["snapshot", "--case", paths["case"]]
+    for bus in buses:
+        argv += ["--feeder", f"{paths['feeder']}@{bus}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_validate_names_a_missing_file(tmp_path, capsys):
+    missing = tmp_path / "missing.td"
+    assert main(["validate", str(missing)]) == 2
+    assert capsys.readouterr().err == (
+        f"{missing}: [Errno 2] No such file or directory: '{missing}'\n")
+
+
+# -- a valid loadshape whose load vanishes for a minute --------------------------
+
+
+def test_a_vanishing_load_does_not_end_a_valid_timeseries(paths, tmp_path, capsys):
+    # At minute 4 the load is 1e-300 of its size, at minute 5 it is 0.9: the
+    # warm prediction's growth |0.9 / 1e-300|**2 overflows, and minute 5
+    # starts from its aggregate load instead.
+    feeder = tmp_path / "f20.td"
+    assert main(["make-feeder", "--nodes", "20", "--p", "52.1", "--q", "11.7", "--kv", "34.5",
+                 "--seed", "3", "--out", str(feeder)]) == 0
+    shape = tmp_path / "vanish.csv"
+    shape.write_text("minute,multiplier\n" + "".join(
+        f"{m},{'1e-300' if m == 4 else '0.9'}\n" for m in range(10)))
+    rc = main(["timeseries", "--case", paths["case"], "--feeder", f"{feeder}@6",
+               "--loadshape", f"day={shape}", "--minutes", "10", "--out", paths["out"]])
+    assert rc == 0, capsys.readouterr().err
+    rows = (Path(paths["out"]) / "pcc_voltages.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == [str(m) for m in range(10) for _ in "abc"]

@@ -110,6 +110,13 @@ def test_malformed_lines_raise_at_construction():
     )
 
 
+def test_a_load_on_an_unknown_phase_is_refused_at_construction():
+    line = FeederLine("head", "n1", "abc", z3(1.0j))
+    with pytest.raises(ValueError) as err:
+        Feeder(12.47, 100.0, "head", (line,), (PhaseLoad("n1", {"d": 1.0 + 0j}),))
+    assert str(err.value) == "load at n1: unknown phase 'd'"
+
+
 @pytest.mark.parametrize("load, message", [
     (PhaseLoad("zz", {"a": 1.0 + 0j}), "load at unknown node 'zz'"),
     (PhaseLoad("n1", {"b": 1.0 + 0j}), "load at n1: phase b not present there"),

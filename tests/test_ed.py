@@ -58,6 +58,12 @@ def test_min_limit_kkt_sign():
     assert marginal(gens[1], res.p_set[1]) >= res.lam - 1e-6
 
 
+def test_an_empty_fleet_is_refused():
+    with pytest.raises(ValueError) as err:
+        dispatch([], 100.0)
+    assert str(err.value) == "cannot dispatch an empty generator set"
+
+
 def test_infeasible_demand_reports_range():
     gens = [gen(0.01, 10.0, p_min=10.0, p_max=100.0)]
     with pytest.raises(DispatchError) as err:

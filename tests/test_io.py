@@ -384,6 +384,22 @@ def test_header_optional():
     assert a.multipliers == b.multipliers == (1.0, 2.0)
 
 
+@pytest.mark.parametrize("load, text, where", [
+    (io.load_case, "tdcase 1\nbase_mva 100.0\nbus 1 slack\n", (3, 1, "bus 1 needs base_kv=")),
+    (io.load_feeder, "tdfeeder 1\nbase_kv 34.5\n", (1, 1, "feeder file needs base_kv, "
+                                                      "base_mva and head directives")),
+    (io.load_loadshape, "0.0,1.0\n", (1, 1, "bad minute value '0.0'")),
+])
+def test_a_loader_puts_the_path_before_the_location(tmp_path, load, text, where):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(ParseError) as err:
+        load(path)
+    line, col, message = where
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value) == f"{path}:{line}:{col}: {message}"
+
+
 # -- fuzzing ------------------------------------------------------------------
 
 
